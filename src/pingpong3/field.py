@@ -50,8 +50,8 @@ INF = float("inf")
 # Region names understood by classify().
 REGIONS = ("O", "m", "1+pim", "pi+pim")
 
-# Below this many digits schoolbook convolution beats packing.
-_KARATSUBA_CUTOFF = 32
+# Below this many digits schoolbook convolution beats Kronecker packing.
+_KRONECKER_CUTOFF = 32
 
 
 def is_prime(n):
@@ -75,7 +75,7 @@ def _digits_mul(a, b, q):
     la, lb = len(a), len(b)
     if la == 0 or lb == 0:
         return ()
-    if min(la, lb) < _KARATSUBA_CUTOFF:
+    if min(la, lb) < _KRONECKER_CUTOFF:
         out = [0] * (la + lb - 1)
         if la > lb:
             a, b, la, lb = b, a, lb, la
@@ -118,10 +118,16 @@ class Laurent:
     def __init__(self, q, lead, digits, known_to=INF):
         digits = list(digits)
         if known_to is not INF:
-            known_to = int(known_to)
-            # Digits at or above known_to carry no information.
-            if lead + len(digits) > known_to:
-                digits = digits[: max(0, known_to - lead)]
+            if known_to == INF:
+                # any +inf becomes the INF object: exactness is tested by identity
+                known_to = INF
+            elif known_to != known_to or known_to == -INF:
+                raise ValueError(f"known_to must be an integer or +inf, not {known_to}")
+            else:
+                known_to = int(known_to)
+                # Digits at or above known_to carry no information.
+                if lead + len(digits) > known_to:
+                    digits = digits[: max(0, known_to - lead)]
         while digits and digits[0] == 0:
             digits.pop(0)
             lead += 1

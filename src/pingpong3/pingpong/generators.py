@@ -22,30 +22,45 @@ verify rather than assume, so arbitrary diagonal pairs are accepted here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..field import Laurent
 from ..linalg import Mat
 
-# general inverses of non-monomial diagonal entries carry this tail length
-RATIO_PRECISION = 32
 
-
-def _ratio(x, y):
-    """x / y, exact for monomials, else correct modulo u^RATIO_PRECISION."""
-    if y.is_monomial():
-        return x * y.inv(0)
-    return x * y.inv(RATIO_PRECISION + abs(y.lead))
+def _monomial_diagonal(mat, name):
+    """(exponent triple, unit-coefficient triple) of a diagonal matrix whose
+    diagonal entries are exact monomials c u^k."""
+    for i in range(3):
+        for j in range(3):
+            x = mat.rows[i][j]
+            if i != j and not x.is_exact_zero:
+                raise ValueError(f"{name} must be diagonal")
+            if i == j and not x.is_monomial():
+                raise ValueError(f"{name} must have exact monomial diagonal entries")
+    diag = [mat.rows[i][i] for i in range(3)]
+    return tuple(x.lead for x in diag), tuple(x.digits[0] for x in diag)
 
 
 @dataclass(frozen=True)
 class DiagPair:
-    """Two diagonal determinant-one matrices plus their chart ratios."""
+    """Two diagonal determinant-one matrices plus their chart ratios.
+
+    Every element a^m b^n of the rank-two factor is the monomial diagonal
+    diag(c_i^m d_i^n u^(m k_i + n l_i)), fixed by the exponent triples
+    k, l and the unit coefficients c, d of a and b.  Those are read off
+    once at construction; ``monomial`` gives them for any (m, n).
+    """
 
     a: Mat
     b: Mat
     a_ratios: tuple
     b_ratios: tuple
+    _factors: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        factors = (_monomial_diagonal(self.a, "a"), _monomial_diagonal(self.b, "b"))
+        object.__setattr__(self, "_factors", factors)
 
     @property
     def q(self):
@@ -61,34 +76,47 @@ class DiagPair:
         """val(beta_2): how fast b^n separates the y-coordinate."""
         return self.b_ratios[1].val()
 
+    def monomial(self, m, n):
+        """a^m b^n as (exponent triple, unit-coefficient triple mod q)."""
+        q = self.q
+        (ka, ca), (kb, cb) = self._factors
+        exps = tuple(m * k + n * l for k, l in zip(ka, kb))
+        coeffs = tuple(pow(c, m, q) * pow(d, n, q) % q for c, d in zip(ca, cb))
+        return exps, coeffs
+
     def gamma(self, m, n):
-        """The element a^m b^n (exact for monomial diagonals)."""
-        return (self.a ** m) * (self.b ** n)
+        """The element a^m b^n, built in O(1) from its exponent triple."""
+        exps, coeffs = self.monomial(m, n)
+        return Mat.diagonal([Laurent(self.q, e, (c,)) for e, c in zip(exps, coeffs)])
 
-
-def _check_diagonal_det_one(mat, name):
-    zero_ok = all(
-        mat.rows[i][j].is_exact_zero
-        for i in range(3)
-        for j in range(3)
-        if i != j
-    )
-    if not zero_ok:
-        raise ValueError(f"{name} must be diagonal")
-    one = Laurent(mat.q, 0, (1,))
-    if not (mat.det() == one):
-        raise ValueError(f"{name} must have determinant exactly 1")
+    def act(self, m, n, vec):
+        """a^m b^n applied to a coordinate vector: coordinate i is scaled by
+        its unit coefficient and shifted by its exponent.  Equal, precision
+        included, to ``gamma(m, n).matvec(vec)``."""
+        exps, coeffs = self.monomial(m, n)
+        return tuple(x.scale(c).shift(e) for x, e, c in zip(vec, exps, coeffs))
 
 
 def make_pair(a, b):
-    """Package two diagonal SL_3 elements with their chart ratios."""
-    _check_diagonal_det_one(a, "a")
-    _check_diagonal_det_one(b, "b")
+    """Package two diagonal SL_3 elements with their chart ratios.
+
+    A determinant-one diagonal of exact entries has monomial entries (the
+    units of F_q[u, 1/u] are monomials), so determinant one is read off the
+    exponent and coefficient triples, and the ratios are exact monomials.
+    """
     if a.q != b.q:
         raise ValueError("mixed residue fields")
-    a_ratios = (_ratio(a.rows[0][0], a.rows[2][2]), _ratio(a.rows[1][1], a.rows[2][2]))
-    b_ratios = (_ratio(b.rows[0][0], b.rows[2][2]), _ratio(b.rows[1][1], b.rows[2][2]))
-    return DiagPair(a, b, a_ratios, b_ratios)
+    q = a.q
+    ratios = []
+    for mat, name in ((a, "a"), (b, "b")):
+        (k0, k1, k2), (c0, c1, c2) = _monomial_diagonal(mat, name)
+        if k0 + k1 + k2 != 0 or c0 * c1 * c2 % q != 1:
+            raise ValueError(f"{name} must have determinant exactly 1")
+        inv = pow(c2, -1, q)
+        ratios.append(
+            tuple(Laurent(q, k - k2, (c * inv % q,)) for k, c in ((k0, c0), (k1, c1)))
+        )
+    return DiagPair(a, b, *ratios)
 
 
 def make_generators(q, profile=(1, 1)):

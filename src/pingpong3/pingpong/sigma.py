@@ -257,8 +257,10 @@ def monte_carlo_check(pair, rng, trials_per_case=200, exponent_bound=5, depth=14
     For each sign case, picks random exponents and random window points,
     builds the concrete image gamma y, and asks the projective predicates
     directly: the image must be outside the unit window and the line from
-    the base point must not have slope in u + u^2 O.  Returns a dict of
-    per-case trial counts; raises AssertionError on any hit.
+    the base point must not have slope in u + u^2 O.  The image is formed
+    coordinatewise from the exponent triple of a^m b^n (``DiagPair.act``),
+    with no matrix built.  Returns a dict of per-case trial counts; raises
+    AssertionError on any hit.
     """
     field = Field(pair.q, default_precision=depth + 4)
     one = field.one()
@@ -279,7 +281,7 @@ def monte_carlo_check(pair, rng, trials_per_case=200, exponent_bound=5, depth=14
                 one + _random_window_tail(field, rng, depth),
                 one,
             )
-            image = pair.gamma(m, n).matvec(y)
+            image = pair.act(m, n, y)
             if in_unit_window(image) is not False:
                 hits += 1
             elif in_slope_u_cone(base, image) is not False:

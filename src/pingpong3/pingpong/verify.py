@@ -94,13 +94,37 @@ def _first_nonzero(arr, none_value):
     return idx
 
 
+def _digit_dtype(q):
+    """Narrowest integer dtype of the sweep's digit arrays that holds
+    (q - 1)^2: under NumPy 2 promotion a digit array times a Python int
+    digit keeps the array's dtype, so every such product must fit it."""
+    top = (q - 1) ** 2
+    for dtype in (np.int8, np.int16):
+        if top <= np.iinfo(dtype).max:
+            return dtype
+    return np.int32
+
+
+def _shift_add(q, taps_row, reps, lead, out):
+    """Digits mod q of sum_j x_j y_j over a chunk of balls, written into the
+    zeroed (n, width) rows ``out`` whose column 0 is u^lead: each tap
+    (position, digit) of x_j adds the digit times the representative
+    column y_j at that position."""
+    level = reps.shape[2]
+    for j in range(3):
+        for pos, dig in taps_row[j]:
+            col = pos - lead
+            out[:, col : col + level] += dig * reps[:, j]
+    out %= q
+
+
 # -- ball enumeration in bulk ------------------------------------------------
 
 
 def _decode(q, sel, width):
     """Digit rows of the flat indices ``sel``, first digit most significant
     (the lexicographic order of itertools.product(range(q), repeat=width))."""
-    out = np.empty((sel.size, width), dtype=np.int8)
+    out = np.empty((sel.size, width), dtype=_digit_dtype(q))
     for j in range(width):
         out[:, j] = (sel // q ** (width - 1 - j)) % q
     return out
@@ -111,9 +135,10 @@ def _ball_chunks(q, level, chunk):
 
     Mirrors the deterministic order of projgeom.enumerate_balls: pivot z
     (x, y free), pivot y (x free, z in uO), pivot x (y, z in uO).  ``reps``
-    is (n, 3, level) int8 in coordinate order x, y, z.
+    is (n, 3, level) of ``_digit_dtype(q)`` in coordinate order x, y, z.
     """
-    one = np.zeros(level, dtype=np.int8)
+    dtype = _digit_dtype(q)
+    one = np.zeros(level, dtype=dtype)
     one[0] = 1
     free = q**level
     sub = q ** (level - 1)
@@ -123,19 +148,19 @@ def _ball_chunks(q, level, chunk):
             yield np.arange(lo, min(lo + chunk, total), dtype=np.int64)
 
     for idx in blocks(free * free):
-        reps = np.empty((idx.size, 3, level), dtype=np.int8)
+        reps = np.empty((idx.size, 3, level), dtype=dtype)
         reps[:, 0] = _decode(q, idx // free, level)
         reps[:, 1] = _decode(q, idx % free, level)
         reps[:, 2] = one
         yield 2, reps
     for idx in blocks(free * sub):
-        reps = np.zeros((idx.size, 3, level), dtype=np.int8)
+        reps = np.zeros((idx.size, 3, level), dtype=dtype)
         reps[:, 0] = _decode(q, idx // sub, level)
         reps[:, 1] = one
         reps[:, 2, 1:] = _decode(q, idx % sub, level - 1)
         yield 1, reps
     for idx in blocks(sub * sub):
-        reps = np.zeros((idx.size, 3, level), dtype=np.int8)
+        reps = np.zeros((idx.size, 3, level), dtype=dtype)
         reps[:, 0] = one
         reps[:, 1, 1:] = _decode(q, idx // sub, level - 1)
         reps[:, 2, 1:] = _decode(q, idx % sub, level - 1)
@@ -325,26 +350,21 @@ def _epsilon_budget(eigen):
 
 
 def _gamma_table(pair, gamma_bound):
-    """Diagonal valuation triples of every nontrivial a^m b^n in the box."""
+    """Diagonal valuation triples of every nontrivial a^m b^n in the box.
+
+    Read from the pair's exponent triples (a DiagPair only holds monomial
+    diagonals); a non-monic element is refused, because the image digits
+    below are the window digits moved, not scaled.
+    """
     table = []
     for m in range(-gamma_bound, gamma_bound + 1):
         for n in range(-gamma_bound, gamma_bound + 1):
             if m == 0 and n == 0:
                 continue
-            gamma = pair.gamma(m, n)
-            vals = []
-            for i in range(3):
-                for j in range(3):
-                    e = gamma.rows[i][j]
-                    if i == j:
-                        if not (e.is_monomial() and e.digits[0] == 1):
-                            raise ValueError(
-                                "gamma sweep needs monic monomial diagonals"
-                            )
-                        vals.append(int(e.val()))
-                    elif not e.is_exact_zero:
-                        raise ValueError("gamma sweep needs diagonal elements")
-            table.append((f"a^{m} b^{n}", vals))
+            exps, coeffs = pair.monomial(m, n)
+            if any(c != 1 for c in coeffs):
+                raise ValueError("gamma sweep needs monic monomial diagonals")
+            table.append((f"a^{m} b^{n}", exps))
     return table
 
 
@@ -475,11 +495,7 @@ def verify_pingpong(pair, g, level, gamma_bound, eigen=None, epsilon_exponent=No
         vals = []
         for i in range(3):
             acc = np.zeros((m, dot_stop - vm_adj + level), dtype=np.int32)
-            for j in range(3):
-                for pos, dig in adj_taps[i][j]:
-                    col = pos - vm_adj
-                    acc[:, col : col + level] += dig * dom[:, j]
-            acc %= q
+            _shift_add(q, adj_taps[i], dom, vm_adj, acc)
             vals.append(
                 _first_nonzero(acc[:, : dot_stop - vm_adj], dot_stop - vm_adj) + vm_adj
             )
@@ -535,12 +551,8 @@ def verify_pingpong(pair, g, level, gamma_bound, eigen=None, epsilon_exponent=No
         for side in sides:
             width = side["width"]
             img = np.zeros((m, 3, width), dtype=np.int32)
-            for i in range(3):
-                for j in range(3):
-                    for pos, dig in side["taps"][i][j]:
-                        col = pos - side["lead"]
-                        img[:, i, col : col + level] += dig * dom[:, j]
-            img %= q
+            for i, row in enumerate(side["taps"]):
+                _shift_add(q, row, dom, side["lead"], img[:, i])
             vm_col = _first_nonzero((img != 0).any(axis=1), width)
             if (vm_col >= width - 1).any():
                 raise InsufficientPrecision("image lost inside its digit window")
@@ -579,7 +591,7 @@ def verify_pingpong(pair, g, level, gamma_bound, eigen=None, epsilon_exponent=No
     if window_chunks:
         wreps = np.concatenate(window_chunks)
     else:
-        wreps = np.empty((0, 3, level), dtype=np.int8)
+        wreps = np.empty((0, 3, level), dtype=_digit_dtype(q))
     report.window_balls = wreps.shape[0]
     expected = q ** (2 * (level - 2))
     if report.window_balls != expected:
@@ -597,7 +609,7 @@ def verify_pingpong(pair, g, level, gamma_bound, eigen=None, epsilon_exponent=No
         for label, dvals in gammas:
             dmin = min(dvals)
             width = max(dvals) - dmin + level
-            img = np.zeros((n, 3, width), dtype=np.int8)
+            img = np.zeros((n, 3, width), dtype=w.dtype)
             for k in range(3):
                 off = dvals[k] - dmin
                 img[:, k, off : off + level] = w[:, k]

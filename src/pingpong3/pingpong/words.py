@@ -24,12 +24,25 @@ separately.)
 Every word is an exact Laurent polynomial matrix, so the survey runs on
 plain integer digit planes: a matrix is (lead, arr) with arr of shape
 (3, 3, D) holding base-q digits of each entry starting at exponent
-``lead``.  Products are 27 digit convolutions mod q; the depth-first walk
-down the alternation tree reuses each prefix product (and prefix inverse
-product) for all of its extensions.  Inverses stay exact because every
-syllable has determinant one, so the inverse of a syllable is its
-adjugate.  Exact Mat arithmetic remains the reference semantics; tests
-replay sampled words through it.
+``lead``.  The depth-first walk down the alternation tree extends each
+prefix w (and its inverse chain w^-1) by one syllable s:
+
+* a diagonal syllable diag(c_j u^e_j) is applied without a product:
+  w s moves column j of w up e_j digits and scales it by c_j mod q, and
+  s^-1 w^-1 does the same to the rows of w^-1 with s^-1;
+* a syllable c^r is multiplied in by Kronecker substitution (Harvey,
+  J. Symbolic Comput. 2009): each digit row becomes one Python int with a
+  fixed-width byte slot per digit, the 27 row products and 9 sums are
+  native big-int arithmetic, and the result is read back with
+  ``np.frombuffer`` and reduced mod q.  A product entry sums three
+  convolutions of rows, so each of its coefficients is at most
+  3 min(D_a, D_b) (q - 1)^2; the slot is the narrowest of 1, 2, 4 or 8
+  bytes that holds that, so no slot carries into the next.  The c^r
+  syllables are packed once, and a prefix once for all its c^r children.
+
+Inverses stay exact because every syllable has determinant one, so the
+inverse of a syllable is its adjugate.  Exact Mat arithmetic remains the
+reference semantics; tests replay sampled words through it.
 """
 
 from __future__ import annotations
@@ -40,7 +53,6 @@ from fractions import Fraction
 import numpy as np
 
 from ..field import Laurent
-from ..linalg import Mat
 
 __all__ = ["WordRecord", "WordSurvey", "word_survey"]
 
@@ -52,10 +64,12 @@ _EYE = np.eye(3, dtype=np.int64)
 
 def _trim(lead, arr):
     """Drop all-zero leading and trailing digit planes."""
-    nz = np.flatnonzero(arr.reshape(9, -1).any(axis=0))
-    if nz.size == 0:
+    planes = arr.reshape(9, -1).any(axis=0)
+    first = int(planes.argmax())
+    if not planes[first]:
         raise ValueError("word evaluation produced a zero matrix")
-    return lead + int(nz[0]), np.ascontiguousarray(arr[:, :, nz[0] : nz[-1] + 1])
+    stop = planes.size - int(planes[::-1].argmax())
+    return lead + first, arr[:, :, first:stop]
 
 
 def _digit_planes(mat):
@@ -75,22 +89,72 @@ def _digit_planes(mat):
     return _trim(lead, arr)
 
 
+def _slot_bytes(q, depth):
+    """Bytes per packed digit: a slot must hold 3 depth (q - 1)^2, the
+    largest coefficient of a product entry whose shorter factor rows have
+    ``depth`` digits."""
+    top = 3 * depth * (q - 1) ** 2
+    for nbytes in (1, 2, 4, 8):
+        if top < 1 << (8 * nbytes):
+            return nbytes
+    raise ValueError("digit rows too long to pack into 8-byte slots")
+
+
+def _pack(pm, nbytes):
+    """(lead, depth, the nine digit rows as Python ints, row-major)."""
+    lead, arr = pm
+    depth = arr.shape[2]
+    blob = arr.astype(f"<u{nbytes}").tobytes()
+    step = depth * nbytes
+    rows = [
+        int.from_bytes(blob[k : k + step], "little") for k in range(0, 9 * step, step)
+    ]
+    return lead, depth, rows
+
+
+def _packed_mul(q, a, b, nbytes):
+    """Product of two packed matrices as a digit-plane matrix, exact mod q.
+
+    Both must be packed with ``nbytes`` at least
+    ``_slot_bytes(q, min(depth_a, depth_b))``.
+    """
+    la, da, ra = a
+    lb, db, rb = b
+    size = (da + db - 1) * nbytes
+    blob = b"".join(
+        (ra[i] * rb[j] + ra[i + 1] * rb[j + 3] + ra[i + 2] * rb[j + 6]).to_bytes(
+            size, "little"
+        )
+        for i in (0, 3, 6)
+        for j in (0, 1, 2)
+    )
+    arr = np.frombuffer(blob, dtype=f"<u{nbytes}").reshape(3, 3, -1) % q
+    return _trim(la + lb, arr)
+
+
 def _mul(q, a, b):
     """Digit-plane matrix product, exact mod q."""
-    la, aa = a
-    lb, bb = b
-    out = np.zeros((3, 3, aa.shape[2] + bb.shape[2] - 1), dtype=np.int64)
-    for i in range(3):
-        for k in range(3):
-            left = aa[i, k]
-            if not left.any():
-                continue
-            for j in range(3):
-                right = bb[k, j]
-                if right.any():
-                    out[i, j, : left.size + right.size - 1] += np.convolve(left, right)
-    out %= q
-    return _trim(la + lb, out)
+    nbytes = _slot_bytes(q, min(a[1].shape[2], b[1].shape[2]))
+    return _packed_mul(q, _pack(a, nbytes), _pack(b, nbytes), nbytes)
+
+
+def _diag_mul(q, pm, diag, axis):
+    """pm times a monomial diagonal diag(c_k u^e_k), given as the triples
+    (e, c): on the right (axis 1) column k moves up e_k digits and is
+    scaled by c_k; on the left (axis 0) row k does."""
+    lead, arr = pm
+    exps, coeffs = diag
+    lo = min(exps)
+    depth = arr.shape[2]
+    out = np.zeros((3, 3, depth + max(exps) - lo), dtype=np.int64)
+    dst, src = (out, arr) if axis == 0 else (out.swapaxes(0, 1), arr.swapaxes(0, 1))
+    for k, e in enumerate(exps):
+        dst[k, :, e - lo : e - lo + depth] = src[k]
+    if any(c != 1 for c in coeffs):
+        scale = np.asarray(coeffs, dtype=np.int64)
+        dst *= scale[:, None, None]
+        out %= q
+    return _trim(lead + lo, out)
 
 
 def _power(q, pm, e):
@@ -126,7 +190,8 @@ def _diag_label(m, n):
 
 
 def _diagonal_syllables(pair, bound):
-    """(label, weight, planes, inverse planes), ordered by (weight, m, n)."""
+    """(label, weight, triples, inverse triples), ordered by (weight, m, n);
+    the triples are the (exponent, coefficient) pair of ``pair.monomial``."""
     out = []
     for weight in range(1, bound + 1):
         for m in range(-weight, weight + 1):
@@ -138,8 +203,8 @@ def _diagonal_syllables(pair, bound):
                     (
                         _diag_label(m, n),
                         weight,
-                        _digit_planes(pair.gamma(m, n)),
-                        _digit_planes(pair.gamma(-m, -n)),
+                        pair.monomial(m, n),
+                        pair.monomial(-m, -n),
                     )
                 )
     return out
@@ -281,10 +346,15 @@ def word_survey(pair, g, bound, constants, sink=None):
         alpha=alpha,
         c_total=c_total,
     )
-    tables = (
-        _diagonal_syllables(pair, bound),
-        _cyclic_syllables(q, g, constants.r_prime, bound),
-    )
+    diagonal = _diagonal_syllables(pair, bound)
+    cyclic = _cyclic_syllables(q, g, constants.r_prime, bound)
+    # every packed product has a c^r factor, so the deepest c^r bounds
+    # min(D_a, D_b) and one slot width serves the whole walk
+    nbytes = _slot_bytes(q, max(planes[1].shape[2] for _, _, planes, _ in cyclic))
+    cyclic = [
+        (label, weight, _pack(planes, nbytes), _pack(inv, nbytes))
+        for label, weight, planes, inv in cyclic
+    ]
 
     def emit(label_parts, length, syllables, w, w_inv):
         lognorm = -w[0]
@@ -305,14 +375,23 @@ def word_survey(pair, g, bound, constants, sink=None):
             sink(rec)
 
     def walk(prefix, prefix_inv, label_parts, length, syllables, last):
-        for kind, table in enumerate(tables):
+        if length == bound:
+            return
+        for kind, table in enumerate((diagonal, cyclic)):
             if kind == last:
                 continue
-            for label, weight, planes, planes_inv in table:
+            if kind == 1:
+                packed = _pack(prefix, nbytes)
+                packed_inv = _pack(prefix_inv, nbytes)
+            for label, weight, right, left in table:  # by increasing weight
                 if length + weight > bound:
-                    continue
-                w = _mul(q, prefix, planes)
-                w_inv = _mul(q, planes_inv, prefix_inv)
+                    break
+                if kind == 0:
+                    w = _diag_mul(q, prefix, right, axis=1)
+                    w_inv = _diag_mul(q, prefix_inv, left, axis=0)
+                else:
+                    w = _packed_mul(q, packed, right, nbytes)
+                    w_inv = _packed_mul(q, left, packed_inv, nbytes)
                 parts = label_parts + [label]
                 emit(parts, length + weight, syllables + 1, w, w_inv)
                 walk(w, w_inv, parts, length + weight, syllables + 1, kind)

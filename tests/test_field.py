@@ -1,5 +1,6 @@
 """Field layer: digit arithmetic, precision rules, regions, text grammar."""
 
+import math
 import random
 
 import pytest
@@ -57,6 +58,16 @@ def test_canonical_form_strips_leading_and_trailing_zeros():
 def test_digits_beyond_known_to_are_dropped():
     x = Laurent(2, 0, [1, 1, 1, 1], known_to=2)
     assert x.digits == (1, 1) and x.known_to == 2
+
+
+def test_infinite_known_to_is_the_exact_sentinel():
+    x = Laurent(3, 0, (1,), math.inf)
+    assert x == Laurent(3, 0, (1,))
+    assert x.exact and x.known_to is INF
+    assert x * Laurent(3, 1, (2,)) == Laurent(3, 1, (2,))
+    for bad in (-math.inf, math.nan):
+        with pytest.raises(ValueError):
+            Laurent(3, 0, (1,), bad)
 
 
 def test_digit_out_of_range_rejected():

@@ -60,6 +60,10 @@ def test_pair_rejects_bad_input():
     bad_det = Mat.diagonal([F2.u(1), F2.one(), F2.one()])
     with pytest.raises(ValueError):
         make_pair(bad_det, make_generators(2).b)
+    one = F2.one()
+    for bad in (not_diag, Mat.diagonal([F2.parse("1 + u"), one, one])):
+        with pytest.raises(ValueError):
+            DiagPair(bad, bad, (one, one), (one, one))
 
 
 def test_gamma_powers_are_exact_diagonals():
@@ -69,6 +73,35 @@ def test_gamma_powers_are_exact_diagonals():
     # entry valuations 2m*A' - n*B', -m*A' + 2n*B', -m*A' - n*B' with A'=B'=2
     assert vals == [2 * 2 * 2 + 1 * 2, -2 * 2 - 2 * 2, -2 * 2 + 1 * 2]
     assert all(g.rows[i][i].is_monomial() for i in range(3))
+
+
+# diag(2u^2, 2u^-1, u^-1) and a cyclic shuffle of it: unit coefficients 2
+NON_MONIC_Q3 = make_pair(
+    Mat.diagonal([F3.monomial(2, 2), F3.monomial(2, -1), F3.u(-1)]),
+    Mat.diagonal([F3.u(-1), F3.monomial(2, 2), F3.monomial(2, -1)]),
+)
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [make_generators(2), make_generators(3), make_generators(5), NON_MONIC_Q3],
+    ids=["q2", "q3", "q5", "q3-non-monic"],
+)
+def test_gamma_from_exponent_triples_matches_mat_powers(pair):
+    for m in range(-5, 6):
+        for n in range(-5, 6):
+            assert pair.gamma(m, n) == (pair.a**m) * (pair.b**n)
+
+
+def test_act_is_the_matrix_action_precision_included():
+    vectors = [
+        (F3.one(), F3.parse("1 + u^2 + 2*u^3"), F3.one()),
+        (F3.elem(2, [1, 2], known_to=6), F3.unknown(3), F3.zero()),
+    ]
+    for pair in (make_generators(3), NON_MONIC_Q3):
+        for vec in vectors:
+            for m, n in ((1, 0), (-2, 3), (0, -1), (4, 4)):
+                assert pair.act(m, n, vec) == pair.gamma(m, n).matvec(vec)
 
 
 # -- sigma exclusion -----------------------------------------------------------

@@ -1,10 +1,12 @@
 """Exhaustive sweep verifier: bulk digit engine vs scalar predicates."""
 
+import random
+
 import numpy as np
 import pytest
 
 from pingpong3.errors import InsufficientLevel
-from pingpong3.field import Field
+from pingpong3.field import Field, Laurent
 from pingpong3.linalg import Mat
 from pingpong3.pingpong.generators import DiagPair, make_generators
 from pingpong3.pingpong.regular import (
@@ -13,12 +15,23 @@ from pingpong3.pingpong.regular import (
     make_proximal,
 )
 from pingpong3.pingpong.verify import (
+    CHUNK,
     PingPongReport,
     _ball_chunks,
     _ConeTest,
+    _decode,
+    _digit_dtype,
+    _shift_add,
+    _support,
+    _taps,
     verify_pingpong,
 )
-from pingpong3.projgeom import enumerate_balls, in_slope_u_cone, in_unit_window
+from pingpong3.projgeom import (
+    ball_count,
+    enumerate_balls,
+    in_slope_u_cone,
+    in_unit_window,
+)
 from pingpong3.spectral import eigen_flags
 
 PAIR2 = make_generators(2)
@@ -51,27 +64,108 @@ def test_ball_chunks_mirror_scalar_enumeration():
         assert bulk == scalar
 
 
-def test_cone_test_agrees_with_scalar_predicate():
+BULK_QS = (2, 3, 5, 13, 31)
+
+
+def test_digit_dtype_holds_every_digit_product():
+    assert [_digit_dtype(q) for q in (2, 3, 11)] == [np.int8] * 3
+    assert [_digit_dtype(q) for q in (13, 31, 181)] == [np.int16] * 3
+    assert _digit_dtype(191) == np.int32
+    for q in (2, 11, 13, 181, 191):
+        assert (q - 1) ** 2 <= np.iinfo(_digit_dtype(q)).max
+
+
+def _sample_reps(q, level, count, seed):
+    """Every level-M ball representative when there are at most ``count``,
+    else about ``count`` random ones spread over the three strata, decoded
+    the way the sweep decodes them."""
+    if ball_count(q, level) <= count:
+        return np.concatenate([reps for _, reps in _ball_chunks(q, level, CHUNK)])
+    rng = random.Random(seed)
+    k = count // 3
+    free, sub = q**level, q ** (level - 1)
+
+    def draw(total, width):
+        return _decode(q, np.array([rng.randrange(total) for _ in range(k)]), width)
+
+    x = draw(free, level)
+    reps = np.zeros((3 * k, 3, level), dtype=x.dtype)
+    z_pivot, y_pivot, x_pivot = reps[:k], reps[k : 2 * k], reps[2 * k :]
+    z_pivot[:, 0] = x
+    z_pivot[:, 1] = draw(free, level)
+    z_pivot[:, 2, 0] = 1
+    y_pivot[:, 0] = draw(free, level)
+    y_pivot[:, 1, 0] = 1
+    y_pivot[:, 2, 1:] = draw(sub, level - 1)
+    x_pivot[:, 0, 0] = 1
+    x_pivot[:, 1, 1:] = draw(sub, level - 1)
+    x_pivot[:, 2, 1:] = draw(sub, level - 1)
+    return reps
+
+
+def _vector(q, rep):
+    """The exact representative vector of one digit-array row."""
+    return tuple(Laurent(q, 0, [int(d) for d in rep[c]]) for c in range(3))
+
+
+@pytest.mark.parametrize("q", BULK_QS)
+def test_cone_test_agrees_with_scalar_predicate(q):
     level = 4
-    eig = eigen_flags(make_proximal(2), precision=40)
+    eig = eigen_flags(make_proximal(q), precision=40)
+    reps = _sample_reps(q, level, 1500, seed=q)
+    ys = [_vector(q, rep) for rep in reps]
+    in_u = np.array([in_unit_window(y) is True for y in ys])
     for apex in (eig.vectors[0], eig.vectors[2]):
-        cone = _ConeTest(2, apex, depth=level + 8)
-        scalar, in_u = [], []
-        for ball in enumerate_balls(2, level):
-            y = ball.vector()
-            scalar.append(in_slope_u_cone(apex, y))
-            in_u.append(in_unit_window(y) is True)
-        got = []
-        pos = 0
-        for _, reps in _ball_chunks(2, level, chunk=64):
-            n = reps.shape[0]
-            mask = np.asarray(in_u[pos : pos + n])
-            verdict, _, _ = cone.verdicts(reps, ignore=mask)
-            got.extend(bool(v) for v in verdict)
-            pos += n
-        for u, s, g in zip(in_u, scalar, got):
+        cone = _ConeTest(q, apex, depth=level + 8)
+        verdict, _, _ = cone.verdicts(reps, ignore=in_u)
+        for y, u, got in zip(ys, in_u, verdict):
             if not u:  # window balls may be undecidable in bulk; they are
-                assert s is g  # excluded from the domain on other grounds
+                # excluded from the domain on other grounds
+                assert in_slope_u_cone(apex, y) is bool(got)
+
+
+def _bulk_rows(q, mat, reps, start, stop):
+    """``_shift_add`` of each row of ``mat``'s digits in [start, stop)."""
+    level = reps.shape[2]
+    out = np.zeros((reps.shape[0], 3, stop - start + level - 1), dtype=np.int32)
+    for i in range(3):
+        taps = [_taps(mat.rows[i][j], start, stop) for j in range(3)]
+        _shift_add(q, taps, reps, start, out[:, i])
+    return out
+
+
+@pytest.mark.parametrize("q", BULK_QS)
+def test_image_shift_adds_agree_with_scalar_products(q):
+    """The sweep's images under g and g^-1, digit for digit."""
+    level = 4
+    g = make_proximal(q) ** 2
+    reps = _sample_reps(q, level, 300, seed=q + 1)
+    for mat in (g, g.inverse()):
+        lo, hi = _support(mat)
+        bulk = _bulk_rows(q, mat, reps, lo, hi)
+        for rep, rows in zip(reps, bulk):
+            image = mat.matvec(_vector(q, rep))
+            for i in range(3):
+                scalar = [image[i].digit_at(lo + c) for c in range(rows.shape[1])]
+                assert scalar == list(rows[i])
+
+
+@pytest.mark.parametrize("q", BULK_QS)
+def test_eigencoordinate_shift_adds_agree_with_scalar_products(q):
+    """adj(basis) . y from truncated taps: exact on every column the sweep
+    reads, i.e. below the tap horizon."""
+    level = 4
+    basis = eigen_flags(make_proximal(q), precision=40).basis
+    adj = basis.adjugate()
+    start, stop = adj.min_val(), adj.min_val() + 2 * level
+    reps = _sample_reps(q, level, 300, seed=q + 2)
+    bulk = _bulk_rows(q, adj, reps, start, stop)
+    for rep, rows in zip(reps, bulk):
+        coords = adj.matvec(_vector(q, rep))
+        for i in range(3):
+            scalar = [coords[i].digit_at(e) for e in range(start, stop)]
+            assert None not in scalar
+            assert scalar == list(rows[i][: stop - start])
 
 
 def test_sweep_counts_match_scalar_recount():

@@ -1,5 +1,6 @@
 """Reduced-word survey: enumeration shape, margins, engine exactness."""
 
+import hashlib
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -9,25 +10,31 @@ import pytest
 from pingpong3.field import Field
 from pingpong3.linalg import Mat, random_lattice_element
 from pingpong3.pingpong.constants import qi_constants
-from pingpong3.pingpong.generators import make_generators
+from pingpong3.pingpong.generators import make_generators, make_pair
 from pingpong3.pingpong.regular import find_regular
 from pingpong3.pingpong.words import (
     WordSurvey,
+    _diag_mul,
     _digit_planes,
     _is_identity,
     _mul,
     _power,
+    _slot_bytes,
     word_survey,
 )
 
 
-@pytest.fixture(scope="module")
-def pipeline_q2():
-    pair = make_generators(2)
-    cand = find_regular(2)
+def _pipeline(q):
+    pair = make_generators(q)
+    cand = find_regular(q)
     const = qi_constants(pair, cand)
     g = cand.h ** cand.contraction.n0
     return pair, g, const
+
+
+@pytest.fixture(scope="module")
+def pipeline_q2():
+    return _pipeline(2)
 
 
 def expected_word_counts(bound):
@@ -57,7 +64,7 @@ def _planes_equal(x, y):
 
 def test_digit_plane_products_match_mat_products():
     rng = random.Random(5)
-    for q in (2, 3):
+    for q in (2, 3, 5, 13):
         for _ in range(20):
             a = random_lattice_element(q, rng, n_factors=4, max_deg=2)
             b = random_lattice_element(q, rng, n_factors=4, max_deg=2)
@@ -65,6 +72,61 @@ def test_digit_plane_products_match_mat_products():
                 _mul(q, _digit_planes(a), _digit_planes(b)), _digit_planes(a * b)
             )
             assert _planes_equal(_power(q, _digit_planes(a), 5), _digit_planes(a ** 5))
+
+
+def _wide_mat(q, rng, depth, top):
+    """A 3x3 matrix of exact entries with ``depth`` digits each.  With
+    ``top`` every digit is q - 1 from u^0 on, so entry (0, 0) of a product
+    builds the largest coefficient rows this long can give; entry (2, 2)
+    is 1, which keeps products nonzero mod q."""
+    f = Field(q)
+    if top:
+        rows = [[f.from_int_poly([q - 1] * depth) for _ in range(3)] for _ in range(3)]
+        rows[2][2] = f.one()
+        return Mat(rows)
+    entry = lambda: f.from_int_poly(  # noqa: E731
+        [rng.randrange(1, q) for _ in range(depth)], lead=rng.randrange(-3, 3)
+    )
+    return Mat([[entry() for _ in range(3)] for _ in range(3)])
+
+
+@pytest.mark.parametrize("q", (2, 3, 5, 13))
+def test_packed_products_of_wide_rows_match_mat_products(q):
+    narrow = _slot_bytes(q, 1)
+    edge = (256**narrow - 1) // (3 * (q - 1) ** 2)  # longest rows it holds
+    assert _slot_bytes(q, edge) == narrow < _slot_bytes(q, edge + 1)
+    rng = random.Random(q)
+    for depth in (edge, edge + 1):
+        for top in (True, False):
+            a = _wide_mat(q, rng, depth, top)
+            b = _wide_mat(q, rng, depth + 7, top)
+            product = _mul(q, _digit_planes(a), _digit_planes(b))
+            assert _planes_equal(product, _digit_planes(a * b))
+
+
+F3 = Field(3)
+# diag(2u^2, 2u^-1, u^-1) and a cyclic shuffle of it: unit coefficients 2
+NON_MONIC_Q3 = make_pair(
+    Mat.diagonal([F3.monomial(2, 2), F3.monomial(2, -1), F3.u(-1)]),
+    Mat.diagonal([F3.u(-1), F3.monomial(2, 2), F3.monomial(2, -1)]),
+)
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [make_generators(2), make_generators(3), NON_MONIC_Q3],
+    ids=["q2", "q3", "q3-non-monic"],
+)
+def test_diagonal_syllables_are_column_and_row_shifts(pair):
+    q = pair.q
+    rng = random.Random(7)
+    for _ in range(10):
+        w = _digit_planes(random_lattice_element(q, rng, n_factors=3, max_deg=2))
+        for m, n in ((1, 0), (0, -1), (2, -3), (-1, 1)):
+            delta = _digit_planes(pair.gamma(m, n))
+            triples = pair.monomial(m, n)
+            assert _planes_equal(_diag_mul(q, w, triples, axis=1), _mul(q, w, delta))
+            assert _planes_equal(_diag_mul(q, w, triples, axis=0), _mul(q, delta, w))
 
 
 def test_digit_plane_identity_and_lognorm():
@@ -94,6 +156,22 @@ def test_counts_match_the_alternation_recurrence(pipeline_q2):
     assert sv.words == sum(sv.by_length.values()) == 608
     # the empty word is excluded: every record has at least one syllable
     assert 0 not in sv.by_length
+
+
+# sha256 over repr() of every sink record, one per line, in walk order;
+# recorded with the earlier engine of 27 digit convolutions per product
+RECORD_STREAM_DIGESTS = {
+    (2, 5): "581ea1a49b3cc09e1752b82dfc59817faee50ef082c93aae2e251d6ad4a9585a",
+    (3, 4): "e23f56444c6e8df9b84936dee6e13277015c2b424b189613e50491689381ea21",
+}
+
+
+@pytest.mark.parametrize("q, bound", sorted(RECORD_STREAM_DIGESTS))
+def test_record_stream_is_unchanged(q, bound):
+    pair, g, const = _pipeline(q)
+    h = hashlib.sha256()
+    word_survey(pair, g, bound, const, sink=lambda r: h.update(repr(r).encode() + b"\n"))
+    assert h.hexdigest() == RECORD_STREAM_DIGESTS[q, bound]
 
 
 def test_survey_is_deterministic(pipeline_q2):
