@@ -11,13 +11,18 @@ verify_certificate re-runs every stage from the stored objects alone:
 
 * the generators must match the declared profile and pass the sign-case
   exclusion, whose recomputed digest must equal the stored one;
-* g must equal h^n0 exactly, and the contraction power, eigenvalue
-  valuations and constants must reproduce the stored values;
+* a synthetic h must be the synthetic proximal element, found in one
+  trial with no seed (a lattice search is not replayed);
+* g must equal h^n0 exactly, and the contraction power, the eigen data,
+  the feasible level and the constants must reproduce the stored values;
 * the ball sweep, the word survey and the fixed-flag witness must pass --
   optionally at a higher level / gamma bound / word bound (overrides may
   strengthen the check, never weaken it);
 * when run at the stored parameters, the fresh sweep and survey reports
-  must agree with the stored ones field for field.
+  must agree with the stored ones field for field, and the stored
+  irreducibility claim must be true.
+
+Fields outside the schema are refused when the certificate is loaded.
 
 Failures accumulate per stage instead of short-circuiting, so a tampered
 certificate reports every broken claim, not just the first.
@@ -36,7 +41,12 @@ from .field import INF, is_prime, laurent_to_str
 from .linalg import parse_matrix
 from .pingpong.constants import qi_constants
 from .pingpong.generators import make_generators, make_pair
-from .pingpong.regular import contraction_power, find_regular
+from .pingpong.regular import (
+    contraction_power,
+    find_regular,
+    make_proximal,
+    minimum_feasible_level,
+)
 from .pingpong.sigma import sigma_exclusion
 from .pingpong.verify import verify_pingpong
 from .pingpong.witness import irreducibility_witness
@@ -147,7 +157,8 @@ def construct_pipeline(
         "power_applied": q * (q - 1),
         "generators": {"a": pair.a.to_text(), "b": pair.b.to_text()},
         "strategy": candidate.strategy,
-        "seed": seed,
+        # only a lattice search reads its seed
+        "seed": seed if candidate.strategy == "lattice" else None,
         "trials": candidate.trials,
         "h": candidate.h.to_text(),
         "n0": candidate.contraction.n0,
@@ -191,8 +202,10 @@ _TOP_KEYS = {
     "power_applied": int,
     "generators": dict,
     "strategy": str,
+    "trials": int,
     "h": str,
     "n0": int,
+    "n0_source": str,
     "g": str,
     "eigen": dict,
     "constants": dict,
@@ -206,6 +219,13 @@ _VERIFICATION_KEYS = ("level", "gamma_bound", "word_bound", "margin_exponent", "
 def _validate(cert):
     if not isinstance(cert, dict):
         raise CertificateError("certificate must be a JSON object")
+    unknown = sorted(set(cert) - set(_TOP_KEYS) - {"seed"})
+    if unknown:
+        raise CertificateError(f"certificate has unknown fields {unknown}")
+    if "seed" not in cert:
+        raise CertificateError("certificate is missing 'seed'")
+    if cert["seed"] is not None and not isinstance(cert["seed"], int):
+        raise CertificateError("certificate field 'seed' must be int or null")
     for key, kind in _TOP_KEYS.items():
         if key not in cert:
             raise CertificateError(f"certificate is missing {key!r}")
@@ -338,6 +358,20 @@ def verify_certificate(source, level=None, gamma_bound=None, word_bound=None):
         if exclusion is not None and exclusion.digest != cert["sigma_digest"]:
             outcome.fail("sigma_exclusion", "recomputed trace digest differs")
 
+    # the search itself is replayed only for the synthetic strategy
+    if cert["strategy"] == "synthetic":
+        if h != make_proximal(q):
+            outcome.fail("find_regular", "h is not the synthetic proximal element")
+        if cert["trials"] != 1 or cert["seed"] is not None:
+            outcome.fail("find_regular", "synthetic search takes 1 trial and no seed")
+    elif cert["strategy"] == "lattice":
+        if cert["seed"] is None or cert["trials"] < 1:
+            outcome.fail("find_regular", "lattice search needs a seed and a trial")
+    else:
+        outcome.fail("find_regular", f"unknown strategy {cert['strategy']!r}")
+
+    if cert["n0_source"] != _N0_SOURCE:
+        outcome.fail("contraction_power", f"n0_source is not {_N0_SOURCE!r}")
     rebuilt = stage(
         "contraction_power",
         lambda: _rebuild_candidate(
@@ -348,10 +382,18 @@ def verify_certificate(source, level=None, gamma_bound=None, word_bound=None):
     if rebuilt is not None:
         if list(rebuilt.eigen.valuations) != list(cert["eigen"]["valuations"]):
             outcome.fail("contraction_power", "eigenvalue valuations differ")
+        elif _eigen_payload(rebuilt.eigen) != cert["eigen"]:
+            outcome.fail("contraction_power", "stored eigen data differ")
         if rebuilt.contraction.n0 != cert["n0"]:
             outcome.fail(
                 "contraction_power",
                 f"recomputed n0 {rebuilt.contraction.n0} != stored {cert['n0']}",
+            )
+        if rebuilt.feasible_level != stored.get("feasible_level"):
+            outcome.fail(
+                "contraction_power",
+                f"recomputed feasible level {rebuilt.feasible_level} != stored "
+                f"{stored.get('feasible_level')}",
             )
         if pair is not None:
             constants = stage("qi_constants", lambda: qi_constants(pair, rebuilt))
@@ -396,12 +438,17 @@ def verify_certificate(source, level=None, gamma_bound=None, word_bound=None):
     witness = stage("irreducibility_witness", lambda: irreducibility_witness(pair, g))
     if witness is not None and witness is not True:
         outcome.fail("irreducibility_witness", "g fixes a coordinate flag")
+    if cert["reports"].get("irreducible") is not True:
+        outcome.fail("irreducibility_witness", "stored irreducibility claim is not true")
 
     return outcome
 
 
 def _rebuild_candidate(h, precision, margin_exponent):
     eigen = eigen_flags(h, precision=precision)
+    contraction = contraction_power(eigen, margin_exponent)
     return SimpleNamespace(
-        eigen=eigen, contraction=contraction_power(eigen, margin_exponent)
+        eigen=eigen,
+        contraction=contraction,
+        feasible_level=minimum_feasible_level(eigen, contraction),
     )

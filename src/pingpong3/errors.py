@@ -36,10 +36,6 @@ class EqualPoints(ValueError):
     """Slope of the line through a point and itself."""
 
 
-class OutsideChart(ValueError):
-    """An affine-chart operation applied to a point at infinity."""
-
-
 class InsufficientLevel(ValueError):
     """The ball level M is too small for image memberships to be decided."""
 

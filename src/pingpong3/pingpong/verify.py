@@ -14,15 +14,23 @@ the projective plane:
   |m|, |n| <= gamma_bound, must land outside U and outside both cones,
   with the exact ultrametric norm identity (theta-exactness).
 
-Everything runs on integer digit arrays in bulk: a chunk of balls is an
-(n, 3, M) array of base-q digits, matrix action is shift-and-add mod q,
-the window test reads two digit columns, and the cone test compares
-first-nonzero positions of cross-product digit rows.  Verdicts transfer
-from representatives to whole balls only where a perturbation bound says
-they must -- those bounds are themselves checked per ball and reported as
-violations when they fail, never assumed.  The scalar predicates in
-projgeom stay the reference semantics; the tests cross-check both routes
-on samples.
+Everything runs on digit rows in bulk, in one of two formats picked from
+q and the widest row each pass reads (the domain pass and the window pass
+pick theirs separately):
+
+* at q = 2, when every row fits 64 columns, each coordinate's digit row is
+  one uint64 word (bit c = digit at u^c): a shift-add tap is an XOR of a
+  shifted word, a first-nonzero position is a trailing-zero count;
+* otherwise a chunk of balls is an (n, 3, M) integer array of base-q
+  digits and matrix action is shift-and-add mod q.
+
+In both, the window test reads two digit columns and the cone test
+compares first-nonzero positions of cross-product digit rows.  Verdicts
+transfer from representatives to whole balls only where a perturbation
+bound says they must -- those bounds are themselves checked per ball and
+reported as violations when they fail, never assumed.  The scalar
+predicates in projgeom stay the reference semantics; the tests
+cross-check both routes and both formats on samples.
 """
 
 from __future__ import annotations
@@ -86,14 +94,6 @@ def _support(mat):
     return lo, hi
 
 
-def _first_nonzero(arr, none_value):
-    """Per-row position of the first nonzero entry (none_value if none)."""
-    nz = arr != 0
-    idx = np.argmax(nz, axis=1).astype(np.int64)
-    idx[~nz.any(axis=1)] = none_value
-    return idx
-
-
 def _digit_dtype(q):
     """Narrowest integer dtype of the sweep's digit arrays that holds
     (q - 1)^2: under NumPy 2 promotion a digit array times a Python int
@@ -105,17 +105,130 @@ def _digit_dtype(q):
     return np.int32
 
 
-def _shift_add(q, taps_row, reps, lead, out):
-    """Digits mod q of sum_j x_j y_j over a chunk of balls, written into the
-    zeroed (n, width) rows ``out`` whose column 0 is u^lead: each tap
-    (position, digit) of x_j adds the digit times the representative
-    column y_j at that position."""
-    level = reps.shape[2]
-    for j in range(3):
-        for pos, dig in taps_row[j]:
-            col = pos - lead
-            out[:, col : col + level] += dig * reps[:, j]
-    out %= q
+# -- digit rows: integer arrays, or uint64 words at q = 2 -------------------
+#
+# Both formats share one interface.  A chunk of balls comes from
+# ``_ball_chunks`` as (n, 3, M) digits and ``pack`` turns it into the
+# format's chunk; ``shift_add`` evaluates k linear forms sum_j x_ij y_j on
+# a chunk, each form given as three tap lists (position, digit) of its
+# coefficients x_ij, into the digits at u^lead .. u^(lead + width - 1).
+# Columns at or past ``width`` are never computed: column c of a product
+# only depends on the columns <= c of its factors, so every column kept is
+# exact.
+
+
+class _IntRows:
+    """Digit rows as integer arrays, for any q: a chunk is (n, 3, M)
+    digits, k forms are (n, k, width) digits mod q."""
+
+    def __init__(self, q):
+        self.q = q
+
+    @staticmethod
+    def pack(reps):
+        return reps
+
+    @staticmethod
+    def take(chunk, idx):
+        return chunk[idx]
+
+    def shift_add(self, taps, chunk, lead, width):
+        n, _, level = chunk.shape
+        out = np.zeros((n, len(taps), width), dtype=np.int32)
+        for i, row in enumerate(taps):
+            for j, coord_taps in enumerate(row):
+                for pos, dig in coord_taps:
+                    col = pos - lead
+                    stop = min(col + level, width)
+                    if col < stop:
+                        out[:, i, col:stop] += dig * chunk[:, j, : stop - col]
+        out %= self.q
+        return out
+
+    @staticmethod
+    def first_nonzero(rows, none_value):
+        """Position of the first nonzero digit of each row (none_value if none)."""
+        nz = rows != 0
+        idx = np.argmax(nz, axis=-1).astype(np.int64)
+        idx[~nz.any(axis=-1)] = none_value
+        return idx
+
+    def lead_column(self, img, width):
+        """First column where any of the three coordinates is nonzero."""
+        return self.first_nonzero((img != 0).any(axis=1), width)
+
+    @staticmethod
+    def window_mask(img, vm_col):
+        """Pairwise digit agreement at columns vm, vm+1 (the level-2 window)."""
+        gather = vm_col[:, None, None] + np.arange(2)[None, None, :]
+        cols = np.take_along_axis(img, gather, axis=2)
+        return (cols == cols[:, :1]).all(axis=(1, 2))
+
+    @staticmethod
+    def diagonal(chunk, offsets, width):
+        """Each coordinate moved right by its offset (a monic diagonal)."""
+        n, _, level = chunk.shape
+        img = np.zeros((n, 3, width), dtype=chunk.dtype)
+        for k, off in enumerate(offsets):
+            img[:, k, off : off + level] = chunk[:, k]
+        return img
+
+
+class _BitRows:
+    """q = 2 digit rows as uint64 words, bit c holding the digit at
+    u^(lead + c): a chunk is (n, 3) words, k forms are (n, k) words, both
+    stored coordinate-major so each coordinate's words are contiguous.
+    Every nonzero digit is 1 and -1 = 1, so a tap XORs in the shifted word
+    and nothing is reduced.  Rows must fit 64 columns (``_row_format``)."""
+
+    @staticmethod
+    def pack(reps):
+        n, _, level = reps.shape
+        words = np.zeros((3, n, 8), dtype=np.uint8)
+        words[..., : (level + 7) // 8] = np.packbits(
+            reps.transpose(1, 0, 2), axis=-1, bitorder="little"
+        )
+        return words.view("<u8")[..., 0].T
+
+    @staticmethod
+    def take(chunk, idx):
+        return chunk.T[:, idx].T
+
+    @staticmethod
+    def shift_add(taps, chunk, lead, width):
+        out = np.zeros((len(taps), chunk.shape[0]), dtype=np.uint64)
+        for acc, row in zip(out, taps):
+            for y, coord_taps in zip(chunk.T, row):
+                for pos, _ in coord_taps:
+                    if pos - lead < width:
+                        acc ^= y << (pos - lead)
+        out &= (1 << width) - 1
+        return out.T
+
+    @staticmethod
+    def first_nonzero(rows, none_value):
+        """Trailing-zero count: ~x & (x - 1) keeps the bits below the lowest
+        set one (all 64 when x = 0)."""
+        zeros = np.bitwise_count(~rows & (rows - 1))
+        return np.minimum(zeros, none_value).astype(np.int64)
+
+    def lead_column(self, img, width):
+        return self.first_nonzero(img[:, 0] | img[:, 1] | img[:, 2], width)
+
+    @staticmethod
+    def window_mask(img, vm_col):
+        diff = (img[:, 0] ^ img[:, 1]) | (img[:, 0] ^ img[:, 2])
+        return ((diff >> vm_col.astype(np.uint64)) & 3) == 0
+
+    @staticmethod
+    def diagonal(chunk, offsets, width):
+        return chunk << np.array(offsets, dtype=np.uint64)
+
+
+def _row_format(q, width):
+    """Bit rows at q = 2 when every row read fits one 64-bit word, else
+    integer rows."""
+    return _BitRows() if q == 2 and width <= 64 else _IntRows(q)
 
 
 # -- ball enumeration in bulk ------------------------------------------------
@@ -175,57 +288,34 @@ def _text(level, reps, row):
 # -- bulk predicates ---------------------------------------------------------
 
 
-def _window_mask(img, vm_col):
-    """Pairwise digit agreement at columns vm, vm+1 (the level-2 window)."""
-    gather = vm_col[:, None, None] + np.arange(2)[None, None, :]
-    cols = np.take_along_axis(img, gather, axis=2)
-    return (
-        (cols[:, 0] == cols[:, 1]).all(axis=1)
-        & (cols[:, 0] == cols[:, 2]).all(axis=1)
-        & (cols[:, 1] == cols[:, 2]).all(axis=1)
-    )
-
-
 class _ConeTest:
-    """Bulk form of in_slope_u_cone against a fixed apex.
+    """Bulk form of in_slope_u_cone against a fixed apex a.
 
-    The apex digits are exact on [0, depth), so cross-product digit rows
-    are trusted on columns [0, depth) only; a verdict that would need
-    digits at or beyond the horizon raises InsufficientPrecision.
-    ``verdicts`` returns (in_cone, val_n1, val_comb) with the two
-    valuations as column indices (depth meaning "at least depth").  Rows
-    marked ``ignore`` may stay undecided without raising -- the caller
-    uses that for balls it excludes on other grounds (the apex's own
-    window ball has an identically zero cross product).
+    With n = a x y, the slope is congruent to u iff val(n0 + u n1) >=
+    val(n1) + 2 (the sign the scalar route puts on -n0 - u n1 does not move
+    valuations).  Both n1 = a2 y0 - a0 y2 and comb = n0 + u n1 = u a2 y0 -
+    a2 y1 + (a1 - u a0) y2 are linear forms in y, evaluated by one
+    shift-add.  The apex digits are exact on [0, depth), so the forms are
+    trusted on columns [0, depth) only; a verdict that would need digits at
+    or beyond the horizon raises InsufficientPrecision.  ``verdicts``
+    returns (in_cone, val_n1, val_comb) with the two valuations as column
+    indices (depth meaning "at least depth").  Rows marked ``ignore`` may
+    stay undecided without raising -- the caller uses that for balls it
+    excludes on other grounds (the apex's own window ball has an
+    identically zero cross product).
     """
 
-    def __init__(self, q, apex, depth):
-        self.q = q
+    def __init__(self, apex, depth):
+        a0, a1, a2 = apex
         self.depth = depth
-        self.taps = [_taps(c, 0, depth) for c in apex]
+        forms = ((a2, None, -a0), (a2.shift(1), -a2, a1 - a0.shift(1)))
+        self.taps = [
+            [[] if x is None else _taps(x, 0, depth) for x in form] for form in forms
+        ]
 
-    def verdicts(self, img, ignore=None):
-        n, _, w = img.shape
+    def verdicts(self, rows, img, ignore=None):
         d = self.depth
-        n0 = np.zeros((n, d + w), dtype=np.int32)
-        n1 = np.zeros((n, d + w), dtype=np.int32)
-        # cross(apex, y): n0 = a1 y2 - a2 y1, n1 = a2 y0 - a0 y2
-        for pos, dig in self.taps[1]:
-            n0[:, pos : pos + w] += dig * img[:, 2]
-        for pos, dig in self.taps[2]:
-            n0[:, pos : pos + w] -= dig * img[:, 1]
-            n1[:, pos : pos + w] += dig * img[:, 0]
-        for pos, dig in self.taps[0]:
-            n1[:, pos : pos + w] -= dig * img[:, 2]
-        n0 = n0[:, :d] % self.q
-        n1 = n1[:, :d] % self.q
-        # slope congruent to u: val(n0 + u n1) >= val(n1) + 2 (the sign the
-        # scalar route puts on -n0 - u*n1 does not move valuations)
-        comb = n0
-        comb[:, 1:] += n1[:, :-1]
-        comb %= self.q
-        v1 = _first_nonzero(n1, d)
-        vc = _first_nonzero(comb, d)
+        v1, vc = rows.first_nonzero(rows.shift_add(self.taps, img, 0, d), d).T
         undecided = (vc >= d) & (v1 >= d - 1)
         if ignore is not None:
             undecided &= ~ignore
@@ -438,16 +528,19 @@ def verify_pingpong(pair, g, level, gamma_bound, eigen=None, epsilon_exponent=No
         )
 
     depth = level + 8
-    cones = (_ConeTest(q, apex_plus, depth), _ConeTest(q, apex_minus, depth))
+    cones = (_ConeTest(apex_plus, depth), _ConeTest(apex_minus, depth))
 
     dot_stop = floor_cap + 2
+    horizon = dot_stop - vm_adj
     adj_taps = [
         [_taps(adj.rows[i][j], vm_adj, dot_stop) for j in range(3)] for i in range(3)
     ]
+    rows = _row_format(q, max(depth, horizon, *(side["width"] for side in sides)))
 
     window_chunks = []
     for stratum, reps in _ball_chunks(q, level, CHUNK):
         n = reps.shape[0]
+        chunk = rows.pack(reps)
         texts = lambda r: _text(level, reps, r)  # noqa: E731
 
         if stratum == 2:
@@ -464,7 +557,7 @@ def verify_pingpong(pair, g, level, gamma_bound, eigen=None, epsilon_exponent=No
 
         in_cone = np.zeros(n, dtype=bool)
         for cone, side_name in zip(cones, ("+", "-")):
-            verdict, v1, vc = cone.verdicts(reps, ignore=in_u)
+            verdict, v1, vc = cone.verdicts(rows, chunk, ignore=in_u)
             in_cone |= verdict
             # verdicts must be constant on each non-window ball (window
             # balls leave the domain regardless): perturbations enter the
@@ -484,22 +577,18 @@ def verify_pingpong(pair, g, level, gamma_bound, eigen=None, epsilon_exponent=No
 
         domain = ~in_u & ~in_cone
         report.domain_balls += int(domain.sum())
-        dom = reps[domain]
-        m = dom.shape[0]
+        dom_rows = np.nonzero(domain)[0]
+        m = dom_rows.size
         if m == 0:
             continue
-        dom_texts = lambda r: _text(level, dom, r)  # noqa: E731
+        dom = rows.take(chunk, dom_rows)
+        dom_texts = lambda r: _text(level, reps, dom_rows[r])  # noqa: E731
 
         # eigencoordinate valuations VAL_i = val(adj_i . y), trusted up to
         # dot_stop; beyond floor_cap they are ball-dependent, so floor them
-        vals = []
-        for i in range(3):
-            acc = np.zeros((m, dot_stop - vm_adj + level), dtype=np.int32)
-            _shift_add(q, adj_taps[i], dom, vm_adj, acc)
-            vals.append(
-                _first_nonzero(acc[:, : dot_stop - vm_adj], dot_stop - vm_adj) + vm_adj
-            )
-        val1, val2, val3 = vals
+        coords = rows.shift_add(adj_taps, dom, vm_adj, horizon)
+        val1, val2, val3 = (rows.first_nonzero(coords, horizon) + vm_adj).T
+        del coords  # not held through the image pass below
         f1 = np.minimum(val1, floor_cap)
         f2 = np.minimum(val2, floor_cap)
         f3 = np.minimum(val3, floor_cap)
@@ -550,16 +639,14 @@ def verify_pingpong(pair, g, level, gamma_bound, eigen=None, epsilon_exponent=No
         # concrete images under g and g^-1
         for side in sides:
             width = side["width"]
-            img = np.zeros((m, 3, width), dtype=np.int32)
-            for i, row in enumerate(side["taps"]):
-                _shift_add(q, row, dom, side["lead"], img[:, i])
-            vm_col = _first_nonzero((img != 0).any(axis=1), width)
+            img = rows.shift_add(side["taps"], dom, side["lead"], width)
+            vm_col = rows.lead_column(img, width)
             if (vm_col >= width - 1).any():
                 raise InsufficientPrecision("image lost inside its digit window")
             vm = vm_col + side["lead"]
             report.checked_images += m
 
-            in_window = _window_mask(img, vm_col)
+            in_window = rows.window_mask(img, vm_col)
             level_img = (
                 level
                 - side["lognorm_compound"]
@@ -601,23 +688,27 @@ def verify_pingpong(pair, g, level, gamma_bound, eigen=None, epsilon_exponent=No
 
     gammas = _gamma_table(pair, gamma_bound)
     report.gamma_elements = len(gammas)
+    # each image is the window digits moved right by the diagonal's
+    # exponents; one row format serves the widest image of the pass
+    images = []
+    for label, dvals in gammas:
+        dmin = min(dvals)
+        width = max(dvals) - dmin + level
+        images.append((label, dvals, [d - dmin for d in dvals], width))
+    rows = _row_format(q, max([depth] + [width for *_, width in images]))
 
     for lo in range(0, wreps.shape[0], CHUNK):
         w = wreps[lo : lo + CHUNK]
         n = w.shape[0]
         w_texts = lambda r: _text(level, w, r)  # noqa: E731
-        for label, dvals in gammas:
-            dmin = min(dvals)
-            width = max(dvals) - dmin + level
-            img = np.zeros((n, 3, width), dtype=w.dtype)
-            for k in range(3):
-                off = dvals[k] - dmin
-                img[:, k, off : off + level] = w[:, k]
+        chunk = rows.pack(w)
+        for label, dvals, offsets, width in images:
+            img = rows.diagonal(chunk, offsets, width)
             report.checked_images += n
 
             # theta-exactness: window points have unit coordinates, so the
             # image norm is exactly the largest diagonal norm
-            vm_col = _first_nonzero((img != 0).any(axis=1), width)
+            vm_col = rows.lead_column(img, width)
             _flag(report, "theta-exactness", label, vm_col != 0, w_texts)
 
             svals = sorted(dvals)
@@ -632,9 +723,9 @@ def verify_pingpong(pair, g, level, gamma_bound, eigen=None, epsilon_exponent=No
 
             # ball points perturb the free coordinates x, y at u^level, so
             # image digits are ball-independent below this column:
-            pert = level + min(dvals[0], dvals[1]) - dmin
+            pert = level + min(offsets[0], offsets[1])
 
-            in_window = _window_mask(img, vm_col)
+            in_window = rows.window_mask(img, vm_col)
             _flag(report, "gamma-window", label, in_window, w_texts)
             if pert < 2:
                 report.add_violation(
@@ -646,7 +737,7 @@ def verify_pingpong(pair, g, level, gamma_bound, eigen=None, epsilon_exponent=No
             for cone, side_name in zip(cones, ("+", "-")):
                 # images already flagged as window violations may sit in the
                 # apex ball where the cone test cannot decide; skip those
-                verdict, v1, vc = cone.verdicts(img, ignore=in_window)
+                verdict, v1, vc = cone.verdicts(rows, img, ignore=in_window)
                 _flag(
                     report,
                     f"gamma-cone{side_name}",

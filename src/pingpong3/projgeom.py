@@ -36,11 +36,9 @@ from .errors import (
     EqualPoints,
     InsufficientLevel,
     InsufficientPrecision,
-    LaurentSyntaxError,
-    OutsideChart,
 )
 from .field import INF, Laurent
-from .linalg import vec_cross, vec_dot, vec_min_val
+from .linalg import vec_cross, vec_min_val
 
 # pivot preference: z, then y, then x -- matches the chart enumeration order
 _PIVOT_ORDER = (2, 1, 0)
@@ -83,18 +81,6 @@ class ProjPoint:
     @staticmethod
     def from_affine(x, y):
         return ProjPoint((x, y, Laurent(x.q, 0, (1,))))
-
-    def affine(self):
-        """(x, y) in the chart z = 1; OutsideChart if z is not a unit."""
-        z = self.coords[2]
-        if z.val() != 0:
-            raise OutsideChart("point has no representative with z a unit")
-        depth = min(x.known_to for x in self.coords)
-        if depth is INF:
-            zinv = z.inv(40) if not z.is_monomial() else z.inv(0)
-        else:
-            zinv = z.inv(depth)
-        return (self.coords[0] * zinv, self.coords[1] * zinv)
 
     def canonical_digits(self, depth):
         """Digit tuples (length ``depth``) of coordinates divided by the pivot.
@@ -170,29 +156,9 @@ class ProjLine:
         except AllCoordinatesVanish:
             raise EqualPoints("no unique line through equal points") from None
 
-    def contains(self, point):
-        x = vec_dot(self.dual, point.coords)
-        if x.is_exact_zero:
-            return True
-        if x.known_nonzero():
-            return False
-        return None
-
     def __repr__(self):
         inner = " : ".join(str(x) for x in self.dual)
         return f"Line[{inner}]"
-
-
-def slope_pair(x, y):
-    """(a, b) with a/b the affine slope of the line joining x and y.
-
-    With n = x cross y this is (-n_0, n_1); for points at infinity it is
-    the direction ratio.  Raises EqualPoints when x = y.
-    """
-    n = vec_cross(x.coords, y.coords)
-    if all(c.is_exact_zero for c in n):
-        raise EqualPoints("slope of a line through equal points")
-    return (-n[0], n[1])
 
 
 # -- membership predicates (tri-state, division-free) -------------------------
@@ -298,26 +264,6 @@ class ResidueBall:
 
     def __str__(self):
         return self.text()
-
-
-def parse_ball(text, q):
-    head, _, tail = text.partition(":")
-    try:
-        level = int(head)
-    except ValueError:
-        raise LaurentSyntaxError(f"bad ball level {head!r}", 0) from None
-    groups = tail.split("/")
-    if len(groups) != 3:
-        raise LaurentSyntaxError("expected 3 digit groups", len(head) + 1)
-    rep = []
-    for g in groups:
-        if len(g) != level or not g.isdigit():
-            raise LaurentSyntaxError(f"bad digit group {g!r}", text.index(g))
-        digs = tuple(int(ch) for ch in g)
-        if any(d >= q for d in digs):
-            raise LaurentSyntaxError(f"digit out of range for q={q} in {g!r}", 0)
-        rep.append(digs)
-    return ResidueBall(q, level, tuple(rep))
 
 
 def ball_of_point(point, level):

@@ -116,6 +116,56 @@ def test_tampered_constants_are_detected(result):
     assert "qi_constants" in _stages(outcome)
 
 
+def _reversed(items):
+    return list(reversed(items))
+
+
+# (field path, tampering, the stage that must fail)
+TAMPERS = [
+    (("reports", "irreducible"), lambda v: False, "irreducibility_witness"),
+    (("n0_source",), lambda v: "guessed", "contraction_power"),
+    (("eigen", "vectors"), _reversed, "contraction_power"),
+    (("eigen", "eigenvalues"), _reversed, "contraction_power"),
+    (("eigen", "precision"), lambda v: 20, "contraction_power"),
+    (("verification", "feasible_level"), lambda v: v + 1, "contraction_power"),
+    (("trials",), lambda v: v + 1, "find_regular"),
+    (("seed",), lambda v: 7, "find_regular"),
+    (("strategy",), lambda v: "lattice", "find_regular"),
+]
+
+
+@pytest.mark.parametrize(
+    "path, tamper, stage", TAMPERS, ids=[".".join(path) for path, _, _ in TAMPERS]
+)
+def test_tampered_field_is_detected(result, path, tamper, stage):
+    bad = copy.deepcopy(result.certificate)
+    *parents, key = path
+    holder = bad
+    for name in parents:
+        holder = holder[name]
+    holder[key] = tamper(holder[key])
+    outcome = verify_certificate(bad)
+    assert _stages(outcome) == {stage}
+
+
+@pytest.mark.parametrize(
+    "strategy, seed", [("synthetic", 5), ("lattice", 11)], ids=["synthetic", "lattice"]
+)
+def test_constructed_certificates_verify(strategy, seed):
+    # the synthetic search ignores a seed, so the certificate records none
+    cert = construct_pipeline(2, strategy=strategy, seed=seed, **SMALL).certificate
+    assert cert["seed"] == (seed if strategy == "lattice" else None)
+    outcome = verify_certificate(json.loads(certificate_text(cert)))
+    assert outcome.passed, outcome.failures
+
+
+def test_unknown_field_is_a_certificate_error(result):
+    extra = copy.deepcopy(result.certificate)
+    extra["comment"] = "trust me"
+    with pytest.raises(CertificateError, match="unknown fields"):
+        verify_certificate(extra)
+
+
 def test_unreadable_files_are_certificate_errors(tmp_path):
     with pytest.raises(CertificateError, match="cannot read"):
         load_certificate(tmp_path / "missing.json")

@@ -9,11 +9,9 @@ from pingpong3.errors import (
     EqualPoints,
     InsufficientLevel,
     InsufficientPrecision,
-    LaurentSyntaxError,
-    OutsideChart,
 )
 from pingpong3.field import INF, Field, Laurent
-from pingpong3.linalg import Mat
+from pingpong3.linalg import Mat, vec_dot
 from pingpong3.projgeom import (
     ProjLine,
     ProjPoint,
@@ -24,8 +22,6 @@ from pingpong3.projgeom import (
     in_slope_u_cone,
     in_unit_window,
     line_has_slope_u,
-    parse_ball,
-    slope_pair,
 )
 
 F2 = Field(2)
@@ -84,13 +80,6 @@ def test_dist_exponent():
     assert x.dist_exponent(y) == y.dist_exponent(x) == 2
 
 
-def test_affine_chart():
-    x, y = pt(F2, "u", "1 + u", "1").affine()
-    assert str(x) == "u" and str(y) == "1 + u"
-    with pytest.raises(OutsideChart):
-        pt(F2, "1", "u", "u^2").affine()
-
-
 # -- lines ---------------------------------------------------------------------
 
 
@@ -98,22 +87,11 @@ def test_line_through_points():
     a = pt(F2, "1", "1", "1")
     b = pt(F2, "1", "u", "0")
     line = ProjLine.through(a, b)
-    assert line.contains(a) is True
-    assert line.contains(b) is True
-    assert line.contains(pt(F2, "1", "0", "0")) is False
+    assert vec_dot(line.dual, a.coords).is_exact_zero
+    assert vec_dot(line.dual, b.coords).is_exact_zero
     assert line_has_slope_u(line) is True
     with pytest.raises(EqualPoints):
         ProjLine.through(a, pt(F2, "1", "1", "1"))
-
-
-def test_slope_pair():
-    x = pt(F2, "1", "1", "1")
-    num, den = slope_pair(x, pt(F2, "1 + u", "1 + u^2", "1"))
-    assert (num - den.shift(1)).is_exact_zero  # slope exactly u
-    num, den = slope_pair(x, pt(F2, "1 + u", "1", "1"))
-    assert num.is_exact_zero and den.val() == 1  # slope 0
-    with pytest.raises(EqualPoints):
-        slope_pair(x, x)
 
 
 # -- window and cone membership -------------------------------------------------
@@ -228,13 +206,7 @@ def test_ball_text_roundtrip():
     ball = ball_of_point(p, 2)
     assert ball.stratum == 1
     assert ball.text() == "2:01/10/00"
-    assert parse_ball("2:01/10/00", 2) == ball
-    assert parse_ball(ball.text(), 2).point() == ProjPoint(
-        (F2.u(1), F2.one(), F2.zero())
-    )
-    for bad in ("2:01/10", "x:01/10/00", "2:01/10/0", "2:01/12/00"):
-        with pytest.raises(LaurentSyntaxError):
-            parse_ball(bad, 2)
+    assert ball.point() == ProjPoint((F2.u(1), F2.one(), F2.zero()))
 
 
 def test_ball_of_point_requires_precision():

@@ -1,5 +1,7 @@
 """Exhaustive sweep verifier: bulk digit engine vs scalar predicates."""
 
+import hashlib
+import json
 import random
 
 import numpy as np
@@ -7,21 +9,24 @@ import pytest
 
 from pingpong3.errors import InsufficientLevel
 from pingpong3.field import Field, Laurent
-from pingpong3.linalg import Mat
+from pingpong3.linalg import Mat, parse_matrix
 from pingpong3.pingpong.generators import DiagPair, make_generators
 from pingpong3.pingpong.regular import (
     contraction_power,
     find_regular,
     make_proximal,
 )
+from pingpong3.pingpong import verify
 from pingpong3.pingpong.verify import (
     CHUNK,
     PingPongReport,
     _ball_chunks,
+    _BitRows,
     _ConeTest,
     _decode,
     _digit_dtype,
-    _shift_add,
+    _IntRows,
+    _row_format,
     _support,
     _taps,
     verify_pingpong,
@@ -108,6 +113,24 @@ def _vector(q, rep):
     return tuple(Laurent(q, 0, [int(d) for d in rep[c]]) for c in range(3))
 
 
+def _formats(q):
+    """Every digit-row format the sweep can pick at q."""
+    return [_IntRows(q), _BitRows()] if q == 2 else [_IntRows(q)]
+
+
+def _digits(rows, out, width):
+    """``shift_add`` output as an (n, k, width) digit array in either format."""
+    if isinstance(rows, _BitRows):
+        return (out[..., None] >> np.arange(width, dtype=np.uint64)) & 1
+    return out
+
+
+def test_row_format_takes_words_only_at_q2_within_64_columns():
+    assert isinstance(_row_format(2, 64), _BitRows)
+    assert isinstance(_row_format(2, 65), _IntRows)
+    assert isinstance(_row_format(3, 10), _IntRows)
+
+
 @pytest.mark.parametrize("q", BULK_QS)
 def test_cone_test_agrees_with_scalar_predicate(q):
     level = 4
@@ -115,23 +138,22 @@ def test_cone_test_agrees_with_scalar_predicate(q):
     reps = _sample_reps(q, level, 1500, seed=q)
     ys = [_vector(q, rep) for rep in reps]
     in_u = np.array([in_unit_window(y) is True for y in ys])
-    for apex in (eig.vectors[0], eig.vectors[2]):
-        cone = _ConeTest(q, apex, depth=level + 8)
-        verdict, _, _ = cone.verdicts(reps, ignore=in_u)
-        for y, u, got in zip(ys, in_u, verdict):
-            if not u:  # window balls may be undecidable in bulk; they are
-                # excluded from the domain on other grounds
-                assert in_slope_u_cone(apex, y) is bool(got)
+    for rows in _formats(q):
+        for apex in (eig.vectors[0], eig.vectors[2]):
+            cone = _ConeTest(apex, depth=level + 8)
+            verdict, _, _ = cone.verdicts(rows, rows.pack(reps), ignore=in_u)
+            for y, u, got in zip(ys, in_u, verdict):
+                if not u:  # window balls may be undecidable in bulk; they
+                    # are excluded from the domain on other grounds
+                    assert in_slope_u_cone(apex, y) is bool(got)
 
 
-def _bulk_rows(q, mat, reps, start, stop):
-    """``_shift_add`` of each row of ``mat``'s digits in [start, stop)."""
-    level = reps.shape[2]
-    out = np.zeros((reps.shape[0], 3, stop - start + level - 1), dtype=np.int32)
-    for i in range(3):
-        taps = [_taps(mat.rows[i][j], start, stop) for j in range(3)]
-        _shift_add(q, taps, reps, start, out[:, i])
-    return out
+def _bulk_rows(rows, mat, reps, start, stop):
+    """``shift_add`` of the rows of ``mat``'s digits in [start, stop), as
+    (n, 3, width) digits over every column the products reach."""
+    width = stop - start + reps.shape[2] - 1
+    taps = [[_taps(mat.rows[i][j], start, stop) for j in range(3)] for i in range(3)]
+    return _digits(rows, rows.shift_add(taps, rows.pack(reps), start, width), width)
 
 
 @pytest.mark.parametrize("q", BULK_QS)
@@ -140,14 +162,15 @@ def test_image_shift_adds_agree_with_scalar_products(q):
     level = 4
     g = make_proximal(q) ** 2
     reps = _sample_reps(q, level, 300, seed=q + 1)
-    for mat in (g, g.inverse()):
-        lo, hi = _support(mat)
-        bulk = _bulk_rows(q, mat, reps, lo, hi)
-        for rep, rows in zip(reps, bulk):
-            image = mat.matvec(_vector(q, rep))
-            for i in range(3):
-                scalar = [image[i].digit_at(lo + c) for c in range(rows.shape[1])]
-                assert scalar == list(rows[i])
+    for rows in _formats(q):
+        for mat in (g, g.inverse()):
+            lo, hi = _support(mat)
+            bulk = _bulk_rows(rows, mat, reps, lo, hi)
+            for rep, digits in zip(reps, bulk):
+                image = mat.matvec(_vector(q, rep))
+                for i in range(3):
+                    scalar = [image[i].digit_at(lo + c) for c in range(digits.shape[1])]
+                    assert scalar == list(digits[i])
 
 
 @pytest.mark.parametrize("q", BULK_QS)
@@ -159,13 +182,85 @@ def test_eigencoordinate_shift_adds_agree_with_scalar_products(q):
     adj = basis.adjugate()
     start, stop = adj.min_val(), adj.min_val() + 2 * level
     reps = _sample_reps(q, level, 300, seed=q + 2)
-    bulk = _bulk_rows(q, adj, reps, start, stop)
-    for rep, rows in zip(reps, bulk):
-        coords = adj.matvec(_vector(q, rep))
-        for i in range(3):
-            scalar = [coords[i].digit_at(e) for e in range(start, stop)]
-            assert None not in scalar
-            assert scalar == list(rows[i][: stop - start])
+    for rows in _formats(q):
+        bulk = _bulk_rows(rows, adj, reps, start, stop)
+        for rep, digits in zip(reps, bulk):
+            coords = adj.matvec(_vector(q, rep))
+            for i in range(3):
+                scalar = [coords[i].digit_at(e) for e in range(start, stop)]
+                assert None not in scalar
+                assert scalar == list(digits[i][: stop - start])
+
+
+def _monic_pair(ka, kb):
+    """Monic diagonals u^ka, u^kb; the sweep reads only their exponents."""
+    f = Field(2)
+    one = f.one()
+    a, b = (Mat.diagonal([f.u(k) for k in ks]) for ks in (ka, kb))
+    return DiagPair(a, b, (one, one), (one, one))
+
+
+IDENTITY_PAIR = _monic_pair((0, 0, 0), (0, 0, 0))
+H2 = make_proximal(2)
+G2 = H2**2
+# g that does not contract, with the eigenflags of G2: images miss the window
+SHEAR = parse_matrix("1, u, 0; 0, 1, u^-1; 0, 0, 1", 2)
+
+
+def _report_digest(report):
+    blob = json.dumps(report.as_dict(), sort_keys=True) + "\n"
+    blob += "\n".join(str(v) for v in report.examples)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "pair, level, gamma_bound, epsilon, expected",
+    [
+        # 3,072 epsilon violations: examples read the domain balls' texts
+        (PAIR2, 6, 2, 0, "4c58a427c697bf333a9ff6e6e6706625fd449f78da390ea8114302ff733cce91"),
+        # 6,144 gamma-window violations: examples read the window balls' texts
+        (IDENTITY_PAIR, 6, 2, None, "9643da35c54479d7a794baea6c9ce045f2e9594c51239749ab29d16ee5345e77"),
+        # window images up to 12 * 6 + 4 = 76 columns: wider than one word
+        (PAIR2, 4, 6, None, "219390f6cbbfc4d43db09d546d4e71833b25b922ec5b1e1dc9fab4b7b880bb67"),
+    ],
+    ids=["epsilon-0", "identity-pair", "wide-window"],
+)
+def test_q2_sweep_reports_and_examples_are_pinned(
+    pair, level, gamma_bound, epsilon, expected
+):
+    """as_dict() and every example of three q = 2 sweeps, digests recorded
+    when every q = 2 row was an integer array."""
+    report = verify_pingpong(pair, G2, level, gamma_bound, epsilon_exponent=epsilon)
+    assert _report_digest(report) == expected
+
+
+@pytest.mark.parametrize(
+    "pair, g, level, gamma_bound, epsilon, eigen",
+    [
+        (PAIR2, G2, 5, 2, None, None),
+        (PAIR2, H2, 4, 1, None, None),
+        (PAIR2, G2, 5, 1, 0, None),  # epsilon
+        (PAIR2, SHEAR, 4, 1, None, G2),  # image-window, image-level
+        (PAIR2, Mat.identity(2), 5, 1, None, G2),  # image-window
+        (_monic_pair((1, 0, -1), (0, 0, 0)), G2, 5, 2, None, None),  # gamma-*
+    ],
+)
+def test_q2_word_rows_match_integer_rows(
+    monkeypatch, pair, g, level, gamma_bound, epsilon, eigen
+):
+    """The same q = 2 sweep with every row forced to integer arrays."""
+    if eigen is not None:
+        eigen = eigen_flags(eigen, precision=40)
+
+    def sweep():
+        report = verify_pingpong(
+            pair, g, level, gamma_bound, eigen=eigen, epsilon_exponent=epsilon
+        )
+        return report.as_dict(), [str(v) for v in report.examples]
+
+    words = sweep()
+    monkeypatch.setattr(verify, "_row_format", lambda q, width: _IntRows(q))
+    assert sweep() == words
 
 
 def test_sweep_counts_match_scalar_recount():
@@ -237,12 +332,8 @@ def test_sweep_level_below_three_is_rejected():
 def test_trivial_pair_fails_the_gamma_sweep():
     # if the rank-two factor does not move the window, every window ball
     # survives in place and the sweep must say so
-    f = Field(2)
-    ident = Mat.identity(2)
-    one = f.one()
-    lazy = DiagPair(ident, ident, (one, one), (one, one))
     g = make_proximal(2) ** 2
-    report = verify_pingpong(lazy, g, level=4, gamma_bound=1)
+    report = verify_pingpong(IDENTITY_PAIR, g, level=4, gamma_bound=1)
     assert not report.passed
     assert report.violation_counts["gamma-window"] == 16 * 8
 
