@@ -21,8 +21,10 @@ pick theirs separately):
 * at q = 2, when every row fits 64 columns, each coordinate's digit row is
   one uint64 word (bit c = digit at u^c): a shift-add tap is an XOR of a
   shifted word, a first-nonzero position is a trailing-zero count;
-* otherwise a chunk of balls is an (n, 3, M) integer array of base-q
-  digits and matrix action is shift-and-add mod q.
+* otherwise a chunk of balls is a (3, M, n) integer array of base-q
+  digits, coordinate-major with the ball axis last, and matrix action is
+  shift-and-add mod q: each tap is one add of a contiguous block of n
+  balls into a narrow accumulator.
 
 In both, the window test reads two digit columns and the cone test
 compares first-nonzero positions of cross-product digit rows.  Verdicts
@@ -94,83 +96,107 @@ def _support(mat):
     return lo, hi
 
 
-def _digit_dtype(q):
-    """Narrowest integer dtype of the sweep's digit arrays that holds
-    (q - 1)^2: under NumPy 2 promotion a digit array times a Python int
-    digit keeps the array's dtype, so every such product must fit it."""
-    top = (q - 1) ** 2
-    for dtype in (np.int8, np.int16):
+def _int_dtype(top):
+    """Narrowest signed integer dtype that holds 0 .. top.  Under NumPy 2
+    promotion an array times a Python int keeps the array's dtype, so the
+    digit arrays are sized for a digit product, (q - 1)^2, and each
+    shift-add accumulator for the largest column sum of its forms."""
+    for dtype in (np.int8, np.int16, np.int32):
         if top <= np.iinfo(dtype).max:
             return dtype
-    return np.int32
+    return np.int64
+
+
+def _digit_dtype(q):
+    """Dtype of the sweep's digit arrays: every digit product fits it."""
+    return _int_dtype((q - 1) ** 2)
 
 
 # -- digit rows: integer arrays, or uint64 words at q = 2 -------------------
 #
-# Both formats share one interface.  A chunk of balls comes from
-# ``_ball_chunks`` as (n, 3, M) digits and ``pack`` turns it into the
-# format's chunk; ``shift_add`` evaluates k linear forms sum_j x_ij y_j on
-# a chunk, each form given as three tap lists (position, digit) of its
-# coefficients x_ij, into the digits at u^lead .. u^(lead + width - 1).
-# Columns at or past ``width`` are never computed: column c of a product
-# only depends on the columns <= c of its factors, so every column kept is
-# exact.
+# Both formats share one interface and store digits coordinate-major, with
+# the ball axis last.  A chunk of balls comes from ``_ball_chunks`` as
+# (n, 3, M) digits and ``pack`` turns it into the format's chunk;
+# ``shift_add`` evaluates k linear forms sum_j x_ij y_j on a chunk, each
+# form given as three tap lists (position, digit) of its coefficients
+# x_ij, into the digits at u^lead .. u^(lead + width - 1), and
+# ``first_nonzero`` reads those rows back as (n, k) positions.  Columns at
+# or past ``width`` are never computed: column c of a product only depends
+# on the columns <= c of its factors, so every column kept is exact.
 
 
 class _IntRows:
-    """Digit rows as integer arrays, for any q: a chunk is (n, 3, M)
-    digits, k forms are (n, k, width) digits mod q."""
+    """Digit rows as integer arrays, for any q: a chunk is (3, M, n)
+    digits, k forms are (k, width, n) digits mod q.  A tap adds one
+    contiguous (<= M, n) block of a coordinate's digits into a contiguous
+    block of its form.  The accumulator is the narrowest dtype that holds
+    a form's largest column sum, q - 1 times the sum of its tap digits."""
 
     def __init__(self, q):
         self.q = q
 
     @staticmethod
     def pack(reps):
-        return reps
+        return np.ascontiguousarray(reps.transpose(1, 2, 0))
 
     @staticmethod
     def take(chunk, idx):
-        return chunk[idx]
+        # np.take keeps the ball axis contiguous; chunk[..., idx] does not
+        return np.take(chunk, idx, axis=-1)
 
     def shift_add(self, taps, chunk, lead, width):
-        n, _, level = chunk.shape
-        out = np.zeros((n, len(taps), width), dtype=np.int32)
-        for i, row in enumerate(taps):
-            for j, coord_taps in enumerate(row):
+        _, level, n = chunk.shape
+        top = (self.q - 1) * max(
+            sum(dig for coord_taps in row for _, dig in coord_taps) for row in taps
+        )
+        out = np.zeros((len(taps), width, n), dtype=_int_dtype(top))
+        for acc, row in zip(out, taps):
+            for y, coord_taps in zip(chunk, row):
                 for pos, dig in coord_taps:
                     col = pos - lead
                     stop = min(col + level, width)
                     if col < stop:
-                        out[:, i, col:stop] += dig * chunk[:, j, : stop - col]
-        out %= self.q
+                        block = y[: stop - col]
+                        acc[col:stop] += block if dig == 1 else dig * block
+        # out % q: NumPy divides an integer array by a scalar through a
+        # precomputed multiply, several times faster than its remainder
+        out -= self.q * (out // self.q)
         return out
 
     @staticmethod
     def first_nonzero(rows, none_value):
-        """Position of the first nonzero digit of each row (none_value if none)."""
-        nz = rows != 0
-        idx = np.argmax(nz, axis=-1).astype(np.int64)
-        idx[~nz.any(axis=-1)] = none_value
-        return idx
+        """Leading zero count of each row, capped at none_value, ball axis
+        first: one contiguous pass per column, not an argmax across them."""
+        zero = rows[..., 0, :] == 0
+        count = zero.astype(_int_dtype(rows.shape[-2]))
+        for c in range(1, rows.shape[-2]):
+            zero &= rows[..., c, :] == 0
+            count += zero
+        return np.minimum(count.astype(np.int64), none_value).T
 
     def lead_column(self, img, width):
         """First column where any of the three coordinates is nonzero."""
-        return self.first_nonzero((img != 0).any(axis=1), width)
+        return self.first_nonzero(img.any(axis=0), width)
 
     @staticmethod
     def window_mask(img, vm_col):
         """Pairwise digit agreement at columns vm, vm+1 (the level-2 window)."""
-        gather = vm_col[:, None, None] + np.arange(2)[None, None, :]
-        cols = np.take_along_axis(img, gather, axis=2)
-        return (cols == cols[:, :1]).all(axis=(1, 2))
+        n = img.shape[2]
+        flat = img.reshape(3, -1)
+        at = vm_col * n + np.arange(n)
+        mask = np.ones(n, dtype=bool)
+        for col in (at, at + n):
+            x, y, z = np.take(flat, col, axis=1)
+            mask &= (x == y) & (x == z)
+        return mask
 
     @staticmethod
     def diagonal(chunk, offsets, width):
         """Each coordinate moved right by its offset (a monic diagonal)."""
-        n, _, level = chunk.shape
-        img = np.zeros((n, 3, width), dtype=chunk.dtype)
+        _, level, n = chunk.shape
+        img = np.zeros((3, width, n), dtype=chunk.dtype)
         for k, off in enumerate(offsets):
-            img[:, k, off : off + level] = chunk[:, k]
+            img[k, off : off + level] = chunk[k]
         return img
 
 

@@ -356,18 +356,21 @@ def word_survey(pair, g, bound, constants, sink=None):
         for label, weight, planes, inv in cyclic
     ]
 
+    # alpha |w| - c_total and its half, once per length
+    required = [alpha * length - c_total for length in range(bound + 1)]
+    half = [r / 2 for r in required]
+
     def emit(label_parts, length, syllables, w, w_inv):
         lognorm = -w[0]
         lognorm_inv = -w_inv[0]
-        required = alpha * length - c_total
         rec = WordRecord(
             label=" ".join(label_parts),
             length=length,
             syllables=syllables,
             lognorm=lognorm,
             lognorm_inv=lognorm_inv,
-            growth_margin=lognorm + lognorm_inv - required,
-            cartan_margin=max(lognorm, lognorm_inv) - required / 2,
+            growth_margin=lognorm + lognorm_inv - required[length],
+            cartan_margin=max(lognorm, lognorm_inv) - half[length],
             is_identity=_is_identity(w),
         )
         survey.record(rec)

@@ -25,6 +25,7 @@ from pingpong3.pingpong.verify import (
     _ConeTest,
     _decode,
     _digit_dtype,
+    _int_dtype,
     _IntRows,
     _row_format,
     _support,
@@ -80,6 +81,13 @@ def test_digit_dtype_holds_every_digit_product():
         assert (q - 1) ** 2 <= np.iinfo(_digit_dtype(q)).max
 
 
+def test_int_dtype_switches_at_each_boundary():
+    cases = [(0, np.int8), (127, np.int8), (128, np.int16), (32767, np.int16)]
+    cases += [(32768, np.int32), (2**31 - 1, np.int32), (2**31, np.int64)]
+    for top, dtype in cases:
+        assert _int_dtype(top) == dtype
+
+
 def _sample_reps(q, level, count, seed):
     """Every level-M ball representative when there are at most ``count``,
     else about ``count`` random ones spread over the three strata, decoded
@@ -119,10 +127,11 @@ def _formats(q):
 
 
 def _digits(rows, out, width):
-    """``shift_add`` output as an (n, k, width) digit array in either format."""
+    """``shift_add`` output as an (n, k, width) digit array in either format:
+    (n, k) words, or (k, width, n) integer digits."""
     if isinstance(rows, _BitRows):
         return (out[..., None] >> np.arange(width, dtype=np.uint64)) & 1
-    return out
+    return out.transpose(2, 0, 1)
 
 
 def test_row_format_takes_words_only_at_q2_within_64_columns():
@@ -190,6 +199,37 @@ def test_eigencoordinate_shift_adds_agree_with_scalar_products(q):
                 scalar = [coords[i].digit_at(e) for e in range(start, stop)]
                 assert None not in scalar
                 assert scalar == list(digits[i][: stop - start])
+
+
+@pytest.mark.parametrize("q", BULK_QS)
+def test_diagonal_images_agree_with_scalar_products(q):
+    """The window pass's images under a monic diagonal, digit for digit."""
+    level, offsets = 4, (3, 0, 5)
+    width = max(offsets) + level
+    diag = Mat.diagonal([Field(q).u(k) for k in offsets])
+    reps = _sample_reps(q, level, 300, seed=q + 3)
+    for rows in _formats(q):
+        img = rows.diagonal(rows.pack(reps), offsets, width)
+        for rep, digits in zip(reps, _digits(rows, img, width)):
+            image = diag.matvec(_vector(q, rep))
+            for i in range(3):
+                assert [image[i].digit_at(c) for c in range(width)] == list(digits[i])
+
+
+def test_shift_add_accumulator_holds_the_largest_column_sum():
+    """q = 31, every entry and every ball digit q - 1 over 14 columns:
+    column 13 of each form sums 42 products of 30^2, 37,800 > int16."""
+    q, depth = 31, 14
+    x = Laurent(q, 0, [q - 1] * depth)
+    mat = Mat([[x] * 3] * 3)
+    reps = np.full((2, 3, depth), q - 1, dtype=_digit_dtype(q))
+    reps[1, 1, ::2] = 1
+    bulk = _bulk_rows(_IntRows(q), mat, reps, 0, depth)
+    for rep, digits in zip(reps, bulk):
+        image = mat.matvec(_vector(q, rep))
+        for i in range(3):
+            scalar = [image[i].digit_at(c) for c in range(digits.shape[1])]
+            assert scalar == list(digits[i])
 
 
 def _monic_pair(ka, kb):
