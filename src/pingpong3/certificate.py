@@ -60,6 +60,7 @@ __all__ = [
     "certificate_text",
     "construct_pipeline",
     "load_certificate",
+    "verification_parameters",
     "verify_certificate",
     "write_certificate",
 ]
@@ -107,7 +108,11 @@ def construct_pipeline(
 
     Any stage exception or failed report raises StageError with the stage
     name; a certificate is produced only for a fully verified construction.
+    Bounds the verifier refuses (gamma or word bound below 1) are a
+    ValueError.
     """
+    if gamma_bound < 1 or word_bound < 1:
+        raise ValueError("the gamma bound and the word bound must be at least 1")
 
     def stage(name, fn):
         try:
@@ -214,6 +219,14 @@ _TOP_KEYS = {
     "reports": dict,
 }
 _VERIFICATION_KEYS = ("level", "gamma_bound", "word_bound", "margin_exponent", "epsilon_exponent")
+# below these a sweep cannot decide its verdicts, or checks no element
+_VERIFICATION_FLOORS = {"level": 3, "gamma_bound": 1, "word_bound": 1}
+
+
+def _is_int(value):
+    """An int that is not a bool: JSON true and false load as bools, which
+    Python counts as ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _validate(cert):
@@ -224,20 +237,24 @@ def _validate(cert):
         raise CertificateError(f"certificate has unknown fields {unknown}")
     if "seed" not in cert:
         raise CertificateError("certificate is missing 'seed'")
-    if cert["seed"] is not None and not isinstance(cert["seed"], int):
+    if cert["seed"] is not None and not _is_int(cert["seed"]):
         raise CertificateError("certificate field 'seed' must be int or null")
     for key, kind in _TOP_KEYS.items():
         if key not in cert:
             raise CertificateError(f"certificate is missing {key!r}")
-        if not isinstance(cert[key], kind):
+        if not (_is_int(cert[key]) if kind is int else isinstance(cert[key], kind)):
             raise CertificateError(f"certificate field {key!r} must be {kind.__name__}")
     if cert["version"] != CERT_VERSION:
         raise CertificateError(f"unsupported certificate version {cert['version']}")
     if not is_prime(cert["q"]):
         raise CertificateError(f"q = {cert['q']} is not prime")
+    verification = cert["verification"]
     for key in _VERIFICATION_KEYS:
-        if not isinstance(cert["verification"].get(key), int):
+        if not _is_int(verification.get(key)):
             raise CertificateError(f"verification.{key} must be an integer")
+    for key, least in _VERIFICATION_FLOORS.items():
+        if verification[key] < least:
+            raise CertificateError(f"verification.{key} must be at least {least}")
     for key in ("a", "b"):
         if not isinstance(cert["generators"].get(key), str):
             raise CertificateError(f"generators.{key} must be a matrix string")
@@ -305,6 +322,18 @@ def _raised_only(name, stored, requested):
     return requested
 
 
+def verification_parameters(cert, level=None, gamma_bound=None, word_bound=None):
+    """The level, gamma bound and word bound a re-verification of a
+    validated certificate runs at: the stored ones, raised by any override;
+    an override below the stored value is a CertificateError."""
+    stored = cert["verification"]
+    return {
+        "level": _raised_only("level", stored["level"], level),
+        "gamma_bound": _raised_only("gamma_bound", stored["gamma_bound"], gamma_bound),
+        "word_bound": _raised_only("word_bound", stored["word_bound"], word_bound),
+    }
+
+
 def verify_certificate(source, level=None, gamma_bound=None, word_bound=None):
     """Re-run every verification stage of a certificate.
 
@@ -314,11 +343,7 @@ def verify_certificate(source, level=None, gamma_bound=None, word_bound=None):
     """
     cert = _validate(source) if isinstance(source, dict) else load_certificate(source)
     stored = cert["verification"]
-    params = {
-        "level": _raised_only("level", stored["level"], level),
-        "gamma_bound": _raised_only("gamma_bound", stored["gamma_bound"], gamma_bound),
-        "word_bound": _raised_only("word_bound", stored["word_bound"], word_bound),
-    }
+    params = verification_parameters(cert, level, gamma_bound, word_bound)
     at_stored = all(params[k] == stored[k] for k in params)
     outcome = VerifyOutcome(cert, params)
     q = cert["q"]

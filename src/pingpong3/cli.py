@@ -18,7 +18,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .certificate import construct_pipeline, verify_certificate, write_certificate
+from .certificate import (
+    construct_pipeline,
+    load_certificate,
+    verification_parameters,
+    verify_certificate,
+    write_certificate,
+)
 from .errors import (
     CertificateError,
     ExclusionFailed,
@@ -31,8 +37,14 @@ from .pingpong.constants import qi_constants
 from .pingpong.generators import make_generators
 from .pingpong.regular import find_regular
 from .pingpong.sigma import sigma_exclusion
-from .pingpong.words import word_survey
-from .projgeom import ProjLine, in_unit_window, line_has_slope_u
+from .pingpong.words import reduced_word_count, word_survey
+from .projgeom import (
+    ProjLine,
+    ball_count,
+    in_unit_window,
+    line_has_slope_u,
+    window_ball_count,
+)
 from .spectral import NewtonPolygon
 
 __all__ = ["build_parser", "main"]
@@ -45,6 +57,16 @@ def _prime_arg(text):
         raise argparse.ArgumentTypeError(f"q must be an integer, got {text!r}")
     if not is_prime(value):
         raise argparse.ArgumentTypeError(f"q must be prime, got {value}")
+    return value
+
+
+def _bound_arg(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bound must be an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"bound must be at least 1, got {value}")
     return value
 
 
@@ -73,17 +95,33 @@ def _add_pipeline_arguments(sub, sweeps):
     if sweeps:
         sub.add_argument("--level", type=int, default=None,
                          help="ball sweep level M (default 10 at q=2, else 6)")
-        sub.add_argument("--gamma-bound", type=int, default=3,
+        sub.add_argument("--gamma-bound", type=_bound_arg, default=3,
                          help="exponent bound B of the swept diagonal elements")
-    sub.add_argument("--word-bound", type=int, default=8, help="word survey length bound L")
+    sub.add_argument("--word-bound", type=_bound_arg, default=8,
+                     help="word survey length bound L")
 
 
 def _search(args):
     return find_regular(args.q, args.strategy, seed=args.seed, budget=args.budget)
 
 
+def _preflight(q, word_bound, level=None, gamma_bound=None):
+    """Print the size of the run ahead to stderr: the sweep's balls and
+    window images (when it sweeps) and the survey's reduced words."""
+    words, leaves = reduced_word_count(word_bound)
+    parts = [f"{words} reduced words ({leaves} leaves)"]
+    if level is not None:
+        gammas = (2 * gamma_bound + 1) ** 2 - 1
+        parts[:0] = [
+            f"{ball_count(q, level)} balls",
+            f"{window_ball_count(q, level)} window balls x {gammas} gamma elements",
+        ]
+    print("size: " + ", ".join(parts), file=sys.stderr, flush=True)
+
+
 def _cmd_construct(args):
     level = args.level if args.level is not None else (10 if args.q == 2 else 6)
+    _preflight(args.q, args.word_bound, level, args.gamma_bound)
     result = construct_pipeline(
         args.q,
         profile=args.profile,
@@ -104,8 +142,11 @@ def _cmd_construct(args):
 
 
 def _cmd_verify(args):
+    cert = load_certificate(args.certificate)
+    params = verification_parameters(cert, args.level, args.gamma_bound, args.word_bound)
+    _preflight(cert["q"], params["word_bound"], params["level"], params["gamma_bound"])
     outcome = verify_certificate(
-        args.certificate,
+        cert,
         level=args.level,
         gamma_bound=args.gamma_bound,
         word_bound=args.word_bound,
@@ -115,6 +156,7 @@ def _cmd_verify(args):
 
 
 def _cmd_words(args):
+    _preflight(args.q, args.word_bound)
     pair = make_generators(args.q, args.profile)
     candidate = _search(args)
     constants = qi_constants(pair, candidate)
@@ -193,8 +235,10 @@ def build_parser():
     verify = subs.add_parser("verify", help="re-verify a certificate file")
     verify.add_argument("certificate", help="certificate path")
     verify.add_argument("--level", type=int, default=None, help="raise the sweep level")
-    verify.add_argument("--gamma-bound", type=int, default=None, help="raise the gamma bound")
-    verify.add_argument("--word-bound", type=int, default=None, help="raise the word bound")
+    verify.add_argument("--gamma-bound", type=_bound_arg, default=None,
+                        help="raise the gamma bound")
+    verify.add_argument("--word-bound", type=_bound_arg, default=None,
+                        help="raise the word bound")
     verify.set_defaults(func=_cmd_verify)
 
     words = subs.add_parser("words", help="dump the word-survey table")

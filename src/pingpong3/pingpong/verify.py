@@ -48,7 +48,7 @@ from ..errors import (
     SingularOrUndecidable,
 )
 from ..linalg import vec_min_val
-from ..projgeom import in_unit_window
+from ..projgeom import in_unit_window, window_ball_count
 from ..spectral import eigen_flags
 
 CHUNK = 1 << 16
@@ -490,9 +490,13 @@ def verify_pingpong(pair, g, level, gamma_bound, eigen=None, epsilon_exponent=No
     ``g`` generates the cyclic factor (the pipeline passes the already
     powered element); ``pair`` the rank-two diagonal factor.  Returns a
     PingPongReport.  Raises InsufficientLevel only for globally infeasible
-    levels; every data-dependent failure is a reported violation.
+    levels, and ValueError for a negative gamma bound (a bound of 0 runs
+    the domain pass alone); every data-dependent failure is a reported
+    violation.
     """
     q = pair.q
+    if gamma_bound < 0:
+        raise ValueError("the gamma bound must be at least 0")
     if level < 3:
         raise InsufficientLevel(
             "sweep levels below 3 cannot transfer cone verdicts to balls"
@@ -706,7 +710,7 @@ def verify_pingpong(pair, g, level, gamma_bound, eigen=None, epsilon_exponent=No
     else:
         wreps = np.empty((0, 3, level), dtype=_digit_dtype(q))
     report.window_balls = wreps.shape[0]
-    expected = q ** (2 * (level - 2))
+    expected = window_ball_count(q, level)
     if report.window_balls != expected:
         raise AssertionError(
             f"window enumeration found {report.window_balls} balls, expected {expected}"

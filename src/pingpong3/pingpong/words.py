@@ -24,8 +24,9 @@ separately.)
 Every word is an exact Laurent polynomial matrix, so the survey runs on
 plain integer digit planes: a matrix is (lead, arr) with arr of shape
 (3, 3, D) holding base-q digits of each entry starting at exponent
-``lead``.  The depth-first walk down the alternation tree extends each
-prefix w (and its inverse chain w^-1) by one syllable s:
+``lead``, and lognorm(w) = -lead.  The depth-first walk down the
+alternation tree extends each prefix w (and its inverse chain w^-1) by one
+syllable s:
 
 * a diagonal syllable diag(c_j u^e_j) is applied without a product:
   w s moves column j of w up e_j digits and scales it by c_j mod q, and
@@ -40,6 +41,23 @@ prefix w (and its inverse chain w^-1) by one syllable s:
   bytes that holds that, so no slot carries into the next.  The c^r
   syllables are packed once, and a prefix once for all its c^r children.
 
+A leaf (a word whose length is the bound) is never extended, and its
+record needs only the two leads, so no leaf product is formed:
+
+* the lead of w s for a diagonal s is min_j(colval_j(w) + e_j), and that
+  of s^-1 w^-1 is min_i(rowval_i(w^-1) + e'_i); the column and row leads
+  are read once per prefix, and unit coefficients change no valuation;
+* the lead of a product A B with a c^r factor is read off its lowest digit
+  planes: plane t is sum_s A_s B_(t-s) mod q, and the lead sits at the
+  first nonzero one.  Only the lowest ``_LOW_PLANES`` planes are tried;
+  past them the whole product is formed;
+* only a leaf whose two leads are both 0 can be the identity, so only such
+  a leaf is multiplied out for check (a).
+
+Margins are kept as integers, scaled by twice the common denominator of
+alpha |w| - c_total; a Fraction is built only for the reported minima,
+for violation texts and for the records handed to a ``sink``.
+
 Inverses stay exact because every syllable has determinant one, so the
 inverse of a syllable is its adjugate.  Exact Mat arithmetic remains the
 reference semantics; tests replay sampled words through it.
@@ -47,6 +65,7 @@ reference semantics; tests replay sampled words through it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -54,9 +73,14 @@ import numpy as np
 
 from ..field import Laurent
 
-__all__ = ["WordRecord", "WordSurvey", "word_survey"]
+__all__ = ["WordRecord", "WordSurvey", "reduced_word_count", "word_survey"]
 
 _EYE = np.eye(3, dtype=np.int64)
+
+# digit planes of a product tried for its lead before the whole product is
+# formed; on the q = 2 and q = 3 constructions the lead is always in the
+# lowest two
+_LOW_PLANES = 3
 
 
 # -- digit-plane matrices ----------------------------------------------------
@@ -157,6 +181,45 @@ def _diag_mul(q, pm, diag, axis):
     return _trim(lead + lo, out)
 
 
+def _line_leads(pm, axis):
+    """Lead exponent of each column (axis 1) or row (axis 0) of pm: the
+    lead of pm times a diagonal diag(c_k u^e_k) on that side is
+    min_k(lead_k + e_k)."""
+    lead, arr = pm
+    return (lead + arr.any(axis=1 - axis).argmax(axis=1)).tolist()
+
+
+def _low_planes(pm, axis):
+    """(lead, the lowest ``_LOW_PLANES`` digit planes of pm as nested
+    lists): plane t as its three rows (axis 0, for a left factor) or its
+    three columns (axis 1, for a right factor)."""
+    lead, arr = pm
+    low = arr[:, :, :_LOW_PLANES]
+    return lead, (low.transpose(2, 0, 1) if axis == 0 else low.transpose(2, 1, 0)).tolist()
+
+
+def _low_lead(q, a, b):
+    """Lead exponent of the product A B of a left factor given by its low
+    rows and a right factor given by its low columns (``_low_planes``),
+    or None when the lowest ``_LOW_PLANES`` planes of the product vanish."""
+    la, rows = a
+    lb, cols = b
+    for t in range(min(_LOW_PLANES, len(rows) + len(cols) - 1)):
+        terms = [
+            (rows[s], cols[t - s])
+            for s in range(max(0, t + 1 - len(cols)), min(t + 1, len(rows)))
+        ]
+        for i in range(3):
+            for j in range(3):
+                total = 0
+                for a_rows, b_cols in terms:
+                    (x0, x1, x2), (y0, y1, y2) = a_rows[i], b_cols[j]
+                    total += x0 * y0 + x1 * y1 + x2 * y2
+                if total % q:
+                    return la + lb + t
+    return None
+
+
 def _power(q, pm, e):
     result = (0, _EYE[:, :, None].copy())
     base = pm
@@ -231,6 +294,19 @@ def _cyclic_syllables(q, g, r_prime, bound):
     return out
 
 
+def reduced_word_count(bound):
+    """(all reduced words of length 1..bound, those of length exactly
+    bound): there are 4w diagonal syllables a^m b^n and 2 cyclic syllables
+    c^r of each weight w, and a word alternates factors.  The words of
+    length ``bound`` are the survey's leaves."""
+    # words ending in a diagonal / a cyclic syllable, by length
+    diag, cyc = [0] * (bound + 1), [0] * (bound + 1)
+    for n in range(1, bound + 1):
+        diag[n] = sum(4 * w * (cyc[n - w] if n > w else 1) for w in range(1, n + 1))
+        cyc[n] = sum(2 * (diag[n - w] if n > w else 1) for w in range(1, n + 1))
+    return sum(diag) + sum(cyc), diag[bound] + cyc[bound]
+
+
 # -- survey -------------------------------------------------------------------
 
 
@@ -250,7 +326,13 @@ class WordRecord:
 
 @dataclass
 class WordSurvey:
-    """Aggregates over all surveyed words; ``passed`` means zero violations."""
+    """Aggregates over all surveyed words; ``passed`` means zero violations.
+
+    The margins are held as integers times ``scale``, twice the common
+    denominator of alpha |w| - c_total over the surveyed lengths, so the
+    growth margin and its Cartan half are both integral;
+    ``min_growth_margin`` and ``min_cartan_margin`` give them as Fractions.
+    """
 
     q: int
     bound: int
@@ -258,14 +340,32 @@ class WordSurvey:
     alpha: Fraction
     c_total: int
     words: int = 0
-    min_growth_margin: Fraction | None = None
-    min_cartan_margin: Fraction | None = None
     tightest_word: str | None = None
     by_length: dict = field(default_factory=dict)
     violation_counts: dict = field(default_factory=dict)
     examples: list = field(default_factory=list)
+    scale: int = field(init=False)
+    growth_floor: int | None = field(init=False, default=None)
+    cartan_floor: int | None = field(init=False, default=None)
+    _required: list = field(init=False, repr=False)
 
     MAX_EXAMPLES = 20
+
+    def __post_init__(self):
+        required = [
+            Fraction(self.alpha * length - self.c_total) for length in range(self.bound + 1)
+        ]
+        self.scale = 2 * math.lcm(*(r.denominator for r in required))
+        # scale (alpha |w| - c_total), an even integer, by length
+        self._required = [int(r * self.scale) for r in required]
+
+    @property
+    def min_growth_margin(self):
+        return None if self.growth_floor is None else Fraction(self.growth_floor, self.scale)
+
+    @property
+    def min_cartan_margin(self):
+        return None if self.cartan_floor is None else Fraction(self.cartan_floor, self.scale)
 
     @property
     def total_violations(self):
@@ -280,20 +380,42 @@ class WordSurvey:
         if len(self.examples) < self.MAX_EXAMPLES:
             self.examples.append(f"{kind}: {label}" + (f" ({detail})" if detail else ""))
 
-    def record(self, rec):
+    def record(self, parts, length, syllables, lognorm, lognorm_inv, is_identity, sink):
+        """Count one word, given by its syllable labels, and check it;
+        ``sink``, when not None, receives its WordRecord."""
         self.words += 1
-        self.by_length[rec.length] = self.by_length.get(rec.length, 0) + 1
-        if rec.is_identity:
-            self.add_violation("identity", rec.label)
-        if rec.growth_margin < 0:
-            self.add_violation("growth", rec.label, f"margin {rec.growth_margin}")
-        if rec.cartan_margin < 0:
-            self.add_violation("cartan", rec.label, f"margin {rec.cartan_margin}")
-        if self.min_growth_margin is None or rec.growth_margin < self.min_growth_margin:
-            self.min_growth_margin = rec.growth_margin
-            self.tightest_word = rec.label
-        if self.min_cartan_margin is None or rec.cartan_margin < self.min_cartan_margin:
-            self.min_cartan_margin = rec.cartan_margin
+        self.by_length[length] = self.by_length.get(length, 0) + 1
+        scale, required = self.scale, self._required[length]
+        growth = scale * (lognorm + lognorm_inv) - required
+        cartan = scale * max(lognorm, lognorm_inv) - required // 2
+        if is_identity:
+            self.add_violation("identity", " ".join(parts))
+        if growth < 0:
+            self.add_violation(
+                "growth", " ".join(parts), f"margin {Fraction(growth, scale)}"
+            )
+        if cartan < 0:
+            self.add_violation(
+                "cartan", " ".join(parts), f"margin {Fraction(cartan, scale)}"
+            )
+        if self.growth_floor is None or growth < self.growth_floor:
+            self.growth_floor = growth
+            self.tightest_word = " ".join(parts)
+        if self.cartan_floor is None or cartan < self.cartan_floor:
+            self.cartan_floor = cartan
+        if sink is not None:
+            sink(
+                WordRecord(
+                    label=" ".join(parts),
+                    length=length,
+                    syllables=syllables,
+                    lognorm=lognorm,
+                    lognorm_inv=lognorm_inv,
+                    growth_margin=Fraction(growth, scale),
+                    cartan_margin=Fraction(cartan, scale),
+                    is_identity=is_identity,
+                )
+            )
 
     def summary(self):
         verdict = (
@@ -337,14 +459,12 @@ def word_survey(pair, g, bound, constants, sink=None):
     if bound < 1:
         raise ValueError("the word length bound must be at least 1")
     q = pair.q
-    alpha = Fraction(constants.alpha)
-    c_total = constants.c_total
     survey = WordSurvey(
         q=q,
         bound=bound,
         r_prime=constants.r_prime,
-        alpha=alpha,
-        c_total=c_total,
+        alpha=Fraction(constants.alpha),
+        c_total=constants.c_total,
     )
     diagonal = _diagonal_syllables(pair, bound)
     cyclic = _cyclic_syllables(q, g, constants.r_prime, bound)
@@ -352,52 +472,73 @@ def word_survey(pair, g, bound, constants, sink=None):
     # min(D_a, D_b) and one slot width serves the whole walk
     nbytes = _slot_bytes(q, max(planes[1].shape[2] for _, _, planes, _ in cyclic))
     cyclic = [
-        (label, weight, _pack(planes, nbytes), _pack(inv, nbytes))
+        (
+            label,
+            weight,
+            _pack(planes, nbytes),
+            _pack(inv, nbytes),
+            _low_planes(planes, 1),
+            _low_planes(inv, 0),
+        )
         for label, weight, planes, inv in cyclic
     ]
+    record = survey.record
 
-    # alpha |w| - c_total and its half, once per length
-    required = [alpha * length - c_total for length in range(bound + 1)]
-    half = [r / 2 for r in required]
-
-    def emit(label_parts, length, syllables, w, w_inv):
-        lognorm = -w[0]
-        lognorm_inv = -w_inv[0]
-        rec = WordRecord(
-            label=" ".join(label_parts),
-            length=length,
-            syllables=syllables,
-            lognorm=lognorm,
-            lognorm_inv=lognorm_inv,
-            growth_margin=lognorm + lognorm_inv - required[length],
-            cartan_margin=max(lognorm, lognorm_inv) - half[length],
-            is_identity=_is_identity(w),
-        )
-        survey.record(rec)
-        if sink is not None:
-            sink(rec)
-
-    def walk(prefix, prefix_inv, label_parts, length, syllables, last):
-        if length == bound:
-            return
-        for kind, table in enumerate((diagonal, cyclic)):
-            if kind == last:
-                continue
-            if kind == 1:
-                packed = _pack(prefix, nbytes)
-                packed_inv = _pack(prefix_inv, nbytes)
-            for label, weight, right, left in table:  # by increasing weight
-                if length + weight > bound:
+    def walk(prefix, prefix_inv, parts, length, syllables, last):
+        room = bound - length
+        if last != 0:
+            leads = None
+            for label, weight, right, left in diagonal:  # by increasing weight
+                if weight > room:
                     break
-                if kind == 0:
+                word = parts + [label]
+                if weight < room:
                     w = _diag_mul(q, prefix, right, axis=1)
                     w_inv = _diag_mul(q, prefix_inv, left, axis=0)
-                else:
+                    record(word, length + weight, syllables + 1, -w[0], -w_inv[0],
+                           _is_identity(w), sink)
+                    walk(w, w_inv, word, length + weight, syllables + 1, 0)
+                    continue
+                # a leaf: its record needs only the two leads
+                if leads is None:
+                    leads = (_line_leads(prefix, 1), _line_leads(prefix_inv, 0))
+                cols, rows = leads
+                (e0, e1, e2), (f0, f1, f2) = right[0], left[0]
+                lead = min(cols[0] + e0, cols[1] + e1, cols[2] + e2)
+                lead_inv = min(rows[0] + f0, rows[1] + f1, rows[2] + f2)
+                identity = lead == lead_inv == 0 and _is_identity(
+                    _diag_mul(q, prefix, right, axis=1)
+                )
+                record(word, bound, syllables + 1, -lead, -lead_inv, identity, sink)
+        if last != 1:
+            packed = packed_inv = low = None
+            for label, weight, right, left, right_low, left_low in cyclic:
+                if weight > room:
+                    break
+                word = parts + [label]
+                if weight < room:
+                    if packed is None:
+                        packed = _pack(prefix, nbytes)
+                        packed_inv = _pack(prefix_inv, nbytes)
                     w = _packed_mul(q, packed, right, nbytes)
                     w_inv = _packed_mul(q, left, packed_inv, nbytes)
-                parts = label_parts + [label]
-                emit(parts, length + weight, syllables + 1, w, w_inv)
-                walk(w, w_inv, parts, length + weight, syllables + 1, kind)
+                    record(word, length + weight, syllables + 1, -w[0], -w_inv[0],
+                           _is_identity(w), sink)
+                    walk(w, w_inv, word, length + weight, syllables + 1, 1)
+                    continue
+                # a leaf: its leads from the lowest product planes
+                if low is None:
+                    low = (_low_planes(prefix, 0), _low_planes(prefix_inv, 1))
+                lead = _low_lead(q, low[0], right_low)
+                if lead is None:
+                    lead = _packed_mul(q, _pack(prefix, nbytes), right, nbytes)[0]
+                lead_inv = _low_lead(q, left_low, low[1])
+                if lead_inv is None:
+                    lead_inv = _packed_mul(q, left, _pack(prefix_inv, nbytes), nbytes)[0]
+                identity = lead == lead_inv == 0 and _is_identity(
+                    _packed_mul(q, _pack(prefix, nbytes), right, nbytes)
+                )
+                record(word, bound, syllables + 1, -lead, -lead_inv, identity, sink)
 
     identity = (0, _EYE[:, :, None].copy())
     walk(identity, identity, [], 0, 0, None)

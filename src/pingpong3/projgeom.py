@@ -275,6 +275,11 @@ def ball_count(q, level):
     return q ** (2 * (level - 1)) * (q * q + q + 1)
 
 
+def window_ball_count(q, level):
+    """Number of level-M balls inside the unit window: q^(2(M-2))."""
+    return q ** (2 * (level - 2))
+
+
 def enumerate_balls(q, level):
     """All level-M balls, deterministically: chart z, then y, then x;
     within a chart, lexicographic in the digit tuples."""

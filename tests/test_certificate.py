@@ -194,6 +194,41 @@ def test_schema_violations_are_certificate_errors(result, tmp_path):
         verify_certificate(composite)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("gamma_bound", 0),
+        ("gamma_bound", -1),
+        ("word_bound", 0),
+        ("level", 2),
+        ("word_bound", True),
+        ("epsilon_exponent", False),
+    ],
+)
+def test_stored_parameters_outside_their_range_are_refused(result, key, value):
+    bad = copy.deepcopy(result.certificate)
+    bad["verification"][key] = value
+    with pytest.raises(CertificateError, match=f"verification.{key}"):
+        verify_certificate(bad)
+
+
+@pytest.mark.parametrize("key", ["trials", "seed", "n0"])
+def test_booleans_are_not_integer_fields(result, key):
+    # a lattice certificate with trials or seed true verified before
+    cert = copy.deepcopy(result.certificate)
+    cert[key] = True
+    with pytest.raises(CertificateError, match=f"'{key}' must be int"):
+        verify_certificate(cert)
+
+
+@pytest.mark.parametrize(
+    "bounds", [dict(gamma_bound=0), dict(word_bound=0)], ids=["gamma", "words"]
+)
+def test_construction_refuses_bounds_below_one(bounds):
+    with pytest.raises(ValueError, match="at least 1"):
+        construct_pipeline(2, **{**SMALL, **bounds})
+
+
 def test_failed_stages_raise_stage_errors():
     with pytest.raises(StageError) as info:
         construct_pipeline(2, profile=(0, 1), **SMALL)

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from pingpong3.certificate import certificate_text, construct_pipeline
 from pingpong3.cli import main
 
 SMALL = ["--level", "5", "--gamma-bound", "2", "--word-bound", "3"]
@@ -80,6 +81,45 @@ def test_bad_profile_is_a_parse_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["construct", "--q", "2", "--profile", "1"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--q", "2", "--level", "4", "--gamma-bound", "-1", "--word-bound", "1"],
+        ["construct", "--q", "2", "--word-bound", "0"],
+        ["words", "--q", "2", "--word-bound", "0"],
+        ["verify", "cert.json", "--gamma-bound", "0"],
+    ],
+    ids=["construct-gamma", "construct-words", "words", "verify"],
+)
+def test_bounds_below_one_are_parse_errors(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "bound must be at least 1" in capsys.readouterr().err
+
+
+def test_runs_state_their_size_on_stderr_only(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    assert main(["construct", "--q", "2", *SMALL, "--out", str(out)]) == 0
+    printed = capsys.readouterr()
+    assert printed.err.splitlines() == [
+        "size: 1792 balls, 64 window balls x 24 gamma elements, "
+        "142 reduced words (110 leaves)"
+    ]
+    assert "size:" not in printed.out
+    # the certificate is the library's, byte for byte
+    direct = construct_pipeline(2, level=5, gamma_bound=2, word_bound=3)
+    assert out.read_text() == certificate_text(direct.certificate)
+
+    assert main(["verify", str(out), "--word-bound", "4"]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "size: 1792 balls, 64 window balls x 24 gamma elements, "
+        "608 reduced words (466 leaves)"
+    ]
+    assert main(["words", "--q", "2", "--word-bound", "2"]) == 0
+    assert capsys.readouterr().err.splitlines() == ["size: 32 reduced words (26 leaves)"]
 
 
 def test_words_prints_one_row_per_word(capsys):

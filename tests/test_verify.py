@@ -369,6 +369,16 @@ def test_sweep_level_below_three_is_rejected():
         verify_pingpong(PAIR2, g, level=2, gamma_bound=1)
 
 
+def test_negative_gamma_bound_is_rejected():
+    g = make_proximal(2) ** 2
+    with pytest.raises(ValueError, match="gamma bound"):
+        verify_pingpong(PAIR2, g, level=4, gamma_bound=-1)
+    # a bound of 0 is the domain pass alone
+    report = verify_pingpong(PAIR2, g, level=4, gamma_bound=0)
+    assert report.passed and report.gamma_elements == 0
+    assert report.domain_balls > 0
+
+
 def test_trivial_pair_fails_the_gamma_sweep():
     # if the rank-two factor does not move the window, every window ball
     # survives in place and the sweep must say so

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from pingpong3.field import Field
@@ -12,14 +13,19 @@ from pingpong3.linalg import Mat, random_lattice_element
 from pingpong3.pingpong.constants import qi_constants
 from pingpong3.pingpong.generators import make_generators, make_pair
 from pingpong3.pingpong.regular import find_regular
+from pingpong3.pingpong import words
 from pingpong3.pingpong.words import (
-    WordSurvey,
+    _LOW_PLANES,
     _diag_mul,
     _digit_planes,
     _is_identity,
+    _line_leads,
+    _low_lead,
+    _low_planes,
     _mul,
     _power,
     _slot_bytes,
+    reduced_word_count,
     word_survey,
 )
 
@@ -129,6 +135,61 @@ def test_diagonal_syllables_are_column_and_row_shifts(pair):
             assert _planes_equal(_diag_mul(q, w, triples, axis=0), _mul(q, delta, w))
 
 
+# -- leaf leads against the products they skip -----------------------------------
+
+LEAF_QS = (2, 3, 5, 13, 31)
+
+
+def _planes(q, digits, lead=0):
+    """(lead, planes) from a list of 3x3 digit planes, lowest first."""
+    return lead, np.asarray(digits, dtype=np.int64).transpose(1, 2, 0) % q
+
+
+def _leaf_lead(q, a, b):
+    return _low_lead(q, _low_planes(a, 0), _low_planes(b, 1))
+
+
+@pytest.mark.parametrize("q", LEAF_QS)
+def test_leaf_product_leads_match_full_products(q):
+    rng = random.Random(100 + q)
+    for _ in range(15):
+        a = _digit_planes(random_lattice_element(q, rng, n_factors=4, max_deg=2))
+        b = _digit_planes(random_lattice_element(q, rng, n_factors=4, max_deg=2))
+        full = _mul(q, a, b)[0]
+        offset = full - a[0] - b[0]
+        assert _leaf_lead(q, a, b) == (full if offset < _LOW_PLANES else None)
+    # A_0 is singular and the columns of B_0 lie in its kernel, so the
+    # lowest plane of the product cancels and the lead sits one plane up
+    zero, eye = np.zeros((3, 3), dtype=np.int64), np.eye(3, dtype=np.int64)
+    a0 = [[1, 0, 0], [q - 1, 0, 0], [0, 0, 0]]
+    b0 = [[0, 0, 0], [1, 2, 0], [0, 1, 1]]
+    for lead_a, lead_b in ((0, 0), (-3, 2)):
+        a = _planes(q, [a0, [[rng.randrange(q) for _ in range(3)] for _ in range(3)]], lead_a)
+        b = _planes(q, [b0, eye], lead_b)
+        full = _mul(q, a, b)[0]
+        assert full == lead_a + lead_b + 1 == _leaf_lead(q, a, b)
+    # with the next planes of both factors pushed past the planes the
+    # kernel reads, every plane it reads cancels: it leaves the product
+    # to the full multiplication
+    a = _planes(q, [a0] + [zero] * (_LOW_PLANES - 1) + [eye])
+    b = _planes(q, [b0] + [zero] * (_LOW_PLANES - 1) + [eye])
+    assert _leaf_lead(q, a, b) is None
+    assert _mul(q, a, b)[0] == _LOW_PLANES
+
+
+@pytest.mark.parametrize("q", LEAF_QS)
+def test_leaf_diagonal_leads_match_shifts(q):
+    rng = random.Random(200 + q)
+    for _ in range(15):
+        w = _digit_planes(random_lattice_element(q, rng, n_factors=4, max_deg=2))
+        exps = tuple(rng.randrange(-4, 5) for _ in range(3))
+        coeffs = tuple(rng.randrange(1, q) for _ in range(3))
+        for axis in (0, 1):
+            leads = _line_leads(w, axis)
+            shifted = _diag_mul(q, w, (exps, coeffs), axis)
+            assert min(x + e for x, e in zip(leads, exps)) == shifted[0]
+
+
 def test_digit_plane_identity_and_lognorm():
     rng = random.Random(6)
     q = 2
@@ -158,20 +219,53 @@ def test_counts_match_the_alternation_recurrence(pipeline_q2):
     assert 0 not in sv.by_length
 
 
+def test_reduced_word_count_matches_the_recurrence():
+    for bound in range(1, 11):
+        counts = expected_word_counts(bound)
+        assert reduced_word_count(bound) == (sum(counts.values()), counts[bound])
+    assert reduced_word_count(8) == (196_416, 150_050)
+
+
 # sha256 over repr() of every sink record, one per line, in walk order;
-# recorded with the earlier engine of 27 digit convolutions per product
+# the q = 2 and q = 3 streams were recorded with the earlier engine of 27
+# digit convolutions per product, the non-monic one before leaf words were
+# decided from valuations
 RECORD_STREAM_DIGESTS = {
-    (2, 5): "581ea1a49b3cc09e1752b82dfc59817faee50ef082c93aae2e251d6ad4a9585a",
-    (3, 4): "e23f56444c6e8df9b84936dee6e13277015c2b424b189613e50491689381ea21",
+    ("2", 5): "581ea1a49b3cc09e1752b82dfc59817faee50ef082c93aae2e251d6ad4a9585a",
+    ("3", 4): "e23f56444c6e8df9b84936dee6e13277015c2b424b189613e50491689381ea21",
+    ("3-non-monic", 4): "691274e990c398111dfaabafd4348442994fddd9a6e04832f19b347221d1848a",
+}
+STREAM_PAIRS = {
+    "2": lambda: make_generators(2),
+    "3": lambda: make_generators(3),
+    "3-non-monic": lambda: NON_MONIC_Q3,
 }
 
 
-@pytest.mark.parametrize("q, bound", sorted(RECORD_STREAM_DIGESTS))
-def test_record_stream_is_unchanged(q, bound):
-    pair, g, const = _pipeline(q)
+def _record_stream(pair, bound):
+    cand = find_regular(pair.q)
+    g = cand.h ** cand.contraction.n0
     h = hashlib.sha256()
-    word_survey(pair, g, bound, const, sink=lambda r: h.update(repr(r).encode() + b"\n"))
-    assert h.hexdigest() == RECORD_STREAM_DIGESTS[q, bound]
+    word_survey(
+        pair, g, bound, qi_constants(pair, cand),
+        sink=lambda r: h.update(repr(r).encode() + b"\n"),
+    )
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("pair_name, bound", sorted(RECORD_STREAM_DIGESTS))
+def test_record_stream_is_unchanged(pair_name, bound):
+    pair = STREAM_PAIRS[pair_name]()
+    assert _record_stream(pair, bound) == RECORD_STREAM_DIGESTS[pair_name, bound]
+
+
+def test_leaves_past_the_low_planes_take_the_full_product(monkeypatch):
+    # with one low plane every leaf whose lead is not in the lowest plane
+    # of its product falls back to the whole product
+    monkeypatch.setattr(words, "_LOW_PLANES", 1)
+    for pair_name, bound in (("2", 5), ("3-non-monic", 4)):
+        pair = STREAM_PAIRS[pair_name]()
+        assert _record_stream(pair, bound) == RECORD_STREAM_DIGESTS[pair_name, bound]
 
 
 def test_survey_is_deterministic(pipeline_q2):
@@ -245,6 +339,58 @@ def test_inflated_constants_are_reported_not_hidden(pipeline_q2):
     assert sv.violation_counts == {"growth": 6, "cartan": 6}
     assert sv.min_growth_margin < 0
     assert "FAIL" in sv.summary()
+
+
+def _diagonal_sum(label):
+    total = {"a": 0, "b": 0, "c": 0}
+    for part in label.split():
+        sym, _, exp = part.partition("^")
+        total[sym] += int(exp or "1")
+    return total["a"], total["b"]
+
+
+def _passing(pipeline):
+    pair, g, const = pipeline
+    return pair, g, 4, const
+
+
+def _identity_g(pipeline):
+    pair, _, const = pipeline
+    return pair, Mat.identity(pair.q), 3, const
+
+
+def _greedy_constants(pipeline):
+    pair, g, const = pipeline
+    return pair, g, 3, SimpleNamespace(alpha=Fraction(1000, 7), c_total=3, r_prime=1)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_passing, _identity_g, _greedy_constants],
+    ids=["passing", "identity-g", "greedy-constants"],
+)
+@pytest.mark.parametrize("q", (2, 3))
+def test_survey_with_and_without_sink_agree(q, case):
+    pair, g, bound, const = case(_pipeline(q))
+    records = []
+    with_sink = word_survey(pair, g, bound, const, sink=records.append)
+    without = word_survey(pair, g, bound, const)
+    assert with_sink.as_dict() == without.as_dict()
+    assert with_sink.examples == without.examples
+    assert with_sink.tightest_word == without.tightest_word
+    assert len(records) == without.words
+    assert without.min_growth_margin == min(r.growth_margin for r in records)
+    assert without.min_cartan_margin == min(r.cartan_margin for r in records)
+    if case is _greedy_constants:
+        # the margins are not integers, and the texts give them as fractions
+        assert {"growth", "cartan"} <= set(without.violation_counts)
+        assert any("/" in text for text in without.examples)
+    if case is _identity_g:
+        # with c = 1 a word is the identity exactly when its diagonal
+        # syllables' exponents sum to (0, 0)
+        flagged = [r.label for r in records if r.is_identity]
+        assert flagged == [r.label for r in records if _diagonal_sum(r.label) == (0, 0)]
+        assert without.violation_counts["identity"] == len(flagged) > 0
 
 
 def test_survey_rejects_degenerate_inputs(pipeline_q2):
