@@ -7,37 +7,43 @@ embedding constants, the verification parameters, and digests/summaries of
 the runs that produced it.  All matrix entries are exact element strings;
 json.dumps with sorted keys makes equal inputs byte-identical.
 
+The pipeline is written once, in two halves -- ``front_half``: generators
+-> exclusion -> search -> constants -> g = h^n0; ``back_half``: ball sweep
+-> word survey -> fixed-flag witness -- whose stages run through one
+runner, ``Stages``.  Under its raise policy (construct, words, inspect) the
+first failure raises StageError; under its collect policy (verify's
+VerifyOutcome) every failure is recorded, so a tampered certificate
+reports every broken claim, not just the first.  Stages look their layers
+up as globals of this module at call time, where perfbench patches them.
+
 verify_certificate re-runs every stage from the stored objects alone:
 
 * the generators must match the declared profile and pass the sign-case
   exclusion, whose recomputed digest must equal the stored one;
 * a synthetic h must be the synthetic proximal element, found in one
-  trial with no seed (a lattice search is not replayed);
+  trial with no seed; a lattice h must lie in SL3(F_q[t]) (the lattice
+  search itself is not replayed);
 * g must equal h^n0 exactly, and the contraction power, the eigen data,
   the feasible level and the constants must reproduce the stored values;
-* the ball sweep, the word survey and the fixed-flag witness must pass --
-  optionally at a higher level / gamma bound / word bound (overrides may
-  strengthen the check, never weaken it);
+* the back half must pass -- optionally at a higher level / gamma bound /
+  word bound (overrides may strengthen the check, never weaken it);
 * when run at the stored parameters, the fresh sweep and survey reports
   must agree with the stored ones field for field, and the stored
   irreducibility claim must be true.
 
 Fields outside the schema are refused when the certificate is loaded.
-
-Failures accumulate per stage instead of short-circuiting, so a tampered
-certificate reports every broken claim, not just the first.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
 from .errors import CertificateError, LaurentSyntaxError, StageError
-from .field import INF, is_prime, laurent_to_str
+from .field import INF, Laurent, is_prime, laurent_to_str
 from .linalg import parse_matrix
 from .pingpong.constants import qi_constants
 from .pingpong.generators import make_generators, make_pair
@@ -56,9 +62,12 @@ from .spectral import eigen_flags
 __all__ = [
     "CERT_VERSION",
     "ConstructResult",
+    "Stages",
     "VerifyOutcome",
+    "back_half",
     "certificate_text",
     "construct_pipeline",
+    "front_half",
     "load_certificate",
     "verification_parameters",
     "verify_certificate",
@@ -80,6 +89,74 @@ def _eigen_payload(eigen):
         "eigenvalues": [laurent_to_str(x) for x in eigen.eigenvalues],
         "vectors": [[laurent_to_str(c) for c in vec] for vec in eigen.vectors],
     }
+
+
+class Stages:
+    """Runs named stages: a failure raises StageError(name, detail), or,
+    with ``collect``, is recorded in ``failures`` as (name, message) and
+    its stage returns None.  ``reports`` holds each sweep's report."""
+
+    def __init__(self, collect=False):
+        self.collect = collect
+        self.failures = []
+        self.reports = {}
+
+    @property
+    def passed(self):
+        return not self.failures
+
+    def fail(self, name, message):
+        if not self.collect:
+            raise StageError(name, message)
+        self.failures.append((name, str(message)))
+
+    def run(self, name, fn, *args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except Exception as exc:
+            if not self.collect:
+                raise StageError(name, exc) from exc
+            self.fail(name, f"{type(exc).__name__}: {exc}")
+            return None
+
+    def check_report(self, name, key, noun, report, stored=None):
+        """File a sweep stage's report under ``key``.  The stage fails when
+        the report has violations and, given the ``stored`` reports, when a
+        passing rerun differs from the stored one."""
+        if report is None:
+            return
+        self.reports[key] = report
+        if not report.passed:
+            brief = f"{report.total_violations} violations"
+            self.fail(name, brief if self.collect else report.summary())
+        elif stored is not None and report.as_dict() != stored.get(key):
+            self.fail(name, f"stored {noun} report differs from the rerun")
+
+
+def front_half(stages, q, profile, strategy, seed, budget):
+    """generators -> exclusion -> search -> constants -> g = h^n0; returns
+    (pair, exclusion, candidate, constants, g)."""
+    pair = stages.run("make_generators", make_generators, q, tuple(profile))
+    exclusion = stages.run("sigma_exclusion", sigma_exclusion, pair)
+    candidate = stages.run("find_regular", find_regular, q, strategy, seed=seed, budget=budget)
+    constants = stages.run("qi_constants", qi_constants, pair, candidate)
+    return pair, exclusion, candidate, constants, candidate.h ** candidate.contraction.n0
+
+
+def back_half(stages, pair, g, constants, level, gamma_bound, word_bound, stored=None):
+    """ball sweep -> word survey -> fixed-flag witness; returns the sweep
+    and survey reports (None where a collected stage failed)."""
+    eps = constants.epsilon_exponent
+    report = stages.run(
+        "verify_pingpong", verify_pingpong, pair, g, level, gamma_bound, epsilon_exponent=eps
+    )
+    stages.check_report("verify_pingpong", "pingpong", "sweep", report, stored)
+    survey = stages.run("word_survey", word_survey, pair, g, word_bound, constants)
+    stages.check_report("word_survey", "words", "survey", survey, stored)
+    witness = stages.run("irreducibility_witness", irreducibility_witness, pair, g)
+    if witness is False:
+        stages.fail("irreducibility_witness", "g fixes a coordinate flag")
+    return report, survey
 
 
 @dataclass(frozen=True)
@@ -104,7 +181,7 @@ def construct_pipeline(
     word_bound=8,
     budget=100_000,
 ):
-    """Run generators -> exclusion -> search -> constants -> sweeps -> witness.
+    """Run both halves of the pipeline under the raise policy.
 
     Any stage exception or failed report raises StageError with the stage
     name; a certificate is produced only for a fully verified construction.
@@ -113,47 +190,11 @@ def construct_pipeline(
     """
     if gamma_bound < 1 or word_bound < 1:
         raise ValueError("the gamma bound and the word bound must be at least 1")
-
-    def stage(name, fn):
-        try:
-            return fn()
-        except StageError:
-            raise
-        except Exception as exc:
-            raise StageError(name, exc) from exc
-
-    pair = stage("make_generators", lambda: make_generators(q, tuple(profile)))
-    exclusion = stage("sigma_exclusion", lambda: sigma_exclusion(pair))
-    candidate = stage(
-        "find_regular", lambda: find_regular(q, strategy, seed=seed, budget=budget)
+    stages = Stages()
+    pair, exclusion, candidate, constants, g = front_half(
+        stages, q, profile, strategy, seed, budget
     )
-    constants = stage("qi_constants", lambda: qi_constants(pair, candidate))
-    g = candidate.h ** candidate.contraction.n0
-
-    report = stage(
-        "verify_pingpong",
-        lambda: verify_pingpong(
-            pair,
-            g,
-            level,
-            gamma_bound,
-            epsilon_exponent=constants.epsilon_exponent,
-        ),
-    )
-    if not report.passed:
-        raise StageError("verify_pingpong", report.summary())
-
-    survey = stage(
-        "word_survey", lambda: word_survey(pair, g, word_bound, constants)
-    )
-    if not survey.passed:
-        raise StageError("word_survey", survey.summary())
-
-    witness = stage(
-        "irreducibility_witness", lambda: irreducibility_witness(pair, g)
-    )
-    if not witness:
-        raise StageError("irreducibility_witness", "g fixes a coordinate flag")
+    report, survey = back_half(stages, pair, g, constants, level, gamma_bound, word_bound)
 
     certificate = {
         "version": CERT_VERSION,
@@ -281,21 +322,14 @@ def load_certificate(path):
 # -- re-verification -----------------------------------------------------------
 
 
-@dataclass
-class VerifyOutcome:
-    """All stage checks of one re-verification; ``passed`` iff none failed."""
+class VerifyOutcome(Stages):
+    """The collecting runner of one re-verification: every stage check,
+    ``passed`` iff none failed."""
 
-    certificate: dict
-    parameters: dict
-    failures: list = field(default_factory=list)
-    reports: dict = field(default_factory=dict)
-
-    @property
-    def passed(self):
-        return not self.failures
-
-    def fail(self, stage, message):
-        self.failures.append((stage, str(message)))
+    def __init__(self, certificate, parameters):
+        super().__init__(collect=True)
+        self.certificate = certificate
+        self.parameters = parameters
 
     def summary(self):
         p = self.parameters
@@ -339,7 +373,8 @@ def verify_certificate(source, level=None, gamma_bound=None, word_bound=None):
 
     ``source`` is a path or an already-loaded certificate dict.  Overrides
     may only raise the stored level / gamma bound / word bound.  Stage
-    failures are collected, not short-circuited.
+    failures are collected in the returned VerifyOutcome, not
+    short-circuited.
     """
     cert = _validate(source) if isinstance(source, dict) else load_certificate(source)
     stored = cert["verification"]
@@ -356,18 +391,9 @@ def verify_certificate(source, level=None, gamma_bound=None, word_bound=None):
     except LaurentSyntaxError as exc:
         raise CertificateError(f"certificate matrices do not parse: {exc}") from exc
 
-    def stage(name, fn):
-        try:
-            return fn()
-        except Exception as exc:
-            outcome.fail(name, f"{type(exc).__name__}: {exc}")
-            return None
-
-    pair = stage("generators", lambda: make_pair(a, b))
+    pair = outcome.run("generators", make_pair, a, b)
     if pair is not None:
-        declared = stage(
-            "generators", lambda: make_generators(q, tuple(cert["profile"]))
-        )
+        declared = outcome.run("generators", make_generators, q, tuple(cert["profile"]))
         if declared is not None and (declared.a != a or declared.b != b):
             outcome.fail("generators", "stored generators do not match the profile")
     if cert["power_applied"] != q * (q - 1):
@@ -379,11 +405,13 @@ def verify_certificate(source, level=None, gamma_bound=None, word_bound=None):
         outcome.fail("consistency", f"g is not h^{cert['n0']}")
 
     if pair is not None:
-        exclusion = stage("sigma_exclusion", lambda: sigma_exclusion(pair))
+        exclusion = outcome.run("sigma_exclusion", sigma_exclusion, pair)
         if exclusion is not None and exclusion.digest != cert["sigma_digest"]:
             outcome.fail("sigma_exclusion", "recomputed trace digest differs")
 
-    # the search itself is replayed only for the synthetic strategy
+    # the search itself is replayed only for the synthetic strategy; a
+    # lattice h must at least lie in SL3(F_q[t]), t = 1/u: exact entries
+    # with no positive power of u, and determinant 1
     if cert["strategy"] == "synthetic":
         if h != make_proximal(q):
             outcome.fail("find_regular", "h is not the synthetic proximal element")
@@ -392,18 +420,20 @@ def verify_certificate(source, level=None, gamma_bound=None, word_bound=None):
     elif cert["strategy"] == "lattice":
         if cert["seed"] is None or cert["trials"] < 1:
             outcome.fail("find_regular", "lattice search needs a seed and a trial")
+        elif not (
+            all(x.exact and x.lead + len(x.digits) <= 1 for row in h.rows for x in row)
+            and h.det() == Laurent(q, 0, (1,))
+        ):
+            outcome.fail("find_regular", "h is not an element of SL3(F_q[t])")
     else:
         outcome.fail("find_regular", f"unknown strategy {cert['strategy']!r}")
 
     if cert["n0_source"] != _N0_SOURCE:
         outcome.fail("contraction_power", f"n0_source is not {_N0_SOURCE!r}")
-    rebuilt = stage(
-        "contraction_power",
-        lambda: _rebuild_candidate(
-            h, cert["eigen"].get("precision"), stored["margin_exponent"]
-        ),
+    precision = cert["eigen"].get("precision")
+    rebuilt = outcome.run(
+        "contraction_power", _rebuild_candidate, h, precision, stored["margin_exponent"]
     )
-    constants = None
     if rebuilt is not None:
         if list(rebuilt.eigen.valuations) != list(cert["eigen"]["valuations"]):
             outcome.fail("contraction_power", "eigenvalue valuations differ")
@@ -421,48 +451,22 @@ def verify_certificate(source, level=None, gamma_bound=None, word_bound=None):
                 f"{stored.get('feasible_level')}",
             )
         if pair is not None:
-            constants = stage("qi_constants", lambda: qi_constants(pair, rebuilt))
+            constants = outcome.run("qi_constants", qi_constants, pair, rebuilt)
             if constants is not None and constants.as_dict() != cert["constants"]:
                 outcome.fail("qi_constants", "recomputed constants differ")
 
     if pair is None:
         return outcome
 
-    report = stage(
-        "verify_pingpong",
-        lambda: verify_pingpong(
-            pair,
-            g,
-            params["level"],
-            params["gamma_bound"],
-            epsilon_exponent=stored["epsilon_exponent"],
-        ),
-    )
-    if report is not None:
-        outcome.reports["pingpong"] = report
-        if not report.passed:
-            outcome.fail("verify_pingpong", f"{report.total_violations} violations")
-        elif at_stored and report.as_dict() != cert["reports"].get("pingpong"):
-            outcome.fail("verify_pingpong", "stored sweep report differs from the rerun")
-
     claimed = SimpleNamespace(
         alpha=Fraction(cert["constants"]["alpha"]),
         c_total=cert["constants"]["c_total"],
         r_prime=cert["constants"]["r_prime"],
+        epsilon_exponent=stored["epsilon_exponent"],
     )
-    survey = stage(
-        "word_survey", lambda: word_survey(pair, g, params["word_bound"], claimed)
+    back_half(
+        outcome, pair, g, claimed, **params, stored=cert["reports"] if at_stored else None
     )
-    if survey is not None:
-        outcome.reports["words"] = survey
-        if not survey.passed:
-            outcome.fail("word_survey", f"{survey.total_violations} violations")
-        elif at_stored and survey.as_dict() != cert["reports"].get("words"):
-            outcome.fail("word_survey", "stored survey report differs from the rerun")
-
-    witness = stage("irreducibility_witness", lambda: irreducibility_witness(pair, g))
-    if witness is not None and witness is not True:
-        outcome.fail("irreducibility_witness", "g fixes a coordinate flag")
     if cert["reports"].get("irreducible") is not True:
         outcome.fail("irreducibility_witness", "stored irreducibility claim is not true")
 

@@ -5,12 +5,18 @@ Subcommands:
 * ``construct`` -- run the full pipeline and write a certificate;
 * ``verify``    -- re-verify a certificate file (overrides may only raise
                    the stored level / gamma bound / word bound);
-* ``words``     -- run the pipeline up to the word survey and dump its table;
-* ``inspect``   -- print the generators, the sign-case exclusion trace, the
-                   Newton polygon and flags of h, and the constants.
+* ``words``     -- run the front half of the pipeline and dump the word
+                   survey's table;
+* ``inspect``   -- print the front half: the generators, the sign-case
+                   exclusion trace, the Newton polygon and flags of h, and
+                   the constants.
 
-Exit codes: 0 success, 1 verification failure (including exhausted search
-budgets), 2 usage or parse errors.
+All four run their stages through ``certificate.Stages``; the first three
+stop at the first failed stage with ``stage <name>: ...`` on stderr.
+
+Exit codes: 0 success, 1 verification or stage failure (including
+exhausted search budgets), 2 usage or parse errors (a level below 3, a
+bound or budget below 1).
 """
 
 from __future__ import annotations
@@ -18,26 +24,19 @@ from __future__ import annotations
 import argparse
 import sys
 
+from . import certificate
 from .certificate import (
+    Stages,
     construct_pipeline,
+    front_half,
     load_certificate,
     verification_parameters,
     verify_certificate,
     write_certificate,
 )
-from .errors import (
-    CertificateError,
-    ExclusionFailed,
-    LaurentSyntaxError,
-    SearchExhausted,
-    StageError,
-)
+from .errors import CertificateError, LaurentSyntaxError, StageError
 from .field import is_prime
-from .pingpong.constants import qi_constants
-from .pingpong.generators import make_generators
-from .pingpong.regular import find_regular
-from .pingpong.sigma import sigma_exclusion
-from .pingpong.words import reduced_word_count, word_survey
+from .pingpong.words import reduced_word_count
 from .projgeom import (
     ProjLine,
     ball_count,
@@ -60,14 +59,23 @@ def _prime_arg(text):
     return value
 
 
-def _bound_arg(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bound must be an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"bound must be at least 1, got {value}")
-    return value
+def _at_least(least, what):
+    """An argparse type: an integer of at least ``least``."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{what} must be an integer, got {text!r}")
+        if value < least:
+            raise argparse.ArgumentTypeError(f"{what} must be at least {least}, got {value}")
+        return value
+
+    return parse
+
+
+_bound_arg = _at_least(1, "bound")
+_level_arg = _at_least(3, "level")  # below it a sweep cannot decide its verdicts
 
 
 def _profile_arg(text):
@@ -90,19 +98,15 @@ def _add_pipeline_arguments(sub, sweeps):
     sub.add_argument("--strategy", choices=("synthetic", "lattice"), default="synthetic")
     sub.add_argument("--seed", type=int, default=None,
                      help="search seed (required for the lattice strategy)")
-    sub.add_argument("--budget", type=int, default=100_000,
+    sub.add_argument("--budget", type=_at_least(1, "budget"), default=100_000,
                      help="lattice search trial budget (default 100000)")
     if sweeps:
-        sub.add_argument("--level", type=int, default=None,
+        sub.add_argument("--level", type=_level_arg, default=None,
                          help="ball sweep level M (default 10 at q=2, else 6)")
         sub.add_argument("--gamma-bound", type=_bound_arg, default=3,
                          help="exponent bound B of the swept diagonal elements")
     sub.add_argument("--word-bound", type=_bound_arg, default=8,
                      help="word survey length bound L")
-
-
-def _search(args):
-    return find_regular(args.q, args.strategy, seed=args.seed, budget=args.budget)
 
 
 def _preflight(q, word_bound, level=None, gamma_bound=None):
@@ -157,10 +161,10 @@ def _cmd_verify(args):
 
 def _cmd_words(args):
     _preflight(args.q, args.word_bound)
-    pair = make_generators(args.q, args.profile)
-    candidate = _search(args)
-    constants = qi_constants(pair, candidate)
-    g = candidate.h ** candidate.contraction.n0
+    stages = Stages()
+    pair, _, _, constants, g = front_half(
+        stages, args.q, args.profile, args.strategy, args.seed, args.budget
+    )
     print(
         f"# reduced words to length {args.word_bound}; c = g^{constants.r_prime}, "
         f"alpha = {constants.alpha}, c_total = {constants.c_total}"
@@ -173,23 +177,26 @@ def _cmd_words(args):
             f"{str(rec.growth_margin):>8} {str(rec.cartan_margin):>8}  {rec.label}"
         )
 
-    survey = word_survey(pair, g, args.word_bound, constants, sink=row)
+    # the survey stage looks word_survey up where the pipeline's stages do
+    survey = stages.run(
+        "word_survey", certificate.word_survey, pair, g, args.word_bound, constants, sink=row
+    )
     print(survey.summary())
     return 0 if survey.passed else 1
 
 
 def _cmd_inspect(args):
-    pair = make_generators(args.q, args.profile)
+    pair, exclusion, candidate, constants, _ = front_half(
+        Stages(), args.q, args.profile, args.strategy, args.seed, args.budget
+    )
     print(f"field F_{args.q}((u)), profile {args.profile[0]},{args.profile[1]}")
     print(f"a = {pair.a.to_text()}")
     print(f"b = {pair.b.to_text()}")
 
-    exclusion = sigma_exclusion(pair)
     print(f"sign-case exclusion: {len(exclusion.cases)} cases, digest {exclusion.digest}")
     for case in exclusion.cases:
         print(f"  {case.case:>6}: {case.reason}")
 
-    candidate = _search(args)
     print(f"h ({candidate.strategy}, {candidate.trials} trials) = {candidate.h.to_text()}")
     polygon = NewtonPolygon(candidate.h.char_poly())
     print(f"newton polygon vertices {polygon.vertices}, root valuations {polygon.slopes}")
@@ -213,7 +220,6 @@ def _cmd_inspect(args):
         line_has_slope_u(ProjLine(eigen.repelling_line_dual())),
     )
 
-    constants = qi_constants(pair, candidate)
     print("constants:")
     for key, value in constants.as_dict().items():
         print(f"  {key} = {value}")
@@ -234,7 +240,7 @@ def build_parser():
 
     verify = subs.add_parser("verify", help="re-verify a certificate file")
     verify.add_argument("certificate", help="certificate path")
-    verify.add_argument("--level", type=int, default=None, help="raise the sweep level")
+    verify.add_argument("--level", type=_level_arg, default=None, help="raise the sweep level")
     verify.add_argument("--gamma-bound", type=_bound_arg, default=None,
                         help="raise the gamma bound")
     verify.add_argument("--word-bound", type=_bound_arg, default=None,
@@ -264,9 +270,6 @@ def main(argv=None):
         return 2
     except StageError as exc:
         print(str(exc), file=sys.stderr)
-        return 1
-    except (ExclusionFailed, SearchExhausted) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

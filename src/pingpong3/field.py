@@ -303,9 +303,6 @@ class Laurent:
             y = list(_digits_mul(tuple(y), tuple(e), q)[:correct])
         return Laurent(q, -v, y, target_precision - v)
 
-    def divide(self, other, target_precision):
-        return self * other.inv(target_precision)
-
     # -- comparisons -----------------------------------------------------
 
     def equal_mod(self, other, n):

@@ -48,10 +48,6 @@ def vec_cross(a, b):
     )
 
 
-def vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def vec_min_val(a):
     """Minimum valuation over coordinates; None when undecidable."""
     best = INF

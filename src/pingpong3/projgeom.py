@@ -78,10 +78,6 @@ class ProjPoint:
     def __setattr__(self, name, value):
         raise AttributeError("points are immutable")
 
-    @staticmethod
-    def from_affine(x, y):
-        return ProjPoint((x, y, Laurent(x.q, 0, (1,))))
-
     def canonical_digits(self, depth):
         """Digit tuples (length ``depth``) of coordinates divided by the pivot.
 

@@ -1,10 +1,12 @@
 """Certificate pipeline: construction, serialization, re-verification."""
 
+import collections
 import copy
 import json
 
 import pytest
 
+import pingpong3.certificate as certificate_module
 from pingpong3.certificate import (
     CERT_VERSION,
     certificate_text,
@@ -13,6 +15,7 @@ from pingpong3.certificate import (
     verify_certificate,
     write_certificate,
 )
+from pingpong3.cli import main
 from pingpong3.errors import CertificateError, StageError
 from pingpong3.linalg import Mat
 
@@ -148,6 +151,15 @@ def test_tampered_field_is_detected(result, path, tamper, stage):
     assert _stages(outcome) == {stage}
 
 
+def test_relabelled_lattice_certificate_is_refused(result):
+    # the synthetic h has entries with u^1 and u^3, so it is not in SL3(F_q[t])
+    bad = copy.deepcopy(result.certificate)
+    bad.update(strategy="lattice", seed=12345, trials=7)
+    outcome = verify_certificate(bad)
+    assert _stages(outcome) == {"find_regular"}
+    assert ("find_regular", "h is not an element of SL3(F_q[t])") in outcome.failures
+
+
 @pytest.mark.parametrize(
     "strategy, seed", [("synthetic", 5), ("lattice", 11)], ids=["synthetic", "lattice"]
 )
@@ -236,3 +248,44 @@ def test_failed_stages_raise_stage_errors():
     with pytest.raises(StageError) as info:
         construct_pipeline(2, strategy="lattice", seed=None, **SMALL)
     assert info.value.stage == "find_regular"
+
+
+# the stage callables perfbench's tracer patches on pingpong3.certificate
+STAGE_CALLABLES = (
+    "verify_pingpong",
+    "word_survey",
+    "sigma_exclusion",
+    "find_regular",
+    "qi_constants",
+    "irreducibility_witness",
+    "eigen_flags",
+)
+
+
+@pytest.fixture
+def stage_calls(monkeypatch):
+    calls = collections.Counter()
+    for name in STAGE_CALLABLES:
+        original = getattr(certificate_module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(certificate_module, name, counted)
+    return calls
+
+
+def test_stages_reach_their_callables_through_the_certificate_module(stage_calls, capsys):
+    cert = construct_pipeline(2, **SMALL).certificate
+    # the search calls eigen_flags from its own module
+    assert set(stage_calls) == set(STAGE_CALLABLES) - {"eigen_flags"}
+
+    stage_calls.clear()
+    assert verify_certificate(cert).passed
+    # the search is not replayed; the eigen data are rebuilt from h
+    assert set(stage_calls) == set(STAGE_CALLABLES) - {"find_regular"}
+
+    stage_calls.clear()
+    assert main(["words", "--q", "2", "--word-bound", "2"]) == 0
+    assert set(stage_calls) == {"sigma_exclusion", "find_regular", "qi_constants", "word_survey"}

@@ -83,21 +83,55 @@ def test_bad_profile_is_a_parse_error(capsys):
     assert info.value.code == 2
 
 
+BOUND = "bound must be at least 1"
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["construct", "--q", "2", "--level", "4", "--gamma-bound", "-1", "--word-bound", "1"],
-        ["construct", "--q", "2", "--word-bound", "0"],
-        ["words", "--q", "2", "--word-bound", "0"],
-        ["verify", "cert.json", "--gamma-bound", "0"],
+        (["construct", "--q", "2", "--level", "4", "--gamma-bound", "-1", "--word-bound", "1"],
+         BOUND),
+        (["construct", "--q", "2", "--word-bound", "0"], BOUND),
+        (["words", "--q", "2", "--word-bound", "0"], BOUND),
+        (["verify", "cert.json", "--gamma-bound", "0"], BOUND),
+        (["construct", "--q", "2", "--level", "0"], "level must be at least 3, got 0"),
+        (["verify", "cert.json", "--level", "2"], "level must be at least 3, got 2"),
+        (["construct", "--q", "2", "--budget", "0"], "budget must be at least 1, got 0"),
+        (["words", "--q", "2", "--budget", "0"], "budget must be at least 1, got 0"),
+        (["inspect", "--q", "2", "--strategy", "lattice", "--seed", "3", "--budget", "-5"],
+         "budget must be at least 1, got -5"),
     ],
-    ids=["construct-gamma", "construct-words", "words", "verify"],
+    ids=[
+        "construct-gamma",
+        "construct-words",
+        "words",
+        "verify",
+        "construct-level",
+        "verify-level",
+        "construct-budget",
+        "words-budget",
+        "inspect-budget",
+    ],
 )
-def test_bounds_below_one_are_parse_errors(argv, capsys):
+def test_bounds_below_one_are_parse_errors(argv, message, capsys):
+    # refused before the run states its size
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
-    assert "bound must be at least 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert "size:" not in err
+
+
+@pytest.mark.parametrize("command", ["construct", "words", "inspect"])
+def test_stage_failures_exit_1_naming_the_stage(command, tmp_path, capsys):
+    out = tmp_path / "c.json"
+    argv = [command, "--q", "2", "--strategy", "lattice", "--seed", "11", "--budget", "3"]
+    assert main(argv + (["--out", str(out)] if command == "construct" else [])) == 1
+    printed = capsys.readouterr()
+    assert "stage find_regular: no positioned regular element in 3 draws" in printed.err
+    assert printed.out == ""
+    assert not out.exists()
 
 
 def test_runs_state_their_size_on_stderr_only(tmp_path, capsys):
