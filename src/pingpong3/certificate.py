@@ -24,14 +24,18 @@ verify_certificate re-runs every stage from the stored objects alone:
   trial with no seed; a lattice h must lie in SL3(F_q[t]) (the lattice
   search itself is not replayed);
 * g must equal h^n0 exactly, and the contraction power, the eigen data,
-  the feasible level and the constants must reproduce the stored values;
+  the feasible level, the constants and the stored margin and epsilon
+  exponents must reproduce the stored values -- as the same JSON, so a
+  stored 4.0 or true is not a 4 or a 1;
 * the back half must pass -- optionally at a higher level / gamma bound /
   word bound (overrides may strengthen the check, never weaken it);
 * when run at the stored parameters, the fresh sweep and survey reports
   must agree with the stored ones field for field, and the stored
   irreducibility claim must be true.
 
-Fields outside the schema are refused when the certificate is loaded.
+Fields outside the schema are refused when the certificate is loaded, and
+matrix texts that are not the canonical text of their matrix before any
+stage runs.
 """
 
 from __future__ import annotations
@@ -91,6 +95,12 @@ def _eigen_payload(eigen):
     }
 
 
+def _same(fresh, stored):
+    """Whether a recomputed value and a stored one are the same JSON: 1,
+    1.0 and true compare equal in Python, but are different claims."""
+    return json.dumps(fresh, sort_keys=True) == json.dumps(stored, sort_keys=True)
+
+
 class Stages:
     """Runs named stages: a failure raises StageError(name, detail), or,
     with ``collect``, is recorded in ``failures`` as (name, message) and
@@ -129,7 +139,7 @@ class Stages:
         if not report.passed:
             brief = f"{report.total_violations} violations"
             self.fail(name, brief if self.collect else report.summary())
-        elif stored is not None and report.as_dict() != stored.get(key):
+        elif stored is not None and not _same(report.as_dict(), stored.get(key)):
             self.fail(name, f"stored {noun} report differs from the rerun")
 
 
@@ -289,6 +299,8 @@ def _validate(cert):
         raise CertificateError(f"unsupported certificate version {cert['version']}")
     if not is_prime(cert["q"]):
         raise CertificateError(f"q = {cert['q']} is not prime")
+    if len(cert["profile"]) != 2 or not all(_is_int(k) for k in cert["profile"]):
+        raise CertificateError("certificate field 'profile' must be two integers")
     verification = cert["verification"]
     for key in _VERIFICATION_KEYS:
         if not _is_int(verification.get(key)):
@@ -383,13 +395,15 @@ def verify_certificate(source, level=None, gamma_bound=None, word_bound=None):
     outcome = VerifyOutcome(cert, params)
     q = cert["q"]
 
+    names = ("generators.a", "generators.b", "h", "g")
+    texts = (cert["generators"]["a"], cert["generators"]["b"], cert["h"], cert["g"])
     try:
-        a = parse_matrix(cert["generators"]["a"], q)
-        b = parse_matrix(cert["generators"]["b"], q)
-        h = parse_matrix(cert["h"], q)
-        g = parse_matrix(cert["g"], q)
+        a, b, h, g = mats = [parse_matrix(text, q) for text in texts]
     except LaurentSyntaxError as exc:
         raise CertificateError(f"certificate matrices do not parse: {exc}") from exc
+    for name, text, mat in zip(names, texts, mats):
+        if mat.to_text() != text:
+            raise CertificateError(f"{name} is not the canonical text of its matrix")
 
     pair = outcome.run("generators", make_pair, a, b)
     if pair is not None:
@@ -431,20 +445,21 @@ def verify_certificate(source, level=None, gamma_bound=None, word_bound=None):
     if cert["n0_source"] != _N0_SOURCE:
         outcome.fail("contraction_power", f"n0_source is not {_N0_SOURCE!r}")
     precision = cert["eigen"].get("precision")
-    rebuilt = outcome.run(
-        "contraction_power", _rebuild_candidate, h, precision, stored["margin_exponent"]
-    )
+    rebuilt = outcome.run("contraction_power", _rebuild_candidate, h, precision)
     if rebuilt is not None:
-        if list(rebuilt.eigen.valuations) != list(cert["eigen"]["valuations"]):
+        payload = _eigen_payload(rebuilt.eigen)
+        if not _same(payload["valuations"], cert["eigen"]["valuations"]):
             outcome.fail("contraction_power", "eigenvalue valuations differ")
-        elif _eigen_payload(rebuilt.eigen) != cert["eigen"]:
+        elif not _same(payload, cert["eigen"]):
             outcome.fail("contraction_power", "stored eigen data differ")
+        if rebuilt.contraction.margin_exponent != stored["margin_exponent"]:
+            outcome.fail("contraction_power", "stored margin exponent is not the pipeline's")
         if rebuilt.contraction.n0 != cert["n0"]:
             outcome.fail(
                 "contraction_power",
                 f"recomputed n0 {rebuilt.contraction.n0} != stored {cert['n0']}",
             )
-        if rebuilt.feasible_level != stored.get("feasible_level"):
+        if not _same(rebuilt.feasible_level, stored.get("feasible_level")):
             outcome.fail(
                 "contraction_power",
                 f"recomputed feasible level {rebuilt.feasible_level} != stored "
@@ -452,8 +467,11 @@ def verify_certificate(source, level=None, gamma_bound=None, word_bound=None):
             )
         if pair is not None:
             constants = outcome.run("qi_constants", qi_constants, pair, rebuilt)
-            if constants is not None and constants.as_dict() != cert["constants"]:
-                outcome.fail("qi_constants", "recomputed constants differ")
+            if constants is not None:
+                if not _same(constants.as_dict(), cert["constants"]):
+                    outcome.fail("qi_constants", "recomputed constants differ")
+                if constants.epsilon_exponent != stored["epsilon_exponent"]:
+                    outcome.fail("qi_constants", "stored epsilon exponent differs")
 
     if pair is None:
         return outcome
@@ -473,9 +491,11 @@ def verify_certificate(source, level=None, gamma_bound=None, word_bound=None):
     return outcome
 
 
-def _rebuild_candidate(h, precision, margin_exponent):
+def _rebuild_candidate(h, precision):
+    """h's eigen and contraction data at the pipeline's margin, the default
+    of ``contraction_power`` that ``find_regular`` uses."""
     eigen = eigen_flags(h, precision=precision)
-    contraction = contraction_power(eigen, margin_exponent)
+    contraction = contraction_power(eigen)
     return SimpleNamespace(
         eigen=eigen,
         contraction=contraction,

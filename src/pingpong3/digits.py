@@ -1,0 +1,86 @@
+"""The exact-digit layout shared by the field, the ball sweep and the word
+survey: Laurent elements read into base-q digit rows over an exponent
+window (``support``, ``window``, ``trim``), and digit rows packed into
+Python ints with one little-endian byte slot per digit, so that the native
+product of two packed rows is their packed convolution (``pack``,
+``unpack``: Kronecker substitution, Harvey, J. Symbolic Comput. 2009).
+
+The two width rules sit side by side: ``int_dtype`` sizes numpy
+accumulators and ``slot_bytes`` Kronecker slots, each for the largest value
+it must hold; a slot too narrow would carry into the next.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .errors import InsufficientPrecision
+
+
+def support(elems):
+    """Smallest [lo, hi) holding every known digit of ``elems``, or None
+    when no element has one."""
+    spans = [(x.lead, x.lead + len(x.digits)) for x in elems if x.digits]
+    return (min(s[0] for s in spans), max(s[1] for s in spans)) if spans else None
+
+
+def window(elems, start, stop):
+    """Digits of each element at u^start .. u^(stop - 1), as a
+    (len(elems), stop - start) int64 array; InsufficientPrecision when an
+    inexact element is not known to u^stop."""
+    out = np.zeros((len(elems), stop - start), dtype=np.int64)
+    for row, x in zip(out, elems):
+        if not x.exact and x.known_to < stop:
+            raise InsufficientPrecision(
+                f"need digits up to u^{stop}, element known to u^{x.known_to}"
+            )
+        lo, hi = max(start, x.lead), min(stop, x.lead + len(x.digits))
+        if lo < hi:
+            row[lo - start : hi - start] = x.digits[lo - x.lead : hi - x.lead]
+    return out
+
+
+def trim(lead, arr):
+    """(lead, arr) without the all-zero digit planes (last axis) at either
+    end; raises ValueError when every plane is zero."""
+    planes = arr.reshape(-1, arr.shape[-1]).any(axis=0)
+    first = int(planes.argmax())
+    if not planes[first]:
+        raise ValueError("every digit plane is zero")
+    stop = planes.size - int(planes[::-1].argmax())
+    return lead + first, arr[..., first:stop]
+
+
+def int_dtype(top):
+    """Narrowest signed integer dtype that holds 0 .. top.  Under NumPy 2
+    promotion an array times a Python int keeps the array's dtype, so an
+    array is sized for the largest product or sum it accumulates."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if top <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
+
+
+def slot_bytes(top):
+    """Narrowest Kronecker slot, 1, 2, 4 or 8 bytes, that holds 0 .. top."""
+    for nbytes in (1, 2, 4, 8):
+        if top < 1 << (8 * nbytes):
+            return nbytes
+    raise ValueError("coefficients too wide for 8-byte slots")
+
+
+def pack(rows, nbytes):
+    """Each digit row of ``rows`` (its last axis) as one Python int, digit
+    i in the little-endian ``nbytes`` slot i."""
+    rows = np.asarray(rows)
+    step = rows.shape[-1] * nbytes
+    blob = rows.astype(f"<u{nbytes}").tobytes()
+    return [int.from_bytes(blob[k : k + step], "little") for k in range(0, len(blob), step)]
+
+
+def unpack(values, nbytes, width, q):
+    """The ``width`` slots of each packed value, mod q, as a
+    (len(values), width) array of ``nbytes``-byte unsigned digits."""
+    size = width * nbytes
+    blob = b"".join(v.to_bytes(size, "little") for v in values)
+    return np.frombuffer(blob, dtype=f"<u{nbytes}").reshape(len(values), width) % q

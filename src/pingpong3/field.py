@@ -31,13 +31,15 @@ Precision bookkeeping (all enforced here, relied on everywhere else):
 
 Equality (``==``) is *structural* -- same representation, including
 known_to.  Mathematical equality of inexact elements is undecidable; use
-``equal_mod`` for "agree modulo u^N".
+``equal_mod`` for "agree modulo u^N".  Long products pack their digits
+through ``pingpong3.digits``, as the ball sweep and the word survey do.
 """
 
 from __future__ import annotations
 
 import re
 
+from .digits import pack, slot_bytes, unpack
 from .errors import (
     DigitRangeError,
     InsufficientPrecision,
@@ -68,36 +70,27 @@ def is_prime(n):
 def _digits_mul(a, b, q):
     """Convolution of digit tuples mod q.
 
-    For long inputs this packs each sequence into one big integer with
-    enough headroom per slot that native int multiplication performs the
-    convolution (Kronecker substitution), then unpacks mod q.
+    Long inputs go through Kronecker substitution (``digits.pack``); short
+    ones, and ones whose coefficients overflow 8-byte slots, through
+    schoolbook.
     """
     la, lb = len(a), len(b)
     if la == 0 or lb == 0:
         return ()
-    if min(la, lb) < _KRONECKER_CUTOFF:
-        out = [0] * (la + lb - 1)
-        if la > lb:
-            a, b, la, lb = b, a, lb, la
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return tuple(c % q for c in out)
-    bits = (min(la, lb) * (q - 1) * (q - 1)).bit_length()
-    pa = 0
-    for d in reversed(a):
-        pa = (pa << bits) | d
-    pb = 0
-    for d in reversed(b):
-        pb = (pb << bits) | d
-    prod = pa * pb
-    mask = (1 << bits) - 1
-    out = []
-    for _ in range(la + lb - 1):
-        out.append((prod & mask) % q)
-        prod >>= bits
-    return tuple(out)
+    if min(la, lb) >= _KRONECKER_CUTOFF:
+        top = min(la, lb) * (q - 1) * (q - 1)
+        if not top >> 64:
+            nbytes = slot_bytes(top)
+            pa, pb = pack(a, nbytes)[0], pack(b, nbytes)[0]
+            return tuple(unpack([pa * pb], nbytes, la + lb - 1, q)[0].tolist())
+    out = [0] * (la + lb - 1)
+    if la > lb:
+        a, b, la, lb = b, a, lb, la
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return tuple(c % q for c in out)
 
 
 def _digits_add(a, b, q):
@@ -374,9 +367,6 @@ class Field:
 
     def monomial(self, c, e=0):
         return Laurent(self.q, e, (c % self.q,))
-
-    def elem(self, lead, digits, known_to=INF):
-        return Laurent(self.q, lead, digits, known_to)
 
     def unknown(self, min_val):
         """The abstract 'some element of valuation >= min_val'."""

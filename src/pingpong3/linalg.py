@@ -424,10 +424,6 @@ class Poly:
     def q(self):
         return self.coeffs[0].q
 
-    def is_monic(self):
-        top = self.coeffs[-1]
-        return top.exact and top.lead == 0 and top.digits == (1,)
-
     def __call__(self, x):
         if isinstance(x, Mat):
             acc = Mat.identity(x.q, x.n).scale_elem(self.coeffs[-1])

@@ -61,22 +61,6 @@ class Constants:
     c_additive: int
     c_total: int
 
-    def syllable_spread(self, m, n):
-        """Exact Cartan spread of a^m b^n."""
-        return 3 * max(
-            abs(self.a_unit * m - self.b_unit * n),
-            self.a_unit * abs(m),
-            self.b_unit * abs(n),
-        )
-
-    def word_bound(self, length):
-        """The certified lower bound on S(w) for |w| = length."""
-        return self.alpha * length - self.c_total
-
-    def cartan_bound(self, length):
-        """Lower bound on max(|mu_1|, |mu_3|) -- the sup-norm form."""
-        return Fraction(self.alpha, 2) * length - Fraction(self.c_total, 2)
-
     def as_dict(self):
         out = {}
         for name in (
@@ -108,6 +92,19 @@ def _stretch_units(pair):
     return a_stretch // 3, b_stretch // 3
 
 
+def theta_prime_exponent(eigen):
+    """theta' = (2 + r - val det P) + lognorm(P) + 2 lognorm(P^-1): the
+    worst norm-loss exponent of powers of h on cone complements, with r the
+    larger row floor of adj P at the attracting and repelling rows."""
+    basis = eigen.basis
+    adj = basis.adjugate()
+    val_det = basis.det().val()
+    if val_det is None:
+        raise ValueError("eigenbasis determinant valuation undecided")
+    r = max(vec_min_val(adj.rows[0]), vec_min_val(adj.rows[2]))
+    return (2 + r - val_det) + basis.lognorm() + 2 * (val_det - adj.min_val())
+
+
 def qi_constants(pair, candidate):
     """Assemble the Constants for a pair plus a positioned candidate.
 
@@ -118,19 +115,9 @@ def qi_constants(pair, candidate):
     eigen = candidate.eigen
     contraction = candidate.contraction
 
+    theta_prime = theta_prime_exponent(eigen)
     basis = eigen.basis
-    adj = basis.adjugate()
-    val_det = basis.det().val()
-    if val_det is None:
-        raise ValueError("eigenbasis determinant valuation undecided")
-    lognorm_p = basis.lognorm()
-    lognorm_p_inv = val_det - adj.min_val()
-    distortion = lognorm_p + lognorm_p_inv
-
-    r_plus = vec_min_val(adj.rows[0])
-    r_minus = vec_min_val(adj.rows[2])
-    dominant_cap = 2 + max(r_plus, r_minus) - val_det
-    theta_prime = dominant_cap + lognorm_p + 2 * lognorm_p_inv
+    distortion = basis.lognorm() + basis.det().val() - basis.adjugate().min_val()
 
     theta = 0
     epsilon = max(theta, theta_prime)

@@ -207,7 +207,6 @@ def find_regular(
     budget=LATTICE_BUDGET,
     max_level=12,
     spread=2,
-    margin_exponent=2,
 ):
     """Produce a positioned proximal candidate.
 
@@ -221,7 +220,7 @@ def find_regular(
         eigen = eigen_flags(h)
         if not _flags_in_position(eigen):
             raise AssertionError("synthetic basis no longer positions the flags")
-        contraction = contraction_power(eigen, margin_exponent)
+        contraction = contraction_power(eigen)
         level = minimum_feasible_level(eigen, contraction)
         return ProximalCandidate(h, eigen, contraction, "synthetic", 1, level)
 
@@ -274,7 +273,7 @@ def find_regular(
                     continue
                 if not _flags_in_position(eigen):
                     continue
-                contraction = contraction_power(eigen, margin_exponent)
+                contraction = contraction_power(eigen)
                 level = minimum_feasible_level(eigen, contraction)
                 if level is None or level > max_level:
                     continue

@@ -32,7 +32,9 @@ transfer from representatives to whole balls only where a perturbation
 bound says they must -- those bounds are themselves checked per ball and
 reported as violations when they fail, never assumed.  The scalar
 predicates in projgeom stay the reference semantics; the tests
-cross-check both routes and both formats on samples.
+cross-check both routes and both formats on samples.  The tap digits of
+g, g^-1, the eigenbasis adjugate and the cone apexes, and the accumulator
+widths, come from ``pingpong3.digits``.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..digits import int_dtype, support, window
 from ..errors import (
     InsufficientLevel,
     InsufficientPrecision,
@@ -50,6 +53,7 @@ from ..errors import (
 from ..linalg import vec_min_val
 from ..projgeom import in_unit_window, window_ball_count
 from ..spectral import eigen_flags
+from .constants import theta_prime_exponent
 
 CHUNK = 1 << 16
 _EXAMPLE_CAP = 8
@@ -58,58 +62,15 @@ _EXAMPLE_CAP = 8
 # -- exact digit windows ----------------------------------------------------
 
 
-def _digit_row(x, start, stop):
-    """Digits of ``x`` at u^start .. u^(stop-1) as an int16 row.
-
-    Raises InsufficientPrecision when the window is not fully known.
-    """
-    if not x.exact and x.known_to < stop:
-        raise InsufficientPrecision(
-            f"need digits up to u^{stop}, element known to u^{x.known_to}"
-        )
-    row = np.zeros(stop - start, dtype=np.int16)
-    for k, d in enumerate(x.digits):
-        p = x.lead + k
-        if start <= p < stop:
-            row[p - start] = d
-    return row
-
-
 def _taps(x, start, stop):
     """(position, digit) pairs of ``x`` inside the window, for shift-adds."""
-    row = _digit_row(x, start, stop)
+    row = window([x], start, stop)[0]
     return [(start + int(p), int(row[p])) for p in np.nonzero(row)[0]]
-
-
-def _support(mat):
-    """Smallest [lo, hi) covering every digit of the exact matrix."""
-    lo = hi = None
-    for r in mat.rows:
-        for e in r:
-            if e.is_exact_zero:
-                continue
-            if lo is None or e.lead < lo:
-                lo = e.lead
-            end = e.lead + len(e.digits)
-            if hi is None or end > hi:
-                hi = end
-    return lo, hi
-
-
-def _int_dtype(top):
-    """Narrowest signed integer dtype that holds 0 .. top.  Under NumPy 2
-    promotion an array times a Python int keeps the array's dtype, so the
-    digit arrays are sized for a digit product, (q - 1)^2, and each
-    shift-add accumulator for the largest column sum of its forms."""
-    for dtype in (np.int8, np.int16, np.int32):
-        if top <= np.iinfo(dtype).max:
-            return dtype
-    return np.int64
 
 
 def _digit_dtype(q):
     """Dtype of the sweep's digit arrays: every digit product fits it."""
-    return _int_dtype((q - 1) ** 2)
+    return int_dtype((q - 1) ** 2)
 
 
 # -- digit rows: integer arrays, or uint64 words at q = 2 -------------------
@@ -149,7 +110,7 @@ class _IntRows:
         top = (self.q - 1) * max(
             sum(dig for coord_taps in row for _, dig in coord_taps) for row in taps
         )
-        out = np.zeros((len(taps), width, n), dtype=_int_dtype(top))
+        out = np.zeros((len(taps), width, n), dtype=int_dtype(top))
         for acc, row in zip(out, taps):
             for y, coord_taps in zip(chunk, row):
                 for pos, dig in coord_taps:
@@ -168,7 +129,7 @@ class _IntRows:
         """Leading zero count of each row, capped at none_value, ball axis
         first: one contiguous pass per column, not an argmax across them."""
         zero = rows[..., 0, :] == 0
-        count = zero.astype(_int_dtype(rows.shape[-2]))
+        count = zero.astype(int_dtype(rows.shape[-2]))
         for c in range(1, rows.shape[-2]):
             zero &= rows[..., c, :] == 0
             count += zero
@@ -455,16 +416,6 @@ def _flag(report, kind, element, mask, text_fn, detail_fn=None):
 # -- the verifier ------------------------------------------------------------
 
 
-def _epsilon_budget(eigen):
-    """Worst-case norm-loss exponent of the conjugated action (the theta'
-    budget): dominant-coordinate cap plus both change-of-basis norms."""
-    basis = eigen.basis
-    adj = basis.adjugate()
-    val_det = basis.det().val()
-    r = max(vec_min_val(adj.rows[0]), vec_min_val(adj.rows[2]))
-    return (2 + r - val_det) + basis.lognorm() + 2 * (val_det - adj.min_val())
-
-
 def _gamma_table(pair, gamma_bound):
     """Diagonal valuation triples of every nontrivial a^m b^n in the box.
 
@@ -522,7 +473,7 @@ def verify_pingpong(pair, g, level, gamma_bound, eigen=None, epsilon_exponent=No
         return report
 
     if epsilon_exponent is None:
-        epsilon_exponent = _epsilon_budget(eigen)
+        epsilon_exponent = theta_prime_exponent(eigen)
     report.epsilon_exponent = int(epsilon_exponent)
 
     w1, w2, w3 = eigen.valuations
@@ -543,7 +494,7 @@ def verify_pingpong(pair, g, level, gamma_bound, eigen=None, epsilon_exponent=No
         raise ValueError("the cyclic generator must have an exact inverse")
     sides = []
     for label, mat in (("g", g), ("g^-1", g_inv)):
-        lo, hi = _support(mat)
+        lo, hi = support(x for row in mat.rows for x in row)
         sides.append(
             dict(
                 label=label,

@@ -31,15 +31,11 @@ syllable s:
 * a diagonal syllable diag(c_j u^e_j) is applied without a product:
   w s moves column j of w up e_j digits and scales it by c_j mod q, and
   s^-1 w^-1 does the same to the rows of w^-1 with s^-1;
-* a syllable c^r is multiplied in by Kronecker substitution (Harvey,
-  J. Symbolic Comput. 2009): each digit row becomes one Python int with a
-  fixed-width byte slot per digit, the 27 row products and 9 sums are
-  native big-int arithmetic, and the result is read back with
-  ``np.frombuffer`` and reduced mod q.  A product entry sums three
-  convolutions of rows, so each of its coefficients is at most
-  3 min(D_a, D_b) (q - 1)^2; the slot is the narrowest of 1, 2, 4 or 8
-  bytes that holds that, so no slot carries into the next.  The c^r
-  syllables are packed once, and a prefix once for all its c^r children.
+* a syllable c^r is multiplied in by Kronecker substitution
+  (``pingpong3.digits``): the 27 row products and 9 sums are native
+  big-int arithmetic.  A product entry sums three convolutions of rows, so
+  its slots must hold 3 min(D_a, D_b) (q - 1)^2.  The c^r syllables are
+  packed once, and a prefix once for all its c^r children.
 
 A leaf (a word whose length is the bound) is never extended, and its
 record needs only the two leads, so no leaf product is formed:
@@ -71,6 +67,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ..digits import pack, slot_bytes, support, trim, unpack, window
 from ..field import Laurent
 
 __all__ = ["WordRecord", "WordSurvey", "reduced_word_count", "word_survey"]
@@ -86,54 +83,28 @@ _LOW_PLANES = 3
 # -- digit-plane matrices ----------------------------------------------------
 
 
-def _trim(lead, arr):
-    """Drop all-zero leading and trailing digit planes."""
-    planes = arr.reshape(9, -1).any(axis=0)
-    first = int(planes.argmax())
-    if not planes[first]:
-        raise ValueError("word evaluation produced a zero matrix")
-    stop = planes.size - int(planes[::-1].argmax())
-    return lead + first, arr[:, :, first:stop]
-
-
 def _digit_planes(mat):
     """An exact Mat as (lead, int64 digit array of shape (3, 3, D))."""
     if not mat.exact:
         raise ValueError("word evaluation requires exact matrices")
-    entries = [x for r in mat.rows for x in r if not x.is_exact_zero]
-    if not entries:
+    entries = [x for r in mat.rows for x in r]
+    span = support(entries)
+    if span is None:
         raise ValueError("word evaluation requires an invertible matrix")
-    lead = min(x.lead for x in entries)
-    width = max(x.lead + len(x.digits) for x in entries) - lead
-    arr = np.zeros((3, 3, width), dtype=np.int64)
-    for i, row in enumerate(mat.rows):
-        for j, x in enumerate(row):
-            if not x.is_exact_zero:
-                arr[i, j, x.lead - lead : x.lead - lead + len(x.digits)] = x.digits
-    return _trim(lead, arr)
+    return span[0], window(entries, *span).reshape(3, 3, -1)
 
 
 def _slot_bytes(q, depth):
     """Bytes per packed digit: a slot must hold 3 depth (q - 1)^2, the
     largest coefficient of a product entry whose shorter factor rows have
     ``depth`` digits."""
-    top = 3 * depth * (q - 1) ** 2
-    for nbytes in (1, 2, 4, 8):
-        if top < 1 << (8 * nbytes):
-            return nbytes
-    raise ValueError("digit rows too long to pack into 8-byte slots")
+    return slot_bytes(3 * depth * (q - 1) ** 2)
 
 
 def _pack(pm, nbytes):
     """(lead, depth, the nine digit rows as Python ints, row-major)."""
     lead, arr = pm
-    depth = arr.shape[2]
-    blob = arr.astype(f"<u{nbytes}").tobytes()
-    step = depth * nbytes
-    rows = [
-        int.from_bytes(blob[k : k + step], "little") for k in range(0, 9 * step, step)
-    ]
-    return lead, depth, rows
+    return lead, arr.shape[2], pack(arr, nbytes)
 
 
 def _packed_mul(q, a, b, nbytes):
@@ -144,16 +115,12 @@ def _packed_mul(q, a, b, nbytes):
     """
     la, da, ra = a
     lb, db, rb = b
-    size = (da + db - 1) * nbytes
-    blob = b"".join(
-        (ra[i] * rb[j] + ra[i + 1] * rb[j + 3] + ra[i + 2] * rb[j + 6]).to_bytes(
-            size, "little"
-        )
+    values = [
+        ra[i] * rb[j] + ra[i + 1] * rb[j + 3] + ra[i + 2] * rb[j + 6]
         for i in (0, 3, 6)
         for j in (0, 1, 2)
-    )
-    arr = np.frombuffer(blob, dtype=f"<u{nbytes}").reshape(3, 3, -1) % q
-    return _trim(la + lb, arr)
+    ]
+    return trim(la + lb, unpack(values, nbytes, da + db - 1, q).reshape(3, 3, -1))
 
 
 def _mul(q, a, b):
@@ -178,7 +145,7 @@ def _diag_mul(q, pm, diag, axis):
         scale = np.asarray(coeffs, dtype=np.int64)
         dst *= scale[:, None, None]
         out %= q
-    return _trim(lead + lo, out)
+    return trim(lead + lo, out)
 
 
 def _line_leads(pm, axis):

@@ -119,6 +119,17 @@ def test_tampered_constants_are_detected(result):
     assert "qi_constants" in _stages(outcome)
 
 
+def _replaced(cert, path, tamper):
+    """A copy of ``cert`` with the value at ``path`` replaced by tamper(value)."""
+    bad = copy.deepcopy(cert)
+    *parents, key = path
+    holder = bad
+    for name in parents:
+        holder = holder[name]
+    holder[key] = tamper(holder[key])
+    return bad
+
+
 def _reversed(items):
     return list(reversed(items))
 
@@ -134,6 +145,9 @@ TAMPERS = [
     (("trials",), lambda v: v + 1, "find_regular"),
     (("seed",), lambda v: 7, "find_regular"),
     (("strategy",), lambda v: "lattice", "find_regular"),
+    # the pipeline's margin is 2; n0 and the feasible level come out the
+    # same at 1, so only the margin check sees this
+    (("verification", "margin_exponent"), lambda v: v - 1, "contraction_power"),
 ]
 
 
@@ -141,14 +155,77 @@ TAMPERS = [
     "path, tamper, stage", TAMPERS, ids=[".".join(path) for path, _, _ in TAMPERS]
 )
 def test_tampered_field_is_detected(result, path, tamper, stage):
-    bad = copy.deepcopy(result.certificate)
-    *parents, key = path
-    holder = bad
-    for name in parents:
-        holder = holder[name]
-    holder[key] = tamper(holder[key])
-    outcome = verify_certificate(bad)
+    outcome = verify_certificate(_replaced(result.certificate, path, tamper))
     assert _stages(outcome) == {stage}
+
+
+def test_inflated_epsilon_budget_is_refused_at_raised_bounds(result):
+    # at the stored bounds the sweep report differs too; at a raised level
+    # only the comparison with the recomputed epsilon sees it
+    bad = copy.deepcopy(result.certificate)
+    bad["verification"]["epsilon_exponent"] += 1000
+    outcome = verify_certificate(bad, level=6)
+    assert _stages(outcome) == {"qi_constants"}
+
+
+def _respaced(text):
+    return text.replace(", ", " ,  ")
+
+
+# (field path, stored value, the stage that must fail, or CertificateError):
+# Python's == takes 16.0 and true for 16 and 1, and parsing forgets spacing
+RETYPED = [
+    (("constants", "c_total"), 16.0, "qi_constants"),
+    (("constants", "theta_exponent"), False, "qi_constants"),
+    (("eigen", "valuations", 0), -2.0, "contraction_power"),
+    (("verification", "feasible_level"), 3.0, "contraction_power"),
+    (("reports", "words", "words"), 142.0, "word_survey"),
+    (("reports", "pingpong", "min_growth_margin"), True, "verify_pingpong"),
+    (("profile",), [True, 1], CertificateError),
+    (("g",), _respaced, CertificateError),
+    (("h",), _respaced, CertificateError),
+    (("generators", "a"), _respaced, CertificateError),
+]
+
+
+@pytest.mark.parametrize(
+    "path, value, stage", RETYPED, ids=[".".join(map(str, path)) for path, _, _ in RETYPED]
+)
+def test_stored_values_must_be_written_as_construct_writes_them(result, path, value, stage):
+    def tamper(old):
+        if callable(value):
+            return value(old)
+        assert old == value and json.dumps(old) != json.dumps(value)
+        return value
+
+    bad = _replaced(result.certificate, path, tamper)
+    if stage is CertificateError:
+        with pytest.raises(CertificateError):
+            verify_certificate(bad)
+    else:
+        assert stage in _stages(verify_certificate(bad))
+
+
+def _int_leaves(node, path=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _int_leaves(value, path + (key,))
+        elif isinstance(value, int) and not isinstance(value, bool):
+            yield path + (key,), value
+
+
+def test_every_integer_leaf_written_as_float_or_bool_is_refused():
+    cert = construct_pipeline(2, level=4, gamma_bound=1, word_bound=2).certificate
+    accepted = []
+    for path, value in _int_leaves(cert):
+        for retyped in [float(value)] + ([bool(value)] if value in (0, 1) else []):
+            try:
+                if verify_certificate(_replaced(cert, path, lambda _: retyped)).passed:
+                    accepted.append((path, retyped))
+            except CertificateError:
+                pass
+    assert accepted == []
 
 
 def test_relabelled_lattice_certificate_is_refused(result):

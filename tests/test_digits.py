@@ -1,0 +1,71 @@
+"""The shared digit layout: windows, trimming, slot widths, packing."""
+
+import random
+
+import numpy as np
+import pytest
+
+from pingpong3.digits import pack, slot_bytes, support, trim, unpack, window
+from pingpong3.errors import InsufficientPrecision
+from pingpong3.field import Laurent, is_prime
+
+from oracles import dict_mul, from_dict, to_dict
+
+
+def test_window_reads_digits_and_refuses_an_element_not_known_far_enough():
+    x = Laurent(3, -1, [2, 0, 1], known_to=4)  # 2u^-1 + u + O(u^4)
+    y = Laurent(3, 2, [1, 1])
+    assert window([x, y], -2, 4).tolist() == [[0, 2, 0, 1, 0, 0], [0, 0, 0, 0, 1, 1]]
+    assert window([y], 3, 5).tolist() == [[1, 0]]
+    with pytest.raises(InsufficientPrecision):
+        window([y, x], 0, 5)
+
+
+def test_support_spans_every_known_digit_and_is_none_without_one():
+    q = 5
+    elems = [Laurent(q, 2, [1, 4]), Laurent(q, -3, [2], known_to=0), Laurent(q, 0, ())]
+    assert support(elems) == (-3, 4)
+    assert support([Laurent(q, 0, ()), Laurent(q, 0, (), known_to=3)]) is None
+    assert support([]) is None
+
+
+def test_trim_drops_zero_planes_at_both_ends():
+    arr = np.zeros((3, 3, 6), dtype=np.int64)
+    arr[0, 2, 1] = arr[2, 1, 3] = 1
+    lead, kept = trim(-2, arr)
+    assert lead == -1 and kept.shape == (3, 3, 3)
+    assert np.array_equal(kept, arr[:, :, 1:4])
+    with pytest.raises(ValueError):
+        trim(0, np.zeros((3, 3, 2), dtype=np.int64))
+
+
+def test_slot_bytes_switches_at_each_boundary():
+    cases = [(0, 1), (255, 1), (256, 2), (2**16 - 1, 2), (2**16, 4)]
+    cases += [(2**32 - 1, 4), (2**32, 8), (2**64 - 1, 8)]
+    for top, nbytes in cases:
+        assert slot_bytes(top) == nbytes
+    with pytest.raises(ValueError):
+        slot_bytes(2**64)
+
+
+@pytest.mark.parametrize("nbytes, q", [(1, 251), (2, 65521), (4, 2**31 - 1), (8, 2**61 - 1)])
+def test_pack_unpack_round_trip(nbytes, q):
+    rng = random.Random(nbytes)
+    rows = np.array([[rng.randrange(q) for _ in range(9)] for _ in range(4)], dtype=np.int64)
+    rows[0, -1] = q - 1  # the top slot is full
+    packed = pack(rows, nbytes)
+    assert len(packed) == 4
+    assert np.array_equal(unpack(packed, nbytes, 9, q), rows)
+
+
+@pytest.mark.parametrize("q", [2, 13, 251, 65537, 2**31 - 1, 4294967311])
+def test_long_laurent_products_match_the_dict_oracle(q):
+    """Rows of 32 digits and more: Kronecker packing with 1-, 2-, 4- and
+    8-byte slots at q = 2, 13, 251, 65537, and schoolbook past 8-byte
+    slots, where (q - 1)^2 times the row length needs more than 64 bits."""
+    assert is_prime(q)
+    rng = random.Random(q)
+    for la, lb in ((32, 32), (40, 75), (130, 33)):
+        a = Laurent(q, rng.randrange(-4, 4), [rng.randrange(1, q) for _ in range(la)])
+        b = Laurent(q, rng.randrange(-4, 4), [q - 1] * lb)
+        assert a * b == from_dict(dict_mul(to_dict(a), to_dict(b), q), q)

@@ -81,7 +81,7 @@ def test_char_poly_of_diagonal():
     sym = F2.parse("u^-2 + 1 + u^2")
     # (X - u^-2)(X - 1)(X - u^2), coefficients reduced mod 2
     assert p.coeffs == (F2.one(), sym, sym, F2.one())
-    assert p.is_monic()
+    assert p.coeffs[-1] == F2.one()
     assert p.degree == 3
     for e in (-2, 0, 2):
         assert p(F2.u(e)).is_exact_zero
@@ -95,7 +95,7 @@ def test_char_poly_constant_coefficient_is_signed_det():
         a = random_lattice_element(2, rng)
         p = a.char_poly()
         assert p.coeffs[0] == -a.det()
-        assert p.is_monic()
+        assert p.coeffs[-1] == F2.one()
 
 
 def test_matrix_power():

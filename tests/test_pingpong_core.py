@@ -96,7 +96,7 @@ def test_gamma_from_exponent_triples_matches_mat_powers(pair):
 def test_act_is_the_matrix_action_precision_included():
     vectors = [
         (F3.one(), F3.parse("1 + u^2 + 2*u^3"), F3.one()),
-        (F3.elem(2, [1, 2], known_to=6), F3.unknown(3), F3.zero()),
+        (Laurent(3, 2, [1, 2], 6), F3.unknown(3), F3.zero()),
     ]
     for pair in (make_generators(3), NON_MONIC_Q3):
         for vec in vectors:

@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from pingpong3.digits import int_dtype, support
 from pingpong3.errors import InsufficientLevel
 from pingpong3.field import Field, Laurent
 from pingpong3.linalg import Mat, parse_matrix
@@ -25,10 +26,8 @@ from pingpong3.pingpong.verify import (
     _ConeTest,
     _decode,
     _digit_dtype,
-    _int_dtype,
     _IntRows,
     _row_format,
-    _support,
     _taps,
     verify_pingpong,
 )
@@ -85,7 +84,7 @@ def test_int_dtype_switches_at_each_boundary():
     cases = [(0, np.int8), (127, np.int8), (128, np.int16), (32767, np.int16)]
     cases += [(32768, np.int32), (2**31 - 1, np.int32), (2**31, np.int64)]
     for top, dtype in cases:
-        assert _int_dtype(top) == dtype
+        assert int_dtype(top) == dtype
 
 
 def _sample_reps(q, level, count, seed):
@@ -173,7 +172,7 @@ def test_image_shift_adds_agree_with_scalar_products(q):
     reps = _sample_reps(q, level, 300, seed=q + 1)
     for rows in _formats(q):
         for mat in (g, g.inverse()):
-            lo, hi = _support(mat)
+            lo, hi = support(x for row in mat.rows for x in row)
             bulk = _bulk_rows(rows, mat, reps, lo, hi)
             for rep, digits in zip(reps, bulk):
                 image = mat.matvec(_vector(q, rep))
