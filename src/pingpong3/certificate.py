@@ -29,9 +29,10 @@ verify_certificate re-runs every stage from the stored objects alone:
   stored 4.0 or true is not a 4 or a 1;
 * the back half must pass -- optionally at a higher level / gamma bound /
   word bound (overrides may strengthen the check, never weaken it);
-* when run at the stored parameters, the fresh sweep and survey reports
-  must agree with the stored ones field for field, and the stored
-  irreducibility claim must be true.
+* the fresh sweep report must agree with the stored one field for field
+  when run at the stored level and gamma bound, the survey report when run
+  at the stored word bound, and the stored irreducibility claim must be
+  true.
 
 Fields outside the schema are refused when the certificate is loaded, and
 matrix texts that are not the canonical text of their matrix before any
@@ -131,15 +132,15 @@ class Stages:
 
     def check_report(self, name, key, noun, report, stored=None):
         """File a sweep stage's report under ``key``.  The stage fails when
-        the report has violations and, given the ``stored`` reports, when a
-        passing rerun differs from the stored one."""
+        the report has violations and, when the ``stored`` reports hold
+        ``key``, when a passing rerun differs from the stored one."""
         if report is None:
             return
         self.reports[key] = report
         if not report.passed:
             brief = f"{report.total_violations} violations"
             self.fail(name, brief if self.collect else report.summary())
-        elif stored is not None and not _same(report.as_dict(), stored.get(key)):
+        elif key in (stored or {}) and not _same(report.as_dict(), stored[key]):
             self.fail(name, f"stored {noun} report differs from the rerun")
 
 
@@ -391,7 +392,13 @@ def verify_certificate(source, level=None, gamma_bound=None, word_bound=None):
     cert = _validate(source) if isinstance(source, dict) else load_certificate(source)
     stored = cert["verification"]
     params = verification_parameters(cert, level, gamma_bound, word_bound)
-    at_stored = all(params[k] == stored[k] for k in params)
+    # a stored report is compared when the bounds its stage runs at are stored
+    bounds = {"pingpong": ("level", "gamma_bound"), "words": ("word_bound",)}
+    stored_reports = {
+        key: cert["reports"].get(key)
+        for key, names in bounds.items()
+        if all(params[k] == stored[k] for k in names)
+    }
     outcome = VerifyOutcome(cert, params)
     q = cert["q"]
 
@@ -482,9 +489,7 @@ def verify_certificate(source, level=None, gamma_bound=None, word_bound=None):
         r_prime=cert["constants"]["r_prime"],
         epsilon_exponent=stored["epsilon_exponent"],
     )
-    back_half(
-        outcome, pair, g, claimed, **params, stored=cert["reports"] if at_stored else None
-    )
+    back_half(outcome, pair, g, claimed, **params, stored=stored_reports)
     if cert["reports"].get("irreducible") is not True:
         outcome.fail("irreducibility_witness", "stored irreducibility claim is not true")
 

@@ -2,15 +2,20 @@
 survey: Laurent elements read into base-q digit rows over an exponent
 window (``support``, ``window``, ``trim``), and digit rows packed into
 Python ints with one little-endian byte slot per digit, so that the native
-product of two packed rows is their packed convolution (``pack``,
-``unpack``: Kronecker substitution, Harvey, J. Symbolic Comput. 2009).
+product of two packed rows is their packed convolution and their native sum
+their digitwise sum (Kronecker substitution, Harvey, J. Symbolic Comput.
+2009): ``pack``/``unpack`` for numpy rows, ``pack_row``/``unpack_row`` for
+the digit tuples of single elements.
 
-The two width rules sit side by side: ``int_dtype`` sizes numpy
-accumulators and ``slot_bytes`` Kronecker slots, each for the largest value
-it must hold; a slot too narrow would carry into the next.
+The width rules sit side by side: ``int_dtype`` sizes numpy accumulators,
+``slot_bytes`` numpy Kronecker slots and ``row_bytes`` tuple-row slots of
+any width, each for the largest value it must hold; a slot too narrow would
+carry into the next.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,3 +89,29 @@ def unpack(values, nbytes, width, q):
     size = width * nbytes
     blob = b"".join(v.to_bytes(size, "little") for v in values)
     return np.frombuffer(blob, dtype=f"<u{nbytes}").reshape(len(values), width) % q
+
+
+def row_bytes(top):
+    """Narrowest tuple-row slot, any whole number of bytes, that holds 0 .. top."""
+    return max(1, (top.bit_length() + 7) >> 3)
+
+
+@lru_cache(maxsize=None)
+def _mod_table(q):
+    return bytes(i % q for i in range(256))  # a byte's residue mod q
+
+
+def pack_row(row, nbytes):
+    """A digit tuple as one Python int, digit i in little-endian slot i."""
+    if nbytes == 1:
+        return int.from_bytes(bytes(row), "little")
+    return int.from_bytes(b"".join(d.to_bytes(nbytes, "little") for d in row), "little")
+
+
+def unpack_row(value, nbytes, width, q):
+    """The ``width`` slots of a packed value, mod q, as a tuple of ints."""
+    blob = value.to_bytes(width * nbytes, "little")
+    if nbytes == 1:
+        return tuple(blob.translate(_mod_table(q)))
+    slots = range(0, len(blob), nbytes)
+    return tuple(int.from_bytes(blob[i : i + nbytes], "little") % q for i in slots)

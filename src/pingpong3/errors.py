@@ -86,4 +86,5 @@ class LaurentSyntaxError(ValueError):
 
 
 class DigitRangeError(LaurentSyntaxError):
-    """A coefficient outside [0, q) in element text."""
+    """A coefficient outside [0, q), or not an integer, in element text or
+    a digit list."""

@@ -31,15 +31,23 @@ Precision bookkeeping (all enforced here, relied on everywhere else):
 
 Equality (``==``) is *structural* -- same representation, including
 known_to.  Mathematical equality of inexact elements is undecidable; use
-``equal_mod`` for "agree modulo u^N".  Long products pack their digits
-through ``pingpong3.digits``, as the ball sweep and the word survey do.
+``equal_mod`` for "agree modulo u^N".
+
+Sums and products share one kernel: digit tuples packed one byte slot per
+digit into Python ints (``digits.pack_row``), whose native sum (an XOR at
+q = 2) or product is read back mod q; a product with an exact one-digit
+monomial is a ``scale`` (the kernel with a one-digit row) and a ``shift``.
+Results are built by the trusted constructor ``_make``, which only puts
+them in canonical form; the public constructor validates, then calls it.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import re
 
-from .digits import pack, slot_bytes, unpack
+from .digits import pack_row, row_bytes, unpack_row
 from .errors import (
     DigitRangeError,
     InsufficientPrecision,
@@ -49,58 +57,23 @@ from .errors import (
 
 INF = float("inf")
 
-# Region names understood by classify().
-REGIONS = ("O", "m", "1+pim", "pi+pim")
-
-# Below this many digits schoolbook convolution beats Kronecker packing.
-_KRONECKER_CUTOFF = 32
+# The regions classify() understands: the exponent e of the centre u^e (None
+# for centre 0) and the valuation x minus the centre must reach.
+REGIONS = {"O": (None, 0), "m": (None, 1), "1+pim": (0, 2), "pi+pim": (1, 2)}
 
 
 def is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def _digits_mul(a, b, q):
-    """Convolution of digit tuples mod q.
-
-    Long inputs go through Kronecker substitution (``digits.pack``); short
-    ones, and ones whose coefficients overflow 8-byte slots, through
-    schoolbook.
-    """
+    """Convolution of digit tuples mod q: one Kronecker product, in slots
+    wide enough for (q - 1)^2 times the shorter row."""
     la, lb = len(a), len(b)
-    if la == 0 or lb == 0:
+    if not la or not lb:
         return ()
-    if min(la, lb) >= _KRONECKER_CUTOFF:
-        top = min(la, lb) * (q - 1) * (q - 1)
-        if not top >> 64:
-            nbytes = slot_bytes(top)
-            pa, pb = pack(a, nbytes)[0], pack(b, nbytes)[0]
-            return tuple(unpack([pa * pb], nbytes, la + lb - 1, q)[0].tolist())
-    out = [0] * (la + lb - 1)
-    if la > lb:
-        a, b, la, lb = b, a, lb, la
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return tuple(c % q for c in out)
-
-
-def _digits_add(a, b, q):
-    """Pointwise sum of equal-offset digit lists (no carries)."""
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, d in enumerate(b):
-        out[i] = (out[i] + d) % q
-    return out
+    nbytes = row_bytes((q - 1) * (q - 1) * min(la, lb))
+    return unpack_row(pack_row(a, nbytes) * pack_row(b, nbytes), nbytes, la + lb - 1, q)
 
 
 class Laurent:
@@ -108,8 +81,18 @@ class Laurent:
 
     __slots__ = ("q", "lead", "digits", "known_to")
 
-    def __init__(self, q, lead, digits, known_to=INF):
-        digits = list(digits)
+    def __new__(cls, q, lead, digits, known_to=INF):
+        digits = tuple(digits)
+        if not _INT.issuperset(map(type, digits)):
+            try:
+                if any(isinstance(d, bool) for d in digits):
+                    raise TypeError
+                digits = tuple(map(operator.index, digits))
+            except TypeError:
+                raise DigitRangeError(f"digits must be integers, not {digits}") from None
+        if digits and not (0 <= min(digits) and max(digits) < q):
+            bad = next(d for d in digits if not 0 <= d < q)
+            raise DigitRangeError(f"digit {bad} out of range for q={q}")
         if known_to is not INF:
             if known_to == INF:
                 # any +inf becomes the INF object: exactness is tested by identity
@@ -118,23 +101,7 @@ class Laurent:
                 raise ValueError(f"known_to must be an integer or +inf, not {known_to}")
             else:
                 known_to = int(known_to)
-                # Digits at or above known_to carry no information.
-                if lead + len(digits) > known_to:
-                    digits = digits[: max(0, known_to - lead)]
-        while digits and digits[0] == 0:
-            digits.pop(0)
-            lead += 1
-        while digits and digits[-1] == 0:
-            digits.pop()
-        for d in digits:
-            if not 0 <= d < q:
-                raise ValueError(f"digit {d} out of range for q={q}")
-        if not digits:
-            lead = 0
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "lead", lead)
-        object.__setattr__(self, "digits", tuple(digits))
-        object.__setattr__(self, "known_to", known_to)
+        return _make(q, lead, digits, known_to)
 
     def __setattr__(self, name, value):
         raise AttributeError("Laurent elements are immutable")
@@ -169,64 +136,72 @@ class Laurent:
 
     # -- ring operations -------------------------------------------------
 
-    def _check_q(self, other):
-        if self.q != other.q:
-            raise ValueError(f"mixed residue fields F_{self.q} and F_{other.q}")
-
     def __add__(self, other):
-        if not isinstance(other, Laurent):
-            return NotImplemented
-        self._check_q(other)
-        known = min(self.known_to, other.known_to)
-        if not self.digits and not other.digits:
-            return Laurent(self.q, 0, (), known)
-        if not self.digits:
-            return Laurent(other.q, other.lead, other.digits, known)
-        if not other.digits:
-            return Laurent(self.q, self.lead, self.digits, known)
-        lead = min(self.lead, other.lead)
-        a = [0] * (self.lead - lead) + list(self.digits)
-        b = [0] * (other.lead - lead) + list(other.digits)
-        return Laurent(self.q, lead, _digits_add(a, b, self.q), known)
-
-    def __neg__(self):
-        q = self.q
-        return Laurent(q, self.lead, tuple((q - d) % q for d in self.digits), self.known_to)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def _combine(self, other, c):
+        """self + c * other for a residue digit c != 0: one Kronecker sum,
+        an XOR at q = 2."""
         if not isinstance(other, Laurent):
             return NotImplemented
-        return self + (-other)
+        q = self.q
+        if q != other.q:
+            raise ValueError(f"mixed residue fields F_{q} and F_{other.q}")
+        known = min(self.known_to, other.known_to)
+        a, b = self.digits, other.digits
+        if not b:
+            return self.truncate(known)
+        c %= q
+        if not a:
+            return other.scale(c).truncate(known)
+        lead = min(self.lead, other.lead)
+        width = max(self.lead + len(a), other.lead + len(b)) - lead
+        nbytes = row_bytes((q - 1) * (1 + c))
+        pa = pack_row(a, nbytes) << 8 * nbytes * (self.lead - lead)
+        pb = pack_row(b, nbytes) * c << 8 * nbytes * (other.lead - lead)
+        total = pa ^ pb if q == 2 else pa + pb
+        return _make(q, lead, unpack_row(total, nbytes, width, q), known)
 
     def __mul__(self, other):
         if not isinstance(other, Laurent):
             return NotImplemented
-        self._check_q(other)
-        if self.is_exact_zero or other.is_exact_zero:
-            return Laurent(self.q, 0, ())
-        if self.exact and other.exact:
+        q = self.q
+        if q != other.q:
+            raise ValueError(f"mixed residue fields F_{q} and F_{other.q}")
+        a, b = self.digits, other.digits
+        kx, ky = self.known_to, other.known_to
+        # exact zero, or an exact monomial: a scale and a shift
+        if kx is INF and len(a) < 2:
+            return other.scale(a[0]).shift(self.lead) if a else self
+        if ky is INF and len(b) < 2:
+            return self.scale(b[0]).shift(other.lead) if b else other
+        if kx is INF and ky is INF:
             known = INF
         else:
-            ex = self.lead if self.digits else self.known_to
-            ey = other.lead if other.digits else other.known_to
-            known = min(ex + other.known_to, ey + self.known_to)
-        digits = _digits_mul(self.digits, other.digits, self.q)
-        return Laurent(self.q, self.lead + other.lead, digits, known)
+            known = min((self.lead if a else kx) + ky, (other.lead if b else ky) + kx)
+        return _make(q, self.lead + other.lead, _digits_mul(a, b, q), known)
 
     def scale(self, c):
         """Multiply by the residue digit c."""
-        c = c % self.q
+        q = self.q
+        c %= q
+        if c == 1:
+            return self
         if c == 0:
-            return Laurent(self.q, 0, ())
-        return Laurent(
-            self.q, self.lead, tuple((c * d) % self.q for d in self.digits), self.known_to
-        )
+            return _make(q, 0, ())
+        return _make(q, self.lead, _digits_mul(self.digits, (c,), q), self.known_to)
 
     def shift(self, e):
         """Multiply by the exact monomial u^e."""
-        if not self.digits and self.exact:
+        if e == 0 or (not self.digits and self.exact):
             return self
-        return Laurent(
+        return _make(
             self.q,
             self.lead + e,
             self.digits,
@@ -237,7 +212,7 @@ class Laurent:
         """Forget everything from u^n on (known_to becomes min(known_to, n))."""
         if n >= self.known_to:
             return self
-        return Laurent(self.q, self.lead, self.digits, n)
+        return _make(self.q, self.lead, self.digits, n)
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -273,7 +248,7 @@ class Laurent:
         q, v = self.q, self.lead
         if self.is_monomial():
             c = pow(self.digits[0], -1, q)
-            return Laurent(q, -v, (c,))
+            return _make(q, -v, (c,))
         if not self.exact and target_precision - v > self.known_to - 2 * v:
             # at best the inverse is known mod u^(known_to - 2v)
             raise InsufficientPrecision(
@@ -286,15 +261,15 @@ class Laurent:
         # number of correct digits each round (valid in any characteristic).
         rel = max(target_precision, 1)  # correct digits of the unit inverse
         unit = self.digits
-        y = [pow(unit[0], -1, q)]
+        y = (pow(unit[0], -1, q),)
         correct = 1
         while correct < rel:
             correct = min(2 * correct, rel)
-            xy = _digits_mul(tuple(unit[:correct]), tuple(y), q)[:correct]
+            xy = _digits_mul(unit[:correct], y, q)[:correct]
             e = [(-d) % q for d in xy]
             e[0] = (2 + e[0]) % q
-            y = list(_digits_mul(tuple(y), tuple(e), q)[:correct])
-        return Laurent(q, -v, y, target_precision - v)
+            y = _digits_mul(y, e, q)[:correct]
+        return _make(q, -v, y, target_precision - v)
 
     # -- comparisons -----------------------------------------------------
 
@@ -307,18 +282,13 @@ class Laurent:
         d = self - other
         if d.digits and d.lead < n:
             return False
-        if min(d.known_to, d.lead if d.digits else INF) >= n:
-            return True
-        return None
+        return True if min(d.known_to, d.lead if d.digits else INF) >= n else None
 
     def __eq__(self, other):
         if not isinstance(other, Laurent):
             return NotImplemented
-        return (
-            self.q == other.q
-            and self.lead == other.lead
-            and self.digits == other.digits
-            and self.known_to == other.known_to
+        return (self.q, self.lead, self.digits, self.known_to) == (
+            other.q, other.lead, other.digits, other.known_to
         )
 
     def __hash__(self):
@@ -340,6 +310,37 @@ class Laurent:
 
     def __repr__(self):
         return f"Laurent({laurent_to_str(self)!r}, q={self.q})"
+
+
+_INT = frozenset({int})
+_new = object.__new__
+_set_q = Laurent.q.__set__
+_set_lead = Laurent.lead.__set__
+_set_digits = Laurent.digits.__set__
+_set_known_to = Laurent.known_to.__set__
+
+
+def _make(q, lead, digits, known_to=INF):
+    """The trusted constructor: ``digits`` a tuple of ints in [0, q),
+    ``known_to`` INF or an int, put in canonical form and nothing else."""
+    if known_to is not INF and lead + len(digits) > known_to:
+        digits = digits[: max(0, known_to - lead)]
+    if digits and not (digits[0] and digits[-1]):
+        lo, hi = 0, len(digits)
+        while lo < hi and not digits[lo]:
+            lo += 1
+        while hi > lo and not digits[hi - 1]:
+            hi -= 1
+        lead += lo
+        digits = digits[lo:hi]
+    if not digits:
+        lead = 0
+    x = _new(Laurent)
+    _set_q(x, q)
+    _set_lead(x, lead)
+    _set_digits(x, digits)
+    _set_known_to(x, known_to)
+    return x
 
 
 class Field:
@@ -406,20 +407,11 @@ def classify(x, region):
     digits at fixed positions, so exact elements always decide.
     """
     if region not in REGIONS:
-        raise ValueError(f"unknown region {region!r}; expected one of {REGIONS}")
-    q = x.q
-    if region == "O":
-        d, thresh = x, 0
-    elif region == "m":
-        d, thresh = x, 1
-    elif region == "1+pim":
-        d, thresh = x - Laurent(q, 0, (1,)), 2
-    else:
-        d, thresh = x - Laurent(q, 1, (1,)), 2
+        raise ValueError(f"unknown region {region!r}; expected one of {tuple(REGIONS)}")
+    centre, thresh = REGIONS[region]
+    d = x if centre is None else x - _make(x.q, centre, (1,))
     if d.digits:
         return d.lead >= thresh
-    if d.exact:
-        return True
     return True if d.known_to >= thresh else None
 
 

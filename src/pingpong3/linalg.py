@@ -58,9 +58,7 @@ def vec_min_val(a):
             floors = min(floors, x.known_to)
         else:
             best = min(best, v)
-    if floors < best:
-        return None
-    return best
+    return None if floors < best else best
 
 
 class Mat:
@@ -74,10 +72,8 @@ class Mat:
         if n == 0 or any(len(r) != n for r in rows):
             raise ValueError("square matrix required")
         q = rows[0][0].q
-        for r in rows:
-            for x in r:
-                if x.q != q:
-                    raise ValueError("mixed residue fields in matrix")
+        if any(x.q != q for r in rows for x in r):
+            raise ValueError("mixed residue fields in matrix")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
@@ -165,16 +161,12 @@ class Mat:
     def __add__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        return Mat(
-            [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
-        )
+        return Mat([[x + y for x, y in zip(*rs)] for rs in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        return Mat(
-            [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
-        )
+        return Mat([[x - y for x, y in zip(*rs)] for rs in zip(self.rows, other.rows)])
 
     def scale_elem(self, c):
         """Multiply every entry by the Laurent scalar c."""
@@ -220,16 +212,9 @@ class Mat:
     def adjugate(self):
         """adj(A) with A*adj(A) = det(A)*I; exact when A is exact."""
         n = self.n
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                c = self._minor(j, i).det()
-                if (i + j) % 2:
-                    c = -c
-                row.append(c)
-            rows.append(row)
-        return Mat(rows)
+        return Mat(
+            [[self._minor(j, i).det().scale((-1) ** (i + j)) for j in range(n)] for i in range(n)]
+        )
 
     def inverse(self, precision=None):
         """A^-1: the pure adjugate when det = 1, else adjugate / det.
@@ -285,16 +270,8 @@ class Mat:
         Equals -min entry valuation.  Raises InsufficientPrecision when an
         undecided entry could lower the minimum.
         """
-        best = INF
-        floor = INF
-        for r in self.rows:
-            for x in r:
-                v = x.val()
-                if v is None:
-                    floor = min(floor, x.known_to)
-                else:
-                    best = min(best, v)
-        if floor < best:
+        best = vec_min_val([x for r in self.rows for x in r])
+        if best is None:
             raise InsufficientPrecision("an entry's valuation is undecided")
         if best is INF:
             raise ValueError("lognorm of the zero matrix")
@@ -317,20 +294,13 @@ class Mat:
         d = [0]
         idx = range(self.n)
         for k in range(1, self.n + 1):
-            best = INF
-            floor = INF
-            for rows_k in itertools.combinations(idx, k):
-                for cols_k in itertools.combinations(idx, k):
-                    sub = Mat(
-                        [[self.rows[i][j] for j in cols_k] for i in rows_k]
-                    ) if k > 1 else None
-                    m = sub.det() if k > 1 else self.rows[rows_k[0]][cols_k[0]]
-                    v = m.val()
-                    if v is None:
-                        floor = min(floor, m.known_to)
-                    else:
-                        best = min(best, v)
-            if floor < best:
+            minors = [
+                Mat([[self.rows[i][j] for j in cols_k] for i in rows_k]).det()
+                for rows_k in itertools.combinations(idx, k)
+                for cols_k in itertools.combinations(idx, k)
+            ]
+            best = vec_min_val(minors)
+            if best is None:
                 raise InsufficientPrecision(
                     f"a {k}x{k} minor's valuation is undecided"
                 )

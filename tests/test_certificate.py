@@ -168,6 +168,25 @@ def test_inflated_epsilon_budget_is_refused_at_raised_bounds(result):
     assert _stages(outcome) == {"qi_constants"}
 
 
+# (override, stored report field, the stage that must fail): a stored report
+# is compared whenever the bounds it depends on are at their stored values
+RAISED_TAMPERS = [
+    (dict(word_bound=4), ("reports", "pingpong", "domain_balls"), "verify_pingpong"),
+    (dict(level=6), ("reports", "words", "min_growth_margin"), "word_survey"),
+]
+
+
+@pytest.mark.parametrize(
+    "override, path, stage", RAISED_TAMPERS, ids=[".".join(p) for _, p, _ in RAISED_TAMPERS]
+)
+def test_stored_report_is_compared_when_only_other_bounds_are_raised(
+    result, override, path, stage
+):
+    bad = _replaced(result.certificate, path, lambda v: 999999)
+    assert _stages(verify_certificate(bad, **override)) == {stage}
+    assert verify_certificate(result.certificate, **override).passed
+
+
 def _respaced(text):
     return text.replace(", ", " ,  ")
 

@@ -5,7 +5,17 @@ import random
 import numpy as np
 import pytest
 
-from pingpong3.digits import pack, slot_bytes, support, trim, unpack, window
+from pingpong3.digits import (
+    pack,
+    pack_row,
+    row_bytes,
+    slot_bytes,
+    support,
+    trim,
+    unpack,
+    unpack_row,
+    window,
+)
 from pingpong3.errors import InsufficientPrecision
 from pingpong3.field import Laurent, is_prime
 
@@ -60,12 +70,25 @@ def test_pack_unpack_round_trip(nbytes, q):
 
 @pytest.mark.parametrize("q", [2, 13, 251, 65537, 2**31 - 1, 4294967311])
 def test_long_laurent_products_match_the_dict_oracle(q):
-    """Rows of 32 digits and more: Kronecker packing with 1-, 2-, 4- and
-    8-byte slots at q = 2, 13, 251, 65537, and schoolbook past 8-byte
-    slots, where (q - 1)^2 times the row length needs more than 64 bits."""
+    """Rows of 1 to 130 digits through the one Kronecker product: 1-, 2-,
+    4- and 8-byte slots at q = 2, 13, 251, 65537, and slots wider than 8
+    bytes at q = 2^31 - 1 (from 5 digits on) and 4294967311, where (q - 1)^2
+    times the row length needs more than 64 bits."""
     assert is_prime(q)
     rng = random.Random(q)
-    for la, lb in ((32, 32), (40, 75), (130, 33)):
+    shapes = [(la, lb) for la in (1, 2, 5, 14, 31) for lb in (1, 7, 31)]
+    for la, lb in shapes + [(32, 32), (40, 75), (130, 33)]:
         a = Laurent(q, rng.randrange(-4, 4), [rng.randrange(1, q) for _ in range(la)])
         b = Laurent(q, rng.randrange(-4, 4), [q - 1] * lb)
         assert a * b == from_dict(dict_mul(to_dict(a), to_dict(b), q), q)
+
+
+@pytest.mark.parametrize("nbytes, q", [(1, 13), (2, 251), (9, 4294967311)])
+def test_row_pack_unpack_round_trip(nbytes, q):
+    rng = random.Random(nbytes)
+    row = tuple(rng.randrange(q) for _ in range(8)) + (q - 1,)
+    assert row_bytes((q - 1) * (q - 1)) == nbytes
+    assert unpack_row(pack_row(row, nbytes), nbytes, len(row), q) == row
+    assert unpack_row(pack_row(row, nbytes) * 2, nbytes, len(row), q) == tuple(
+        2 * d % q for d in row
+    )

@@ -3,8 +3,9 @@
 import math
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pingpong3.errors import (
@@ -30,6 +31,23 @@ def exact_elements(q, max_len=40, max_abs_lead=25):
         st.integers(-max_abs_lead, max_abs_lead),
         st.lists(st.integers(0, q - 1), max_size=max_len),
     )
+
+
+def elements(q, max_len=40, max_abs_lead=25):
+    """Exact and inexact elements: a finite known_to may cut every digit,
+    which gives the empty-digit unknown of valuation >= known_to."""
+    return st.builds(
+        lambda x, known: x if known is None else Laurent(q, x.lead, x.digits, known),
+        exact_elements(q, max_len, max_abs_lead),
+        st.one_of(st.none(), st.integers(-max_abs_lead, max_abs_lead + max_len)),
+    )
+
+
+def assert_canonical(r):
+    """r is what the public constructor builds from its own fields."""
+    assert type(r.digits) is tuple and all(type(d) is int for d in r.digits)
+    assert r.known_to is INF or type(r.known_to) is int
+    assert r == Laurent(r.q, r.lead, r.digits, r.known_to)
 
 
 # -- construction and valuation -------------------------------------------
@@ -76,6 +94,18 @@ def test_infinite_known_to_is_the_exact_sentinel():
 def test_digit_out_of_range_rejected():
     with pytest.raises(ValueError):
         Laurent(2, 0, [2])
+
+
+@pytest.mark.parametrize("digits", [[1.5], [True, 2], [1, False], ["1"], [1.0]])
+def test_non_integer_digits_rejected(digits):
+    with pytest.raises(DigitRangeError):
+        Laurent(3, 0, digits)
+
+
+def test_numpy_integer_digits_become_python_ints():
+    x = Laurent(5, 0, np.array([3, 0, 4]), known_to=np.int64(7))
+    assert x == Laurent(5, 0, [3, 0, 4], known_to=7)
+    assert all(type(d) is int for d in x.digits) and type(x.known_to) is int
 
 
 def test_field_requires_prime_q():
@@ -284,7 +314,8 @@ def test_arithmetic_matches_dict_oracle(args):
 
 
 def test_kronecker_path_matches_schoolbook():
-    # both operands long enough to take the packed-integer multiply
+    # long rows (200 by 150 digits) through the one Kronecker product,
+    # against the schoolbook dict oracle
     rng = random.Random(3)
     for q in (2, 3):
         f = Field(q)
@@ -336,6 +367,56 @@ def test_inv_is_two_sided_inverse_mod_target(args):
     y = x.inv(n)
     assert (x * y).equal_mod(f_one, n) is True
     assert (y * x).equal_mod(f_one, n) is True
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from(PROPERTY_QS).flatmap(
+        lambda q: st.tuples(
+            elements(q), elements(q), st.integers(0, q - 1), st.integers(-30, 30), st.integers(-5, 30)
+        )
+    )
+)
+def test_arithmetic_results_are_canonical(args):
+    # every result built by the trusted constructor is one the public
+    # constructor would build from its fields
+    x, y, c, e, n = args
+    for r in (x + y, x - y, -x, x * y, y * x, x.scale(c), x.shift(e), x.truncate(n)):
+        assert_canonical(r)
+    if x.digits:
+        try:
+            assert_canonical(x.inv(n))
+        except InsufficientPrecision:
+            pass
+
+
+@settings(max_examples=200)
+@given(
+    st.sampled_from(PROPERTY_QS).flatmap(
+        lambda q: st.tuples(
+            st.just(q),
+            exact_elements(q),
+            st.integers(1, 12),
+            st.integers(-10, 30),
+            st.lists(st.integers(0, q - 1), max_size=6),
+        )
+    )
+)
+def test_inv_precision_soundness_under_tail_perturbation(args):
+    # the inverse of a truncated element agrees, to its own known_to, with
+    # the inverse of every concretization of the cut-off tail
+    q, x, nx, n, tail = args
+    assume(x.digits)
+    v = x.lead
+    xt = x.truncate(v + nx)
+    try:
+        approx = xt.inv(n)
+    except InsufficientPrecision:
+        assert n > nx  # only past the input's capacity, u^(v + nx - v)
+        return
+    assert approx.known_to is not INF
+    concrete = (x + Laurent(q, v + nx, tail)).inv(approx.known_to + v)
+    assert concrete.equal_mod(approx, approx.known_to) is True
 
 
 # -- text grammar ----------------------------------------------------------------

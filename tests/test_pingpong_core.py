@@ -182,6 +182,19 @@ def test_sigma_monte_carlo():
         assert len(counts) == 8
 
 
+# the generator state after 20 samples per sign case from random.Random(1):
+# every sample draws the same random calls in the same order, so a change
+# to the sample stream moves the next draw even when no case has a hit
+NEXT_DRAW_AFTER_MONTE_CARLO = {2: 0.34600492283971984, 3: 0.8203289491801209}
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_monte_carlo_sample_stream_is_pinned(q):
+    rng = random.Random(1)
+    monte_carlo_check(make_generators(q), rng, trials_per_case=20)
+    assert rng.random() == NEXT_DRAW_AFTER_MONTE_CARLO[q]
+
+
 # -- proximal element ----------------------------------------------------------
 
 # the q=2 synthetic element, frozen from the hand construction
