@@ -76,6 +76,16 @@ def _digits_mul(a, b, q):
     return unpack_row(pack_row(a, nbytes) * pack_row(b, nbytes), nbytes, la + lb - 1, q)
 
 
+def _integer(x, message):
+    """``x`` as a Python int; bools, floats and other non-integers refused."""
+    try:
+        if isinstance(x, bool):
+            raise TypeError
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{message}, not {x!r}") from None
+
+
 class Laurent:
     """An element of F_q((u)) with tracked precision.  Immutable."""
 
@@ -93,14 +103,14 @@ class Laurent:
         if digits and not (0 <= min(digits) and max(digits) < q):
             bad = next(d for d in digits if not 0 <= d < q)
             raise DigitRangeError(f"digit {bad} out of range for q={q}")
-        if known_to is not INF:
+        if type(lead) is not int:
+            lead = _integer(lead, "lead must be an integer")
+        if known_to is not INF and type(known_to) is not int:
+            # any +inf becomes the INF object: exactness is tested by identity
             if known_to == INF:
-                # any +inf becomes the INF object: exactness is tested by identity
                 known_to = INF
-            elif known_to != known_to or known_to == -INF:
-                raise ValueError(f"known_to must be an integer or +inf, not {known_to}")
             else:
-                known_to = int(known_to)
+                known_to = _integer(known_to, "known_to must be an integer or +inf")
         return _make(q, lead, digits, known_to)
 
     def __setattr__(self, name, value):
@@ -344,17 +354,14 @@ def _make(q, lead, digits, known_to=INF):
 
 
 class Field:
-    """Element factory for F_q((u)); holds q and the default tail precision."""
+    """Element factory for F_q((u)); holds q."""
 
-    __slots__ = ("q", "default_precision")
+    __slots__ = ("q",)
 
-    def __init__(self, q, default_precision=12):
+    def __init__(self, q):
         if not is_prime(q):
             raise ValueError(f"q must be prime, got {q}")
-        if default_precision < 8:
-            raise ValueError("default_precision must be >= 8")
         self.q = q
-        self.default_precision = default_precision
 
     def zero(self):
         return Laurent(self.q, 0, ())
@@ -381,16 +388,13 @@ class Field:
         return parse_laurent(text, self.q)
 
     def __eq__(self, other):
-        return isinstance(other, Field) and (self.q, self.default_precision) == (
-            other.q,
-            other.default_precision,
-        )
+        return isinstance(other, Field) and self.q == other.q
 
     def __hash__(self):
-        return hash((self.q, self.default_precision))
+        return hash(self.q)
 
     def __repr__(self):
-        return f"Field(q={self.q}, default_precision={self.default_precision})"
+        return f"Field(q={self.q})"
 
 
 def classify(x, region):

@@ -239,12 +239,6 @@ class Mat:
             )
         return adj.scale_elem(d.inv(precision))
 
-    def trace(self):
-        acc = self.rows[0][0]
-        for i in range(1, self.n):
-            acc = acc + self.rows[i][i]
-        return acc
-
     def second_compound(self):
         """Matrix of 2x2 minors, rows/cols indexed by pairs (lex order).
 

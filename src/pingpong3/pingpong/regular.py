@@ -45,6 +45,8 @@ import random
 from dataclasses import dataclass
 from math import ceil
 
+import numpy as np
+
 from ..errors import (
     InsufficientPrecision,
     NotSimpleSegment,
@@ -149,9 +151,10 @@ def refined_image_level(level, vm_image, lognorm_g, lognorm_compound):
 
     For y' = y + delta in a level-M ball, d(Gy, Gy') is at most
     q^-(M - lognorm(L^2 G) - vm(Gy) - vm(Gy')), and vm(Gy') is at least
-    min(vm(Gy), M - lognorm(G)).
+    min(vm(Gy), M - lognorm(G)).  ``vm_image`` may be an array, one value
+    per ball.
     """
-    return level - lognorm_compound - vm_image - min(vm_image, level - lognorm_g)
+    return level - lognorm_compound - vm_image - np.minimum(vm_image, level - lognorm_g)
 
 
 def minimum_feasible_level(eigen, contraction, cap=64):

@@ -262,7 +262,7 @@ def monte_carlo_check(pair, rng, trials_per_case=200, exponent_bound=5, depth=14
     with no matrix built.  Returns a dict of per-case trial counts; raises
     AssertionError on any hit.
     """
-    field = Field(pair.q, default_precision=depth + 4)
+    field = Field(pair.q)
     one = field.one()
     counts = {}
     for signs in SIGN_CASES:

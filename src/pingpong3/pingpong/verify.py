@@ -14,9 +14,11 @@ the projective plane:
   |m|, |n| <= gamma_bound, must land outside U and outside both cones,
   with the exact ultrametric norm identity (theta-exactness).
 
-Everything runs on digit rows in bulk, in one of two formats picked from
-q and the widest row each pass reads (the domain pass and the window pass
-pick theirs separately):
+A ball is three value indices into one digit table, built once per
+sweep: the base-q digits of every coordinate value below q^M.  Everything
+runs on digit rows in bulk, gathered from that table, in one of two
+formats picked from q and the widest row each pass reads (the domain pass
+and the window pass pick theirs separately):
 
 * at q = 2, when every row fits 64 columns, each coordinate's digit row is
   one uint64 word (bit c = digit at u^c): a shift-add tap is an XOR of a
@@ -54,6 +56,7 @@ from ..linalg import vec_min_val
 from ..projgeom import in_unit_window, window_ball_count
 from ..spectral import eigen_flags
 from .constants import theta_prime_exponent
+from .regular import refined_image_level
 
 CHUNK = 1 << 16
 _EXAMPLE_CAP = 8
@@ -76,8 +79,9 @@ def _digit_dtype(q):
 # -- digit rows: integer arrays, or uint64 words at q = 2 -------------------
 #
 # Both formats share one interface and store digits coordinate-major, with
-# the ball axis last.  A chunk of balls comes from ``_ball_chunks`` as
-# (n, 3, M) digits and ``pack`` turns it into the format's chunk;
+# the ball axis last.  ``encode`` turns the digit table into the format's
+# rows of every coordinate value, once per pass, and ``gather`` reads a
+# chunk from them at its balls' value indices (``_ball_chunks``);
 # ``shift_add`` evaluates k linear forms sum_j x_ij y_j on a chunk, each
 # form given as three tap lists (position, digit) of its coefficients
 # x_ij, into the digits at u^lead .. u^(lead + width - 1), and
@@ -97,13 +101,18 @@ class _IntRows:
         self.q = q
 
     @staticmethod
-    def pack(reps):
-        return np.ascontiguousarray(reps.transpose(1, 2, 0))
+    def encode(table):
+        return table
 
     @staticmethod
-    def take(chunk, idx):
-        # np.take keeps the ball axis contiguous; chunk[..., idx] does not
-        return np.take(chunk, idx, axis=-1)
+    def gather(values, balls):
+        """Rows (..., V) of every value, taken at the (x, y, z) index arrays
+        ``balls``: (3, ..., n), one contiguous take per coordinate
+        (values[..., idx] would not keep the ball axis contiguous)."""
+        chunk = np.empty((3, *values.shape[:-1], balls[0].size), dtype=values.dtype)
+        for out, idx in zip(chunk, balls):
+            np.take(values, idx, axis=-1, out=out)
+        return chunk
 
     def shift_add(self, taps, chunk, lead, width):
         _, level, n = chunk.shape
@@ -169,17 +178,16 @@ class _BitRows:
     and nothing is reduced.  Rows must fit 64 columns (``_row_format``)."""
 
     @staticmethod
-    def pack(reps):
-        n, _, level = reps.shape
-        words = np.zeros((3, n, 8), dtype=np.uint8)
-        words[..., : (level + 7) // 8] = np.packbits(
-            reps.transpose(1, 0, 2), axis=-1, bitorder="little"
-        )
-        return words.view("<u8")[..., 0].T
+    def encode(table):
+        """One word per value: digit c of the (M, V) table is bit c."""
+        words = np.zeros(table.shape[1], dtype=np.uint64)
+        for c, digits in enumerate(table):
+            words |= digits.astype(np.uint64) << np.uint64(c)
+        return words
 
     @staticmethod
-    def take(chunk, idx):
-        return chunk.T[:, idx].T
+    def gather(words, balls):
+        return _IntRows.gather(words, balls).T
 
     @staticmethod
     def shift_add(taps, chunk, lead, width):
@@ -221,55 +229,49 @@ def _row_format(q, width):
 # -- ball enumeration in bulk ------------------------------------------------
 
 
-def _decode(q, sel, width):
-    """Digit rows of the flat indices ``sel``, first digit most significant
-    (the lexicographic order of itertools.product(range(q), repeat=width))."""
-    out = np.empty((sel.size, width), dtype=_digit_dtype(q))
-    for j in range(width):
-        out[:, j] = (sel // q ** (width - 1 - j)) % q
-    return out
+def _digit_table(q, level):
+    """(level, q^level) base-q digits of every coordinate value: column v
+    holds the digits at u^0 .. u^(level - 1), the first most significant,
+    so v runs in the order of itertools.product(range(q), repeat=level).
+    Values below q^(level - 1) are those in uO; q^(level - 1) is 1."""
+    v = np.arange(q**level)
+    digits = [v // q ** (level - 1 - j) % q for j in range(level)]
+    return np.array(digits, dtype=_digit_dtype(q))
+
+
+def _blocks(outer, inner, chunk):
+    """(a, b) index arrays over [0, outer) x [0, inner), a-major, in slices
+    of ``chunk`` pairs."""
+    for lo in range(0, outer * inner, chunk):
+        yield np.divmod(np.arange(lo, min(lo + chunk, outer * inner)), inner)
 
 
 def _ball_chunks(q, level, chunk):
-    """Yield (stratum, reps) blocks covering the level-M partition.
+    """Yield (stratum, (x, y, z)) blocks covering the level-M partition,
+    each coordinate an array of value indices into ``_digit_table``.
 
     Mirrors the deterministic order of projgeom.enumerate_balls: pivot z
-    (x, y free), pivot y (x free, z in uO), pivot x (y, z in uO).  ``reps``
-    is (n, 3, level) of ``_digit_dtype(q)`` in coordinate order x, y, z.
+    (x, y free), pivot y (x free, z in uO), pivot x (y, z in uO).
     """
-    dtype = _digit_dtype(q)
-    one = np.zeros(level, dtype=dtype)
-    one[0] = 1
-    free = q**level
-    sub = q ** (level - 1)
-
-    def blocks(total):
-        for lo in range(0, total, chunk):
-            yield np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-
-    for idx in blocks(free * free):
-        reps = np.empty((idx.size, 3, level), dtype=dtype)
-        reps[:, 0] = _decode(q, idx // free, level)
-        reps[:, 1] = _decode(q, idx % free, level)
-        reps[:, 2] = one
-        yield 2, reps
-    for idx in blocks(free * sub):
-        reps = np.zeros((idx.size, 3, level), dtype=dtype)
-        reps[:, 0] = _decode(q, idx // sub, level)
-        reps[:, 1] = one
-        reps[:, 2, 1:] = _decode(q, idx % sub, level - 1)
-        yield 1, reps
-    for idx in blocks(sub * sub):
-        reps = np.zeros((idx.size, 3, level), dtype=dtype)
-        reps[:, 0] = one
-        reps[:, 1, 1:] = _decode(q, idx // sub, level - 1)
-        reps[:, 2, 1:] = _decode(q, idx % sub, level - 1)
-        yield 0, reps
+    free, one = q**level, q ** (level - 1)
+    for stratum, outer, inner in ((2, free, free), (1, free, one), (0, one, one)):
+        for a, b in _blocks(outer, inner, chunk):
+            pivot = np.full(a.size, one)
+            yield stratum, ((pivot, a, b), (a, pivot, b), (a, b, pivot))[stratum]
 
 
-def _text(level, reps, row):
-    groups = ("".join(str(int(d)) for d in reps[row, c]) for c in range(3))
-    return f"{level}:" + "/".join(groups)
+def _window_balls(q, level, chunk):
+    """Yield (x, y, z) blocks of the balls inside the unit window, in
+    slices of ``chunk``: x and y have digits 1, 0 at u^0, u^1 and z is the
+    pivot 1, x-major, so they come in the order the domain pass meets them."""
+    one, side = q ** (level - 1), q ** (level - 2)
+    for a, b in _blocks(side, side, chunk):
+        yield a + one, b + one, np.full(a.size, one)
+
+
+def _text(table, balls, row):
+    groups = ("".join(str(d) for d in table[:, v[row]]) for v in balls)
+    return f"{table.shape[0]}:" + "/".join(groups)
 
 
 # -- bulk predicates ---------------------------------------------------------
@@ -516,25 +518,22 @@ def verify_pingpong(pair, g, level, gamma_bound, eigen=None, epsilon_exponent=No
     adj_taps = [
         [_taps(adj.rows[i][j], vm_adj, dot_stop) for j in range(3)] for i in range(3)
     ]
+    table = _digit_table(q, level)
     rows = _row_format(q, max(depth, horizon, *(side["width"] for side in sides)))
+    values = rows.encode(table)
+    # x and y of a window ball read 1, 0 at u^0, u^1: the two leading
+    # base-q digits of their values make q
+    digit_1 = q ** (level - 2)
 
-    window_chunks = []
-    for stratum, reps in _ball_chunks(q, level, CHUNK):
-        n = reps.shape[0]
-        chunk = rows.pack(reps)
-        texts = lambda r: _text(level, reps, r)  # noqa: E731
+    for stratum, balls in _ball_chunks(q, level, CHUNK):
+        n = balls[0].size
+        chunk = rows.gather(values, balls)
+        texts = lambda r: _text(table, balls, r)  # noqa: E731
 
+        in_u = np.zeros(n, dtype=bool)
         if stratum == 2:
-            in_u = (
-                (reps[:, 0, 0] == 1)
-                & (reps[:, 0, 1] == 0)
-                & (reps[:, 1, 0] == 1)
-                & (reps[:, 1, 1] == 0)
-            )
-            if in_u.any():
-                window_chunks.append(reps[in_u].copy())
-        else:
-            in_u = np.zeros(n, dtype=bool)
+            in_u = (balls[0] // digit_1 == q) & (balls[1] // digit_1 == q)
+            report.window_balls += int(in_u.sum())
 
         in_cone = np.zeros(n, dtype=bool)
         for cone, side_name in zip(cones, ("+", "-")):
@@ -562,8 +561,8 @@ def verify_pingpong(pair, g, level, gamma_bound, eigen=None, epsilon_exponent=No
         m = dom_rows.size
         if m == 0:
             continue
-        dom = rows.take(chunk, dom_rows)
-        dom_texts = lambda r: _text(level, reps, dom_rows[r])  # noqa: E731
+        dom = rows.gather(values, [v[dom_rows] for v in balls])
+        dom_texts = lambda r: texts(dom_rows[r])  # noqa: E731
 
         # eigencoordinate valuations VAL_i = val(adj_i . y), trusted up to
         # dot_stop; beyond floor_cap they are ball-dependent, so floor them
@@ -628,11 +627,8 @@ def verify_pingpong(pair, g, level, gamma_bound, eigen=None, epsilon_exponent=No
             report.checked_images += m
 
             in_window = rows.window_mask(img, vm_col)
-            level_img = (
-                level
-                - side["lognorm_compound"]
-                - vm
-                - np.minimum(vm, level - side["lognorm"])
+            level_img = refined_image_level(
+                level, vm, side["lognorm"], side["lognorm_compound"]
             )
             report.merge_min("min_image_level", level_img.min())
             loss = vm + side["lognorm"]
@@ -656,15 +652,11 @@ def verify_pingpong(pair, g, level, gamma_bound, eigen=None, epsilon_exponent=No
             )
 
     # -- C2: window balls under the rank-two factor --------------------------
-    if window_chunks:
-        wreps = np.concatenate(window_chunks)
-    else:
-        wreps = np.empty((0, 3, level), dtype=_digit_dtype(q))
-    report.window_balls = wreps.shape[0]
+    # the window pass enumerates its own balls; the domain pass met them
     expected = window_ball_count(q, level)
     if report.window_balls != expected:
         raise AssertionError(
-            f"window enumeration found {report.window_balls} balls, expected {expected}"
+            f"the domain pass met {report.window_balls} window balls, expected {expected}"
         )
 
     gammas = _gamma_table(pair, gamma_bound)
@@ -677,12 +669,12 @@ def verify_pingpong(pair, g, level, gamma_bound, eigen=None, epsilon_exponent=No
         width = max(dvals) - dmin + level
         images.append((label, dvals, [d - dmin for d in dvals], width))
     rows = _row_format(q, max([depth] + [width for *_, width in images]))
+    values = rows.encode(table)
 
-    for lo in range(0, wreps.shape[0], CHUNK):
-        w = wreps[lo : lo + CHUNK]
-        n = w.shape[0]
-        w_texts = lambda r: _text(level, w, r)  # noqa: E731
-        chunk = rows.pack(w)
+    for balls in _window_balls(q, level, CHUNK):
+        n = balls[0].size
+        w_texts = lambda r: _text(table, balls, r)  # noqa: E731
+        chunk = rows.gather(values, balls)
         for label, dvals, offsets, width in images:
             img = rows.diagonal(chunk, offsets, width)
             report.checked_images += n

@@ -92,7 +92,7 @@ def test_window_points_have_flat_coordinates(pipeline):
     coordinate valuations 0, so gamma loses no norm on them."""
     pair, _, const = pipeline
     assert const.theta_exponent == 0
-    f = Field(pair.q, default_precision=24)
+    f = Field(pair.q)
     rng = random.Random(17)
     gammas = [pair.gamma(1, 0), pair.gamma(0, -1), pair.gamma(2, 3), pair.gamma(-1, 1)]
     for _ in range(1000):

@@ -102,6 +102,24 @@ def test_non_integer_digits_rejected(digits):
         Laurent(3, 0, digits)
 
 
+@pytest.mark.parametrize("lead", [1.5, 1.0, True, "1", None])
+def test_non_integer_lead_rejected(lead):
+    with pytest.raises(ValueError, match="lead"):
+        Laurent(3, lead, [1])
+
+
+@pytest.mark.parametrize("known_to", [2.5, 2.0, False, "2"])
+def test_non_integer_known_to_rejected(known_to):
+    with pytest.raises(ValueError, match="known_to"):
+        Laurent(3, 0, [1, 2, 1, 1, 1], known_to)
+
+
+def test_numpy_integer_lead_becomes_python_int():
+    x = Laurent(5, np.int64(-2), [3], known_to=np.int32(4))
+    assert x == Laurent(5, -2, [3], known_to=4)
+    assert type(x.lead) is int and type(x.known_to) is int
+
+
 def test_numpy_integer_digits_become_python_ints():
     x = Laurent(5, 0, np.array([3, 0, 4]), known_to=np.int64(7))
     assert x == Laurent(5, 0, [3, 0, 4], known_to=7)
@@ -113,11 +131,6 @@ def test_field_requires_prime_q():
         Field(4)
     with pytest.raises(ValueError):
         Field(1)
-
-
-def test_field_requires_min_default_precision():
-    with pytest.raises(ValueError):
-        Field(2, default_precision=4)
 
 
 # -- addition --------------------------------------------------------------

@@ -24,11 +24,13 @@ from pingpong3.pingpong.verify import (
     _ball_chunks,
     _BitRows,
     _ConeTest,
-    _decode,
     _digit_dtype,
+    _digit_table,
     _IntRows,
     _row_format,
     _taps,
+    _text,
+    _window_balls,
     verify_pingpong,
 )
 from pingpong3.projgeom import (
@@ -59,14 +61,31 @@ def test_synthetic_sweep_level_five():
 
 
 def test_ball_chunks_mirror_scalar_enumeration():
-    for q, level in ((2, 3), (3, 3)):
+    for q, level in ((2, 3), (3, 3), (5, 3)):
+        table = _digit_table(q, level)
         bulk = []
-        for _, reps in _ball_chunks(q, level, chunk=100):
-            for r in range(reps.shape[0]):
-                groups = ("".join(str(int(d)) for d in reps[r, c]) for c in range(3))
-                bulk.append(f"{level}:" + "/".join(groups))
+        for _, balls in _ball_chunks(q, level, chunk=100):
+            for r in range(balls[0].size):
+                bulk.append(_text(table, balls, r))
         scalar = [ball.text() for ball in enumerate_balls(q, level)]
         assert bulk == scalar
+
+
+@pytest.mark.parametrize("q, level", [(2, 4), (3, 4), (5, 3)])
+def test_window_pass_balls_are_the_domain_pass_window_balls(q, level):
+    """The window pass enumerates its own balls: exactly the balls the
+    domain pass finds inside the window, in the same order, cut into full
+    chunks."""
+    table = _digit_table(q, level)
+    chunks = list(_window_balls(q, level, chunk=7))
+    assert all(balls[0].size == 7 for balls in chunks[:-1])
+    window = [_text(table, balls, r) for balls in chunks for r in range(balls[0].size)]
+    scalar = [
+        ball.text()
+        for ball in enumerate_balls(q, level)
+        if in_unit_window(ball.vector()) is True
+    ]
+    assert window == scalar
 
 
 BULK_QS = (2, 3, 5, 13, 31)
@@ -87,37 +106,37 @@ def test_int_dtype_switches_at_each_boundary():
         assert int_dtype(top) == dtype
 
 
-def _sample_reps(q, level, count, seed):
-    """Every level-M ball representative when there are at most ``count``,
-    else about ``count`` random ones spread over the three strata, decoded
-    the way the sweep decodes them."""
+def _sample_balls(q, level, count, seed):
+    """Every level-M ball when there are at most ``count``, else about
+    ``count`` random ones spread over the three strata, as the sweep's
+    (x, y, z) value indices into ``_digit_table(q, level)``."""
     if ball_count(q, level) <= count:
-        return np.concatenate([reps for _, reps in _ball_chunks(q, level, CHUNK)])
-    rng = random.Random(seed)
-    k = count // 3
-    free, sub = q**level, q ** (level - 1)
+        strata = [balls for _, balls in _ball_chunks(q, level, CHUNK)]
+    else:
+        rng = random.Random(seed)
+        k = count // 3
+        free, one = q**level, q ** (level - 1)
 
-    def draw(total, width):
-        return _decode(q, np.array([rng.randrange(total) for _ in range(k)]), width)
+        def draw(total):
+            return np.array([rng.randrange(total) for _ in range(k)])
 
-    x = draw(free, level)
-    reps = np.zeros((3 * k, 3, level), dtype=x.dtype)
-    z_pivot, y_pivot, x_pivot = reps[:k], reps[k : 2 * k], reps[2 * k :]
-    z_pivot[:, 0] = x
-    z_pivot[:, 1] = draw(free, level)
-    z_pivot[:, 2, 0] = 1
-    y_pivot[:, 0] = draw(free, level)
-    y_pivot[:, 1, 0] = 1
-    y_pivot[:, 2, 1:] = draw(sub, level - 1)
-    x_pivot[:, 0, 0] = 1
-    x_pivot[:, 1, 1:] = draw(sub, level - 1)
-    x_pivot[:, 2, 1:] = draw(sub, level - 1)
-    return reps
+        pivot = np.full(k, one)
+        strata = [
+            (draw(free), draw(free), pivot),
+            (draw(free), pivot, draw(one)),
+            (pivot, draw(one), draw(one)),
+        ]
+    return tuple(np.concatenate(coord) for coord in zip(*strata))
 
 
-def _vector(q, rep):
-    """The exact representative vector of one digit-array row."""
-    return tuple(Laurent(q, 0, [int(d) for d in rep[c]]) for c in range(3))
+def _chunk(rows, table, balls):
+    """The sweep's chunk of ``balls`` in the format ``rows``."""
+    return rows.gather(rows.encode(table), balls)
+
+
+def _vector(q, table, balls, r):
+    """The exact representative vector of ball ``r``."""
+    return tuple(Laurent(q, 0, [int(d) for d in table[:, v[r]]]) for v in balls)
 
 
 def _formats(q):
@@ -143,25 +162,28 @@ def test_row_format_takes_words_only_at_q2_within_64_columns():
 def test_cone_test_agrees_with_scalar_predicate(q):
     level = 4
     eig = eigen_flags(make_proximal(q), precision=40)
-    reps = _sample_reps(q, level, 1500, seed=q)
-    ys = [_vector(q, rep) for rep in reps]
+    table = _digit_table(q, level)
+    balls = _sample_balls(q, level, 1500, seed=q)
+    ys = [_vector(q, table, balls, r) for r in range(balls[0].size)]
     in_u = np.array([in_unit_window(y) is True for y in ys])
     for rows in _formats(q):
         for apex in (eig.vectors[0], eig.vectors[2]):
             cone = _ConeTest(apex, depth=level + 8)
-            verdict, _, _ = cone.verdicts(rows, rows.pack(reps), ignore=in_u)
+            chunk = _chunk(rows, table, balls)
+            verdict, _, _ = cone.verdicts(rows, chunk, ignore=in_u)
             for y, u, got in zip(ys, in_u, verdict):
                 if not u:  # window balls may be undecidable in bulk; they
                     # are excluded from the domain on other grounds
                     assert in_slope_u_cone(apex, y) is bool(got)
 
 
-def _bulk_rows(rows, mat, reps, start, stop):
+def _bulk_rows(rows, mat, table, balls, start, stop):
     """``shift_add`` of the rows of ``mat``'s digits in [start, stop), as
     (n, 3, width) digits over every column the products reach."""
-    width = stop - start + reps.shape[2] - 1
+    width = stop - start + table.shape[0] - 1
     taps = [[_taps(mat.rows[i][j], start, stop) for j in range(3)] for i in range(3)]
-    return _digits(rows, rows.shift_add(taps, rows.pack(reps), start, width), width)
+    chunk = _chunk(rows, table, balls)
+    return _digits(rows, rows.shift_add(taps, chunk, start, width), width)
 
 
 @pytest.mark.parametrize("q", BULK_QS)
@@ -169,13 +191,14 @@ def test_image_shift_adds_agree_with_scalar_products(q):
     """The sweep's images under g and g^-1, digit for digit."""
     level = 4
     g = make_proximal(q) ** 2
-    reps = _sample_reps(q, level, 300, seed=q + 1)
+    table = _digit_table(q, level)
+    balls = _sample_balls(q, level, 300, seed=q + 1)
     for rows in _formats(q):
         for mat in (g, g.inverse()):
             lo, hi = support(x for row in mat.rows for x in row)
-            bulk = _bulk_rows(rows, mat, reps, lo, hi)
-            for rep, digits in zip(reps, bulk):
-                image = mat.matvec(_vector(q, rep))
+            bulk = _bulk_rows(rows, mat, table, balls, lo, hi)
+            for r, digits in enumerate(bulk):
+                image = mat.matvec(_vector(q, table, balls, r))
                 for i in range(3):
                     scalar = [image[i].digit_at(lo + c) for c in range(digits.shape[1])]
                     assert scalar == list(digits[i])
@@ -189,11 +212,12 @@ def test_eigencoordinate_shift_adds_agree_with_scalar_products(q):
     basis = eigen_flags(make_proximal(q), precision=40).basis
     adj = basis.adjugate()
     start, stop = adj.min_val(), adj.min_val() + 2 * level
-    reps = _sample_reps(q, level, 300, seed=q + 2)
+    table = _digit_table(q, level)
+    balls = _sample_balls(q, level, 300, seed=q + 2)
     for rows in _formats(q):
-        bulk = _bulk_rows(rows, adj, reps, start, stop)
-        for rep, digits in zip(reps, bulk):
-            coords = adj.matvec(_vector(q, rep))
+        bulk = _bulk_rows(rows, adj, table, balls, start, stop)
+        for r, digits in enumerate(bulk):
+            coords = adj.matvec(_vector(q, table, balls, r))
             for i in range(3):
                 scalar = [coords[i].digit_at(e) for e in range(start, stop)]
                 assert None not in scalar
@@ -206,11 +230,12 @@ def test_diagonal_images_agree_with_scalar_products(q):
     level, offsets = 4, (3, 0, 5)
     width = max(offsets) + level
     diag = Mat.diagonal([Field(q).u(k) for k in offsets])
-    reps = _sample_reps(q, level, 300, seed=q + 3)
+    table = _digit_table(q, level)
+    balls = _sample_balls(q, level, 300, seed=q + 3)
     for rows in _formats(q):
-        img = rows.diagonal(rows.pack(reps), offsets, width)
-        for rep, digits in zip(reps, _digits(rows, img, width)):
-            image = diag.matvec(_vector(q, rep))
+        img = rows.diagonal(_chunk(rows, table, balls), offsets, width)
+        for r, digits in enumerate(_digits(rows, img, width)):
+            image = diag.matvec(_vector(q, table, balls, r))
             for i in range(3):
                 assert [image[i].digit_at(c) for c in range(width)] == list(digits[i])
 
@@ -221,19 +246,21 @@ def test_shift_add_accumulator_holds_the_largest_column_sum():
     q, depth = 31, 14
     x = Laurent(q, 0, [q - 1] * depth)
     mat = Mat([[x] * 3] * 3)
-    reps = np.full((2, 3, depth), q - 1, dtype=_digit_dtype(q))
-    reps[1, 1, ::2] = 1
-    bulk = _bulk_rows(_IntRows(q), mat, reps, 0, depth)
-    for rep, digits in zip(reps, bulk):
-        image = mat.matvec(_vector(q, rep))
+    # a two-value table: column 0 all q - 1, column 1 with 1 at even places
+    table = np.full((depth, 2), q - 1, dtype=_digit_dtype(q))
+    table[::2, 1] = 1
+    balls = (np.array([0, 0]), np.array([0, 1]), np.array([0, 0]))
+    bulk = _bulk_rows(_IntRows(q), mat, table, balls, 0, depth)
+    for r, digits in enumerate(bulk):
+        image = mat.matvec(_vector(q, table, balls, r))
         for i in range(3):
             scalar = [image[i].digit_at(c) for c in range(digits.shape[1])]
             assert scalar == list(digits[i])
 
 
-def _monic_pair(ka, kb):
+def _monic_pair(ka, kb, q=2):
     """Monic diagonals u^ka, u^kb; the sweep reads only their exponents."""
-    f = Field(2)
+    f = Field(q)
     one = f.one()
     a, b = (Mat.diagonal([f.u(k) for k in ks]) for ks in (ka, kb))
     return DiagPair(a, b, (one, one), (one, one))
@@ -270,6 +297,49 @@ def test_q2_sweep_reports_and_examples_are_pinned(
     """as_dict() and every example of three q = 2 sweeps, digests recorded
     when every q = 2 row was an integer array."""
     report = verify_pingpong(pair, G2, level, gamma_bound, epsilon_exponent=epsilon)
+    assert _report_digest(report) == expected
+
+
+@pytest.mark.parametrize(
+    "q, level, gamma_bound, chunk, identity, expected",
+    [
+        # epsilon 0: examples read the domain balls' texts
+        (3, 5, 2, CHUNK, False, "751792be9dd0123d55b1a9da2b03480520b98caca5c9727ecc7d3e827c6b846a"),
+        # identity pair: examples read the window balls' texts
+        (3, 5, 2, CHUNK, True, "4feed41ab12d78fba5d6d4080f8c157a6a9a52c0929ce77721f91db172276078"),
+        # 467,125 domain balls over eight chunks
+        (5, 4, 2, CHUNK, False, "a7bd50b0c5c270a045e2197caf5789e4f69fee54c6b221af06844ff0b9febe6f"),
+        (5, 4, 2, CHUNK, True, "f14afab1edfdb88319459237b515d0f13ef3c04027030ec6242f047bd30e03d8"),
+        # small chunks: the examples depend on the chunk boundaries
+        (3, 3, 1, 7, False, "5bb47bc9f3ef37ec6064a5f48f743a1780f2c24c3f0f140bfdca9b58712b545c"),
+        (3, 3, 1, 7, True, "a1c4f0be44f47010de6f8bab8c84c5c7735c7d8f0a58b030d22f27c33b3414e6"),
+        (5, 3, 1, 64, False, "e3c9a44816db28aae585424769a090df2d29665b59c3fd8bd5281757dfd484d5"),
+    ],
+    ids=[
+        "q3-epsilon-0",
+        "q3-identity-pair",
+        "q5-epsilon-0",
+        "q5-identity-pair",
+        "q3-chunk-7-epsilon-0",
+        "q3-chunk-7-identity-pair",
+        "q5-chunk-64-epsilon-0",
+    ],
+)
+def test_odd_q_sweep_reports_and_examples_are_pinned(
+    monkeypatch, q, level, gamma_bound, chunk, identity, expected
+):
+    """as_dict() and every example of failing q = 3 and q = 5 sweeps, g the
+    square of the synthetic proximal element; digests recorded when each
+    chunk's balls were decoded to digit arrays of their own.  Either the
+    rank-two factor is the identity (gamma-window violations) or the
+    epsilon budget is 0 (epsilon violations)."""
+    monkeypatch.setattr(verify, "CHUNK", chunk)
+    if identity:
+        pair, epsilon = _monic_pair((0, 0, 0), (0, 0, 0), q), None
+    else:
+        pair, epsilon = make_generators(q), 0
+    g = make_proximal(q) ** 2
+    report = verify_pingpong(pair, g, level, gamma_bound, epsilon_exponent=epsilon)
     assert _report_digest(report) == expected
 
 
