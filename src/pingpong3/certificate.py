@@ -322,9 +322,11 @@ def _validate(cert):
 
 def load_certificate(path):
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CertificateError(f"cannot read certificate: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CertificateError(f"certificate is not UTF-8 text: {exc}") from exc
     try:
         cert = json.loads(text)
     except json.JSONDecodeError as exc:

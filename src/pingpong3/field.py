@@ -304,6 +304,13 @@ class Laurent:
     def __hash__(self):
         return hash((self.q, self.lead, self.digits, self.known_to))
 
+    def __reduce__(self):
+        # an exact element leaves known_to out: a pickled inf comes back as
+        # a new float, and exactness is tested by identity with INF
+        if self.exact:
+            return _make, (self.q, self.lead, self.digits)
+        return _make, (self.q, self.lead, self.digits, self.known_to)
+
     # -- access ----------------------------------------------------------
 
     def digit_at(self, e):

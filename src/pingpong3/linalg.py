@@ -81,6 +81,9 @@ class Mat:
     def __setattr__(self, name, value):
         raise AttributeError("matrices are immutable")
 
+    def __reduce__(self):
+        return Mat, (self.rows,)
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod

@@ -15,17 +15,26 @@ the projective plane:
   with the exact ultrametric norm identity (theta-exactness).
 
 A ball is three value indices into one digit table, built once per
-sweep: the base-q digits of every coordinate value below q^M.  Everything
-runs on digit rows in bulk, gathered from that table, in one of two
-formats picked from q and the widest row each pass reads (the domain pass
-and the window pass pick theirs separately):
+sweep: the base-q digits of every coordinate value below q^M.  The sweep
+reads balls through a few fixed families of linear forms -- the two cone
+forms per apex, the rows of the eigenbasis adjugate, the rows of g and
+g^-1 -- evaluated in bulk in one of two formats, picked from q and the
+widest row each pass reads (the domain pass and the window pass pick
+theirs separately):
 
-* at q = 2, when every row fits 64 columns, each coordinate's digit row is
-  one uint64 word (bit c = digit at u^c): a shift-add tap is an XOR of a
-  shifted word, a first-nonzero position is a trailing-zero count;
+* at q = 2, when every row fits 64 columns, a digit row is one uint64
+  word (bit c = digit at u^c).  A form is XOR-linear in each coordinate,
+  so once per pass a product table holds each coordinate's part of every
+  form at each of the q^M values; on a chunk of balls the forms are the
+  XOR of one gather per coordinate at the balls' value indices, with the
+  pivot coordinate's part a constant.  The window pass moves the same
+  parts by the diagonal's exponents (a shift of each word) instead of
+  evaluating the forms on every image.  A first-nonzero position is a
+  trailing-zero count.
 * otherwise a chunk of balls is a (3, M, n) integer array of base-q
-  digits, coordinate-major with the ball axis last, and matrix action is
-  shift-and-add mod q: each tap is one add of a contiguous block of n
+  digits, gathered from the table once and shared by every family,
+  coordinate-major with the ball axis last; a form is a shift-and-add mod
+  q of its coefficient taps, each tap one add of a contiguous block of n
   balls into a narrow accumulator.
 
 In both, the window test reads two digit columns and the cone test
@@ -42,6 +51,7 @@ widths, come from ``pingpong3.digits``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -78,24 +88,29 @@ def _digit_dtype(q):
 
 # -- digit rows: integer arrays, or uint64 words at q = 2 -------------------
 #
-# Both formats share one interface and store digits coordinate-major, with
-# the ball axis last.  ``encode`` turns the digit table into the format's
-# rows of every coordinate value, once per pass, and ``gather`` reads a
-# chunk from them at its balls' value indices (``_ball_chunks``);
-# ``shift_add`` evaluates k linear forms sum_j x_ij y_j on a chunk, each
-# form given as three tap lists (position, digit) of its coefficients
-# x_ij, into the digits at u^lead .. u^(lead + width - 1), and
-# ``first_nonzero`` reads those rows back as (n, k) positions.  Columns at
-# or past ``width`` are never computed: column c of a product only depends
-# on the columns <= c of its factors, so every column kept is exact.
+# Both formats share one interface and keep the ball axis last.  ``encode``
+# turns the digit table into the format's rows of every coordinate value,
+# once per pass.  A family of k linear forms sum_j x_ij y_j, each form
+# given as three tap lists (position, digit) of its coefficients x_ij, into
+# the digits at u^lead .. u^(lead + width - 1), is prepared once per pass by
+# ``forms``.  ``chunk`` reads one chunk of balls: their value indices (from
+# ``_ball_chunks``) and the index of their pivot coordinate, None for balls
+# of mixed strata.  ``evaluate`` gives a family's rows on a chunk; ``at``
+# gives them as a function of per-coordinate offsets o, coordinate j
+# entering as u^o_j y_j (the balls' images under a monic diagonal), with
+# the per-chunk work done once.  ``first_nonzero`` reads rows back as
+# (k, n) positions.  Columns at or past ``width`` are never kept: column c
+# of a product only depends on the columns <= c of its factors, so every
+# column kept is exact.
 
 
 class _IntRows:
     """Digit rows as integer arrays, for any q: a chunk is (3, M, n)
-    digits, k forms are (k, width, n) digits mod q.  A tap adds one
-    contiguous (<= M, n) block of a coordinate's digits into a contiguous
-    block of its form.  The accumulator is the narrowest dtype that holds
-    a form's largest column sum, q - 1 times the sum of its tap digits."""
+    digits, k forms are (k, width, n) digits mod q, evaluated per chunk by
+    a tap shift-add.  A tap adds one contiguous (<= M, n) block of a
+    coordinate's digits into a contiguous block of its form.  The
+    accumulator is the narrowest dtype that holds a form's largest column
+    sum, q - 1 times the sum of its tap digits."""
 
     def __init__(self, q):
         self.q = q
@@ -105,14 +120,40 @@ class _IntRows:
         return table
 
     @staticmethod
-    def gather(values, balls):
+    def forms(values, taps, lead, width):
+        return taps, lead, width
+
+    @staticmethod
+    def chunk(values, balls, pivot=None):
         """Rows (..., V) of every value, taken at the (x, y, z) index arrays
         ``balls``: (3, ..., n), one contiguous take per coordinate
-        (values[..., idx] would not keep the ball axis contiguous)."""
+        (values[..., idx] would not keep the ball axis contiguous) but the
+        pivot's, whose one value is filled in.  The chunk is gathered once
+        and shared by every family evaluated on it."""
         chunk = np.empty((3, *values.shape[:-1], balls[0].size), dtype=values.dtype)
-        for out, idx in zip(chunk, balls):
-            np.take(values, idx, axis=-1, out=out)
+        for j, (out, idx) in enumerate(zip(chunk, balls)):
+            if j == pivot:
+                out[...] = values[..., idx[0], None]
+            else:
+                np.take(values, idx, axis=-1, out=out)
         return chunk
+
+    def evaluate(self, forms, chunk):
+        taps, lead, width = forms
+        return self.shift_add(taps, chunk, lead, width)
+
+    def at(self, forms, chunk):
+        taps, lead, width = forms
+
+        def moved(offsets):
+            # u^o y_j moves each tap (p, d) on y_j to (p + o, d)
+            taps_o = [
+                [[(p + o, d) for p, d in t] for t, o in zip(row, offsets)]
+                for row in taps
+            ]
+            return self.shift_add(taps_o, chunk, lead, width)
+
+        return moved
 
     def shift_add(self, taps, chunk, lead, width):
         _, level, n = chunk.shape
@@ -135,14 +176,14 @@ class _IntRows:
 
     @staticmethod
     def first_nonzero(rows, none_value):
-        """Leading zero count of each row, capped at none_value, ball axis
-        first: one contiguous pass per column, not an argmax across them."""
+        """Leading zero count of each row, capped at none_value: one
+        contiguous pass per column, not an argmax across them."""
         zero = rows[..., 0, :] == 0
         count = zero.astype(int_dtype(rows.shape[-2]))
         for c in range(1, rows.shape[-2]):
             zero &= rows[..., c, :] == 0
             count += zero
-        return np.minimum(count.astype(np.int64), none_value).T
+        return np.minimum(count.astype(np.int64), none_value)
 
     def lead_column(self, img, width):
         """First column where any of the three coordinates is nonzero."""
@@ -170,12 +211,35 @@ class _IntRows:
         return img
 
 
+class _BitChunk:
+    """A chunk at q = 2: its balls' value indices and pivot coordinate.
+    Forms read their tables at the indices; the words themselves are
+    gathered only when a diagonal image needs them."""
+
+    def __init__(self, values, balls, pivot):
+        self.values, self.balls, self.pivot = values, balls, pivot
+
+    @cached_property
+    def words(self):
+        return _IntRows.chunk(self.values, self.balls, self.pivot)
+
+    def take(self, table, j):
+        """The (k, V) ``table`` at coordinate j's value indices: (k, n), or
+        (k, 1) for the pivot, whose value is the same on every ball."""
+        idx = self.balls[j]
+        return table[:, idx[:1]] if j == self.pivot else np.take(table, idx, axis=1)
+
+
 class _BitRows:
     """q = 2 digit rows as uint64 words, bit c holding the digit at
-    u^(lead + c): a chunk is (n, 3) words, k forms are (n, k) words, both
-    stored coordinate-major so each coordinate's words are contiguous.
-    Every nonzero digit is 1 and -1 = 1, so a tap XORs in the shifted word
-    and nothing is reduced.  Rows must fit 64 columns (``_row_format``)."""
+    u^(lead + c): k forms, images and chunks are (k, n) words.  Every
+    nonzero digit is 1 and -1 = 1, so a tap XORs in the shifted word and
+    nothing is reduced.  A form is linear over XOR in each coordinate, so
+    ``forms`` evaluates each coordinate's part x_ij v of every form at
+    every value v once per pass, into one (k, V) product table per
+    coordinate; on a chunk the forms are the XOR of one take per coordinate
+    at its value indices, the pivot's table column a constant.  Rows must
+    fit 64 columns (``_row_format``)."""
 
     @staticmethod
     def encode(table):
@@ -185,20 +249,57 @@ class _BitRows:
             words |= digits.astype(np.uint64) << np.uint64(c)
         return words
 
+    def forms(self, values, taps, lead, width):
+        """One (k, V) product table per coordinate j: the taps on y_j alone,
+        shift-added over every value."""
+        every = np.broadcast_to(values, (3, values.size))
+        tables = []
+        for j in range(3):
+            only_j = [[t if i == j else [] for i, t in enumerate(row)] for row in taps]
+            tables.append(self.shift_add(only_j, every, lead, width))
+        return tables, width
+
     @staticmethod
-    def gather(words, balls):
-        return _IntRows.gather(words, balls).T
+    def chunk(values, balls, pivot=None):
+        return _BitChunk(values, balls, pivot)
+
+    @staticmethod
+    def evaluate(forms, chunk):
+        """One take per coordinate, XORed in as it comes (pivot last), so
+        at most two (k, n) arrays are alive at once."""
+        tables, _ = forms
+        order = sorted(range(3), key=lambda j: j == chunk.pivot)
+        out = chunk.take(tables[order[0]], order[0])
+        for j in order[1:]:
+            out ^= chunk.take(tables[j], j)
+        return out
+
+    @staticmethod
+    def at(forms, chunk):
+        tables, width = forms
+        parts = [chunk.take(table, j) for j, table in enumerate(tables)]
+        shape = (len(tables[0]), chunk.balls[0].size)
+
+        def moved(offsets):
+            out = np.zeros(shape, dtype=np.uint64)
+            for part, off in zip(parts, offsets):
+                if off < width:  # a part moved past the width adds nothing
+                    out ^= part << np.uint64(off)
+            out &= (1 << width) - 1
+            return out
+
+        return moved
 
     @staticmethod
     def shift_add(taps, chunk, lead, width):
-        out = np.zeros((len(taps), chunk.shape[0]), dtype=np.uint64)
+        out = np.zeros((len(taps), chunk.shape[1]), dtype=np.uint64)
         for acc, row in zip(out, taps):
-            for y, coord_taps in zip(chunk.T, row):
+            for y, coord_taps in zip(chunk, row):
                 for pos, _ in coord_taps:
                     if pos - lead < width:
-                        acc ^= y << (pos - lead)
+                        acc ^= y << np.uint64(pos - lead)
         out &= (1 << width) - 1
-        return out.T
+        return out
 
     @staticmethod
     def first_nonzero(rows, none_value):
@@ -208,16 +309,16 @@ class _BitRows:
         return np.minimum(zeros, none_value).astype(np.int64)
 
     def lead_column(self, img, width):
-        return self.first_nonzero(img[:, 0] | img[:, 1] | img[:, 2], width)
+        return self.first_nonzero(img[0] | img[1] | img[2], width)
 
     @staticmethod
     def window_mask(img, vm_col):
-        diff = (img[:, 0] ^ img[:, 1]) | (img[:, 0] ^ img[:, 2])
+        diff = (img[0] ^ img[1]) | (img[0] ^ img[2])
         return ((diff >> vm_col.astype(np.uint64)) & 3) == 0
 
     @staticmethod
     def diagonal(chunk, offsets, width):
-        return chunk << np.array(offsets, dtype=np.uint64)
+        return chunk.words << np.array(offsets, dtype=np.uint64)[:, None]
 
 
 def _row_format(q, width):
@@ -256,7 +357,7 @@ def _ball_chunks(q, level, chunk):
     free, one = q**level, q ** (level - 1)
     for stratum, outer, inner in ((2, free, free), (1, free, one), (0, one, one)):
         for a, b in _blocks(outer, inner, chunk):
-            pivot = np.full(a.size, one)
+            pivot = np.broadcast_to(one, a.shape)
             yield stratum, ((pivot, a, b), (a, pivot, b), (a, b, pivot))[stratum]
 
 
@@ -266,7 +367,9 @@ def _window_balls(q, level, chunk):
     pivot 1, x-major, so they come in the order the domain pass meets them."""
     one, side = q ** (level - 1), q ** (level - 2)
     for a, b in _blocks(side, side, chunk):
-        yield a + one, b + one, np.full(a.size, one)
+        a += one  # in place: the generator holds no second copy
+        b += one
+        yield a, b, np.broadcast_to(one, a.shape)
 
 
 def _text(table, balls, row):
@@ -283,28 +386,30 @@ class _ConeTest:
     With n = a x y, the slope is congruent to u iff val(n0 + u n1) >=
     val(n1) + 2 (the sign the scalar route puts on -n0 - u n1 does not move
     valuations).  Both n1 = a2 y0 - a0 y2 and comb = n0 + u n1 = u a2 y0 -
-    a2 y1 + (a1 - u a0) y2 are linear forms in y, evaluated by one
-    shift-add.  The apex digits are exact on [0, depth), so the forms are
-    trusted on columns [0, depth) only; a verdict that would need digits at
-    or beyond the horizon raises InsufficientPrecision.  ``verdicts``
-    returns (in_cone, val_n1, val_comb) with the two valuations as column
-    indices (depth meaning "at least depth").  Rows marked ``ignore`` may
-    stay undecided without raising -- the caller uses that for balls it
-    excludes on other grounds (the apex's own window ball has an
-    identically zero cross product).
+    a2 y1 + (a1 - u a0) y2 are linear forms in y: ``forms``, one family of
+    the pass's row format.  The apex digits are exact on [0, depth), so the
+    forms are trusted on columns [0, depth) only; a verdict that would need
+    digits at or beyond the horizon raises InsufficientPrecision.
+    ``verdicts`` reads the forms evaluated on a chunk, or on its images
+    under a^m b^n, and returns (in_cone, val_n1, val_comb) with the two
+    valuations as column indices (depth meaning "at least depth").  Rows
+    marked ``ignore`` may stay undecided without raising -- the caller
+    uses that for balls it excludes on other grounds (the apex's own window
+    ball has an identically zero cross product).
     """
 
-    def __init__(self, apex, depth):
+    def __init__(self, rows, values, apex, depth):
         a0, a1, a2 = apex
-        self.depth = depth
+        self.rows, self.depth = rows, depth
         forms = ((a2, None, -a0), (a2.shift(1), -a2, a1 - a0.shift(1)))
         self.taps = [
             [[] if x is None else _taps(x, 0, depth) for x in form] for form in forms
         ]
+        self.forms = rows.forms(values, self.taps, 0, depth)
 
-    def verdicts(self, rows, img, ignore=None):
+    def verdicts(self, forms, ignore=None):
         d = self.depth
-        v1, vc = rows.first_nonzero(rows.shift_add(self.taps, img, 0, d), d).T
+        v1, vc = self.rows.first_nonzero(forms, d)
         undecided = (vc >= d) & (v1 >= d - 1)
         if ignore is not None:
             undecided &= ~ignore
@@ -511,8 +616,6 @@ def verify_pingpong(pair, g, level, gamma_bound, eigen=None, epsilon_exponent=No
         )
 
     depth = level + 8
-    cones = (_ConeTest(apex_plus, depth), _ConeTest(apex_minus, depth))
-
     dot_stop = floor_cap + 2
     horizon = dot_stop - vm_adj
     adj_taps = [
@@ -521,13 +624,17 @@ def verify_pingpong(pair, g, level, gamma_bound, eigen=None, epsilon_exponent=No
     table = _digit_table(q, level)
     rows = _row_format(q, max(depth, horizon, *(side["width"] for side in sides)))
     values = rows.encode(table)
+    cones = [_ConeTest(rows, values, apex, depth) for apex in (apex_plus, apex_minus)]
+    adj_forms = rows.forms(values, adj_taps, vm_adj, horizon)
+    for side in sides:
+        side["forms"] = rows.forms(values, side["taps"], side["lead"], side["width"])
     # x and y of a window ball read 1, 0 at u^0, u^1: the two leading
     # base-q digits of their values make q
     digit_1 = q ** (level - 2)
 
     for stratum, balls in _ball_chunks(q, level, CHUNK):
         n = balls[0].size
-        chunk = rows.gather(values, balls)
+        chunk = rows.chunk(values, balls, stratum)
         texts = lambda r: _text(table, balls, r)  # noqa: E731
 
         in_u = np.zeros(n, dtype=bool)
@@ -537,7 +644,9 @@ def verify_pingpong(pair, g, level, gamma_bound, eigen=None, epsilon_exponent=No
 
         in_cone = np.zeros(n, dtype=bool)
         for cone, side_name in zip(cones, ("+", "-")):
-            verdict, v1, vc = cone.verdicts(rows, chunk, ignore=in_u)
+            verdict, v1, vc = cone.verdicts(
+                rows.evaluate(cone.forms, chunk), ignore=in_u
+            )
             in_cone |= verdict
             # verdicts must be constant on each non-window ball (window
             # balls leave the domain regardless): perturbations enter the
@@ -561,13 +670,13 @@ def verify_pingpong(pair, g, level, gamma_bound, eigen=None, epsilon_exponent=No
         m = dom_rows.size
         if m == 0:
             continue
-        dom = rows.gather(values, [v[dom_rows] for v in balls])
+        dom = rows.chunk(values, [v[dom_rows] for v in balls], stratum)
         dom_texts = lambda r: texts(dom_rows[r])  # noqa: E731
 
         # eigencoordinate valuations VAL_i = val(adj_i . y), trusted up to
         # dot_stop; beyond floor_cap they are ball-dependent, so floor them
-        coords = rows.shift_add(adj_taps, dom, vm_adj, horizon)
-        val1, val2, val3 = (rows.first_nonzero(coords, horizon) + vm_adj).T
+        coords = rows.evaluate(adj_forms, dom)
+        val1, val2, val3 = rows.first_nonzero(coords, horizon) + vm_adj
         del coords  # not held through the image pass below
         f1 = np.minimum(val1, floor_cap)
         f2 = np.minimum(val2, floor_cap)
@@ -619,7 +728,7 @@ def verify_pingpong(pair, g, level, gamma_bound, eigen=None, epsilon_exponent=No
         # concrete images under g and g^-1
         for side in sides:
             width = side["width"]
-            img = rows.shift_add(side["taps"], dom, side["lead"], width)
+            img = rows.evaluate(side["forms"], dom)
             vm_col = rows.lead_column(img, width)
             if (vm_col >= width - 1).any():
                 raise InsufficientPrecision("image lost inside its digit window")
@@ -662,7 +771,9 @@ def verify_pingpong(pair, g, level, gamma_bound, eigen=None, epsilon_exponent=No
     gammas = _gamma_table(pair, gamma_bound)
     report.gamma_elements = len(gammas)
     # each image is the window digits moved right by the diagonal's
-    # exponents; one row format serves the widest image of the pass
+    # exponents, and its cone forms are the chunk's moved the same way (the
+    # image itself is built only for its lead column and window test); one
+    # row format serves the widest image of the pass
     images = []
     for label, dvals in gammas:
         dmin = min(dvals)
@@ -670,11 +781,13 @@ def verify_pingpong(pair, g, level, gamma_bound, eigen=None, epsilon_exponent=No
         images.append((label, dvals, [d - dmin for d in dvals], width))
     rows = _row_format(q, max([depth] + [width for *_, width in images]))
     values = rows.encode(table)
+    cones = [_ConeTest(rows, values, apex, depth) for apex in (apex_plus, apex_minus)]
 
     for balls in _window_balls(q, level, CHUNK):
         n = balls[0].size
         w_texts = lambda r: _text(table, balls, r)  # noqa: E731
-        chunk = rows.gather(values, balls)
+        chunk = rows.chunk(values, balls, 2)  # z is the pivot 1
+        cone_forms = [rows.at(cone.forms, chunk) for cone in cones]
         for label, dvals, offsets, width in images:
             img = rows.diagonal(chunk, offsets, width)
             report.checked_images += n
@@ -707,10 +820,10 @@ def verify_pingpong(pair, g, level, gamma_bound, eigen=None, epsilon_exponent=No
                     "all window balls",
                     f"window verdicts need 2 stable columns, have {pert}",
                 )
-            for cone, side_name in zip(cones, ("+", "-")):
+            for cone, forms, side_name in zip(cones, cone_forms, ("+", "-")):
                 # images already flagged as window violations may sit in the
                 # apex ball where the cone test cannot decide; skip those
-                verdict, v1, vc = cone.verdicts(rows, img, ignore=in_window)
+                verdict, v1, vc = cone.verdicts(forms(offsets), ignore=in_window)
                 _flag(
                     report,
                     f"gamma-cone{side_name}",

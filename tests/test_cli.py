@@ -62,6 +62,14 @@ def test_verify_missing_file_is_exit_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_verify_non_utf8_file_is_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe")
+    assert main(["verify", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "UTF-8" in err and "Traceback" not in err
+
+
 def test_non_prime_q_is_a_parse_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["construct", "--q", "4"])

@@ -1,6 +1,8 @@
 """Field layer: digit arithmetic, precision rules, regions, text grammar."""
 
+import copy
 import math
+import pickle
 import random
 
 import numpy as np
@@ -124,6 +126,30 @@ def test_numpy_integer_digits_become_python_ints():
     x = Laurent(5, 0, np.array([3, 0, 4]), known_to=np.int64(7))
     assert x == Laurent(5, 0, [3, 0, 4], known_to=7)
     assert all(type(d) is int for d in x.digits) and type(x.known_to) is int
+
+
+_COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+}
+
+
+@pytest.mark.parametrize("how", sorted(_COPIES))
+@pytest.mark.parametrize("q", [2, 3, 13])
+def test_copies_and_pickles_rebuild_the_element(q, how):
+    elements = [
+        Laurent(q, -2, [1, 0, q - 1]),  # exact
+        Laurent(q, 1, [q - 1, 1], known_to=5),  # inexact
+        Laurent(q, 0, [], known_to=3),  # undecidable valuation
+        Field(q).zero(),
+    ]
+    for x in elements:
+        y = _COPIES[how](x)
+        assert type(y) is Laurent and y == x
+        assert y.exact is x.exact and y.val() == x.val()
+        if x.exact:
+            assert y.known_to is INF
 
 
 def test_field_requires_prime_q():

@@ -1,6 +1,8 @@
 """Matrix layer: products, inverses, norms, Cartan data, char polys."""
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -54,6 +56,16 @@ def test_diagonal_product():
     b = diag(F2, -2, 4, -2)
     assert a * b == diag(F2, 2, 2, -4)
     assert a * Mat.identity(2) == a
+
+
+def test_matrices_copy_and_pickle():
+    rng = random.Random(7)
+    for q in (2, 3, 13):
+        m = rand_mat(rng, q)
+        inexact = Mat([[x.truncate(2) for x in r] for r in m.rows])
+        for x in (m, inexact):
+            for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+                assert type(y) is Mat and y == x and y.exact == x.exact
 
 
 def test_cartan_projection_of_diagonal():

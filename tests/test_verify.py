@@ -106,12 +106,13 @@ def test_int_dtype_switches_at_each_boundary():
         assert int_dtype(top) == dtype
 
 
-def _sample_balls(q, level, count, seed):
+def _sample_strata(q, level, count, seed):
     """Every level-M ball when there are at most ``count``, else about
-    ``count`` random ones spread over the three strata, as the sweep's
-    (x, y, z) value indices into ``_digit_table(q, level)``."""
+    ``count`` random ones spread over the three strata, as (stratum, balls)
+    pairs: the sweep's (x, y, z) value indices into ``_digit_table(q, level)``
+    and the index of their pivot coordinate."""
     if ball_count(q, level) <= count:
-        strata = [balls for _, balls in _ball_chunks(q, level, CHUNK)]
+        return list(_ball_chunks(q, level, CHUNK))
     else:
         rng = random.Random(seed)
         k = count // 3
@@ -121,17 +122,22 @@ def _sample_balls(q, level, count, seed):
             return np.array([rng.randrange(total) for _ in range(k)])
 
         pivot = np.full(k, one)
-        strata = [
-            (draw(free), draw(free), pivot),
-            (draw(free), pivot, draw(one)),
-            (pivot, draw(one), draw(one)),
+        return [
+            (2, (draw(free), draw(free), pivot)),
+            (1, (draw(free), pivot, draw(one))),
+            (0, (pivot, draw(one), draw(one))),
         ]
+
+
+def _sample_balls(q, level, count, seed):
+    """``_sample_strata`` as one chunk of mixed strata."""
+    strata = [balls for _, balls in _sample_strata(q, level, count, seed)]
     return tuple(np.concatenate(coord) for coord in zip(*strata))
 
 
 def _chunk(rows, table, balls):
     """The sweep's chunk of ``balls`` in the format ``rows``."""
-    return rows.gather(rows.encode(table), balls)
+    return rows.chunk(rows.encode(table), balls)
 
 
 def _vector(q, table, balls, r):
@@ -145,10 +151,10 @@ def _formats(q):
 
 
 def _digits(rows, out, width):
-    """``shift_add`` output as an (n, k, width) digit array in either format:
-    (n, k) words, or (k, width, n) integer digits."""
+    """k rows of either format as an (n, k, width) digit array: (k, n)
+    words, or (k, width, n) integer digits."""
     if isinstance(rows, _BitRows):
-        return (out[..., None] >> np.arange(width, dtype=np.uint64)) & 1
+        return (out.T[..., None] >> np.arange(width, dtype=np.uint64)) & 1
     return out.transpose(2, 0, 1)
 
 
@@ -167,23 +173,26 @@ def test_cone_test_agrees_with_scalar_predicate(q):
     ys = [_vector(q, table, balls, r) for r in range(balls[0].size)]
     in_u = np.array([in_unit_window(y) is True for y in ys])
     for rows in _formats(q):
+        values = rows.encode(table)
+        chunk = rows.chunk(values, balls)
         for apex in (eig.vectors[0], eig.vectors[2]):
-            cone = _ConeTest(apex, depth=level + 8)
-            chunk = _chunk(rows, table, balls)
-            verdict, _, _ = cone.verdicts(rows, chunk, ignore=in_u)
+            cone = _ConeTest(rows, values, apex, depth=level + 8)
+            verdict, _, _ = cone.verdicts(rows.evaluate(cone.forms, chunk), ignore=in_u)
             for y, u, got in zip(ys, in_u, verdict):
                 if not u:  # window balls may be undecidable in bulk; they
                     # are excluded from the domain on other grounds
                     assert in_slope_u_cone(apex, y) is bool(got)
 
 
-def _bulk_rows(rows, mat, table, balls, start, stop):
-    """``shift_add`` of the rows of ``mat``'s digits in [start, stop), as
-    (n, 3, width) digits over every column the products reach."""
+def _bulk_rows(rows, mat, table, balls, start, stop, pivot=None):
+    """The rows of ``mat``'s digits in [start, stop) as a family of forms,
+    evaluated on ``balls`` as the sweep does: (n, 3, width) digits over
+    every column the products reach."""
     width = stop - start + table.shape[0] - 1
     taps = [[_taps(mat.rows[i][j], start, stop) for j in range(3)] for i in range(3)]
-    chunk = _chunk(rows, table, balls)
-    return _digits(rows, rows.shift_add(taps, chunk, start, width), width)
+    values = rows.encode(table)
+    forms = rows.forms(values, taps, start, width)
+    return _digits(rows, rows.evaluate(forms, rows.chunk(values, balls, pivot)), width)
 
 
 @pytest.mark.parametrize("q", BULK_QS)
@@ -238,6 +247,70 @@ def test_diagonal_images_agree_with_scalar_products(q):
             image = diag.matvec(_vector(q, table, balls, r))
             for i in range(3):
                 assert [image[i].digit_at(c) for c in range(width)] == list(digits[i])
+
+
+@pytest.mark.parametrize("q", BULK_QS)
+def test_pivot_coordinate_part_is_one_constant(q):
+    """A chunk of one stratum reads its pivot coordinate's part of each form
+    once; the forms equal those read with every coordinate gathered."""
+    level = 4
+    g = make_proximal(q) ** 2
+    lo, hi = support(x for row in g.rows for x in row)
+    table = _digit_table(q, level)
+    for rows in _formats(q):
+        for stratum, balls in _sample_strata(q, level, 300, seed=q + 5):
+            per_ball = _bulk_rows(rows, g, table, balls, lo, hi)
+            pivoted = _bulk_rows(rows, g, table, balls, lo, hi, pivot=stratum)
+            assert np.array_equal(per_ball, pivoted)
+
+
+@pytest.mark.parametrize("q", BULK_QS)
+def test_cone_forms_moved_by_offsets_are_the_forms_of_the_diagonal_image(q):
+    """The window pass's cone forms of an image under a monic diagonal,
+    read from the chunk with each coordinate moved by its offset, against
+    the forms evaluated on the image itself.  An offset at or past the
+    depth moves its coordinate out of every column kept."""
+    level = 4
+    depth = level + 8
+    eig = eigen_flags(make_proximal(q), precision=40)
+    table = _digit_table(q, level)
+    window = next(_window_balls(q, level, CHUNK))
+    sample = _sample_balls(q, level, 300, seed=q + 4)
+    cases = [(3, 0, 5), (0, depth, 2), (depth + 3, 1, 0), (0, 0, 0)]
+    for rows in _formats(q):
+        values = rows.encode(table)
+        for balls, pivot in ((window, 2), (sample, None)):
+            chunk = rows.chunk(values, balls, pivot)
+            for apex in (eig.vectors[0], eig.vectors[2]):
+                cone = _ConeTest(rows, values, apex, depth)
+                moved = rows.at(cone.forms, chunk)
+                for offsets in cases:
+                    img = rows.diagonal(chunk, offsets, max(offsets) + level)
+                    image_forms = rows.shift_add(cone.taps, img, 0, depth)
+                    got = _digits(rows, moved(offsets), depth)
+                    assert np.array_equal(got, _digits(rows, image_forms, depth))
+
+
+def test_q2_sweep_runs_no_shift_add_on_a_chunk(monkeypatch):
+    """At q = 2 the only shift-adds build the product tables, one run over
+    the V = 2^M values per coordinate and family, never one on balls."""
+    level = 5
+    seen = []
+    bit_shift_add = _BitRows.shift_add
+
+    def counted(taps, chunk, lead, width):
+        seen.append(chunk.shape[-1])
+        return bit_shift_add(taps, chunk, lead, width)
+
+    def refused(*args):
+        raise AssertionError("integer rows at q = 2")
+
+    monkeypatch.setattr(_BitRows, "shift_add", staticmethod(counted))
+    monkeypatch.setattr(_IntRows, "shift_add", refused)
+    report = verify_pingpong(PAIR2, G2, level, gamma_bound=2)
+    assert report.passed
+    # per coordinate: two cones, adjugate, g and g^-1; two cones again
+    assert seen == [2**level] * (3 * 5 + 3 * 2)
 
 
 def test_shift_add_accumulator_holds_the_largest_column_sum():
