@@ -1,16 +1,16 @@
 """The exact-digit layout shared by the field, the ball sweep and the word
 survey: Laurent elements read into base-q digit rows over an exponent
-window (``support``, ``window``, ``trim``), and digit rows packed into
-Python ints with one little-endian byte slot per digit, so that the native
-product of two packed rows is their packed convolution and their native sum
-their digitwise sum (Kronecker substitution, Harvey, J. Symbolic Comput.
-2009): ``pack``/``unpack`` for numpy rows, ``pack_row``/``unpack_row`` for
-the digit tuples of single elements.
+window (``support``, ``window``), and digit rows packed into Python ints
+with one little-endian byte slot per digit, so that the native product of
+two packed rows is their packed convolution and their native sum their
+digitwise sum (Kronecker substitution, Harvey, J. Symbolic Comput. 2009):
+``pack_row``/``unpack_row`` for the digit tuples of single elements, and
+``mod_rows`` to reduce packed sums and products mod q.
 
 The width rules sit side by side: ``int_dtype`` sizes numpy accumulators,
-``slot_bytes`` numpy Kronecker slots and ``row_bytes`` tuple-row slots of
-any width, each for the largest value it must hold; a slot too narrow would
-carry into the next.
+``slot_bytes`` Kronecker slots of at most 8 bytes and ``row_bytes``
+tuple-row slots of any width, each for the largest value it must hold; a
+slot too narrow would carry into the next.
 """
 
 from __future__ import annotations
@@ -45,17 +45,6 @@ def window(elems, start, stop):
     return out
 
 
-def trim(lead, arr):
-    """(lead, arr) without the all-zero digit planes (last axis) at either
-    end; raises ValueError when every plane is zero."""
-    planes = arr.reshape(-1, arr.shape[-1]).any(axis=0)
-    first = int(planes.argmax())
-    if not planes[first]:
-        raise ValueError("every digit plane is zero")
-    stop = planes.size - int(planes[::-1].argmax())
-    return lead + first, arr[..., first:stop]
-
-
 def int_dtype(top):
     """Narrowest signed integer dtype that holds 0 .. top.  Under NumPy 2
     promotion an array times a Python int keeps the array's dtype, so an
@@ -72,23 +61,6 @@ def slot_bytes(top):
         if top < 1 << (8 * nbytes):
             return nbytes
     raise ValueError("coefficients too wide for 8-byte slots")
-
-
-def pack(rows, nbytes):
-    """Each digit row of ``rows`` (its last axis) as one Python int, digit
-    i in the little-endian ``nbytes`` slot i."""
-    rows = np.asarray(rows)
-    step = rows.shape[-1] * nbytes
-    blob = rows.astype(f"<u{nbytes}").tobytes()
-    return [int.from_bytes(blob[k : k + step], "little") for k in range(0, len(blob), step)]
-
-
-def unpack(values, nbytes, width, q):
-    """The ``width`` slots of each packed value, mod q, as a
-    (len(values), width) array of ``nbytes``-byte unsigned digits."""
-    size = width * nbytes
-    blob = b"".join(v.to_bytes(size, "little") for v in values)
-    return np.frombuffer(blob, dtype=f"<u{nbytes}").reshape(len(values), width) % q
 
 
 def row_bytes(top):
@@ -115,3 +87,20 @@ def unpack_row(value, nbytes, width, q):
         return tuple(blob.translate(_mod_table(q)))
     slots = range(0, len(blob), nbytes)
     return tuple(int.from_bytes(blob[i : i + nbytes], "little") % q for i in slots)
+
+
+def mod_rows(values, nbytes, q):
+    """Packed values with every slot reduced mod q."""
+    if nbytes == 1:
+        table = _mod_table(q)
+        return [
+            int.from_bytes(
+                v.to_bytes(-(-v.bit_length() // 8), "little").translate(table), "little"
+            )
+            for v in values
+        ]
+    out = []
+    for v in values:
+        blob = v.to_bytes(-(-v.bit_length() // (8 * nbytes)) * nbytes, "little")
+        out.append(int.from_bytes((np.frombuffer(blob, f"<u{nbytes}") % q).tobytes(), "little"))
+    return out

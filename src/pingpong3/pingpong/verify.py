@@ -177,10 +177,13 @@ class _IntRows:
     @staticmethod
     def first_nonzero(rows, none_value):
         """Leading zero count of each row, capped at none_value: one
-        contiguous pass per column, not an argmax across them."""
+        contiguous pass per column, not an argmax across them, until no
+        row is still zero."""
         zero = rows[..., 0, :] == 0
         count = zero.astype(int_dtype(rows.shape[-2]))
         for c in range(1, rows.shape[-2]):
+            if not zero.any():
+                break
             zero &= rows[..., c, :] == 0
             count += zero
         return np.minimum(count.astype(np.int64), none_value)

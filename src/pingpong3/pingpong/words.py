@@ -21,34 +21,28 @@ matrices mu_1 = lognorm(w) and mu_3 = -lognorm(w^-1), so
 lognorm(w) + lognorm(w^-1) is tested against the minor-based Cartan oracle
 separately.)
 
-Every word is an exact Laurent polynomial matrix, so the survey runs on
-plain integer digit planes: a matrix is (lead, arr) with arr of shape
-(3, 3, D) holding base-q digits of each entry starting at exponent
-``lead``, and lognorm(w) = -lead.  The depth-first walk down the
-alternation tree extends each prefix w (and its inverse chain w^-1) by one
-syllable s:
+All three checks read two numbers per word, lognorm(w) = -lead(w) and
+lognorm(w^-1), so the survey carries each word only to the digits its
+leads can read, as a lead window (lead, lines, known_to).  The lines are
+three Python ints, the word's columns (its inverse's rows), each entry a
+field of one byte slot per base-q digit (``pingpong3.digits``) from u^lead,
+at most ``_WINDOW`` planes; known_to is the first exponent whose digits are
+no longer exact, tracked as ``Laurent.known_to`` is.  The depth-first walk
+extends each prefix w and its inverse chain w^-1 by one syllable s:
 
-* a diagonal syllable diag(c_j u^e_j) is applied without a product:
-  w s moves column j of w up e_j digits and scales it by c_j mod q, and
-  s^-1 w^-1 does the same to the rows of w^-1 with s^-1;
-* a syllable c^r is multiplied in by Kronecker substitution
-  (``pingpong3.digits``): the 27 row products and 9 sums are native
-  big-int arithmetic.  A product entry sums three convolutions of rows, so
-  its slots must hold 3 min(D_a, D_b) (q - 1)^2.  The c^r syllables are
-  packed once, and a prefix once for all its c^r children.
+* c^r, cut to the same window, by Kronecker substitution: line j of w c^r
+  is sum_k line_k(w) (c^r)_kj, nine native products reduced mod q, exact
+  below min(known_w + lead_c, known_c + lead_w);
+* diag(c_j u^e_j) without a product: line j moves up e_j planes and is
+  scaled by c_j mod q, and known_to moves up min_j(e_j).
 
-A leaf (a word whose length is the bound) is never extended, and its
-record needs only the two leads, so no leaf product is formed:
-
-* the lead of w s for a diagonal s is min_j(colval_j(w) + e_j), and that
-  of s^-1 w^-1 is min_i(rowval_i(w^-1) + e'_i); the column and row leads
-  are read once per prefix, and unit coefficients change no valuation;
-* the lead of a product A B with a c^r factor is read off its lowest digit
-  planes: plane t is sum_s A_s B_(t-s) mod q, and the lead sits at the
-  first nonzero one.  Only the lowest ``_LOW_PLANES`` planes are tried;
-  past them the whole product is formed;
-* only a leaf whose two leads are both 0 can be the identity, so only such
-  a leaf is multiplied out for check (a).
+The new lead is the first nonzero plane below known_to.  A word is rebuilt
+exactly from its syllables when no such plane is nonzero, or when both of
+its leads are 0 (only then can it be the identity); its subtree then
+continues exactly, with known_to None and the whole c^r, so no lead is ever
+guessed.  A leaf (length = bound) is never extended: the lead of a diagonal
+leaf is min_j(colval_j(w) + e_j), and of its inverse min_i(rowval_i(w^-1) +
+e'_i), from line leads read once per prefix.
 
 Margins are kept as integers, scaled by twice the common denominator of
 alpha |w| - c_total; a Fraction is built only for the reported minima,
@@ -65,142 +59,143 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
-from ..digits import pack, slot_bytes, support, trim, unpack, window
+from ..digits import mod_rows, pack_row, slot_bytes, support, unpack_row
 from ..field import Laurent
 
 __all__ = ["WordRecord", "WordSurvey", "reduced_word_count", "word_survey"]
 
-_EYE = np.eye(3, dtype=np.int64)
-
-# digit planes of a product tried for its lead before the whole product is
-# formed; on the q = 2 and q = 3 constructions the lead is always in the
-# lowest two
-_LOW_PLANES = 3
+# digit planes a window keeps from its lead; at the q = 2 and q = 3
+# constructions no lead runs past them up to length 8
+_WINDOW = 8
 
 
-# -- digit-plane matrices ----------------------------------------------------
+class _Layout:
+    """Three packed lines per 3x3 matrix: field i of line k, ``stride``
+    slots of ``nbytes`` bytes from slot stride * i, holds entry (i, k) of a
+    column-line matrix or (k, i) of a row-line one, its u^(lead + t) digit
+    in slot t.  ``width`` is the window's plane count, None when exact.  A
+    scalar matrix (lead, M, known_to) holds a syllable's entries one per
+    int, for ``mul``."""
 
+    def __init__(self, q, nbytes, stride, width):
+        self.q, self.nbytes, self.width = q, nbytes, width
+        self.bits, self.fbits = 8 * nbytes, 8 * nbytes * stride
+        self.fmask = (1 << self.fbits) - 1
+        self.eye = [1 << self.fbits * k for k in range(3)]
+        if width is not None:  # masks[k]: the lowest k slots of every field
+            self.masks = [((1 << self.bits * k) - 1) * sum(self.eye) for k in range(width + 1)]
 
-def _digit_planes(mat):
-    """An exact Mat as (lead, int64 digit array of shape (3, 3, D))."""
-    if not mat.exact:
-        raise ValueError("word evaluation requires exact matrices")
-    entries = [x for r in mat.rows for x in r]
-    span = support(entries)
-    if span is None:
-        raise ValueError("word evaluation requires an invertible matrix")
-    return span[0], window(entries, *span).reshape(3, 3, -1)
+    def exact(self, mat):
+        """An exact invertible Mat as an exact window of its columns."""
+        entries = [x for r in mat.rows for x in r]
+        lead, lines = support(entries)[0], [0, 0, 0]
+        for k, x in enumerate(entries):  # row k // 3, column k % 3
+            if x.digits:
+                shift = self.bits * (x.lead - lead) + self.fbits * (k // 3)
+                lines[k % 3] |= pack_row(x.digits, self.nbytes) << shift
+        return lead, lines, None
 
+    def scalars(self, w, left):
+        """A column-line window W as a scalar matrix for ``mul``, by its
+        columns: times W on the right of column lines or, for ``left``, on
+        the left of row lines."""
+        lead, lines, known = w
+        f = [[x >> self.fbits * i & self.fmask for i in range(3)] for x in lines]
+        return lead, [list(r) for r in zip(*f)] if left else f, known
 
-def _slot_bytes(q, depth):
-    """Bytes per packed digit: a slot must hold 3 depth (q - 1)^2, the
-    largest coefficient of a product entry whose shorter factor rows have
-    ``depth`` digits."""
-    return slot_bytes(3 * depth * (q - 1) ** 2)
-
-
-def _pack(pm, nbytes):
-    """(lead, depth, the nine digit rows as Python ints, row-major)."""
-    lead, arr = pm
-    return lead, arr.shape[2], pack(arr, nbytes)
-
-
-def _packed_mul(q, a, b, nbytes):
-    """Product of two packed matrices as a digit-plane matrix, exact mod q.
-
-    Both must be packed with ``nbytes`` at least
-    ``_slot_bytes(q, min(depth_a, depth_b))``.
-    """
-    la, da, ra = a
-    lb, db, rb = b
-    values = [
-        ra[i] * rb[j] + ra[i + 1] * rb[j + 3] + ra[i + 2] * rb[j + 6]
-        for i in (0, 3, 6)
-        for j in (0, 1, 2)
-    ]
-    return trim(la + lb, unpack(values, nbytes, da + db - 1, q).reshape(3, 3, -1))
-
-
-def _mul(q, a, b):
-    """Digit-plane matrix product, exact mod q."""
-    nbytes = _slot_bytes(q, min(a[1].shape[2], b[1].shape[2]))
-    return _packed_mul(q, _pack(a, nbytes), _pack(b, nbytes), nbytes)
-
-
-def _diag_mul(q, pm, diag, axis):
-    """pm times a monomial diagonal diag(c_k u^e_k), given as the triples
-    (e, c): on the right (axis 1) column k moves up e_k digits and is
-    scaled by c_k; on the left (axis 0) row k does."""
-    lead, arr = pm
-    exps, coeffs = diag
-    lo = min(exps)
-    depth = arr.shape[2]
-    out = np.zeros((3, 3, depth + max(exps) - lo), dtype=np.int64)
-    dst, src = (out, arr) if axis == 0 else (out.swapaxes(0, 1), arr.swapaxes(0, 1))
-    for k, e in enumerate(exps):
-        dst[k, :, e - lo : e - lo + depth] = src[k]
-    if any(c != 1 for c in coeffs):
-        scale = np.asarray(coeffs, dtype=np.int64)
-        dst *= scale[:, None, None]
-        out %= q
-    return trim(lead + lo, out)
-
-
-def _line_leads(pm, axis):
-    """Lead exponent of each column (axis 1) or row (axis 0) of pm: the
-    lead of pm times a diagonal diag(c_k u^e_k) on that side is
-    min_k(lead_k + e_k)."""
-    lead, arr = pm
-    return (lead + arr.any(axis=1 - axis).argmax(axis=1)).tolist()
-
-
-def _low_planes(pm, axis):
-    """(lead, the lowest ``_LOW_PLANES`` digit planes of pm as nested
-    lists): plane t as its three rows (axis 0, for a left factor) or its
-    three columns (axis 1, for a right factor)."""
-    lead, arr = pm
-    low = arr[:, :, :_LOW_PLANES]
-    return lead, (low.transpose(2, 0, 1) if axis == 0 else low.transpose(2, 1, 0)).tolist()
-
-
-def _low_lead(q, a, b):
-    """Lead exponent of the product A B of a left factor given by its low
-    rows and a right factor given by its low columns (``_low_planes``),
-    or None when the lowest ``_LOW_PLANES`` planes of the product vanish."""
-    la, rows = a
-    lb, cols = b
-    for t in range(min(_LOW_PLANES, len(rows) + len(cols) - 1)):
-        terms = [
-            (rows[s], cols[t - s])
-            for s in range(max(0, t + 1 - len(cols)), min(t + 1, len(rows)))
+    def cut(self, m, exact):
+        """A scalar matrix of the ``exact`` layout cut to this window."""
+        lead, rows, _ = m
+        width, nbytes = self.width, exact.nbytes
+        mask = (1 << 8 * nbytes * width) - 1
+        rows = [
+            [pack_row(unpack_row(x & mask, nbytes, width, self.q), self.nbytes) for x in r]
+            for r in rows
         ]
-        for i in range(3):
-            for j in range(3):
-                total = 0
-                for a_rows, b_cols in terms:
-                    (x0, x1, x2), (y0, y1, y2) = a_rows[i], b_cols[j]
-                    total += x0 * y0 + x1 * y1 + x2 * y2
-                if total % q:
-                    return la + lb + t
-    return None
+        return lead, rows, lead + width
+
+    def mul(self, w, m):
+        """w times the scalar matrix m, given by its columns: line j of the
+        result is sum_k line_k M[k][j], the columns of W C or the rows of
+        C W.  The slots must hold 3 min(depth_W, depth_C) (q - 1)^2."""
+        lw, (x0, x1, x2), kw = w
+        lm, ((a0, a1, a2), (b0, b1, b2), (c0, c1, c2)), km = m
+        known = None if kw is None else min(kw + lm, km + lw)
+        lines = [x0 * a0 + x1 * a1 + x2 * a2, x0 * b0 + x1 * b1 + x2 * b2]
+        lines.append(x0 * c0 + x1 * c1 + x2 * c2)
+        return self._settle(lw + lm, mod_rows(lines, self.nbytes, self.q), known)
+
+    def _settle(self, lead, lines, known):
+        """The window of lines whose slot 0 sits at u^lead, from its first
+        nonzero plane and at most ``width`` planes; None when no plane
+        below ``known`` is nonzero."""
+        f, (x0, x1, x2) = self.fbits, lines
+        low = x0 | x1 | x2
+        low = (low | low >> f | low >> 2 * f) & self.fmask
+        if not low:
+            return None
+        t = ((low & -low).bit_length() - 1) // self.bits
+        lead, shift = lead + t, self.bits * t
+        if known is None:
+            return lead, [x0 >> shift, x1 >> shift, x2 >> shift], None
+        if lead >= known:
+            return None
+        keep = min(self.width, known - lead)
+        mask = self.masks[keep]
+        return lead, [x0 >> shift & mask, x1 >> shift & mask, x2 >> shift & mask], lead + keep
+
+    def diag(self, w, d):
+        """w times a monomial diagonal d = (min e, e, c or None when every
+        c_k is 1) along its lines: line k moves up e_k planes and is scaled
+        by c_k mod q; None when no plane below known_to is nonzero."""
+        lead, lines, known = w
+        lo, exps, scale = d
+        bits = self.bits
+        if known is None:
+            out = [x << bits * (e - lo) for x, e in zip(lines, exps)]
+        else:
+            # each line is cut to what stays in the window before it moves,
+            # so that no field runs into the next
+            known += lo
+            new = min(x + e for x, e in zip(self.line_leads(w), exps))
+            if new >= known:
+                return None
+            keep = min(self.width, known - new)
+            masks, out = self.masks, []
+            for x, e in zip(lines, exps):
+                up = lead + e - new
+                if up < 0:  # the lowest -up planes of this line are zero
+                    out.append(x >> -bits * up & masks[keep])
+                else:
+                    out.append((x & masks[max(keep - up, 0)]) << bits * up)
+        if scale is not None:
+            out = mod_rows([x * c for x, c in zip(out, scale)], self.nbytes, self.q)
+        return self._settle(lead + lo, out, None) if known is None else (new, out, new + keep)
+
+    def line_leads(self, w):
+        """Lead exponent of each line of w, or known_to where no known digit
+        is nonzero: w times a diagonal along its lines has lead
+        min_k(lead_k + e_k)."""
+        lead, lines, known = w
+        f, out = self.fbits, []
+        for x in lines:
+            x = (x | x >> f | x >> 2 * f) & self.fmask
+            out.append(lead + ((x & -x).bit_length() - 1) // self.bits if x else known)
+        return out
+
+    def is_identity(self, w):
+        return w[2] is None and w[0] == 0 and w[1] == self.eye
 
 
-def _power(q, pm, e):
-    result = (0, _EYE[:, :, None].copy())
-    base = pm
-    while e:
-        if e & 1:
-            result = _mul(q, result, base)
-        base = _mul(q, base, base)
-        e >>= 1
-    return result
-
-
-def _is_identity(pm):
-    lead, arr = pm
-    return lead == 0 and arr.shape[2] == 1 and np.array_equal(arr[:, :, 0], _EYE)
+def _rebuild(parts, syllables, exact):
+    """The exact windows of a word (column lines) and of its inverse (row
+    lines), from its syllable labels and the exact ``syllables`` by label:
+    (step, right, left)."""
+    w = w_inv = (0, exact.eye, None)
+    for label in parts:
+        step, right, left = syllables[label]
+        w, w_inv = step(w, right), step(w_inv, left)
+    return w, w_inv
 
 
 # -- syllable tables ---------------------------------------------------------
@@ -219,9 +214,14 @@ def _diag_label(m, n):
     return " ".join(parts)
 
 
+def _monomial(triples):
+    """A diagonal diag(c_k u^e_k) for ``_Layout.diag``."""
+    exps, coeffs = triples
+    return min(exps), exps, None if all(c == 1 for c in coeffs) else coeffs
+
+
 def _diagonal_syllables(pair, bound):
-    """(label, weight, triples, inverse triples), ordered by (weight, m, n);
-    the triples are the (exponent, coefficient) pair of ``pair.monomial``."""
+    """(label, weight, diagonal, inverse diagonal), ordered by (weight, m, n)."""
     out = []
     for weight in range(1, bound + 1):
         for m in range(-weight, weight + 1):
@@ -229,36 +229,42 @@ def _diagonal_syllables(pair, bound):
             for n in sorted({-rest, rest}):
                 if (m, n) == (0, 0):
                     continue
-                out.append(
-                    (
-                        _diag_label(m, n),
-                        weight,
-                        pair.monomial(m, n),
-                        pair.monomial(-m, -n),
-                    )
-                )
+                inverse = _monomial(pair.monomial(-m, -n))
+                out.append((_diag_label(m, n), weight, _monomial(pair.monomial(m, n)), inverse))
     return out
 
 
-def _cyclic_syllables(q, g, r_prime, bound):
-    """(label, weight, planes, inverse planes) for c^r, c = g^r_prime."""
-    one = Laurent(q, 0, (1,))
-    if not (g.exact and g.det() == one):
+def _cyclic_syllables(pair, g, r_prime, bound):
+    """(the exact layout, [(label, weight, c^r, c^-r)]) for c = g^r_prime:
+    scalar matrices of c^r for the word's columns and of c^-r for its
+    inverse's rows."""
+    q = pair.q
+    if not (g.exact and g.det() == Laurent(q, 0, (1,))):
         raise ValueError("the cyclic generator must be exact with determinant 1")
-    c = _power(q, _digit_planes(g), r_prime)
-    c_inv = _power(q, _digit_planes(g.adjugate()), r_prime)
-    plus = [c]
-    minus = [c_inv]
-    for _ in range(bound - 1):
-        plus.append(_mul(q, plus[-1], c))
-        minus.append(_mul(q, minus[-1], c_inv))
+    gens = (g, g.adjugate())
+    # a product is at most one plane shallower than its factors together,
+    # and a^m b^n spreads a line by at most |m| + |n| times the wider
+    # generator's spread: no c^r, and no word, is deeper than this
+    step = r_prime * max(hi - lo - 1 for lo, hi in (support(sum(m.rows, ())) for m in gens))
+    spread = max(max(e) - min(e) for e in (pair.monomial(1, 0)[0], pair.monomial(0, 1)[0]))
+    nbytes = slot_bytes(3 * (bound * step + 1) * (q - 1) ** 2)
+    exact = _Layout(q, nbytes, bound * max(step, spread) + 1, None)
+    plus, minus = [], []
+    for m, powers in zip(gens, (plus, minus)):
+        w = base = exact.exact(m)
+        for _ in range(r_prime - 1):
+            w = exact.mul(w, exact.scalars(base, False))
+        powers.append(w)
+        c = exact.scalars(w, False)
+        for _ in range(bound - 1):
+            powers.append(exact.mul(powers[-1], c))
     out = []
     for weight in range(1, bound + 1):
         for r in (-weight, weight):
-            mat = minus[weight - 1] if r < 0 else plus[weight - 1]
-            inv = plus[weight - 1] if r < 0 else minus[weight - 1]
-            out.append((_exponent_label("c", r), weight, mat, inv))
-    return out
+            mat, inv = (minus, plus) if r < 0 else (plus, minus)
+            right, left = exact.scalars(mat[weight - 1], False), inv[weight - 1]
+            out.append((_exponent_label("c", r), weight, right, exact.scalars(left, True)))
+    return exact, out
 
 
 def reduced_word_count(bound):
@@ -434,79 +440,68 @@ def word_survey(pair, g, bound, constants, sink=None):
         c_total=constants.c_total,
     )
     diagonal = _diagonal_syllables(pair, bound)
-    cyclic = _cyclic_syllables(q, g, constants.r_prime, bound)
-    # every packed product has a c^r factor, so the deepest c^r bounds
-    # min(D_a, D_b) and one slot width serves the whole walk
-    nbytes = _slot_bytes(q, max(planes[1].shape[2] for _, _, planes, _ in cyclic))
-    cyclic = [
-        (
-            label,
-            weight,
-            _pack(planes, nbytes),
-            _pack(inv, nbytes),
-            _low_planes(planes, 1),
-            _low_planes(inv, 0),
-        )
-        for label, weight, planes, inv in cyclic
-    ]
+    full, cyclic = _cyclic_syllables(pair, g, constants.r_prime, bound)
+    # a window product's shorter factor has at most _WINDOW planes
+    window = _Layout(q, slot_bytes(3 * _WINDOW * (q - 1) ** 2), 2 * _WINDOW, _WINDOW)
+    cut = [(label, w, window.cut(c, full), window.cut(inv, full)) for label, w, c, inv in cyclic]
+    by_label = {label: (full.diag, right, left) for label, _, right, left in diagonal}
+    by_label.update((label, (full.mul, c, inv)) for label, _, c, inv in cyclic)
     record = survey.record
 
-    def walk(prefix, prefix_inv, parts, length, syllables, last):
+    def extend(w, w_inv, parts, length, last, mode):
+        """Record an internal word and walk its subtree, exactly from a
+        rebuild when its lead is not known or it can be the identity."""
+        if w is None or w_inv is None or (w[0] == w_inv[0] == 0 and w[2] is not None):
+            w, w_inv = _rebuild(parts, by_label, full)
+            mode = (full, cyclic)
+        record(parts, length, len(parts), -w[0], -w_inv[0], full.is_identity(w), sink)
+        walk(w, w_inv, parts, length, last, mode)
+
+    def leaf(parts, lead, lead_inv):
+        """Record a leaf from its two leads, None where not known."""
+        identity = False
+        if lead is None or lead_inv is None or lead == lead_inv == 0:
+            w, w_inv = _rebuild(parts, by_label, full)
+            lead, lead_inv, identity = w[0], w_inv[0], full.is_identity(w)
+        record(parts, bound, len(parts), -lead, -lead_inv, identity, sink)
+
+    def walk(w, w_inv, parts, length, last, mode):
+        layout, cyclic = mode
         room = bound - length
         if last != 0:
-            leads = None
+            diag, leads = layout.diag, None
             for label, weight, right, left in diagonal:  # by increasing weight
                 if weight > room:
                     break
                 word = parts + [label]
                 if weight < room:
-                    w = _diag_mul(q, prefix, right, axis=1)
-                    w_inv = _diag_mul(q, prefix_inv, left, axis=0)
-                    record(word, length + weight, syllables + 1, -w[0], -w_inv[0],
-                           _is_identity(w), sink)
-                    walk(w, w_inv, word, length + weight, syllables + 1, 0)
+                    extend(diag(w, right), diag(w_inv, left), word, length + weight, 0, mode)
                     continue
-                # a leaf: its record needs only the two leads
+                # a leaf: its leads from the prefix's column and row leads
                 if leads is None:
-                    leads = (_line_leads(prefix, 1), _line_leads(prefix_inv, 0))
+                    leads = layout.line_leads(w), layout.line_leads(w_inv)
                 cols, rows = leads
-                (e0, e1, e2), (f0, f1, f2) = right[0], left[0]
+                lo, (e0, e1, e2), _ = right
+                lo_inv, (f0, f1, f2), _ = left
                 lead = min(cols[0] + e0, cols[1] + e1, cols[2] + e2)
                 lead_inv = min(rows[0] + f0, rows[1] + f1, rows[2] + f2)
-                identity = lead == lead_inv == 0 and _is_identity(
-                    _diag_mul(q, prefix, right, axis=1)
-                )
-                record(word, bound, syllables + 1, -lead, -lead_inv, identity, sink)
+                if w[2] is not None:
+                    # a line with no known nonzero digit gave its known_to
+                    lead = lead if lead < w[2] + lo else None
+                    lead_inv = lead_inv if lead_inv < w_inv[2] + lo_inv else None
+                leaf(word, lead, lead_inv)
         if last != 1:
-            packed = packed_inv = low = None
-            for label, weight, right, left, right_low, left_low in cyclic:
+            mul = layout.mul
+            for label, weight, right, left in cyclic:
                 if weight > room:
                     break
                 word = parts + [label]
+                x, y = mul(w, right), mul(w_inv, left)
                 if weight < room:
-                    if packed is None:
-                        packed = _pack(prefix, nbytes)
-                        packed_inv = _pack(prefix_inv, nbytes)
-                    w = _packed_mul(q, packed, right, nbytes)
-                    w_inv = _packed_mul(q, left, packed_inv, nbytes)
-                    record(word, length + weight, syllables + 1, -w[0], -w_inv[0],
-                           _is_identity(w), sink)
-                    walk(w, w_inv, word, length + weight, syllables + 1, 1)
-                    continue
-                # a leaf: its leads from the lowest product planes
-                if low is None:
-                    low = (_low_planes(prefix, 0), _low_planes(prefix_inv, 1))
-                lead = _low_lead(q, low[0], right_low)
-                if lead is None:
-                    lead = _packed_mul(q, _pack(prefix, nbytes), right, nbytes)[0]
-                lead_inv = _low_lead(q, left_low, low[1])
-                if lead_inv is None:
-                    lead_inv = _packed_mul(q, left, _pack(prefix_inv, nbytes), nbytes)[0]
-                identity = lead == lead_inv == 0 and _is_identity(
-                    _packed_mul(q, _pack(prefix, nbytes), right, nbytes)
-                )
-                record(word, bound, syllables + 1, -lead, -lead_inv, identity, sink)
+                    extend(x, y, word, length + weight, 1, mode)
+                else:
+                    leaf(word, None if x is None else x[0], None if y is None else y[0])
 
-    identity = (0, _EYE[:, :, None].copy())
-    walk(identity, identity, [], 0, 0, None)
+    root = (0, window.eye, _WINDOW)  # the identity is exact: known to any exponent
+    walk(root, root, [], 0, None, (window, cut))
     return survey

@@ -1,21 +1,10 @@
-"""The shared digit layout: windows, trimming, slot widths, packing."""
+"""The shared digit layout: windows, slot widths, packing, reduction."""
 
 import random
 
-import numpy as np
 import pytest
 
-from pingpong3.digits import (
-    pack,
-    pack_row,
-    row_bytes,
-    slot_bytes,
-    support,
-    trim,
-    unpack,
-    unpack_row,
-    window,
-)
+from pingpong3.digits import mod_rows, pack_row, row_bytes, slot_bytes, support, unpack_row, window
 from pingpong3.errors import InsufficientPrecision
 from pingpong3.field import Laurent, is_prime
 
@@ -39,16 +28,6 @@ def test_support_spans_every_known_digit_and_is_none_without_one():
     assert support([]) is None
 
 
-def test_trim_drops_zero_planes_at_both_ends():
-    arr = np.zeros((3, 3, 6), dtype=np.int64)
-    arr[0, 2, 1] = arr[2, 1, 3] = 1
-    lead, kept = trim(-2, arr)
-    assert lead == -1 and kept.shape == (3, 3, 3)
-    assert np.array_equal(kept, arr[:, :, 1:4])
-    with pytest.raises(ValueError):
-        trim(0, np.zeros((3, 3, 2), dtype=np.int64))
-
-
 def test_slot_bytes_switches_at_each_boundary():
     cases = [(0, 1), (255, 1), (256, 2), (2**16 - 1, 2), (2**16, 4)]
     cases += [(2**32 - 1, 4), (2**32, 8), (2**64 - 1, 8)]
@@ -60,12 +39,16 @@ def test_slot_bytes_switches_at_each_boundary():
 
 @pytest.mark.parametrize("nbytes, q", [(1, 251), (2, 65521), (4, 2**31 - 1), (8, 2**61 - 1)])
 def test_pack_unpack_round_trip(nbytes, q):
+    # packed rows, and packed slots of any size reduced mod q
     rng = random.Random(nbytes)
-    rows = np.array([[rng.randrange(q) for _ in range(9)] for _ in range(4)], dtype=np.int64)
-    rows[0, -1] = q - 1  # the top slot is full
-    packed = pack(rows, nbytes)
-    assert len(packed) == 4
-    assert np.array_equal(unpack(packed, nbytes, 9, q), rows)
+    rows = [[rng.randrange(q) for _ in range(9)] for _ in range(4)]
+    rows[0][-1] = q - 1  # the top slot is full
+    packed = [pack_row(row, nbytes) for row in rows]
+    assert [list(unpack_row(v, nbytes, 9, q)) for v in packed] == rows
+    slots = [[rng.randrange(256**nbytes) for _ in range(9)] for _ in range(4)]
+    slots[0][-1] = 256**nbytes - 1
+    reduced = mod_rows([pack_row(row, nbytes) for row in slots], nbytes, q)
+    assert reduced == [pack_row([s % q for s in row], nbytes) for row in slots]
 
 
 @pytest.mark.parametrize("q", [2, 13, 251, 65537, 2**31 - 1, 4294967311])

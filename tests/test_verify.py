@@ -164,6 +164,30 @@ def test_row_format_takes_words_only_at_q2_within_64_columns():
     assert isinstance(_row_format(3, 10), _IntRows)
 
 
+@pytest.mark.parametrize("width", (1, 13, 100))
+def test_int_rows_first_nonzero_matches_argmax(width):
+    """The column loop stops once no row is still zero; all-zero rows read
+    the width, and every count is capped at none_value."""
+    rng = np.random.default_rng(width)
+    rows = np.zeros((4, width, 300), dtype=np.int8)
+    lead = rng.integers(0, width + 1, size=(4, 300))  # width: an all-zero row
+    for (k, n), c in np.ndenumerate(lead):
+        if c < width:
+            rows[k, c, n] = rng.integers(1, 3)
+            rows[k, c + 1 :, n] = rng.integers(0, 3, size=width - c - 1)
+    nonzero = rows != 0
+    reference = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), width)
+    assert np.array_equal(reference, lead)
+    for cap in (width, width + 3, max(width // 2, 1), 0):
+        out = _IntRows.first_nonzero(rows, cap)
+        assert out.dtype == np.int64
+        assert np.array_equal(out, np.minimum(reference, cap))
+    # no row left zero after the first column, and every row zero
+    assert not _IntRows.first_nonzero(np.ones((2, width, 5), dtype=np.int8), width).any()
+    zeros = np.zeros((2, width, 5), dtype=np.int8)
+    assert (_IntRows.first_nonzero(zeros, width) == width).all()
+
+
 @pytest.mark.parametrize("q", BULK_QS)
 def test_cone_test_agrees_with_scalar_predicate(q):
     level = 4

@@ -5,29 +5,16 @@ import random
 from fractions import Fraction
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
-from pingpong3.field import Field
+from pingpong3.field import Field, Laurent
 from pingpong3.linalg import Mat, random_lattice_element
 from pingpong3.pingpong.constants import qi_constants
 from pingpong3.pingpong.generators import make_generators, make_pair
 from pingpong3.pingpong.regular import find_regular
+from pingpong3.digits import slot_bytes
 from pingpong3.pingpong import words
-from pingpong3.pingpong.words import (
-    _LOW_PLANES,
-    _diag_mul,
-    _digit_planes,
-    _is_identity,
-    _line_leads,
-    _low_lead,
-    _low_planes,
-    _mul,
-    _power,
-    _slot_bytes,
-    reduced_word_count,
-    word_survey,
-)
+from pingpong3.pingpong.words import _Layout, _monomial, reduced_word_count, word_survey
 
 
 def _pipeline(q):
@@ -61,23 +48,62 @@ def expected_word_counts(bound):
     return {w: n_diag[w] + n_cyc[w] for w in range(1, bound + 1)}
 
 
-# -- the digit-plane engine against exact Mat arithmetic ------------------------
+# -- lead windows against exact Mat arithmetic -----------------------------------
 
 
-def _planes_equal(x, y):
-    return x[0] == y[0] and x[1].shape == y[1].shape and (x[1] == y[1]).all()
+def _layouts(q, stride=64, width=4):
+    """An exact layout and a window layout with the same slots, for
+    products whose shorter factor has at most ``stride // 4`` planes."""
+    nbytes = slot_bytes(3 * (stride // 4) * (q - 1) ** 2)
+    return _Layout(q, nbytes, stride, None), _Layout(q, nbytes, stride, width)
+
+
+def _cut(window, w):
+    """An exact window cut to the window layout's width."""
+    return window._settle(w[0], w[1], w[0] + window.width)
+
+
+def _agrees(window, got, exact):
+    """``got``, a window result, is the exact result cut to its known_to,
+    or None when its lead is not below that."""
+    if got is None:
+        return True
+    lead, lines, known = got
+    return lead == exact[0] and known <= lead + window.width and lines == [
+        x & window.masks[known - lead] for x in exact[1]
+    ]
+
+
+def _columns(exact, m):
+    return exact.exact(m)
+
+
+def _rows(exact, m):
+    return exact.exact(m.transpose())
 
 
 def test_digit_plane_products_match_mat_products():
     rng = random.Random(5)
+    windows = 0
     for q in (2, 3, 5, 13):
+        exact, window = _layouts(q)
         for _ in range(20):
             a = random_lattice_element(q, rng, n_factors=4, max_deg=2)
             b = random_lattice_element(q, rng, n_factors=4, max_deg=2)
-            assert _planes_equal(
-                _mul(q, _digit_planes(a), _digit_planes(b)), _digit_planes(a * b)
-            )
-            assert _planes_equal(_power(q, _digit_planes(a), 5), _digit_planes(a ** 5))
+            cols = exact.mul(_columns(exact, a), exact.scalars(_columns(exact, b), False))
+            rows = exact.mul(_rows(exact, b), exact.scalars(_columns(exact, a), True))
+            assert cols == _columns(exact, a * b)
+            assert rows == _rows(exact, a * b)
+            power = _columns(exact, a)
+            for _ in range(4):
+                power = exact.mul(power, exact.scalars(_columns(exact, a), False))
+            assert power == _columns(exact, a**5)
+            # windows: exact below min(known_a + lead_b, known_b + lead_a)
+            b_cols = window.cut(exact.scalars(_columns(exact, b), False), exact)
+            w = window.mul(_cut(window, _columns(exact, a)), b_cols)
+            assert _agrees(window, w, cols)
+            windows += w is not None
+    assert windows > 60
 
 
 def _wide_mat(q, rng, depth, top):
@@ -98,16 +124,18 @@ def _wide_mat(q, rng, depth, top):
 
 @pytest.mark.parametrize("q", (2, 3, 5, 13))
 def test_packed_products_of_wide_rows_match_mat_products(q):
-    narrow = _slot_bytes(q, 1)
+    narrow = slot_bytes(3 * (q - 1) ** 2)
     edge = (256**narrow - 1) // (3 * (q - 1) ** 2)  # longest rows it holds
-    assert _slot_bytes(q, edge) == narrow < _slot_bytes(q, edge + 1)
+    top = 3 * (q - 1) ** 2
+    assert slot_bytes(top * edge) == narrow < slot_bytes(top * (edge + 1))
     rng = random.Random(q)
     for depth in (edge, edge + 1):
+        exact = _Layout(q, slot_bytes(3 * depth * (q - 1) ** 2), 2 * depth + 20, None)
         for top in (True, False):
             a = _wide_mat(q, rng, depth, top)
             b = _wide_mat(q, rng, depth + 7, top)
-            product = _mul(q, _digit_planes(a), _digit_planes(b))
-            assert _planes_equal(product, _digit_planes(a * b))
+            product = exact.mul(_columns(exact, a), exact.scalars(_columns(exact, b), False))
+            assert product == _columns(exact, a * b)
 
 
 F3 = Field(3)
@@ -125,14 +153,17 @@ NON_MONIC_Q3 = make_pair(
 )
 def test_diagonal_syllables_are_column_and_row_shifts(pair):
     q = pair.q
+    exact, window = _layouts(q)
     rng = random.Random(7)
     for _ in range(10):
-        w = _digit_planes(random_lattice_element(q, rng, n_factors=3, max_deg=2))
+        w = random_lattice_element(q, rng, n_factors=3, max_deg=2)
         for m, n in ((1, 0), (0, -1), (2, -3), (-1, 1)):
-            delta = _digit_planes(pair.gamma(m, n))
-            triples = pair.monomial(m, n)
-            assert _planes_equal(_diag_mul(q, w, triples, axis=1), _mul(q, w, delta))
-            assert _planes_equal(_diag_mul(q, w, triples, axis=0), _mul(q, delta, w))
+            delta = pair.gamma(m, n)
+            diag = _monomial(pair.monomial(m, n))
+            for lines, product in ((_columns, w * delta), (_rows, delta * w)):
+                shifted = exact.diag(lines(exact, w), diag)
+                assert shifted == lines(exact, product)
+                assert _agrees(window, window.diag(_cut(window, lines(exact, w)), diag), shifted)
 
 
 # -- leaf leads against the products they skip -----------------------------------
@@ -140,71 +171,73 @@ def test_diagonal_syllables_are_column_and_row_shifts(pair):
 LEAF_QS = (2, 3, 5, 13, 31)
 
 
-def _planes(q, digits, lead=0):
-    """(lead, planes) from a list of 3x3 digit planes, lowest first."""
-    return lead, np.asarray(digits, dtype=np.int64).transpose(1, 2, 0) % q
-
-
-def _leaf_lead(q, a, b):
-    return _low_lead(q, _low_planes(a, 0), _low_planes(b, 1))
-
-
 @pytest.mark.parametrize("q", LEAF_QS)
 def test_leaf_product_leads_match_full_products(q):
+    # a window's lead is the exact product's, or None (a rebuild) when no
+    # plane below its known_to is nonzero
     rng = random.Random(100 + q)
-    for _ in range(15):
-        a = _digit_planes(random_lattice_element(q, rng, n_factors=4, max_deg=2))
-        b = _digit_planes(random_lattice_element(q, rng, n_factors=4, max_deg=2))
-        full = _mul(q, a, b)[0]
-        offset = full - a[0] - b[0]
-        assert _leaf_lead(q, a, b) == (full if offset < _LOW_PLANES else None)
+    exact, window = _layouts(q, width=2)
+    for _ in range(30):
+        a = random_lattice_element(q, rng, n_factors=4, max_deg=2)
+        b = random_lattice_element(q, rng, n_factors=4, max_deg=2)
+        full = exact.mul(_columns(exact, a), exact.scalars(_columns(exact, b), False))
+        wa = _cut(window, _columns(exact, a))
+        got = window.mul(wa, window.cut(exact.scalars(_columns(exact, b), False), exact))
+        assert _agrees(window, got, full)
     # A_0 is singular and the columns of B_0 lie in its kernel, so the
-    # lowest plane of the product cancels and the lead sits one plane up
-    zero, eye = np.zeros((3, 3), dtype=np.int64), np.eye(3, dtype=np.int64)
+    # lowest plane of A B cancels and its lead sits one plane up: a window
+    # of one plane cannot see it, one of two can
     a0 = [[1, 0, 0], [q - 1, 0, 0], [0, 0, 0]]
-    b0 = [[0, 0, 0], [1, 2, 0], [0, 1, 1]]
-    for lead_a, lead_b in ((0, 0), (-3, 2)):
-        a = _planes(q, [a0, [[rng.randrange(q) for _ in range(3)] for _ in range(3)]], lead_a)
-        b = _planes(q, [b0, eye], lead_b)
-        full = _mul(q, a, b)[0]
-        assert full == lead_a + lead_b + 1 == _leaf_lead(q, a, b)
-    # with the next planes of both factors pushed past the planes the
-    # kernel reads, every plane it reads cancels: it leaves the product
-    # to the full multiplication
-    a = _planes(q, [a0] + [zero] * (_LOW_PLANES - 1) + [eye])
-    b = _planes(q, [b0] + [zero] * (_LOW_PLANES - 1) + [eye])
-    assert _leaf_lead(q, a, b) is None
-    assert _mul(q, a, b)[0] == _LOW_PLANES
+    b0 = [[0, 0, 0], [1, 2 % q, 0], [0, 1, 1]]
+    a, b = (
+        Mat([[Laurent(q, 0, (x[i][j], int(i == j))) for j in range(3)] for i in range(3)])
+        for x in (a0, b0)
+    )
+    b_cols = exact.scalars(_columns(exact, b), False)
+    assert exact.mul(_columns(exact, a), b_cols) == _columns(exact, a * b)
+    assert (a * b).lognorm() == -1
+    assert window.mul(_cut(window, _columns(exact, a)), window.cut(b_cols, exact))[0] == 1
+    narrow = _Layout(q, window.nbytes, 64, 1)
+    assert narrow.mul(_cut(narrow, _columns(exact, a)), narrow.cut(b_cols, exact)) is None
 
 
 @pytest.mark.parametrize("q", LEAF_QS)
 def test_leaf_diagonal_leads_match_shifts(q):
     rng = random.Random(200 + q)
+    exact, window = _layouts(q, width=2)
     for _ in range(15):
-        w = _digit_planes(random_lattice_element(q, rng, n_factors=4, max_deg=2))
+        w = random_lattice_element(q, rng, n_factors=4, max_deg=2)
         exps = tuple(rng.randrange(-4, 5) for _ in range(3))
-        coeffs = tuple(rng.randrange(1, q) for _ in range(3))
-        for axis in (0, 1):
-            leads = _line_leads(w, axis)
-            shifted = _diag_mul(q, w, (exps, coeffs), axis)
-            assert min(x + e for x, e in zip(leads, exps)) == shifted[0]
+        diag = _monomial((exps, tuple(rng.randrange(1, q) for _ in range(3))))
+        for lines in (_columns, _rows):
+            full = exact.diag(lines(exact, w), diag)
+            leads = exact.line_leads(lines(exact, w))
+            assert min(x + e for x, e in zip(leads, exps)) == full[0]
+            cut = _cut(window, lines(exact, w))
+            lead = min(x + e for x, e in zip(window.line_leads(cut), exps))
+            assert lead == full[0] or lead >= cut[2] + diag[0]
 
 
 def test_digit_plane_identity_and_lognorm():
     rng = random.Random(6)
     q = 2
+    exact, window = _layouts(q)
     a = random_lattice_element(q, rng, n_factors=5, max_deg=2)
-    planes = _digit_planes(a)
+    planes = _columns(exact, a)
     assert -planes[0] == a.lognorm()
-    assert _is_identity(_mul(q, planes, _digit_planes(a.adjugate())))
-    assert not _is_identity(planes) or a == Mat.identity(q)
+    inverse = exact.scalars(_columns(exact, a.adjugate()), False)
+    assert exact.is_identity(exact.mul(planes, inverse))
+    assert not exact.is_identity(planes) or a == Mat.identity(q)
+    # a window is never taken for the identity: only a rebuild decides it
+    assert not window.is_identity(_cut(window, _columns(exact, Mat.identity(q))))
 
 
-def test_digit_planes_reject_inexact_input():
+def test_digit_planes_reject_inexact_input(pipeline_q2):
+    pair, _, const = pipeline_q2
     f = Field(2)
     fuzzy = Mat.diagonal([f.unknown(3), f.one(), f.one()])
     with pytest.raises(ValueError):
-        _digit_planes(fuzzy)
+        word_survey(pair, fuzzy, 2, const)
 
 
 # -- enumeration shape -----------------------------------------------------------
@@ -259,13 +292,57 @@ def test_record_stream_is_unchanged(pair_name, bound):
     assert _record_stream(pair, bound) == RECORD_STREAM_DIGESTS[pair_name, bound]
 
 
-def test_leaves_past_the_low_planes_take_the_full_product(monkeypatch):
-    # with one low plane every leaf whose lead is not in the lowest plane
-    # of its product falls back to the whole product
-    monkeypatch.setattr(words, "_LOW_PLANES", 1)
-    for pair_name, bound in (("2", 5), ("3-non-monic", 4)):
-        pair = STREAM_PAIRS[pair_name]()
-        assert _record_stream(pair, bound) == RECORD_STREAM_DIGESTS[pair_name, bound]
+@pytest.mark.parametrize("width", (1, 2))
+def test_short_windows_rebuild_words_exactly(monkeypatch, width):
+    # with windows of one or two planes, words whose leads run past them
+    # are rebuilt from their syllables, and no record changes
+    rebuilt = []
+    rebuild = words._rebuild
+
+    def counted(parts, *args):
+        rebuilt.append(" ".join(parts))
+        return rebuild(parts, *args)
+
+    monkeypatch.setattr(words, "_WINDOW", width)
+    monkeypatch.setattr(words, "_rebuild", counted)
+    for (pair_name, bound), digest in sorted(RECORD_STREAM_DIGESTS.items()):
+        before = len(rebuilt)
+        assert _record_stream(STREAM_PAIRS[pair_name](), bound) == digest
+        assert len(rebuilt) > before
+
+
+def _replay(pair, g, r_prime, label):
+    """A word and its inverse by exact Mat arithmetic, from its label."""
+    table = {"a": pair.a, "b": pair.b, "c": g**r_prime}
+    w = w_inv = Mat.identity(pair.q)
+    for part in label.split():
+        sym, _, exp = part.partition("^")
+        step = table[sym] ** int(exp or "1")
+        w, w_inv = w * step, step.adjugate() * w_inv
+    return w, w_inv
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [make_generators(q) for q in (2, 3, 5, 7)] + [NON_MONIC_Q3],
+    ids=["q2", "q3", "q5", "q7", "q3-non-monic"],
+)
+def test_sampled_words_replay_through_mat_arithmetic(pair):
+    q = pair.q
+    rng = random.Random(31 + q)
+    const = SimpleNamespace(alpha=Fraction(1), c_total=0, r_prime=2)
+    # a random lattice element, and the identity, whose words with
+    # diagonal exponents summing to zero are the identity
+    for g, bound in ((random_lattice_element(q, rng, n_factors=4, max_deg=2), 4),
+                     (Mat.identity(q), 3)):
+        records = []
+        word_survey(pair, g, bound, const, sink=records.append)
+        flagged = [r for r in records if r.is_identity]
+        for rec in rng.sample(records, 40) + flagged[:10]:
+            w, w_inv = _replay(pair, g, const.r_prime, rec.label)
+            assert w * w_inv == Mat.identity(q)
+            assert (w.lognorm(), w_inv.lognorm()) == (rec.lognorm, rec.lognorm_inv)
+            assert rec.is_identity == (w == Mat.identity(q))
 
 
 def test_survey_is_deterministic(pipeline_q2):
