@@ -20,9 +20,9 @@ verify_certificate re-runs every stage from the stored objects alone:
 
 * the generators must match the declared profile and pass the sign-case
   exclusion, whose recomputed digest must equal the stored one;
-* a synthetic h must be the synthetic proximal element, found in one
-  trial with no seed; a lattice h must lie in SL3(F_q[t]) (the lattice
-  search itself is not replayed);
+* a synthetic h must be the synthetic proximal element; a lattice h must
+  lie in SL3(F_q[t]) (the lattice search itself is not replayed, so its
+  seed and trial count are not stored);
 * g must equal h^n0 exactly, and the contraction power, the eigen data,
   the feasible level, the constants and the stored margin and epsilon
   exponents must reproduce the stored values -- as the same JSON, so a
@@ -79,7 +79,7 @@ __all__ = [
     "write_certificate",
 ]
 
-CERT_VERSION = 1
+CERT_VERSION = 2
 _N0_SOURCE = "eigenbasis-valuation-bound"
 
 
@@ -214,9 +214,6 @@ def construct_pipeline(
         "power_applied": q * (q - 1),
         "generators": {"a": pair.a.to_text(), "b": pair.b.to_text()},
         "strategy": candidate.strategy,
-        # only a lattice search reads its seed
-        "seed": seed if candidate.strategy == "lattice" else None,
-        "trials": candidate.trials,
         "h": candidate.h.to_text(),
         "n0": candidate.contraction.n0,
         "n0_source": _N0_SOURCE,
@@ -259,7 +256,6 @@ _TOP_KEYS = {
     "power_applied": int,
     "generators": dict,
     "strategy": str,
-    "trials": int,
     "h": str,
     "n0": int,
     "n0_source": str,
@@ -284,20 +280,19 @@ def _is_int(value):
 def _validate(cert):
     if not isinstance(cert, dict):
         raise CertificateError("certificate must be a JSON object")
-    unknown = sorted(set(cert) - set(_TOP_KEYS) - {"seed"})
+    # an older schema has other fields, so its version is named first
+    if cert.get("version") != CERT_VERSION:
+        raise CertificateError(
+            f"unsupported certificate version {cert.get('version')!r} (expected {CERT_VERSION})"
+        )
+    unknown = sorted(set(cert) - set(_TOP_KEYS))
     if unknown:
         raise CertificateError(f"certificate has unknown fields {unknown}")
-    if "seed" not in cert:
-        raise CertificateError("certificate is missing 'seed'")
-    if cert["seed"] is not None and not _is_int(cert["seed"]):
-        raise CertificateError("certificate field 'seed' must be int or null")
     for key, kind in _TOP_KEYS.items():
         if key not in cert:
             raise CertificateError(f"certificate is missing {key!r}")
         if not (_is_int(cert[key]) if kind is int else isinstance(cert[key], kind)):
             raise CertificateError(f"certificate field {key!r} must be {kind.__name__}")
-    if cert["version"] != CERT_VERSION:
-        raise CertificateError(f"unsupported certificate version {cert['version']}")
     if not is_prime(cert["q"]):
         raise CertificateError(f"q = {cert['q']} is not prime")
     if len(cert["profile"]) != 2 or not all(_is_int(k) for k in cert["profile"]):
@@ -438,12 +433,8 @@ def verify_certificate(source, level=None, gamma_bound=None, word_bound=None):
     if cert["strategy"] == "synthetic":
         if h != make_proximal(q):
             outcome.fail("find_regular", "h is not the synthetic proximal element")
-        if cert["trials"] != 1 or cert["seed"] is not None:
-            outcome.fail("find_regular", "synthetic search takes 1 trial and no seed")
     elif cert["strategy"] == "lattice":
-        if cert["seed"] is None or cert["trials"] < 1:
-            outcome.fail("find_regular", "lattice search needs a seed and a trial")
-        elif not (
+        if not (
             all(x.exact and x.lead + len(x.digits) <= 1 for row in h.rows for x in row)
             and h.det() == Laurent(q, 0, (1,))
         ):

@@ -1,26 +1,26 @@
-"""Matrices over F_q((u)): products, adjugate inverses, norms, Cartan data.
+"""3x3 matrices over F_q((u)): products, adjugate inverses, norms, Cartan data.
 
-Everything is dimension-generic (default 3), exactness-preserving where
-mathematically possible, and valuation-based:
+Every matrix is 3x3 (the group is SL3), and every minor is written out in
+closed form.  Everything is exactness-preserving where mathematically
+possible, and valuation-based:
 
-* the operator norm for the sup-norm on k^n equals the largest entry
+* the operator norm for the sup-norm on k^3 equals the largest entry
   absolute value, so ``lognorm`` returns the integer e with ||A|| = q^e;
 * the Cartan projection is computed from determinantal divisors
   (d_k = min valuation over all k x k minors), which equals the Smith
   normal form elementary divisors over the valuation ring but needs no
   division, hence stays exact on exact input and is trivially
   deterministic.  mu(A) is the negated elementary-divisor valuations in
-  non-increasing order; for SL_n it sums to zero, mu[0] = lognorm(A) and
-  -mu[-1] = lognorm(A^-1).
+  non-increasing order; for SL3 it sums to zero, mu[0] = lognorm(A) and
+  -mu[2] = lognorm(A^-1).
 
-Characteristic polynomials are computed by cofactor expansion of
-det(X*I - A) over polynomials with Laurent coefficients -- division-free,
-fine for the small dimensions used here.
+The characteristic polynomial det(X*I - A) is written out from the
+entries, the 2x2 principal minors and det(A) -- division-free.  Its
+groupings are fixed: regrouping a sum of products changes the precision
+an inexact result is known to.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from .errors import InsufficientPrecision, LaurentSyntaxError, SingularOrUndecidable
 from .field import INF, Laurent, laurent_to_str, parse_laurent
@@ -28,6 +28,9 @@ from .field import INF, Laurent, laurent_to_str, parse_laurent
 # Precision used for general (non-unit-determinant) inverses when the input
 # is exact; inexact inputs use their own capacity.
 DEFAULT_INV_PRECISION = 24
+
+# row/column pairs of the 2x2 minors, in lex order
+_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
 # -- small vector helpers (tuples of Laurent) ------------------------------
@@ -62,20 +65,18 @@ def vec_min_val(a):
 
 
 class Mat:
-    """A square matrix over F_q((u)).  Immutable, structural equality."""
+    """A 3x3 matrix over F_q((u)).  Immutable, structural equality."""
 
-    __slots__ = ("q", "n", "rows")
+    __slots__ = ("q", "rows")
 
     def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
-        n = len(rows)
-        if n == 0 or any(len(r) != n for r in rows):
-            raise ValueError("square matrix required")
+        if len(rows) != 3 or any(len(r) != 3 for r in rows):
+            raise ValueError(f"3x3 matrix required, got rows {[len(r) for r in rows]}")
         q = rows[0][0].q
         if any(x.q != q for r in rows for x in r):
             raise ValueError("mixed residue fields in matrix")
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
 
     def __setattr__(self, name, value):
@@ -87,29 +88,26 @@ class Mat:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def identity(q, n=3):
+    def identity(q):
         one = Laurent(q, 0, (1,))
-        zero = Laurent(q, 0, ())
-        return Mat([[one if i == j else zero for j in range(n)] for i in range(n)])
+        return Mat.diagonal((one, one, one))
 
     @staticmethod
     def diagonal(entries):
         entries = tuple(entries)
-        q = entries[0].q
-        zero = Laurent(q, 0, ())
-        n = len(entries)
-        return Mat([[entries[i] if i == j else zero for j in range(n)] for i in range(n)])
+        zero = Laurent(entries[0].q, 0, ())
+        return Mat([[x if i == j else zero for j in range(3)] for i, x in enumerate(entries)])
 
     @staticmethod
     def from_columns(cols):
         return Mat(list(zip(*cols)))
 
     @staticmethod
-    def elementary(q, i, j, f, n=3):
+    def elementary(q, i, j, f):
         """I + f * E_ij (i != j); determinant 1."""
         if i == j:
             raise ValueError("elementary matrix needs i != j")
-        rows = [list(r) for r in Mat.identity(q, n).rows]
+        rows = [list(r) for r in Mat.identity(q).rows]
         rows[i][j] = f
         return Mat(rows)
 
@@ -152,8 +150,6 @@ class Mat:
 
     def __mul__(self, other):
         if isinstance(other, Mat):
-            if other.n != self.n:
-                raise ValueError("dimension mismatch")
             cols = other.transpose().rows
             return Mat([[vec_dot(r, c) for c in cols] for r in self.rows])
         return NotImplemented
@@ -180,7 +176,7 @@ class Mat:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        result = Mat.identity(self.q, self.n)
+        result = Mat.identity(self.q)
         base = self
         while k:
             if k & 1:
@@ -189,35 +185,14 @@ class Mat:
             k >>= 1
         return result
 
-    def _minor(self, drop_i, drop_j):
-        return Mat(
-            [
-                [x for j, x in enumerate(r) if j != drop_j]
-                for i, r in enumerate(self.rows)
-                if i != drop_i
-            ]
-        )
-
     def det(self):
-        if self.n == 1:
-            return self.rows[0][0]
-        if self.n == 2:
-            (a, b), (c, d) = self.rows
-            return a * d - b * c
-        acc = None
-        for j, x in enumerate(self.rows[0]):
-            term = x * self._minor(0, j).det()
-            if j % 2:
-                term = -term
-            acc = term if acc is None else acc + term
-        return acc
+        (a, b, c), (d, e, f), (g, h, i) = self.rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
     def adjugate(self):
         """adj(A) with A*adj(A) = det(A)*I; exact when A is exact."""
-        n = self.n
-        return Mat(
-            [[self._minor(j, i).det().scale((-1) ** (i + j)) for j in range(n)] for i in range(n)]
-        )
+        m = self.second_compound().rows
+        return Mat([[m[2 - j][2 - i].scale((-1) ** (i + j)) for j in range(3)] for i in range(3)])
 
     def inverse(self, precision=None):
         """A^-1: the pure adjugate when det = 1, else adjugate / det.
@@ -249,15 +224,8 @@ class Mat:
         how much A can expand 2-dimensional volume, which is what the ball
         image-radius certificates consume.
         """
-        pairs = list(itertools.combinations(range(self.n), 2))
-        rows = []
-        for (i1, i2) in pairs:
-            row = []
-            for (j1, j2) in pairs:
-                m = self.rows[i1][j1] * self.rows[i2][j2] - self.rows[i1][j2] * self.rows[i2][j1]
-                row.append(m)
-            rows.append(row)
-        return Mat(rows)
+        r = self.rows
+        return Mat([[r[i][j] * r[k][l] - r[i][l] * r[k][j] for j, l in _PAIRS] for i, k in _PAIRS])
 
     # -- norms and Cartan data -------------------------------------------------
 
@@ -285,18 +253,15 @@ class Mat:
         """mu(A): negated elementary-divisor valuations, non-increasing.
 
         Computed from determinantal divisors: d_k = min valuation over all
-        k x k minors; the elementary divisors have valuations
-        e_k = d_k - d_{k-1} (non-decreasing), and mu = (-e_1, ..., -e_n).
+        k x k minors -- the entries, the second compound's entries and
+        det(A); the elementary divisors have valuations e_k = d_k - d_{k-1}
+        (non-decreasing), and mu = (-e_1, -e_2, -e_3).
         """
         d = [0]
-        idx = range(self.n)
-        for k in range(1, self.n + 1):
-            minors = [
-                Mat([[self.rows[i][j] for j in cols_k] for i in rows_k]).det()
-                for rows_k in itertools.combinations(idx, k)
-                for cols_k in itertools.combinations(idx, k)
-            ]
-            best = vec_min_val(minors)
+        for k, minors in enumerate(
+            (self.rows, self.second_compound().rows, ((self.det(),),)), start=1
+        ):
+            best = vec_min_val([x for r in minors for x in r])
             if best is None:
                 raise InsufficientPrecision(
                     f"a {k}x{k} minor's valuation is undecided"
@@ -304,49 +269,17 @@ class Mat:
             if best is INF:
                 raise ValueError("matrix is singular (a determinantal divisor vanishes)")
             d.append(best)
-        return tuple(-(d[k] - d[k - 1]) for k in range(1, self.n + 1))
+        return tuple(d[k - 1] - d[k] for k in range(1, 4))
 
     def char_poly(self):
         """Monic characteristic polynomial det(X*I - A) as a Poly."""
-        n = self.n
-        q = self.q
-        zero = Laurent(q, 0, ())
-        one = Laurent(q, 0, (1,))
-        # entries of X*I - A as degree<=1 polynomials (coefficient lists)
-        entries = [
-            [(-self.rows[i][j], one if i == j else zero) for j in range(n)]
-            for i in range(n)
-        ]
-
-        def pmul(p1, p2):
-            out = [zero] * (len(p1) + len(p2) - 1)
-            for a, ca in enumerate(p1):
-                for b, cb in enumerate(p2):
-                    out[a + b] = out[a + b] + ca * cb
-            return out
-
-        def pdet(mat_):
-            if len(mat_) == 1:
-                return list(mat_[0][0])
-            acc = None
-            for j, p in enumerate(mat_[0]):
-                sub = [[row[jj] for jj in range(len(row)) if jj != j] for row in mat_[1:]]
-                term = pmul(p, pdet(sub))
-                if j % 2:
-                    term = [-c for c in term]
-                if acc is None:
-                    acc = term
-                else:
-                    acc = [
-                        (acc[i] if i < len(acc) else zero)
-                        + (term[i] if i < len(term) else zero)
-                        for i in range(max(len(acc), len(term)))
-                    ]
-            return acc
-
-        coeffs = pdet(entries)
-        coeffs += [zero] * (n + 1 - len(coeffs))
-        return Poly(tuple(coeffs))
+        (a, b, c), (d, e, f), (g, h, i) = self.rows
+        return Poly((
+            -self.det(),
+            a * (e + i) + (e * i - f * h) - b * d - c * g,
+            -(a + e + i),
+            Laurent(self.q, 0, (1,)),
+        ))
 
     # -- text form ----------------------------------------------------------------
 
@@ -362,13 +295,9 @@ class Mat:
 
 def parse_matrix(text, q):
     """Row-major element strings: entries comma-separated, rows by ';'."""
-    rows = []
-    for part in text.split(";"):
-        row = [parse_laurent(cell, q) for cell in part.split(",")]
-        rows.append(row)
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise LaurentSyntaxError(f"expected a square matrix, got rows {[len(r) for r in rows]}")
+    rows = [[parse_laurent(cell, q) for cell in part.split(",")] for part in text.split(";")]
+    if len(rows) != 3 or any(len(r) != 3 for r in rows):
+        raise LaurentSyntaxError(f"expected a 3x3 matrix, got rows {[len(r) for r in rows]}")
     return Mat(rows)
 
 
@@ -393,9 +322,9 @@ class Poly:
 
     def __call__(self, x):
         if isinstance(x, Mat):
-            acc = Mat.identity(x.q, x.n).scale_elem(self.coeffs[-1])
+            acc = Mat.identity(x.q).scale_elem(self.coeffs[-1])
             for c in reversed(self.coeffs[:-1]):
-                acc = acc * x + Mat.identity(x.q, x.n).scale_elem(c)
+                acc = acc * x + Mat.identity(x.q).scale_elem(c)
             return acc
         acc = self.coeffs[-1]
         for c in reversed(self.coeffs[:-1]):
@@ -421,23 +350,23 @@ class Poly:
         return "Poly(" + ", ".join(laurent_to_str(c) for c in self.coeffs) + ")"
 
 
-def random_lattice_element(q, rng, n_factors=4, max_deg=2, dim=3):
-    """Seeded random element of SL_dim(F_q[t]) as a product of elementaries.
+def random_lattice_element(q, rng, n_factors=4, max_deg=2):
+    """Seeded random element of SL3(F_q[t]) as a product of elementaries.
 
     Entries of the elementary offsets are polynomials in t = u^-1 of degree
     <= max_deg, i.e. Laurent digits at exponents -max_deg..0.  Products of
     such matrices exhaust a large chunk of the lattice and always have
     det = 1 exactly.
     """
-    acc = Mat.identity(q, dim)
+    acc = Mat.identity(q)
     for _ in range(n_factors):
-        i = rng.randrange(dim)
-        j = rng.randrange(dim - 1)
+        i = rng.randrange(3)
+        j = rng.randrange(2)
         if j >= i:
             j += 1
         digits = [rng.randrange(q) for _ in range(max_deg + 1)]
         if not any(digits):
             digits[rng.randrange(max_deg + 1)] = 1 + rng.randrange(q - 1)
         f = Laurent(q, -max_deg, digits)
-        acc = acc * Mat.elementary(q, i, j, f, n=dim)
+        acc = acc * Mat.elementary(q, i, j, f)
     return acc

@@ -59,6 +59,10 @@ from ..projgeom import ProjLine, in_unit_window, line_has_slope_u
 from ..spectral import eigen_flags, is_regular
 
 LATTICE_BUDGET = 100_000
+# a lattice candidate's feasible sweep level may be at most this
+LATTICE_MAX_LEVEL = 12
+# minimum_feasible_level gives up above this level
+LEVEL_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -157,8 +161,8 @@ def refined_image_level(level, vm_image, lognorm_g, lognorm_compound):
     return level - lognorm_compound - vm_image - np.minimum(vm_image, level - lognorm_g)
 
 
-def minimum_feasible_level(eigen, contraction, cap=64):
-    """Smallest sweep level the analytic bounds allow, or None above cap.
+def minimum_feasible_level(eigen, contraction):
+    """Smallest sweep level the analytic bounds allow, or None above LEVEL_CAP.
 
     Uses the margin-based upper bound on vm(g^{+-1} y) over the cone
     complement to ask when every image ball can still be certified inside
@@ -182,7 +186,7 @@ def minimum_feasible_level(eigen, contraction, cap=64):
         lognorm_g = mat.lognorm()
         lognorm_compound = mat.second_compound().lognorm()
         level = None
-        for m in range(max(3, guard), cap + 1):
+        for m in range(max(3, guard), LEVEL_CAP + 1):
             if refined_image_level(m, vm_hi[sign], lognorm_g, lognorm_compound) >= 2:
                 level = m
                 break
@@ -208,8 +212,6 @@ def find_regular(
     strategy="synthetic",
     seed=None,
     budget=LATTICE_BUDGET,
-    max_level=12,
-    spread=2,
 ):
     """Produce a positioned proximal candidate.
 
@@ -219,7 +221,7 @@ def find_regular(
     SearchExhausted when the budget runs out.
     """
     if strategy == "synthetic":
-        h = make_proximal(q, spread)
+        h = make_proximal(q)
         eigen = eigen_flags(h)
         if not _flags_in_position(eigen):
             raise AssertionError("synthetic basis no longer positions the flags")
@@ -233,7 +235,7 @@ def find_regular(
         raise ValueError("lattice search needs an explicit seed")
 
     rng = random.Random(seed)
-    spread_guess = 2 * max_level + 16
+    spread_guess = 2 * LATTICE_MAX_LEVEL + 16
     trials = 0
     while trials < budget:
         # stage 1: a contractor g with its attracting flag already in
@@ -278,7 +280,7 @@ def find_regular(
                     continue
                 contraction = contraction_power(eigen)
                 level = minimum_feasible_level(eigen, contraction)
-                if level is None or level > max_level:
+                if level is None or level > LATTICE_MAX_LEVEL:
                     continue
                 return ProximalCandidate(h, eigen, contraction, "lattice", trials, level)
     raise SearchExhausted(budget, f"no positioned regular element in {budget} draws")

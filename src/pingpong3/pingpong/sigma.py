@@ -244,14 +244,16 @@ def sigma_exclusion(pair):
 
 # -- Monte-Carlo cross-check ----------------------------------------------
 
+_TAIL_DEPTH = 14
 
-def _random_window_tail(field, rng, depth):
-    """A concrete element of u^2 O with random digits up to u^depth."""
-    digits = [rng.randrange(field.q) for _ in range(depth - 2)]
+
+def _random_window_tail(field, rng):
+    """A concrete element of u^2 O with random digits at u^2 .. u^(_TAIL_DEPTH - 1)."""
+    digits = [rng.randrange(field.q) for _ in range(_TAIL_DEPTH - 2)]
     return field.from_int_poly(digits, lead=2)
 
 
-def monte_carlo_check(pair, rng, trials_per_case=200, exponent_bound=5, depth=14):
+def monte_carlo_check(pair, rng, trials_per_case=200, exponent_bound=5):
     """Replay the exclusion on random concrete samples.
 
     For each sign case, picks random exponents and random window points,
@@ -272,13 +274,13 @@ def monte_carlo_check(pair, rng, trials_per_case=200, exponent_bound=5, depth=14
             m = signs[0] * rng.randint(1, exponent_bound)
             n = signs[1] * rng.randint(1, exponent_bound)
             base = (
-                one + _random_window_tail(field, rng, depth),
-                one + _random_window_tail(field, rng, depth),
+                one + _random_window_tail(field, rng),
+                one + _random_window_tail(field, rng),
                 one,
             )
             y = (
-                one + _random_window_tail(field, rng, depth),
-                one + _random_window_tail(field, rng, depth),
+                one + _random_window_tail(field, rng),
+                one + _random_window_tail(field, rng),
                 one,
             )
             image = pair.act(m, n, y)

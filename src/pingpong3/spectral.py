@@ -221,7 +221,7 @@ def eigen_flags(mat, precision=None):
     lams = tuple(hensel_lift_root(poly, w, precision) for w in wvals)
     vectors = []
     for lam in lams:
-        m = mat - Mat.identity(mat.q, mat.n).scale_elem(lam)
+        m = mat - Mat.identity(mat.q).scale_elem(lam)
         best = None
         for i, j in ((0, 1), (0, 2), (1, 2)):
             cand = vec_cross(m.rows[i], m.rows[j])

@@ -142,8 +142,6 @@ TAMPERS = [
     (("eigen", "eigenvalues"), _reversed, "contraction_power"),
     (("eigen", "precision"), lambda v: 20, "contraction_power"),
     (("verification", "feasible_level"), lambda v: v + 1, "contraction_power"),
-    (("trials",), lambda v: v + 1, "find_regular"),
-    (("seed",), lambda v: 7, "find_regular"),
     (("strategy",), lambda v: "lattice", "find_regular"),
     # the pipeline's margin is 2; n0 and the feasible level come out the
     # same at 1, so only the margin check sees this
@@ -250,7 +248,7 @@ def test_every_integer_leaf_written_as_float_or_bool_is_refused():
 def test_relabelled_lattice_certificate_is_refused(result):
     # the synthetic h has entries with u^1 and u^3, so it is not in SL3(F_q[t])
     bad = copy.deepcopy(result.certificate)
-    bad.update(strategy="lattice", seed=12345, trials=7)
+    bad["strategy"] = "lattice"
     outcome = verify_certificate(bad)
     assert _stages(outcome) == {"find_regular"}
     assert ("find_regular", "h is not an element of SL3(F_q[t])") in outcome.failures
@@ -260,9 +258,9 @@ def test_relabelled_lattice_certificate_is_refused(result):
     "strategy, seed", [("synthetic", 5), ("lattice", 11)], ids=["synthetic", "lattice"]
 )
 def test_constructed_certificates_verify(strategy, seed):
-    # the synthetic search ignores a seed, so the certificate records none
+    # verify replays no search, so neither its seed nor its trials are stored
     cert = construct_pipeline(2, strategy=strategy, seed=seed, **SMALL).certificate
-    assert cert["seed"] == (seed if strategy == "lattice" else None)
+    assert "seed" not in cert and "trials" not in cert
     outcome = verify_certificate(json.loads(certificate_text(cert)))
     assert outcome.passed, outcome.failures
 
@@ -320,9 +318,8 @@ def test_stored_parameters_outside_their_range_are_refused(result, key, value):
         verify_certificate(bad)
 
 
-@pytest.mark.parametrize("key", ["trials", "seed", "n0"])
+@pytest.mark.parametrize("key", ["q", "power_applied", "n0"])
 def test_booleans_are_not_integer_fields(result, key):
-    # a lattice certificate with trials or seed true verified before
     cert = copy.deepcopy(result.certificate)
     cert[key] = True
     with pytest.raises(CertificateError, match=f"'{key}' must be int"):

@@ -57,6 +57,26 @@ def test_verify_fails_on_a_tampered_certificate(cert_path, tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def _edited(cert_path, tmp_path, **fields):
+    cert = json.loads(cert_path.read_text())
+    cert.update(fields)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(cert))
+    return path
+
+
+def test_verify_refuses_non_3x3_matrix_text_with_exit_2(cert_path, tmp_path, capsys):
+    assert main(["verify", str(_edited(cert_path, tmp_path, g="1, 0; 0, 1"))]) == 2
+    err = capsys.readouterr().err
+    assert "certificate matrices do not parse" in err and "Traceback" not in err
+
+
+def test_verify_refuses_a_version_1_certificate_with_exit_2(cert_path, tmp_path, capsys):
+    path = _edited(cert_path, tmp_path, version=1, seed=None, trials=1)
+    assert main(["verify", str(path)]) == 2
+    assert "unsupported certificate version 1 " in capsys.readouterr().err
+
+
 def test_verify_missing_file_is_exit_2(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "nope.json")]) == 2
     assert "error" in capsys.readouterr().err

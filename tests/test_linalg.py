@@ -110,6 +110,12 @@ def test_char_poly_constant_coefficient_is_signed_det():
         assert p.coeffs[-1] == F2.one()
 
 
+def test_char_poly_linear_coefficient_stays_exact_on_inexact_input():
+    # a(e + i) is an exact zero at q = 2, where a*e + a*i would be O(u^2)
+    a = Mat.diagonal([F2.one().truncate(1), F2.u(1), F2.u(1)])
+    assert a.char_poly().coeffs[1] == F2.u(2)
+
+
 def test_matrix_power():
     a = diag(F2, 4, -2, -2)
     assert a ** 3 == diag(F2, 12, -6, -6)
@@ -131,6 +137,17 @@ def test_matrix_text_roundtrip():
     assert a.to_text() == text
     with pytest.raises(LaurentSyntaxError):
         parse_matrix("1, 0; 0, 1; 1, 1", 2)
+    with pytest.raises(LaurentSyntaxError, match="3x3"):
+        parse_matrix("1, 0; 0, 1", 2)
+
+
+def test_matrices_are_3x3():
+    one, z = F2.one(), F2.zero()
+    for n in (2, 4):
+        with pytest.raises(ValueError, match="3x3"):
+            Mat([[one if i == j else z for j in range(n)] for i in range(n)])
+    with pytest.raises(ValueError, match="3x3"):
+        Mat.diagonal([one, one])
 
 
 def test_matrix_is_immutable():
@@ -143,28 +160,29 @@ def test_matrix_is_immutable():
 
 
 def test_inverse_of_singular_matrix_raises():
-    z = F2.zero()
-    a = Mat([[F2.one(), F2.one()], [F2.one(), F2.one()]])
+    z, one = F2.zero(), F2.one()
+    a = Mat([[one, one, z], [one, one, z], [z, z, one]])
     assert a.det().is_exact_zero
     with pytest.raises(SingularOrUndecidable):
         a.inverse()
-    b = Mat([[F2.unknown(2), z], [z, F2.one()]])
+    b = Mat.diagonal([F2.unknown(2), one, one])
     with pytest.raises(SingularOrUndecidable):
         b.inverse()
 
 
 def test_lognorm_of_zero_matrix_raises():
     z = F2.zero()
-    with pytest.raises(ValueError):
-        Mat([[z, z], [z, z]]).lognorm()
+    with pytest.raises(ValueError, match="zero matrix"):
+        Mat.diagonal([z, z, z]).lognorm()
 
 
 def test_lognorm_with_undecided_entry():
-    a = Mat([[F2.unknown(2), F2.zero()], [F2.zero(), F2.u(3)]])
+    # every decided entry has valuation 3, above the unknown entry's floor
+    a = Mat.diagonal([F2.unknown(2), F2.u(3), F2.u(3)])
     with pytest.raises(InsufficientPrecision):
         a.lognorm()
     # a unit entry settles the minimum regardless of the unknown tail
-    b = Mat([[F2.unknown(2), F2.zero()], [F2.zero(), F2.one()]])
+    b = Mat.diagonal([F2.unknown(2), F2.one(), F2.one()])
     assert b.lognorm() == 0
 
 
@@ -181,10 +199,11 @@ def test_cartan_of_singular_matrix_raises():
 
 
 def test_inverse_with_non_monomial_det_is_inexact():
-    a = Mat([[F2.one() + F2.u(1), F2.u(2)], [F2.zero(), F2.one()]])
+    z = F2.zero()
+    a = Mat([[F2.one() + F2.u(1), F2.u(2), z], [z, F2.one(), z], [z, z, F2.one()]])
     inv = a.inverse()
     assert not inv.exact
-    assert (a * inv).equal_mod(Mat.identity(2, 2), 20) is True
+    assert (a * inv).equal_mod(Mat.identity(2), 20) is True
 
 
 # -- oracle-backed randomized checks ----------------------------------------
