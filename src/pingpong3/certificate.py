@@ -23,12 +23,12 @@ verify_certificate re-runs every stage from the stored objects alone:
 * a synthetic h must be the synthetic proximal element; a lattice h must
   lie in SL3(F_q[t]) (the lattice search itself is not replayed, so its
   seed and trial count are not stored);
-* g must equal h^n0 exactly, and the contraction power, the eigen data,
-  the feasible level, the constants and the stored margin and epsilon
-  exponents must reproduce the stored values -- as the same JSON, so a
-  stored 4.0 or true is not a 4 or a 1;
-* the back half must pass -- optionally at a higher level / gamma bound /
-  word bound (overrides may strengthen the check, never weaken it);
+* the contraction power, the eigen data, the feasible level, the constants
+  and the stored margin and epsilon exponents must reproduce the stored
+  values -- as the same JSON, so a stored 4.0 or true is not a 4 or a 1 --
+  and g must equal h^n0 exactly for the recomputed n0;
+* the back half must pass with the recomputed constants, at the stored or
+  a raised level / gamma bound / word bound (never a lowered one);
 * the fresh sweep report must agree with the stored one field for field
   when run at the stored level and gamma bound, the survey report when run
   at the stored word bound, and the stored irreducibility claim must be
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -53,6 +52,7 @@ from .linalg import parse_matrix
 from .pingpong.constants import qi_constants
 from .pingpong.generators import make_generators, make_pair
 from .pingpong.regular import (
+    LATTICE_BUDGET,
     contraction_power,
     find_regular,
     make_proximal,
@@ -187,10 +187,11 @@ def construct_pipeline(
     profile=(1, 1),
     strategy="synthetic",
     seed=None,
-    level=10,
-    gamma_bound=3,
-    word_bound=8,
-    budget=100_000,
+    *,
+    level,
+    gamma_bound,
+    word_bound,
+    budget=LATTICE_BUDGET,
 ):
     """Run both halves of the pipeline under the raise policy.
 
@@ -417,11 +418,6 @@ def verify_certificate(source, level=None, gamma_bound=None, word_bound=None):
     if cert["power_applied"] != q * (q - 1):
         outcome.fail("generators", "power_applied is not q(q-1)")
 
-    if not (h.exact and g.exact):
-        outcome.fail("consistency", "h and g must be exact matrices")
-    elif not (h ** cert["n0"] == g):
-        outcome.fail("consistency", f"g is not h^{cert['n0']}")
-
     if pair is not None:
         exclusion = outcome.run("sigma_exclusion", sigma_exclusion, pair)
         if exclusion is not None and exclusion.digest != cert["sigma_digest"]:
@@ -446,6 +442,7 @@ def verify_certificate(source, level=None, gamma_bound=None, word_bound=None):
         outcome.fail("contraction_power", f"n0_source is not {_N0_SOURCE!r}")
     precision = cert["eigen"].get("precision")
     rebuilt = outcome.run("contraction_power", _rebuild_candidate, h, precision)
+    constants = None
     if rebuilt is not None:
         payload = _eigen_payload(rebuilt.eigen)
         if not _same(payload["valuations"], cert["eigen"]["valuations"]):
@@ -473,16 +470,14 @@ def verify_certificate(source, level=None, gamma_bound=None, word_bound=None):
                 if constants.epsilon_exponent != stored["epsilon_exponent"]:
                     outcome.fail("qi_constants", "stored epsilon exponent differs")
 
-    if pair is None:
-        return outcome
-
-    claimed = SimpleNamespace(
-        alpha=Fraction(cert["constants"]["alpha"]),
-        c_total=cert["constants"]["c_total"],
-        r_prime=cert["constants"]["r_prime"],
-        epsilon_exponent=stored["epsilon_exponent"],
-    )
-    back_half(outcome, pair, g, claimed, **params, stored=stored_reports)
+    # no work is sized by a stored claim: h is raised to the recomputed n0,
+    # and the back half runs with the recomputed constants, or not at all
+    if not (h.exact and g.exact):
+        outcome.fail("consistency", "h and g must be exact matrices")
+    elif rebuilt is not None and h ** rebuilt.contraction.n0 != g:
+        outcome.fail("consistency", f"g is not h^{rebuilt.contraction.n0}")
+    if constants is not None:
+        back_half(outcome, pair, g, constants, **params, stored=stored_reports)
     if cert["reports"].get("irreducible") is not True:
         outcome.fail("irreducibility_witness", "stored irreducibility claim is not true")
 

@@ -36,6 +36,7 @@ from .certificate import (
 )
 from .errors import CertificateError, LaurentSyntaxError, StageError
 from .field import is_prime
+from .pingpong.regular import LATTICE_BUDGET
 from .pingpong.words import reduced_word_count
 from .projgeom import (
     ProjLine,
@@ -98,8 +99,8 @@ def _add_pipeline_arguments(sub, sweeps):
     sub.add_argument("--strategy", choices=("synthetic", "lattice"), default="synthetic")
     sub.add_argument("--seed", type=int, default=None,
                      help="search seed (required for the lattice strategy)")
-    sub.add_argument("--budget", type=_at_least(1, "budget"), default=100_000,
-                     help="lattice search trial budget (default 100000)")
+    sub.add_argument("--budget", type=_at_least(1, "budget"), default=LATTICE_BUDGET,
+                     help=f"lattice search trial budget (default {LATTICE_BUDGET})")
     if sweeps:
         sub.add_argument("--level", type=_level_arg, default=None,
                          help="ball sweep level M (default 10 at q=2, else 6)")

@@ -18,9 +18,9 @@ A ball is three value indices into one digit table, built once per
 sweep: the base-q digits of every coordinate value below q^M.  The sweep
 reads balls through a few fixed families of linear forms -- the two cone
 forms per apex, the rows of the eigenbasis adjugate, the rows of g and
-g^-1 -- evaluated in bulk in one of two formats, picked from q and the
-widest row each pass reads (the domain pass and the window pass pick
-theirs separately):
+g^-1, and the unit forms y_i -- evaluated in bulk in one of two formats,
+picked once per sweep from q and the widest row the domain pass reads
+(the window pass reads only rows cut at the cone depth):
 
 * at q = 2, when every row fits 64 columns, a digit row is one uint64
   word (bit c = digit at u^c).  A form is XOR-linear in each coordinate,
@@ -29,7 +29,8 @@ theirs separately):
   XOR of one gather per coordinate at the balls' value indices, with the
   pivot coordinate's part a constant.  The window pass moves the same
   parts by the diagonal's exponents (a shift of each word) instead of
-  evaluating the forms on every image.  A first-nonzero position is a
+  evaluating the forms on every image, and reads each image itself as the
+  unit forms moved the same way.  A first-nonzero position is a
   trailing-zero count.
 * otherwise a chunk of balls is a (3, M, n) integer array of base-q
   digits, gathered from the table once and shared by every family,
@@ -51,7 +52,6 @@ widths, come from ``pingpong3.digits``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -81,6 +81,10 @@ def _taps(x, start, stop):
     return [(start + int(p), int(row[p])) for p in np.nonzero(row)[0]]
 
 
+# the unit forms y_i, one tap each: a chunk's images under a monic diagonal
+_UNIT = [[[(0, 1)] if j == i else [] for j in range(3)] for i in range(3)]
+
+
 def _digit_dtype(q):
     """Dtype of the sweep's digit arrays: every digit product fits it."""
     return int_dtype((q - 1) ** 2)
@@ -90,10 +94,10 @@ def _digit_dtype(q):
 #
 # Both formats share one interface and keep the ball axis last.  ``encode``
 # turns the digit table into the format's rows of every coordinate value,
-# once per pass.  A family of k linear forms sum_j x_ij y_j, each form
+# once per sweep.  A family of k linear forms sum_j x_ij y_j, each form
 # given as three tap lists (position, digit) of its coefficients x_ij, into
-# the digits at u^lead .. u^(lead + width - 1), is prepared once per pass by
-# ``forms``.  ``chunk`` reads one chunk of balls: their value indices (from
+# the digits at u^lead .. u^(lead + width - 1), is prepared once per sweep
+# by ``forms``.  ``chunk`` reads one chunk of balls: their value indices (from
 # ``_ball_chunks``) and the index of their pivot coordinate, None for balls
 # of mixed strata.  ``evaluate`` gives a family's rows on a chunk; ``at``
 # gives them as a function of per-coordinate offsets o, coordinate j
@@ -204,27 +208,13 @@ class _IntRows:
             mask &= (x == y) & (x == z)
         return mask
 
-    @staticmethod
-    def diagonal(chunk, offsets, width):
-        """Each coordinate moved right by its offset (a monic diagonal)."""
-        _, level, n = chunk.shape
-        img = np.zeros((3, width, n), dtype=chunk.dtype)
-        for k, off in enumerate(offsets):
-            img[k, off : off + level] = chunk[k]
-        return img
-
 
 class _BitChunk:
-    """A chunk at q = 2: its balls' value indices and pivot coordinate.
-    Forms read their tables at the indices; the words themselves are
-    gathered only when a diagonal image needs them."""
+    """A chunk at q = 2: its balls' value indices and pivot coordinate, at
+    which forms read their tables."""
 
-    def __init__(self, values, balls, pivot):
-        self.values, self.balls, self.pivot = values, balls, pivot
-
-    @cached_property
-    def words(self):
-        return _IntRows.chunk(self.values, self.balls, self.pivot)
+    def __init__(self, balls, pivot):
+        self.balls, self.pivot = balls, pivot
 
     def take(self, table, j):
         """The (k, V) ``table`` at coordinate j's value indices: (k, n), or
@@ -264,7 +254,7 @@ class _BitRows:
 
     @staticmethod
     def chunk(values, balls, pivot=None):
-        return _BitChunk(values, balls, pivot)
+        return _BitChunk(balls, pivot)
 
     @staticmethod
     def evaluate(forms, chunk):
@@ -318,10 +308,6 @@ class _BitRows:
     def window_mask(img, vm_col):
         diff = (img[0] ^ img[1]) | (img[0] ^ img[2])
         return ((diff >> vm_col.astype(np.uint64)) & 3) == 0
-
-    @staticmethod
-    def diagonal(chunk, offsets, width):
-        return chunk.words << np.array(offsets, dtype=np.uint64)[:, None]
 
 
 def _row_format(q, width):
@@ -390,7 +376,7 @@ class _ConeTest:
     val(n1) + 2 (the sign the scalar route puts on -n0 - u n1 does not move
     valuations).  Both n1 = a2 y0 - a0 y2 and comb = n0 + u n1 = u a2 y0 -
     a2 y1 + (a1 - u a0) y2 are linear forms in y: ``forms``, one family of
-    the pass's row format.  The apex digits are exact on [0, depth), so the
+    the sweep's row format.  The apex digits are exact on [0, depth), so the
     forms are trusted on columns [0, depth) only; a verdict that would need
     digits at or beyond the horizon raises InsufficientPrecision.
     ``verdicts`` reads the forms evaluated on a chunk, or on its images
@@ -774,30 +760,25 @@ def verify_pingpong(pair, g, level, gamma_bound, eigen=None, epsilon_exponent=No
     gammas = _gamma_table(pair, gamma_bound)
     report.gamma_elements = len(gammas)
     # each image is the window digits moved right by the diagonal's
-    # exponents, and its cone forms are the chunk's moved the same way (the
-    # image itself is built only for its lead column and window test); one
-    # row format serves the widest image of the pass
-    images = []
-    for label, dvals in gammas:
-        dmin = min(dvals)
-        width = max(dvals) - dmin + level
-        images.append((label, dvals, [d - dmin for d in dvals], width))
-    rows = _row_format(q, max([depth] + [width for *_, width in images]))
-    values = rows.encode(table)
-    cones = [_ConeTest(rows, values, apex, depth) for apex in (apex_plus, apex_minus)]
+    # exponents less their least, read through forms cut at the cone depth:
+    # the unit forms y_i and the cone forms, both the chunk's moved the same
+    # way.  Every coordinate of a window ball reads 1 at u^0, so an image's
+    # lead column is 0 and its window test reads columns 0 and 1 alone
+    families = [rows.forms(values, _UNIT, 0, depth)] + [cone.forms for cone in cones]
 
     for balls in _window_balls(q, level, CHUNK):
         n = balls[0].size
         w_texts = lambda r: _text(table, balls, r)  # noqa: E731
         chunk = rows.chunk(values, balls, 2)  # z is the pivot 1
-        cone_forms = [rows.at(cone.forms, chunk) for cone in cones]
-        for label, dvals, offsets, width in images:
-            img = rows.diagonal(chunk, offsets, width)
+        image, *cone_forms = [rows.at(f, chunk) for f in families]
+        for label, dvals in gammas:
+            offsets = [d - min(dvals) for d in dvals]
+            img = image(offsets)
             report.checked_images += n
 
             # theta-exactness: window points have unit coordinates, so the
             # image norm is exactly the largest diagonal norm
-            vm_col = rows.lead_column(img, width)
+            vm_col = rows.lead_column(img, depth)
             _flag(report, "theta-exactness", label, vm_col != 0, w_texts)
 
             svals = sorted(dvals)
@@ -842,5 +823,6 @@ def verify_pingpong(pair, g, level, gamma_bound, eigen=None, epsilon_exponent=No
                     w_texts,
                     lambda r, vc=vc: f"vcomb {int(vc[r])} vs stable columns {pert}",
                 )
+        del image, cone_forms  # not held while the next chunk gathers its parts
 
     return report

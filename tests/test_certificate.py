@@ -146,6 +146,10 @@ TAMPERS = [
     # the pipeline's margin is 2; n0 and the feasible level come out the
     # same at 1, so only the margin check sees this
     (("verification", "margin_exponent"), lambda v: v - 1, "contraction_power"),
+    # g = h^n0 is checked with the recomputed n0, and the back half runs
+    # with the recomputed constants, so neither claim sizes any work
+    (("n0",), lambda v: v + 5, "contraction_power"),
+    (("constants", "r_prime"), lambda v: v + 1, "qi_constants"),
 ]
 
 

@@ -71,6 +71,19 @@ def test_verify_refuses_non_3x3_matrix_text_with_exit_2(cert_path, tmp_path, cap
     assert "certificate matrices do not parse" in err and "Traceback" not in err
 
 
+def test_verify_fails_an_unparsable_alpha_at_its_stage_with_exit_1(
+    cert_path, tmp_path, capsys
+):
+    cert = json.loads(cert_path.read_text())
+    cert["constants"]["alpha"] = "abc"
+    path = _edited(cert_path, tmp_path, constants=cert["constants"])
+    assert main(["verify", str(path)]) == 1
+    printed = capsys.readouterr()
+    assert "FAIL (1 stage checks)" in printed.out
+    assert "  qi_constants: recomputed constants differ" in printed.out
+    assert "Traceback" not in printed.out + printed.err
+
+
 def test_verify_refuses_a_version_1_certificate_with_exit_2(cert_path, tmp_path, capsys):
     path = _edited(cert_path, tmp_path, version=1, seed=None, trials=1)
     assert main(["verify", str(path)]) == 2

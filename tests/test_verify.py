@@ -30,6 +30,7 @@ from pingpong3.pingpong.verify import (
     _row_format,
     _taps,
     _text,
+    _UNIT,
     _window_balls,
     verify_pingpong,
 )
@@ -257,20 +258,36 @@ def test_eigencoordinate_shift_adds_agree_with_scalar_products(q):
                 assert scalar == list(digits[i][: stop - start])
 
 
+def _diagonal_digits(q, table, balls, offsets, width):
+    """(3, width, n) digits of the images of ``balls`` under the monic
+    diagonal u^offsets, read from scalar products."""
+    diag = Mat.diagonal([Field(q).u(k) for k in offsets])
+    digits = np.zeros((3, width, balls[0].size), dtype=table.dtype)
+    for r in range(balls[0].size):
+        image = diag.matvec(_vector(q, table, balls, r))
+        for i in range(3):
+            digits[i, :, r] = [image[i].digit_at(c) for c in range(width)]
+    return digits
+
+
 @pytest.mark.parametrize("q", BULK_QS)
 def test_diagonal_images_agree_with_scalar_products(q):
-    """The window pass's images under a monic diagonal, digit for digit."""
-    level, offsets = 4, (3, 0, 5)
-    width = max(offsets) + level
-    diag = Mat.diagonal([Field(q).u(k) for k in offsets])
+    """The window pass's images under a monic diagonal, digit for digit:
+    the unit forms y_i moved by the offsets through ``at``, cut at the cone
+    depth.  An offset at or past the depth moves its coordinate out of
+    every column kept."""
+    level = 4
+    depth = level + 8
     table = _digit_table(q, level)
     balls = _sample_balls(q, level, 300, seed=q + 3)
+    cases = [(3, 0, 5), (0, depth, 2), (depth + 3, 1, 0)]
     for rows in _formats(q):
-        img = rows.diagonal(_chunk(rows, table, balls), offsets, width)
-        for r, digits in enumerate(_digits(rows, img, width)):
-            image = diag.matvec(_vector(q, table, balls, r))
-            for i in range(3):
-                assert [image[i].digit_at(c) for c in range(width)] == list(digits[i])
+        values = rows.encode(table)
+        image = rows.at(rows.forms(values, _UNIT, 0, depth), rows.chunk(values, balls))
+        for offsets in cases:
+            scalar = _diagonal_digits(q, table, balls, offsets, depth)
+            got = _digits(rows, image(offsets), depth)
+            assert np.array_equal(got, scalar.transpose(2, 0, 1))
 
 
 @pytest.mark.parametrize("q", BULK_QS)
@@ -292,24 +309,29 @@ def test_pivot_coordinate_part_is_one_constant(q):
 def test_cone_forms_moved_by_offsets_are_the_forms_of_the_diagonal_image(q):
     """The window pass's cone forms of an image under a monic diagonal,
     read from the chunk with each coordinate moved by its offset, against
-    the forms evaluated on the image itself.  An offset at or past the
-    depth moves its coordinate out of every column kept."""
+    the forms evaluated on the image's digits from scalar products.  An
+    offset at or past the depth moves its coordinate out of every column
+    kept."""
     level = 4
     depth = level + 8
     eig = eigen_flags(make_proximal(q), precision=40)
     table = _digit_table(q, level)
-    window = next(_window_balls(q, level, CHUNK))
+    window = next(_window_balls(q, level, 200))
     sample = _sample_balls(q, level, 300, seed=q + 4)
     cases = [(3, 0, 5), (0, depth, 2), (depth + 3, 1, 0), (0, 0, 0)]
-    for rows in _formats(q):
-        values = rows.encode(table)
-        for balls, pivot in ((window, 2), (sample, None)):
+    for balls, pivot in ((window, 2), (sample, None)):
+        images = {
+            offsets: _diagonal_digits(q, table, balls, offsets, max(offsets) + level)
+            for offsets in cases
+        }
+        for rows in _formats(q):
+            values = rows.encode(table)
             chunk = rows.chunk(values, balls, pivot)
             for apex in (eig.vectors[0], eig.vectors[2]):
                 cone = _ConeTest(rows, values, apex, depth)
                 moved = rows.at(cone.forms, chunk)
-                for offsets in cases:
-                    img = rows.diagonal(chunk, offsets, max(offsets) + level)
+                for offsets, digits in images.items():
+                    img = np.stack([rows.encode(coord) for coord in digits])
                     image_forms = rows.shift_add(cone.taps, img, 0, depth)
                     got = _digits(rows, moved(offsets), depth)
                     assert np.array_equal(got, _digits(rows, image_forms, depth))
@@ -333,8 +355,9 @@ def test_q2_sweep_runs_no_shift_add_on_a_chunk(monkeypatch):
     monkeypatch.setattr(_IntRows, "shift_add", refused)
     report = verify_pingpong(PAIR2, G2, level, gamma_bound=2)
     assert report.passed
-    # per coordinate: two cones, adjugate, g and g^-1; two cones again
-    assert seen == [2**level] * (3 * 5 + 3 * 2)
+    # per coordinate: two cones, adjugate, g and g^-1, built once per
+    # sweep; then the window pass's unit forms
+    assert seen == [2**level] * (3 * 5 + 3 * 1)
 
 
 def test_shift_add_accumulator_holds_the_largest_column_sum():
@@ -449,12 +472,15 @@ def test_odd_q_sweep_reports_and_examples_are_pinned(
         (PAIR2, SHEAR, 4, 1, None, G2),  # image-window, image-level
         (PAIR2, Mat.identity(2), 5, 1, None, G2),  # image-window
         (_monic_pair((1, 0, -1), (0, 0, 0)), G2, 5, 2, None, None),  # gamma-*
+        # window images up to 16 * 6 + 5 = 101 columns, read at the depth
+        (PAIR2, G2, 5, 8, None, None),
     ],
 )
 def test_q2_word_rows_match_integer_rows(
     monkeypatch, pair, g, level, gamma_bound, epsilon, eigen
 ):
-    """The same q = 2 sweep with every row forced to integer arrays."""
+    """The same q = 2 sweep on words, its one row format picked once, and
+    with every row forced to integer arrays."""
     if eigen is not None:
         eigen = eigen_flags(eigen, precision=40)
 
@@ -464,7 +490,16 @@ def test_q2_word_rows_match_integer_rows(
         )
         return report.as_dict(), [str(v) for v in report.examples]
 
+    picked = []
+    row_format = verify._row_format
+
+    def recorded(q, width):
+        picked.append(row_format(q, width))
+        return picked[-1]
+
+    monkeypatch.setattr(verify, "_row_format", recorded)
     words = sweep()
+    assert [type(rows) for rows in picked] == [_BitRows]
     monkeypatch.setattr(verify, "_row_format", lambda q, width: _IntRows(q))
     assert sweep() == words
 
