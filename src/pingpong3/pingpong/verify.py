@@ -24,7 +24,7 @@ picked once per sweep from q and the widest row the domain pass reads
 
 * at q = 2, when every row fits 64 columns, a digit row is one uint64
   word (bit c = digit at u^c).  A form is XOR-linear in each coordinate,
-  so once per pass a product table holds each coordinate's part of every
+  so once per sweep a product table holds each coordinate's part of every
   form at each of the q^M values; on a chunk of balls the forms are the
   XOR of one gather per coordinate at the balls' value indices, with the
   pivot coordinate's part a constant.  The window pass moves the same
@@ -229,7 +229,7 @@ class _BitRows:
     nonzero digit is 1 and -1 = 1, so a tap XORs in the shifted word and
     nothing is reduced.  A form is linear over XOR in each coordinate, so
     ``forms`` evaluates each coordinate's part x_ij v of every form at
-    every value v once per pass, into one (k, V) product table per
+    every value v once per sweep, into one (k, V) product table per
     coordinate; on a chunk the forms are the XOR of one take per coordinate
     at its value indices, the pivot's table column a constant.  Rows must
     fit 64 columns (``_row_format``)."""

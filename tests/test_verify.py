@@ -136,11 +136,6 @@ def _sample_balls(q, level, count, seed):
     return tuple(np.concatenate(coord) for coord in zip(*strata))
 
 
-def _chunk(rows, table, balls):
-    """The sweep's chunk of ``balls`` in the format ``rows``."""
-    return rows.chunk(rows.encode(table), balls)
-
-
 def _vector(q, table, balls, r):
     """The exact representative vector of ball ``r``."""
     return tuple(Laurent(q, 0, [int(d) for d in table[:, v[r]]]) for v in balls)
