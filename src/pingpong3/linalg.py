@@ -117,9 +117,6 @@ class Mat:
     def exact(self):
         return all(x.exact for r in self.rows for x in r)
 
-    def entry(self, i, j):
-        return self.rows[i][j]
-
     def column(self, j):
         return tuple(r[j] for r in self.rows)
 

@@ -11,26 +11,26 @@ the projective plane:
   coefficient is pinned exactly by the representative, the others are
   floored, and the eigenvalue gaps only widen with the power.
 * C2 sweep: every ball inside U, hit by every nontrivial a^m b^n with
-  |m|, |n| <= gamma_bound, must land outside U and outside both cones,
-  with the exact ultrametric norm identity (theta-exactness).
+  |m|, |n| <= gamma_bound, must land outside U and outside both cones.
+  Whether it leaves U, and its exact norm (theta-exactness), follow from
+  the exponents of a^m b^n alone; only the cone verdicts are read per ball.
 
 A ball is three value indices into one digit table, built once per
 sweep: the base-q digits of every coordinate value below q^M.  The sweep
 reads balls through a few fixed families of linear forms -- the two cone
-forms per apex, the rows of the eigenbasis adjugate, the rows of g and
-g^-1, and the unit forms y_i -- evaluated in bulk in one of two formats,
-picked once per sweep from q and the widest row the domain pass reads
-(the window pass reads only rows cut at the cone depth):
+forms per apex, the rows of the eigenbasis adjugate and the rows of g and
+g^-1 -- evaluated in bulk in one of two formats, picked once per sweep
+from q and the widest row the domain pass reads (the window pass reads
+only the cone forms, cut at the cone depth):
 
 * at q = 2, when every row fits 64 columns, a digit row is one uint64
   word (bit c = digit at u^c).  A form is XOR-linear in each coordinate,
   so once per sweep a product table holds each coordinate's part of every
   form at each of the q^M values; on a chunk of balls the forms are the
   XOR of one gather per coordinate at the balls' value indices, with the
-  pivot coordinate's part a constant.  The window pass moves the same
-  parts by the diagonal's exponents (a shift of each word) instead of
-  evaluating the forms on every image, and reads each image itself as the
-  unit forms moved the same way.  A first-nonzero position is a
+  pivot coordinate's part a constant.  The window pass moves the cone
+  forms' parts by the diagonal's exponents (a shift of each word) instead
+  of evaluating the forms on every image.  A first-nonzero position is a
   trailing-zero count.
 * otherwise a chunk of balls is a (3, M, n) integer array of base-q
   digits, gathered from the table once and shared by every family,
@@ -79,10 +79,6 @@ def _taps(x, start, stop):
     """(position, digit) pairs of ``x`` inside the window, for shift-adds."""
     row = window([x], start, stop)[0]
     return [(start + int(p), int(row[p])) for p in np.nonzero(row)[0]]
-
-
-# the unit forms y_i, one tap each: a chunk's images under a monic diagonal
-_UNIT = [[[(0, 1)] if j == i else [] for j in range(3)] for i in range(3)]
 
 
 def _digit_dtype(q):
@@ -759,70 +755,44 @@ def verify_pingpong(pair, g, level, gamma_bound, eigen=None, epsilon_exponent=No
 
     gammas = _gamma_table(pair, gamma_bound)
     report.gamma_elements = len(gammas)
-    # each image is the window digits moved right by the diagonal's
-    # exponents less their least, read through forms cut at the cone depth:
-    # the unit forms y_i and the cone forms, both the chunk's moved the same
-    # way.  Every coordinate of a window ball reads 1 at u^0, so an image's
-    # lead column is 0 and its window test reads columns 0 and 1 alone
-    families = [rows.forms(values, _UNIT, 0, depth)] + [cone.forms for cone in cones]
+    # Coordinate i of a window ball reads 1, 0 at u^0, u^1, so under a
+    # monic a^m b^n with offsets o_i = e_i - min(e) coordinate i of the
+    # image reads (1, 0) there when o_i = 0, (0, 1) when o_i = 1 and (0, 0)
+    # past that, on every ball alike.  The image's lead column is therefore
+    # 0 (theta-exactness holds), and it lies in U exactly when no offset is
+    # nonzero, for every ball of the window at once; its cones are then not
+    # read.  Only the cone verdicts depend on the ball.  Ball points perturb
+    # x and y at u^level, so image digits are ball-independent below column
+    # pert = level + min(o_x, o_y).  Both pert and the image level (level
+    # plus the gap between the two least exponents) are at least level >= 3.
+    elements = []
+    for label, dvals in gammas:
+        svals = sorted(dvals)
+        report.merge_min("min_image_level", level + svals[1] - svals[0])
+        offsets = [d - svals[0] for d in dvals]
+        elements.append((label, offsets, level + min(offsets[0], offsets[1])))
 
     for balls in _window_balls(q, level, CHUNK):
         n = balls[0].size
         w_texts = lambda r: _text(table, balls, r)  # noqa: E731
         chunk = rows.chunk(values, balls, 2)  # z is the pivot 1
-        image, *cone_forms = [rows.at(f, chunk) for f in families]
-        for label, dvals in gammas:
-            offsets = [d - min(dvals) for d in dvals]
-            img = image(offsets)
+        cone_forms = [rows.at(cone.forms, chunk) for cone in cones]
+        for label, offsets, pert in elements:
             report.checked_images += n
-
-            # theta-exactness: window points have unit coordinates, so the
-            # image norm is exactly the largest diagonal norm
-            vm_col = rows.lead_column(img, depth)
-            _flag(report, "theta-exactness", label, vm_col != 0, w_texts)
-
-            svals = sorted(dvals)
-            report.merge_min("min_image_level", level + svals[1] - svals[0])
-            if level + svals[1] - svals[0] < 3:
-                report.add_violation(
-                    "image-level",
-                    label,
-                    "all window balls",
-                    f"level {level + svals[1] - svals[0]}",
-                )
-
-            # ball points perturb the free coordinates x, y at u^level, so
-            # image digits are ball-independent below this column:
-            pert = level + min(offsets[0], offsets[1])
-
-            in_window = rows.window_mask(img, vm_col)
-            _flag(report, "gamma-window", label, in_window, w_texts)
-            if pert < 2:
-                report.add_violation(
-                    "ball-transfer",
-                    label,
-                    "all window balls",
-                    f"window verdicts need 2 stable columns, have {pert}",
-                )
+            if not any(offsets):
+                _flag(report, "gamma-window", label, np.ones(n, dtype=bool), w_texts)
+                continue
             for cone, forms, side_name in zip(cones, cone_forms, ("+", "-")):
-                # images already flagged as window violations may sit in the
-                # apex ball where the cone test cannot decide; skip those
-                verdict, v1, vc = cone.verdicts(forms(offsets), ignore=in_window)
-                _flag(
-                    report,
-                    f"gamma-cone{side_name}",
-                    label,
-                    ~in_window & verdict,
-                    w_texts,
-                )
+                verdict, _, vc = cone.verdicts(forms(offsets))
+                _flag(report, f"gamma-cone{side_name}", label, verdict, w_texts)
                 _flag(
                     report,
                     "ball-transfer",
                     label,
-                    ~in_window & ~verdict & (vc + 1 > pert),
+                    ~verdict & (vc + 1 > pert),
                     w_texts,
                     lambda r, vc=vc: f"vcomb {int(vc[r])} vs stable columns {pert}",
                 )
-        del image, cone_forms  # not held while the next chunk gathers its parts
+        del cone_forms  # not held while the next chunk gathers its parts
 
     return report

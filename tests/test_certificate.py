@@ -189,6 +189,35 @@ def test_stored_report_is_compared_when_only_other_bounds_are_raised(
     assert verify_certificate(result.certificate, **override).passed
 
 
+# (override, stored report field, the stage that must fail): a stored report
+# is compared with a rerun at its own stored bounds when they are raised
+RAISED_OWN_TAMPERS = [
+    (dict(level=6), ("reports", "pingpong", "domain_balls"), "verify_pingpong"),
+    (dict(gamma_bound=3), ("reports", "pingpong", "domain_balls"), "verify_pingpong"),
+    (dict(word_bound=4), ("reports", "words", "words"), "word_survey"),
+    (dict(level=6, word_bound=4), ("reports", "pingpong", "domain_balls"), "verify_pingpong"),
+    (dict(level=6, word_bound=4), ("reports", "words", "words"), "word_survey"),
+]
+
+
+@pytest.mark.parametrize(
+    "override, path, stage",
+    RAISED_OWN_TAMPERS,
+    ids=["-".join(override) + ":" + ".".join(p) for override, p, _ in RAISED_OWN_TAMPERS],
+)
+def test_stored_report_is_compared_when_its_own_bounds_are_raised(
+    result, override, path, stage
+):
+    raised = {**SMALL, **override}
+    bad = _replaced(result.certificate, path, lambda v: v + 1)
+    outcome = verify_certificate(bad, **override)
+    assert _stages(outcome) == {stage}
+    # the outcome keeps the reports of the run at the raised bounds
+    sweep, survey = outcome.reports["pingpong"], outcome.reports["words"]
+    assert (sweep.level, sweep.gamma_bound, survey.bound) == tuple(raised.values())
+    assert verify_certificate(result.certificate, **override).passed
+
+
 def _respaced(text):
     return text.replace(", ", " ,  ")
 

@@ -10,7 +10,7 @@ import pytest
 from pingpong3.digits import int_dtype, support
 from pingpong3.errors import InsufficientLevel
 from pingpong3.field import Field, Laurent
-from pingpong3.linalg import Mat, parse_matrix
+from pingpong3.linalg import Mat, parse_matrix, vec_min_val
 from pingpong3.pingpong.generators import DiagPair, make_generators
 from pingpong3.pingpong.regular import (
     contraction_power,
@@ -30,7 +30,6 @@ from pingpong3.pingpong.verify import (
     _row_format,
     _taps,
     _text,
-    _UNIT,
     _window_balls,
     verify_pingpong,
 )
@@ -265,12 +264,15 @@ def _diagonal_digits(q, table, balls, offsets, width):
     return digits
 
 
+# the unit forms y_i, one tap each: a chunk's images under a monic diagonal
+UNIT = [[[(0, 1)] if j == i else [] for j in range(3)] for i in range(3)]
+
+
 @pytest.mark.parametrize("q", BULK_QS)
 def test_diagonal_images_agree_with_scalar_products(q):
-    """The window pass's images under a monic diagonal, digit for digit:
-    the unit forms y_i moved by the offsets through ``at``, cut at the cone
-    depth.  An offset at or past the depth moves its coordinate out of
-    every column kept."""
+    """Images under a monic diagonal, digit for digit: the unit forms y_i
+    moved by the offsets through ``at``, cut at the cone depth.  An offset
+    at or past the depth moves its coordinate out of every column kept."""
     level = 4
     depth = level + 8
     table = _digit_table(q, level)
@@ -278,7 +280,7 @@ def test_diagonal_images_agree_with_scalar_products(q):
     cases = [(3, 0, 5), (0, depth, 2), (depth + 3, 1, 0)]
     for rows in _formats(q):
         values = rows.encode(table)
-        image = rows.at(rows.forms(values, _UNIT, 0, depth), rows.chunk(values, balls))
+        image = rows.at(rows.forms(values, UNIT, 0, depth), rows.chunk(values, balls))
         for offsets in cases:
             scalar = _diagonal_digits(q, table, balls, offsets, depth)
             got = _digits(rows, image(offsets), depth)
@@ -332,6 +334,44 @@ def test_cone_forms_moved_by_offsets_are_the_forms_of_the_diagonal_image(q):
                     assert np.array_equal(got, _digits(rows, image_forms, depth))
 
 
+@pytest.mark.parametrize("q", (2, 3, 5))
+def test_window_images_follow_the_closed_form(q):
+    """What the window pass no longer reads per ball, against the scalar
+    predicates: under a monic a^m b^n with offsets e_i - min(e), the image
+    of a point of a window ball lies in U exactly when every offset is 0,
+    and its least coordinate valuation is min(e).  Points carry random
+    digits past the ball's level in x and y."""
+    level, tail = 4, 3
+    rng = random.Random(q + 6)
+    table = _digit_table(q, level)
+    balls = next(_window_balls(q, level, q ** (2 * (level - 2))))
+    picked = rng.sample(range(balls[0].size), min(40, balls[0].size))
+    pairs = [
+        make_generators(q),
+        _monic_pair(*IDENTITY, q),
+        _monic_pair(*MONIC, q),
+        _monic_pair((1, -1, 0), (0, 1, -1), q),
+    ]
+    seen = set()
+    for r in picked:
+        x, y, z = (list(table[:, v[r]]) for v in balls)
+        point = [
+            Laurent(q, 0, c + [rng.randrange(q) for _ in range(tail)]) for c in (x, y)
+        ] + [Laurent(q, 0, z)]
+        for pair in pairs:
+            for m in range(-2, 3):
+                for n in range(-2, 3):
+                    if m == 0 and n == 0:
+                        continue
+                    exps, _ = pair.monomial(m, n)
+                    offsets = [e - min(exps) for e in exps]
+                    seen.update(min(o, 2) for o in offsets)
+                    image = pair.act(m, n, point)
+                    assert in_unit_window(image) is (not any(offsets))
+                    assert vec_min_val(image) == min(exps)
+    assert seen == {0, 1, 2}
+
+
 def test_q2_sweep_runs_no_shift_add_on_a_chunk(monkeypatch):
     """At q = 2 the only shift-adds build the product tables, one run over
     the V = 2^M values per coordinate and family, never one on balls."""
@@ -350,9 +390,8 @@ def test_q2_sweep_runs_no_shift_add_on_a_chunk(monkeypatch):
     monkeypatch.setattr(_IntRows, "shift_add", refused)
     report = verify_pingpong(PAIR2, G2, level, gamma_bound=2)
     assert report.passed
-    # per coordinate: two cones, adjugate, g and g^-1, built once per
-    # sweep; then the window pass's unit forms
-    assert seen == [2**level] * (3 * 5 + 3 * 1)
+    # per coordinate: two cones, adjugate, g and g^-1, built once per sweep
+    assert seen == [2**level] * (3 * 5)
 
 
 def test_shift_add_accumulator_holds_the_largest_column_sum():
@@ -381,7 +420,11 @@ def _monic_pair(ka, kb, q=2):
     return DiagPair(a, b, (one, one), (one, one))
 
 
-IDENTITY_PAIR = _monic_pair((0, 0, 0), (0, 0, 0))
+# exponent triples of two monic pairs: the identity, and one whose window
+# pass reports gamma-window and gamma-cone violations
+IDENTITY = ((0, 0, 0), (0, 0, 0))
+MONIC = ((1, 0, -1), (0, 0, 0))
+IDENTITY_PAIR = _monic_pair(*IDENTITY)
 H2 = make_proximal(2)
 G2 = H2**2
 # g that does not contract, with the eigenflags of G2: images miss the window
@@ -403,32 +446,53 @@ def _report_digest(report):
         (IDENTITY_PAIR, 6, 2, None, "9643da35c54479d7a794baea6c9ce045f2e9594c51239749ab29d16ee5345e77"),
         # window images up to 12 * 6 + 4 = 76 columns: wider than one word
         (PAIR2, 4, 6, None, "219390f6cbbfc4d43db09d546d4e71833b25b922ec5b1e1dc9fab4b7b880bb67"),
+        # 256 gamma-window and 320 gamma-cone violations of each sign
+        (
+            _monic_pair(*MONIC),
+            5,
+            2,
+            None,
+            "e8cd56ae5b2a599f0faff47c1e866ca4e30000539057faf6dc36bd91d6c372c1",
+        ),
+        # 128 gamma-cone violations of each sign, no gamma-window one
+        (
+            _monic_pair((1, -1, 0), (0, 1, -1)),
+            5,
+            1,
+            None,
+            "a9d6cdf8f95610830df88b25958cef652aa856cf8a479de4177cf55553cb08ef",
+        ),
     ],
-    ids=["epsilon-0", "identity-pair", "wide-window"],
+    ids=["epsilon-0", "identity-pair", "wide-window", "monic-window-cones", "monic-cones"],
 )
 def test_q2_sweep_reports_and_examples_are_pinned(
     pair, level, gamma_bound, epsilon, expected
 ):
-    """as_dict() and every example of three q = 2 sweeps, digests recorded
-    when every q = 2 row was an integer array."""
+    """as_dict() and every example of failing q = 2 sweeps.  The first three
+    digests were recorded when every q = 2 row was an integer array, the
+    monic pairs' when the window pass read each image's own digits."""
     report = verify_pingpong(pair, G2, level, gamma_bound, epsilon_exponent=epsilon)
     assert _report_digest(report) == expected
 
 
 @pytest.mark.parametrize(
-    "q, level, gamma_bound, chunk, identity, expected",
+    "q, level, gamma_bound, chunk, exponents, expected",
     [
         # epsilon 0: examples read the domain balls' texts
-        (3, 5, 2, CHUNK, False, "751792be9dd0123d55b1a9da2b03480520b98caca5c9727ecc7d3e827c6b846a"),
+        (3, 5, 2, CHUNK, None, "751792be9dd0123d55b1a9da2b03480520b98caca5c9727ecc7d3e827c6b846a"),
         # identity pair: examples read the window balls' texts
-        (3, 5, 2, CHUNK, True, "4feed41ab12d78fba5d6d4080f8c157a6a9a52c0929ce77721f91db172276078"),
+        (3, 5, 2, CHUNK, IDENTITY, "4feed41ab12d78fba5d6d4080f8c157a6a9a52c0929ce77721f91db172276078"),
         # 467,125 domain balls over eight chunks
-        (5, 4, 2, CHUNK, False, "a7bd50b0c5c270a045e2197caf5789e4f69fee54c6b221af06844ff0b9febe6f"),
-        (5, 4, 2, CHUNK, True, "f14afab1edfdb88319459237b515d0f13ef3c04027030ec6242f047bd30e03d8"),
+        (5, 4, 2, CHUNK, None, "a7bd50b0c5c270a045e2197caf5789e4f69fee54c6b221af06844ff0b9febe6f"),
+        (5, 4, 2, CHUNK, IDENTITY, "f14afab1edfdb88319459237b515d0f13ef3c04027030ec6242f047bd30e03d8"),
         # small chunks: the examples depend on the chunk boundaries
-        (3, 3, 1, 7, False, "5bb47bc9f3ef37ec6064a5f48f743a1780f2c24c3f0f140bfdca9b58712b545c"),
-        (3, 3, 1, 7, True, "a1c4f0be44f47010de6f8bab8c84c5c7735c7d8f0a58b030d22f27c33b3414e6"),
-        (5, 3, 1, 64, False, "e3c9a44816db28aae585424769a090df2d29665b59c3fd8bd5281757dfd484d5"),
+        (3, 3, 1, 7, None, "5bb47bc9f3ef37ec6064a5f48f743a1780f2c24c3f0f140bfdca9b58712b545c"),
+        (3, 3, 1, 7, IDENTITY, "a1c4f0be44f47010de6f8bab8c84c5c7735c7d8f0a58b030d22f27c33b3414e6"),
+        (5, 3, 1, 64, None, "e3c9a44816db28aae585424769a090df2d29665b59c3fd8bd5281757dfd484d5"),
+        # 324 gamma-window and 405 gamma-cone violations of each sign at
+        # level 4, 36 and 45 at level 3
+        (3, 4, 2, CHUNK, MONIC, "35c6cf0204c2946e0891f9a1b8191692f2d918a2e1254bf52e2e35aca420e4ff"),
+        (3, 3, 2, 7, MONIC, "98d83517b6ef2ae65c205a27a6da9b2b08c1c2fb456756687ea8e4281631d547"),
     ],
     ids=[
         "q3-epsilon-0",
@@ -438,21 +502,26 @@ def test_q2_sweep_reports_and_examples_are_pinned(
         "q3-chunk-7-epsilon-0",
         "q3-chunk-7-identity-pair",
         "q5-chunk-64-epsilon-0",
+        "q3-monic-window-cones",
+        "q3-chunk-7-monic-window-cones",
     ],
 )
 def test_odd_q_sweep_reports_and_examples_are_pinned(
-    monkeypatch, q, level, gamma_bound, chunk, identity, expected
+    monkeypatch, q, level, gamma_bound, chunk, exponents, expected
 ):
     """as_dict() and every example of failing q = 3 and q = 5 sweeps, g the
-    square of the synthetic proximal element; digests recorded when each
-    chunk's balls were decoded to digit arrays of their own.  Either the
-    rank-two factor is the identity (gamma-window violations) or the
-    epsilon budget is 0 (epsilon violations)."""
+    square of the synthetic proximal element.  Either the epsilon budget is
+    0 under the standard pair (``exponents`` None: epsilon violations), or
+    the rank-two factor is the monic pair of ``exponents`` (gamma-window
+    violations, and gamma-cone ones where an offset is nonzero).  The first
+    seven digests were recorded when each chunk's balls were decoded to
+    digit arrays of their own, the last two when the window pass read each
+    image's own digits."""
     monkeypatch.setattr(verify, "CHUNK", chunk)
-    if identity:
-        pair, epsilon = _monic_pair((0, 0, 0), (0, 0, 0), q), None
-    else:
+    if exponents is None:
         pair, epsilon = make_generators(q), 0
+    else:
+        pair, epsilon = _monic_pair(*exponents, q), None
     g = make_proximal(q) ** 2
     report = verify_pingpong(pair, g, level, gamma_bound, epsilon_exponent=epsilon)
     assert _report_digest(report) == expected
