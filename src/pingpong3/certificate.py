@@ -23,16 +23,18 @@ verify_certificate re-runs every stage from the stored objects alone:
 * a synthetic h must be the synthetic proximal element; a lattice h must
   lie in SL3(F_q[t]) (the lattice search itself is not replayed, so its
   seed and trial count are not stored);
-* the contraction power, the eigen data, the feasible level, the constants
-  and the stored margin and epsilon exponents must reproduce the stored
-  values -- as the same JSON, so a stored 4.0 or true is not a 4 or a 1 --
-  and g must equal h^n0 exactly for the recomputed n0;
+* h's eigen data are rebuilt at the pipeline's own precision and turned
+  into contraction data and a feasible level by the builder the search
+  uses; these, the constants and the stored margin and epsilon exponents
+  must reproduce the stored values -- as the same JSON, so a stored 4.0 or
+  true is not a 4 or a 1 -- and g must equal h^n0 exactly for the
+  recomputed n0;
 * the back half must pass with the recomputed constants, at the stored or
   a raised level / gamma bound / word bound (never a lowered one);
-* a fresh sweep at the stored level and gamma bound must give the stored
-  sweep report field for field, and a fresh survey at the stored word bound
-  the stored survey report; a stage whose bounds are raised is run at the
-  stored ones as well.  The stored irreducibility claim must be true.
+* each stored report is compared once, field for field, with a run at its
+  stored bounds: the back half's own run when that stage's bounds are not
+  raised, else a rerun at the stored ones.  The stored irreducibility
+  claim must be true.
 
 Fields outside the schema are refused when the certificate is loaded, and
 matrix texts that are not the canonical text of their matrix before any
@@ -44,7 +46,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from types import SimpleNamespace
 
 from .errors import CertificateError, LaurentSyntaxError, StageError
 from .field import INF, Laurent, is_prime, laurent_to_str
@@ -52,11 +53,11 @@ from .linalg import parse_matrix
 from .pingpong.constants import qi_constants
 from .pingpong.generators import make_generators, make_pair
 from .pingpong.regular import (
+    EIGEN_PRECISION,
     LATTICE_BUDGET,
-    contraction_power,
     find_regular,
     make_proximal,
-    minimum_feasible_level,
+    proximal_candidate,
 )
 from .pingpong.sigma import sigma_exclusion
 from .pingpong.verify import verify_pingpong
@@ -130,18 +131,15 @@ class Stages:
             self.fail(name, f"{type(exc).__name__}: {exc}")
             return None
 
-    def check_report(self, name, key, noun, report, stored=None):
-        """File a sweep stage's report under ``key``.  The stage fails when
-        the report has violations and, when the ``stored`` reports hold
-        ``key``, when a passing rerun differs from the stored one."""
+    def check_report(self, name, key, report):
+        """File a sweep stage's report under ``key``; the stage fails when
+        the report has violations."""
         if report is None:
             return
         self.reports[key] = report
         if not report.passed:
             brief = f"{report.total_violations} violations"
             self.fail(name, brief if self.collect else report.summary())
-        elif key in (stored or {}) and not _same(report.as_dict(), stored[key]):
-            self.fail(name, f"stored {noun} report differs from the rerun")
 
 
 def front_half(stages, q, profile, strategy, seed, budget):
@@ -154,16 +152,16 @@ def front_half(stages, q, profile, strategy, seed, budget):
     return pair, exclusion, candidate, constants, candidate.h ** candidate.contraction.n0
 
 
-def back_half(stages, pair, g, constants, level, gamma_bound, word_bound, stored=None):
+def back_half(stages, pair, g, constants, level, gamma_bound, word_bound):
     """ball sweep -> word survey -> fixed-flag witness; returns the sweep
     and survey reports (None where a collected stage failed)."""
     eps = constants.epsilon_exponent
     report = stages.run(
         "verify_pingpong", verify_pingpong, pair, g, level, gamma_bound, epsilon_exponent=eps
     )
-    stages.check_report("verify_pingpong", "pingpong", "sweep", report, stored)
+    stages.check_report("verify_pingpong", "pingpong", report)
     survey = stages.run("word_survey", word_survey, pair, g, word_bound, constants)
-    stages.check_report("word_survey", "words", "survey", survey, stored)
+    stages.check_report("word_survey", "words", survey)
     witness = stages.run("irreducibility_witness", irreducibility_witness, pair, g)
     if witness is False:
         stages.fail("irreducibility_witness", "g fixes a coordinate flag")
@@ -337,9 +335,8 @@ class VerifyOutcome(Stages):
     """The collecting runner of one re-verification: every stage check,
     ``passed`` iff none failed."""
 
-    def __init__(self, certificate, parameters):
+    def __init__(self, parameters):
         super().__init__(collect=True)
-        self.certificate = certificate
         self.parameters = parameters
 
     def summary(self):
@@ -390,14 +387,7 @@ def verify_certificate(source, level=None, gamma_bound=None, word_bound=None):
     cert = _validate(source) if isinstance(source, dict) else load_certificate(source)
     stored = cert["verification"]
     params = verification_parameters(cert, level, gamma_bound, word_bound)
-    # a stored report is compared in the back half when its bounds are stored
-    bounds = {"pingpong": ("level", "gamma_bound"), "words": ("word_bound",)}
-    stored_reports = {
-        key: cert["reports"].get(key)
-        for key, names in bounds.items()
-        if all(params[k] == stored[k] for k in names)
-    }
-    outcome = VerifyOutcome(cert, params)
+    outcome = VerifyOutcome(params)
     q = cert["q"]
 
     names = ("generators.a", "generators.b", "h", "g")
@@ -440,8 +430,12 @@ def verify_certificate(source, level=None, gamma_bound=None, word_bound=None):
 
     if cert["n0_source"] != _N0_SOURCE:
         outcome.fail("contraction_power", f"n0_source is not {_N0_SOURCE!r}")
-    precision = cert["eigen"].get("precision")
-    rebuilt = outcome.run("contraction_power", _rebuild_candidate, h, precision)
+    # the eigen data are rebuilt at the pipeline's precision, never at a
+    # stored one, and only then compared with the stored payload
+    rebuilt = outcome.run(
+        "contraction_power",
+        lambda: proximal_candidate(h, eigen_flags(h, precision=EIGEN_PRECISION), cert["strategy"]),
+    )
     constants = None
     if rebuilt is not None:
         payload = _eigen_payload(rebuilt.eigen)
@@ -477,35 +471,25 @@ def verify_certificate(source, level=None, gamma_bound=None, word_bound=None):
     elif rebuilt is not None and h ** rebuilt.contraction.n0 != g:
         outcome.fail("consistency", f"g is not h^{rebuilt.contraction.n0}")
     if constants is not None:
-        back_half(outcome, pair, g, constants, **params, stored=stored_reports)
-        # a stage run at raised bounds runs again at its stored ones, where
-        # its stored report must come out again; ``reports`` keeps the first
-        eps = constants.epsilon_exponent
-        reruns = {
-            "pingpong": ("verify_pingpong", "sweep", lambda: verify_pingpong(
-                pair, g, stored["level"], stored["gamma_bound"], epsilon_exponent=eps
-            )),
-            "words": ("word_survey", "survey", lambda: word_survey(
-                pair, g, stored["word_bound"], constants
-            )),
-        }
-        for key, (name, noun, rerun) in reruns.items():
-            report = None if key in stored_reports else outcome.run(name, rerun)
+        sweep, survey = back_half(outcome, pair, g, constants, **params)
+        # each stored report must come out again at its stored bounds: the
+        # back half's run when they are not raised, else a rerun there;
+        # ``reports`` keeps the back half's
+        raised = {key for key, value in params.items() if value != stored[key]}
+        if raised & {"level", "gamma_bound"}:
+            sweep = outcome.run(
+                "verify_pingpong", verify_pingpong, pair, g, stored["level"],
+                stored["gamma_bound"], epsilon_exponent=constants.epsilon_exponent,
+            )
+        if "word_bound" in raised:
+            bound = stored["word_bound"]
+            survey = outcome.run("word_survey", word_survey, pair, g, bound, constants)
+        runs = (("verify_pingpong", "pingpong", sweep), ("word_survey", "words", survey))
+        for name, key, report in runs:
             if report is not None and not _same(report.as_dict(), cert["reports"].get(key)):
-                outcome.fail(name, f"stored {noun} report differs from the rerun at its bounds")
+                outcome.fail(name, f"stored reports.{key} differs from the run at its bounds")
     if cert["reports"].get("irreducible") is not True:
         outcome.fail("irreducibility_witness", "stored irreducibility claim is not true")
 
     return outcome
 
-
-def _rebuild_candidate(h, precision):
-    """h's eigen and contraction data at the pipeline's margin, the default
-    of ``contraction_power`` that ``find_regular`` uses."""
-    eigen = eigen_flags(h, precision=precision)
-    contraction = contraction_power(eigen)
-    return SimpleNamespace(
-        eigen=eigen,
-        contraction=contraction,
-        feasible_level=minimum_feasible_level(eigen, contraction),
-    )

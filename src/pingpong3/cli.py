@@ -92,7 +92,7 @@ def _profile_arg(text):
     return (s, t)
 
 
-def _add_pipeline_arguments(sub, sweeps):
+def _add_pipeline_arguments(sub, sweeps, survey):
     sub.add_argument("--q", type=_prime_arg, required=True, help="residue field size (prime)")
     sub.add_argument("--profile", type=_profile_arg, default=(1, 1),
                      help="generator exponent profile 's,t' (default 1,1)")
@@ -106,8 +106,9 @@ def _add_pipeline_arguments(sub, sweeps):
                          help="ball sweep level M (default 10 at q=2, else 6)")
         sub.add_argument("--gamma-bound", type=_bound_arg, default=3,
                          help="exponent bound B of the swept diagonal elements")
-    sub.add_argument("--word-bound", type=_bound_arg, default=8,
-                     help="word survey length bound L")
+    if survey:
+        sub.add_argument("--word-bound", type=_bound_arg, default=8,
+                         help="word survey length bound L")
 
 
 def _preflight(q, word_bound, level=None, gamma_bound=None):
@@ -235,7 +236,7 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
 
     construct = subs.add_parser("construct", help="run the pipeline, write a certificate")
-    _add_pipeline_arguments(construct, sweeps=True)
+    _add_pipeline_arguments(construct, sweeps=True, survey=True)
     construct.add_argument("--out", default=None, help="certificate path")
     construct.set_defaults(func=_cmd_construct)
 
@@ -249,11 +250,11 @@ def build_parser():
     verify.set_defaults(func=_cmd_verify)
 
     words = subs.add_parser("words", help="dump the word-survey table")
-    _add_pipeline_arguments(words, sweeps=False)
+    _add_pipeline_arguments(words, sweeps=False, survey=True)
     words.set_defaults(func=_cmd_words)
 
     inspect = subs.add_parser("inspect", help="print exclusion trace, flags, constants")
-    _add_pipeline_arguments(inspect, sweeps=False)
+    _add_pipeline_arguments(inspect, sweeps=False, survey=False)
     inspect.set_defaults(func=_cmd_inspect)
 
     return parser

@@ -32,10 +32,6 @@ class AllCoordinatesVanish(ValueError):
     """A projective point was built from a (known-)zero vector."""
 
 
-class EqualPoints(ValueError):
-    """Slope of the line through a point and itself."""
-
-
 class InsufficientLevel(ValueError):
     """The ball level M is too small for image memberships to be decided."""
 

@@ -224,23 +224,6 @@ class Laurent:
             return self
         return _make(self.q, self.lead, self.digits, n)
 
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            if self.is_monomial():
-                base = self.inv(0)  # exact for monomials, target ignored
-                return base ** (-n)
-            raise ValueError("negative power of a non-monomial; use .inv(precision)")
-        result = Laurent(self.q, 0, (1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def is_monomial(self):
         return self.exact and len(self.digits) == 1
 

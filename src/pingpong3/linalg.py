@@ -25,10 +25,6 @@ from __future__ import annotations
 from .errors import InsufficientPrecision, LaurentSyntaxError, SingularOrUndecidable
 from .field import INF, Laurent, laurent_to_str, parse_laurent
 
-# Precision used for general (non-unit-determinant) inverses when the input
-# is exact; inexact inputs use their own capacity.
-DEFAULT_INV_PRECISION = 24
-
 # row/column pairs of the 2x2 minors, in lex order
 _PAIRS = ((0, 1), (0, 2), (1, 2))
 
@@ -191,28 +187,16 @@ class Mat:
         m = self.second_compound().rows
         return Mat([[m[2 - j][2 - i].scale((-1) ** (i + j)) for j in range(3)] for i in range(3)])
 
-    def inverse(self, precision=None):
-        """A^-1: the pure adjugate when det = 1, else adjugate / det.
-
-        Stays exact when det is a monomial (in particular det = 1);
-        otherwise the entries carry finite precision.
-        """
+    def inverse(self):
+        """A^-1, exact: the adjugate when det = 1, else the adjugate over a
+        monomial det; any other det is refused."""
         d = self.det()
-        if not d.digits:
-            raise SingularOrUndecidable(
-                "determinant has no known nonzero digit"
-            )
+        if not d.is_monomial():
+            raise SingularOrUndecidable(f"determinant {d} is not an exact monomial")
         adj = self.adjugate()
-        one = Laurent(self.q, 0, (1,))
-        if d == one:
+        if d == Laurent(self.q, 0, (1,)):
             return adj
-        if d.is_monomial():
-            return adj.scale_elem(d.inv(0))
-        if precision is None:
-            precision = (
-                d.known_to - 2 * d.lead if not d.exact else DEFAULT_INV_PRECISION
-            )
-        return adj.scale_elem(d.inv(precision))
+        return adj.scale_elem(d.inv(0))
 
     def second_compound(self):
         """Matrix of 2x2 minors, rows/cols indexed by pairs (lex order).

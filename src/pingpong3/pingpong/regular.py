@@ -63,6 +63,9 @@ LATTICE_BUDGET = 100_000
 LATTICE_MAX_LEVEL = 12
 # minimum_feasible_level gives up above this level
 LEVEL_CAP = 64
+# every candidate's eigenvalues are lifted to this many digits, enough for
+# the flags and contraction data at any level a lattice candidate may have
+EIGEN_PRECISION = 2 * LATTICE_MAX_LEVEL + 16
 
 
 @dataclass(frozen=True)
@@ -196,6 +199,15 @@ def minimum_feasible_level(eigen, contraction):
     return worst
 
 
+def proximal_candidate(h, eigen, strategy, trials=0):
+    """h as a candidate: its contraction data at the pipeline's margin and
+    its feasible sweep level, from ``eigen`` = eigen_flags(h, precision=
+    EIGEN_PRECISION); ``trials`` counts the search's draws (0: no search)."""
+    contraction = contraction_power(eigen)
+    level = minimum_feasible_level(eigen, contraction)
+    return ProximalCandidate(h, eigen, contraction, strategy, trials, level)
+
+
 def _flags_in_position(eigen):
     if in_unit_window(eigen.vectors[0]) is not True:
         return False
@@ -222,12 +234,10 @@ def find_regular(
     """
     if strategy == "synthetic":
         h = make_proximal(q)
-        eigen = eigen_flags(h)
+        eigen = eigen_flags(h, precision=EIGEN_PRECISION)
         if not _flags_in_position(eigen):
             raise AssertionError("synthetic basis no longer positions the flags")
-        contraction = contraction_power(eigen)
-        level = minimum_feasible_level(eigen, contraction)
-        return ProximalCandidate(h, eigen, contraction, "synthetic", 1, level)
+        return proximal_candidate(h, eigen, "synthetic", 1)
 
     if strategy != "lattice":
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -235,7 +245,6 @@ def find_regular(
         raise ValueError("lattice search needs an explicit seed")
 
     rng = random.Random(seed)
-    spread_guess = 2 * LATTICE_MAX_LEVEL + 16
     trials = 0
     while trials < budget:
         # stage 1: a contractor g with its attracting flag already in
@@ -273,14 +282,13 @@ def find_regular(
                 if not is_regular(h):
                     continue
                 try:
-                    eigen = eigen_flags(h, precision=spread_guess)
+                    eigen = eigen_flags(h, precision=EIGEN_PRECISION)
                 except (NotSimpleSegment, InsufficientPrecision, SingularOrUndecidable):
                     continue
                 if not _flags_in_position(eigen):
                     continue
-                contraction = contraction_power(eigen)
-                level = minimum_feasible_level(eigen, contraction)
-                if level is None or level > LATTICE_MAX_LEVEL:
-                    continue
-                return ProximalCandidate(h, eigen, contraction, "lattice", trials, level)
+                candidate = proximal_candidate(h, eigen, "lattice", trials)
+                level = candidate.feasible_level
+                if level is not None and level <= LATTICE_MAX_LEVEL:
+                    return candidate
     raise SearchExhausted(budget, f"no positioned regular element in {budget} draws")

@@ -771,6 +771,8 @@ def verify_pingpong(pair, g, level, gamma_bound, eigen=None, epsilon_exponent=No
         report.merge_min("min_image_level", level + svals[1] - svals[0])
         offsets = [d - svals[0] for d in dvals]
         elements.append((label, offsets, level + min(offsets[0], offsets[1])))
+    if not elements:
+        return report
 
     for balls in _window_balls(q, level, CHUNK):
         n = balls[0].size

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 from .errors import (
     AllCoordinatesVanish,
-    EqualPoints,
     InsufficientLevel,
     InsufficientPrecision,
 )
@@ -143,14 +142,6 @@ class ProjLine:
 
     def __setattr__(self, name, value):
         raise AttributeError("lines are immutable")
-
-    @staticmethod
-    def through(p1, p2):
-        n = vec_cross(p1.coords, p2.coords)
-        try:
-            return ProjLine(n)
-        except AllCoordinatesVanish:
-            raise EqualPoints("no unique line through equal points") from None
 
     def __repr__(self):
         inner = " : ".join(str(x) for x in self.dual)

@@ -65,7 +65,6 @@ class NewtonPolygon:
             raise ValueError("constant coefficient vanishes (zero is a root)")
         if pts[-1][0] != poly.degree:
             raise ValueError("leading coefficient vanishes")
-        self.points = tuple(pts)
         self.vertices = tuple(_lower_hull(pts))
         segs = []
         for (j0, v0), (j1, v1) in zip(self.vertices, self.vertices[1:]):

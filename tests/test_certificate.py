@@ -298,6 +298,23 @@ def test_constructed_certificates_verify(strategy, seed):
     assert outcome.passed, outcome.failures
 
 
+def test_stored_eigen_precision_sizes_no_work(monkeypatch):
+    # h's eigen data are rebuilt at the pipeline's precision and only then
+    # compared, so a stored precision of 2000 fails one stage at no cost
+    cert = construct_pipeline(2, strategy="lattice", seed=11, **SMALL).certificate
+    cert["eigen"]["precision"] = 2000
+    precisions = []
+    original = certificate_module.eigen_flags
+
+    def spy(mat, precision=None):
+        precisions.append(precision)
+        return original(mat, precision=precision)
+
+    monkeypatch.setattr(certificate_module, "eigen_flags", spy)
+    assert _stages(verify_certificate(cert)) == {"contraction_power"}
+    assert precisions and 2000 not in precisions
+
+
 def test_unknown_field_is_a_certificate_error(result):
     extra = copy.deepcopy(result.certificate)
     extra["comment"] = "trust me"

@@ -118,6 +118,13 @@ def test_lattice_without_seed_is_a_parse_error(capsys):
     assert "--seed is required" in capsys.readouterr().err
 
 
+def test_word_bound_is_refused_where_no_survey_runs(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["inspect", "--q", "2", "--word-bound", "3"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --word-bound 3" in capsys.readouterr().err
+
+
 def test_bad_profile_is_a_parse_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["construct", "--q", "2", "--profile", "1"])

@@ -243,12 +243,6 @@ def test_inv_matches_long_division_oracle():
                 assert got.digit_at(-x.lead + i) == want[i]
 
 
-def test_negative_power_of_monomial():
-    assert F2.u(2) ** -3 == F2.u(-6)
-    with pytest.raises(ValueError):
-        F2.parse("1 + u") ** -1
-
-
 # -- classify ----------------------------------------------------------------
 
 def test_classify_one_plus_pim():
