@@ -1,4 +1,4 @@
-"""Exhaustive residue-ball verification of the two ping-pong moves.
+"""Residue-ball verification of the two ping-pong moves.
 
 The free product sits on two inclusions over the level-M ball partition of
 the projective plane:
@@ -15,43 +15,50 @@ the projective plane:
   Whether it leaves U, and its exact norm (theta-exactness), follow from
   the exponents of a^m b^n alone; only the cone verdicts are read per ball.
 
-A ball is three value indices into one digit table, built once per
-sweep: the base-q digits of every coordinate value below q^M.  The sweep
-reads balls through a few fixed families of linear forms -- the two cone
-forms per apex, the rows of the eigenbasis adjugate and the rows of g and
-g^-1 -- evaluated in bulk in one of two formats, picked once per sweep
-from q and the widest row the domain pass reads (the window pass reads
-only the cone forms, cut at the cone depth):
+Both are decided on a prefix tree of the balls.  A node is a stratum and
+the first d digits of each free coordinate; its representative, with the
+trailing M - d digits 0, is itself a ball.  A linear form's digits below
+its horizon, d + the least tap position of its coefficients on the free
+coordinates, are the same on all of a node's balls, so a node whose read
+values all lie below their horizons is decided on its representative and
+stands for its q^(2(M - d)) balls; the others split into their q^2
+children, one batch per depth, down to single balls at d = M.  The window
+pass decides each a^m b^n on the window's depth-2 node.  Any violation or
+undecidable value falls back to the exhaustive pass, ball by ball, which
+writes the failing report and its examples.
+
+A ball is three value indices into one digit table of every coordinate
+value below q^M.  The sweep reads balls through a few families of linear
+forms -- the two cone forms per apex, the rows of the eigenbasis adjugate
+and of g and g^-1 -- in one of two row formats, picked once per sweep
+from q and the widest row the domain pass reads:
 
 * at q = 2, when every row fits 64 columns, a digit row is one uint64
   word (bit c = digit at u^c).  A form is XOR-linear in each coordinate,
   so once per sweep a product table holds each coordinate's part of every
-  form at each of the q^M values; on a chunk of balls the forms are the
-  XOR of one gather per coordinate at the balls' value indices, with the
-  pivot coordinate's part a constant.  The window pass moves the cone
-  forms' parts by the diagonal's exponents (a shift of each word) instead
-  of evaluating the forms on every image.  A first-nonzero position is a
+  form at each of the q^M values; on a batch the forms are the XOR of one
+  gather per coordinate, and the window pass shifts the cone forms' parts
+  by the diagonal's exponents.  A first-nonzero position is a
   trailing-zero count.
-* otherwise a chunk of balls is a (3, M, n) integer array of base-q
-  digits, gathered from the table once and shared by every family,
+* otherwise a batch is a (3, M, n) integer array of base-q digits,
   coordinate-major with the ball axis last; a form is a shift-and-add mod
-  q of its coefficient taps, each tap one add of a contiguous block of n
-  balls into a narrow accumulator.
+  q of its coefficient taps, one add of a contiguous block per tap.
 
 In both, the window test reads two digit columns and the cone test
 compares first-nonzero positions of cross-product digit rows.  Verdicts
-transfer from representatives to whole balls only where a perturbation
-bound says they must -- those bounds are themselves checked per ball and
-reported as violations when they fail, never assumed.  The scalar
-predicates in projgeom stay the reference semantics; the tests
-cross-check both routes and both formats on samples.  The tap digits of
-g, g^-1, the eigenbasis adjugate and the cone apexes, and the accumulator
-widths, come from ``pingpong3.digits``.
+transfer from representatives to whole balls only where a
+perturbation bound says they must -- those bounds are themselves checked
+per ball and reported as violations when they fail, never assumed.  The
+scalar predicates in projgeom stay the reference semantics; the tests
+cross-check the tree, the exhaustive pass and both formats against them.
+The tap digits of g, g^-1, the eigenbasis adjugate and the cone apexes,
+and the accumulator widths, come from ``pingpong3.digits``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -98,7 +105,8 @@ def _digit_dtype(q):
 # of mixed strata.  ``evaluate`` gives a family's rows on a chunk; ``at``
 # gives them as a function of per-coordinate offsets o, coordinate j
 # entering as u^o_j y_j (the balls' images under a monic diagonal), with
-# the per-chunk work done once.  ``first_nonzero`` reads rows back as
+# the per-chunk work done once; (3, E) offsets give E images of each ball,
+# element-major along the ball axis.  ``first_nonzero`` reads rows back as
 # (k, n) positions.  Columns at or past ``width`` are never kept: column c
 # of a product only depends on the columns <= c of its factors, so every
 # column kept is exact.
@@ -133,7 +141,7 @@ class _IntRows:
         chunk = np.empty((3, *values.shape[:-1], balls[0].size), dtype=values.dtype)
         for j, (out, idx) in enumerate(zip(chunk, balls)):
             if j == pivot:
-                out[...] = values[..., idx[0], None]
+                out[...] = values[..., idx[:1]]
             else:
                 np.take(values, idx, axis=-1, out=out)
         return chunk
@@ -144,14 +152,19 @@ class _IntRows:
 
     def at(self, forms, chunk):
         taps, lead, width = forms
+        _, level, n = chunk.shape
+        low = min((p for row in taps for t in row for p, _ in t), default=lead)
+        span = width + lead - low  # image columns a kept form column reads
+        padded = np.concatenate([chunk, np.zeros((3, 1, n), chunk.dtype)], axis=1)
 
         def moved(offsets):
-            # u^o y_j moves each tap (p, d) on y_j to (p + o, d)
-            taps_o = [
-                [[(p + o, d) for p, d in t] for t, o in zip(row, offsets)]
-                for row in taps
-            ]
-            return self.shift_add(taps_o, chunk, lead, width)
+            # column c of u^o y_j is column c - o of y_j, or the zero row
+            offsets = np.asarray(offsets).reshape(3, -1, 1)
+            cols = np.arange(span) - offsets
+            cols[(cols < 0) | (cols >= level)] = level
+            img = np.stack([y[c] for y, c in zip(padded, cols)])
+            img = img.transpose(0, 2, 1, 3).reshape(3, span, -1)
+            return self.shift_add(taps, img, lead, width)
 
         return moved
 
@@ -266,16 +279,16 @@ class _BitRows:
     @staticmethod
     def at(forms, chunk):
         tables, width = forms
-        parts = [chunk.take(table, j) for j, table in enumerate(tables)]
-        shape = (len(tables[0]), chunk.balls[0].size)
+        parts = [chunk.take(table, j)[:, None] for j, table in enumerate(tables)]
+        k, n = len(tables[0]), chunk.balls[0].size
 
         def moved(offsets):
-            out = np.zeros(shape, dtype=np.uint64)
+            offsets = np.asarray(offsets, dtype=np.uint64).reshape(3, -1, 1)
+            out = np.zeros((k, offsets.shape[1], n), dtype=np.uint64)
             for part, off in zip(parts, offsets):
-                if off < width:  # a part moved past the width adds nothing
-                    out ^= part << np.uint64(off)
+                out ^= part << off  # a shift by 64 or more gives 0
             out &= (1 << width) - 1
-            return out
+            return out.reshape(k, -1)
 
         return moved
 
@@ -373,14 +386,14 @@ class _ConeTest:
     valuations).  Both n1 = a2 y0 - a0 y2 and comb = n0 + u n1 = u a2 y0 -
     a2 y1 + (a1 - u a0) y2 are linear forms in y: ``forms``, one family of
     the sweep's row format.  The apex digits are exact on [0, depth), so the
-    forms are trusted on columns [0, depth) only; a verdict that would need
-    digits at or beyond the horizon raises InsufficientPrecision.
-    ``verdicts`` reads the forms evaluated on a chunk, or on its images
-    under a^m b^n, and returns (in_cone, val_n1, val_comb) with the two
-    valuations as column indices (depth meaning "at least depth").  Rows
-    marked ``ignore`` may stay undecided without raising -- the caller
-    uses that for balls it excludes on other grounds (the apex's own window
-    ball has an identically zero cross product).
+    forms are trusted on columns [0, depth) only.  ``verdicts`` reads the
+    forms evaluated on a chunk, or on its images under a^m b^n, and returns
+    (in_cone, val_n1, val_comb, undecided) with the two valuations as
+    column indices (depth meaning "at least depth"); an undecided row's
+    verdict would need digits at or beyond the horizon, and the sweep
+    raises InsufficientPrecision for it.  ``low`` holds each form's least
+    tap position per coordinate, which the prefix tree's horizons start
+    from.
     """
 
     def __init__(self, rows, values, apex, depth):
@@ -391,18 +404,35 @@ class _ConeTest:
             [[] if x is None else _taps(x, 0, depth) for x in form] for form in forms
         ]
         self.forms = rows.forms(values, self.taps, 0, depth)
+        self.low = _low(self.taps, 0)
 
-    def verdicts(self, forms, ignore=None):
+    def verdicts(self, forms):
         d = self.depth
         v1, vc = self.rows.first_nonzero(forms, d)
-        undecided = (vc >= d) & (v1 >= d - 1)
-        if ignore is not None:
-            undecided &= ~ignore
-        if undecided.any():
-            raise InsufficientPrecision(
-                "cone verdict ran past the apex digit horizon; raise the depth"
-            )
-        return vc >= v1 + 2, v1, vc
+        return vc >= v1 + 2, v1, vc, (vc >= d) & (v1 >= d - 1)
+
+    def decided(self, v1, vc, h1, hc):
+        """Whether a node's verdict, read on its representative, holds on
+        all its balls, whose n1 and comb columns are the representative's
+        below h1 and hc: one side is exact and the other provably far
+        enough.  Its transfer flag and undecided row are then those of all
+        its balls too, or flagged on the representative, which sends the
+        sweep to the exhaustive pass."""
+        d = self.depth
+        e1, ec = (v1 < h1) | (h1 >= d), (vc < hc) | (hc >= d)
+        return (e1 & (ec | (hc >= v1 + 2))) | (ec & (vc <= h1 + 1))
+
+
+_CONE_HORIZON = "cone verdict ran past the apex digit horizon; raise the depth"
+_FAR = 1 << 30  # the least tap position of a coefficient with no taps
+
+
+def _low(taps, lead):
+    """(k, 3) least tap position of each form's coefficient on each
+    coordinate, counted from the column of u^lead."""
+    return np.array(
+        [[min((p for p, _ in t), default=_FAR + lead) - lead for t in row] for row in taps]
+    )
 
 
 # -- report ------------------------------------------------------------------
@@ -505,7 +535,243 @@ def _flag(report, kind, element, mask, text_fn, detail_fn=None):
         report.violation_counts[kind] += extra
 
 
-# -- the verifier ------------------------------------------------------------
+# -- the domain pass: one evaluator, two drivers ---------------------------
+
+
+class _Sweep:
+    """One sweep's fixed data, built once: the digit table in its row
+    format, the form families the domain pass reads (both cones, the
+    eigenbasis adjugate, g and g^-1) and the bounds its checks use.
+    ``read`` is the one evaluator of the domain pass's predicates; the
+    exhaustive pass and the prefix tree both call it."""
+
+    def __init__(self, q, level, g, eigen, epsilon_exponent):
+        self.q, self.level, self.epsilon_exponent = q, level, epsilon_exponent
+        self.w = eigen.valuations
+        adj = eigen.basis.adjugate()
+        self.vm_adj = vm_adj = adj.min_val()
+        self.r_plus = vec_min_val(adj.rows[0])
+        self.r_minus = vec_min_val(adj.rows[2])
+        # dot digits from floor_cap on are ball-dependent
+        self.floor_cap = level + vm_adj
+        if self.floor_cap <= 2 + max(self.r_plus, self.r_minus):
+            raise InsufficientLevel(
+                f"level {level} cannot pin dominant eigencoordinates (cap "
+                f"{self.floor_cap} vs margin bound {2 + max(self.r_plus, self.r_minus)})"
+            )
+        g_inv = g.inverse()
+        if not g_inv.exact:
+            raise ValueError("the cyclic generator must have an exact inverse")
+        self.sides = []
+        for label, mat in (("g", g), ("g^-1", g_inv)):
+            lo, hi = support(x for row in mat.rows for x in row)
+            taps = [[_taps(mat.rows[i][j], lo, hi) for j in range(3)] for i in range(3)]
+            self.sides.append(dict(
+                label=label, lead=lo, width=hi - lo + level - 1, taps=taps,
+                low=_low(taps, lo), lognorm=mat.lognorm(),
+                lognorm_compound=mat.second_compound().lognorm(),
+            ))  # fmt: skip
+
+        self.depth = level + 8
+        dot_stop = self.floor_cap + 2
+        self.horizon = dot_stop - vm_adj
+        adj_taps = [
+            [_taps(adj.rows[i][j], vm_adj, dot_stop) for j in range(3)] for i in range(3)
+        ]
+        self.adj_low = _low(adj_taps, vm_adj)
+        self.table = _digit_table(q, level)
+        widest = max(self.depth, self.horizon, *(side["width"] for side in self.sides))
+        self.rows = rows = _row_format(q, widest)
+        self.values = rows.encode(self.table)
+        apexes = (eigen.vectors[0], eigen.vectors[2])
+        self.cones = [_ConeTest(rows, self.values, a, self.depth) for a in apexes]
+        self.adj_forms = rows.forms(self.values, adj_taps, vm_adj, self.horizon)
+        for side in self.sides:
+            side["forms"] = rows.forms(self.values, side["taps"], side["lead"], side["width"])
+        # x and y of a window ball read 1, 0 at u^0, u^1: the two leading
+        # base-q digits of their values make q
+        self.digit_1 = q ** (level - 2)
+
+    def read(self, balls, stratum, pivot=None):
+        """Every value the domain pass reads on a batch of (x, y, z) value
+        indices of one stratum or one ``stratum`` per ball (``pivot``: the
+        pivot coordinate of a one-stratum chunk): in_u, both cones'
+        verdicts, the rows ``dom`` outside U and both cones, their
+        eigencoordinate valuations ``val``, image lead columns and the
+        values whose minima the report keeps; then ``raises`` (mask,
+        message) and ``flags`` (kind, element, mask, detail, read on
+        ``dom``), in the order the report takes them."""
+        rows, q, level = self.rows, self.q, self.level
+        chunk = rows.chunk(self.values, balls, pivot)
+        in_u = stratum == 2
+        for coord in balls[:2]:
+            in_u = in_u & (coord // self.digit_1 == q)
+        cones = [cone.verdicts(rows.evaluate(cone.forms, chunk)) for cone in self.cones]
+        raises = [(undecided & ~in_u, _CONE_HORIZON) for *_, undecided in cones]
+        flags = []
+        for (verdict, v1, vc, _), name in zip(cones, "+-"):
+            # verdicts must be constant on each non-window ball (window
+            # balls leave the domain regardless): perturbations enter the
+            # cross product at column >= level
+            moves = verdict & ((v1 + 2 > level) | (v1 >= self.depth))
+            moves |= ~verdict & (vc + 1 > level)
+            detail = lambda r, v1=v1, vc=vc: f"v1 {int(v1[r])}, vcomb {int(vc[r])}"  # noqa: E731
+            flags.append(("cone-transfer", f"cone{name}", ~in_u & moves, detail, False))
+        dom = np.nonzero(~in_u & ~cones[0][0] & ~cones[1][0])[0]
+        chunk = rows.chunk(self.values, [v[dom] for v in balls], pivot)
+
+        # eigencoordinate valuations VAL_i = val(adj_i . y), trusted up to
+        # dot_stop; beyond floor_cap they are ball-dependent, so floor them
+        coords = rows.evaluate(self.adj_forms, chunk)
+        val = rows.first_nonzero(coords, self.horizon) + self.vm_adj
+        del coords  # not held through the image pass below
+        (val1, _, val3), (f1, f2, f3) = val, np.minimum(val, self.floor_cap)
+        # outside the cones the outer eigencoordinates must stay large;
+        # these margins carry the uniform norm-loss budget to all powers
+        top_plus, top_minus = 2 + self.r_plus, 2 + self.r_minus
+        # power certificates: the dominant coordinate is pinned exactly,
+        # the gaps to the others only widen as the power grows
+        w1, w2, w3 = self.w
+        cert_plus = np.minimum(f2 + (w2 - w1), f3 + (w3 - w1)) - val1
+        cert_minus = np.minimum(f2 + (w3 - w2), f1 + (w3 - w1)) - val3
+        flags += [
+            ("margin", "adj row +", val1 > top_plus,
+             lambda r: f"val {int(val1[r])} > {top_plus}", True),
+            ("margin", "adj row -", val3 > top_minus,
+             lambda r: f"val {int(val3[r])} > {top_minus}", True),
+            ("cert", "g^N, N >= 1", (cert_plus < 2) | (val1 >= self.floor_cap),
+             lambda r: f"slack {int(cert_plus[r]) - 2}", True),
+            ("cert", "g^N, N <= -1", (cert_minus < 2) | (val3 >= self.floor_cap),
+             lambda r: f"slack {int(cert_minus[r]) - 2}", True),
+        ]  # fmt: skip
+
+        # concrete images under g and g^-1
+        vm_cols, levels, eps = [], [], self.epsilon_exponent
+        for side in self.sides:
+            width, label = side["width"], side["label"]
+            img = rows.evaluate(side["forms"], chunk)
+            vm_col = rows.lead_column(img, width)
+            raises.append((vm_col >= width - 1, "image lost inside its digit window"))
+            in_window = rows.window_mask(img, np.minimum(vm_col, width - 2))
+            vm = vm_col + side["lead"]
+            level_img = refined_image_level(
+                level, vm, side["lognorm"], side["lognorm_compound"]
+            )
+            loss = vm + side["lognorm"]
+            flags += [
+                ("image-window", label, ~in_window, None, True),
+                ("image-level", label, level_img < 2,
+                 lambda r, lv=level_img: f"level {int(lv[r])}", True),
+                ("epsilon", label, loss > eps,
+                 lambda r, loss=loss: f"loss {int(loss[r])} > {eps}", True),
+            ]  # fmt: skip
+            vm_cols.append(vm_col)
+            levels.append(level_img)
+        least = {
+            "min_growth_margin": np.minimum(top_plus - val1, top_minus - val3),
+            "min_cert_slack": np.minimum(cert_plus, cert_minus) - 2,
+            "min_image_level": np.minimum(*levels),
+        }
+        return SimpleNamespace(
+            in_u=in_u, cones=cones, dom=dom, val=val, vm_cols=vm_cols,
+            least=least, raises=raises, flags=flags,
+        )  # fmt: skip
+
+
+def _domain_pass(sweep, report):
+    """The domain pass ball by ball, CHUNK balls at a time in the order of
+    projgeom.enumerate_balls: the reference the prefix tree reproduces, and
+    the pass whose violations and examples a failing report carries."""
+    for stratum, balls in _ball_chunks(sweep.q, sweep.level, CHUNK):
+        r = sweep.read(balls, stratum, stratum)
+        for mask, message in r.raises:
+            if mask.any():
+                raise InsufficientPrecision(message)
+        m = r.dom.size
+        report.window_balls += int(r.in_u.sum())
+        report.domain_balls += m
+        report.checked_images += len(sweep.sides) * m
+        texts = lambda i: _text(sweep.table, balls, i)  # noqa: E731
+        dom_texts = lambda i: texts(r.dom[i])  # noqa: E731
+        for kind, element, mask, detail, on_dom in r.flags:
+            _flag(report, kind, element, mask, dom_texts if on_dom else texts, detail)
+        for name, values in r.least.items() if m else ():
+            report.merge_min(name, values.min())
+
+
+def _nodes(sweep, d, s, a, b):
+    """Read the depth-d nodes of strata ``s`` whose free coordinates lead
+    with the digits ``a`` and ``b`` on their representatives; returns the
+    read and which nodes it decides: in-U from depth 2, both cone
+    verdicts, val1 and val3, val2 up to floor_cap, and the image lead
+    column and the one after it, each below its horizon."""
+    q, level = sweep.q, sweep.level
+    one, a, b = q ** (level - 1), a * q ** (level - d), b * q ** (level - d)
+    balls = (
+        np.where(s == 0, one, a),
+        np.where(s == 0, a, np.where(s == 1, one, b)),
+        np.where(s == 2, one, b),
+    )
+    r = sweep.read(balls, s)
+    pivot = np.arange(3) == s[:, None]
+
+    def horizon(low, rows=slice(None)):  # at d = M a node is one ball
+        h = d + np.where(pivot[rows, None], _FAR, low).min(axis=-1).T
+        return h if d < level else np.full_like(h, _FAR)
+
+    decided = ~r.in_u
+    for cone, (_, v1, vc, _) in zip(sweep.cones, r.cones):
+        decided &= cone.decided(v1, vc, *horizon(cone.low))
+    decided |= r.in_u & (d >= 2)
+    caps = np.array([[sweep.horizon], [level], [sweep.horizon]])
+    h = horizon(sweep.adj_low, r.dom)
+    done = ((r.val - sweep.vm_adj < h) | (h >= caps)).all(axis=0)
+    for side, vm_col in zip(sweep.sides, r.vm_cols):
+        h = horizon(side["low"].min(axis=0, keepdims=True), r.dom)[0]
+        done &= (vm_col + 1 < h) | (h >= side["width"])
+    decided[r.dom] &= done
+    return r, decided
+
+
+def _domain_tree(sweep, report):
+    """The domain pass over the prefix tree, from the depth-1 nodes (the
+    points of the plane over F_q; a coordinate in uO leads with 0).
+    Returns False, leaving ``report`` alone, once a representative shows a
+    violation or an undecidable value: the exhaustive pass then reports
+    the sweep."""
+    q, level = sweep.q, sweep.level
+    s = np.repeat([2, 1, 0], [q * q, q, 1])
+    a = np.concatenate([np.arange(q * q) // q, np.arange(q), [0]])
+    b = np.concatenate([np.arange(q * q) % q, np.zeros(q + 1, dtype=int)])
+    window = domain = 0
+    least = []
+    for d in range(1, level + 1):
+        if not s.size:
+            break
+        balls, split = q ** (2 * (level - d)), []
+        for part in (slice(lo, lo + CHUNK) for lo in range(0, s.size, CHUNK)):
+            r, decided = _nodes(sweep, d, s[part], a[part], b[part])
+            if any(m.any() for m, _ in r.raises) or any(f[2].any() for f in r.flags):
+                return False
+            window += balls * int(np.count_nonzero(decided & r.in_u))
+            done = decided[r.dom]
+            domain += balls * int(np.count_nonzero(done))
+            if done.any():
+                least += [(name, v[done].min()) for name, v in r.least.items()]
+            split.append(~decided)
+        keep, digit = np.concatenate(split), np.arange(q * q)
+        s = np.repeat(s[keep], q * q)
+        a = (a[keep, None] * q + digit // q).ravel()
+        b = (b[keep, None] * q + digit % q).ravel()
+    report.window_balls += window
+    report.domain_balls += domain
+    report.checked_images += len(sweep.sides) * domain
+    for name, value in least:
+        report.merge_min(name, value)
+    return True
+
+
+# -- the window pass --------------------------------------------------------
 
 
 def _gamma_table(pair, gamma_bound):
@@ -527,8 +793,51 @@ def _gamma_table(pair, gamma_bound):
     return table
 
 
+def _image_cones(sweep, moved, offsets, pert):
+    """Per cone (in_cone, transfer, undecided, v1, vc) of window images
+    under diagonals of the given offsets, ``moved`` reading each cone's
+    forms at them.  A verdict outside the cone holds on the whole image
+    ball only if its comb column lies below pert, where ball points start
+    to move the image digits: ``transfer`` flags the others."""
+    out = []
+    for cone, forms in zip(sweep.cones, moved):
+        verdict, v1, vc, undecided = cone.verdicts(forms(offsets))
+        out.append((verdict, ~verdict & (vc + 1 > pert), undecided, v1, vc))
+    return out
+
+
+def _window_root(sweep, elements):
+    """Which elements the window's depth-2 node decides with no flag.  Its
+    representative (1, 1, 1) has the images (u^o_x, u^o_y, u^o_z), read for
+    every element in one batch per cone; on the node's balls x and y move
+    at column 2 + o, so a form's columns below 2 + min over x, y of (its
+    least tap position + o) are every ball's own."""
+    one = np.full(1, sweep.q ** (sweep.level - 1))
+    chunk = sweep.rows.chunk(sweep.values, (one, one, one), 2)
+    moved = [sweep.rows.at(cone.forms, chunk) for cone in sweep.cones]
+    offsets = np.array([o for _, o, _ in elements]).T
+    pert = np.array([p for _, _, p in elements])
+    clean = offsets.any(axis=0)
+    reads = _image_cones(sweep, moved, offsets, pert)
+    for cone, (verdict, transfer, undecided, v1, vc) in zip(sweep.cones, reads):
+        h1, hc = 2 + (cone.low[:, :2, None] + offsets[:2]).min(axis=1)
+        clean &= cone.decided(v1, vc, h1, hc) & ~verdict & ~transfer & ~undecided
+    return clean
+
+
+# -- the verifier ------------------------------------------------------------
+
+
 def verify_pingpong(pair, g, level, gamma_bound, eigen=None, epsilon_exponent=None):
-    """Sweep every level-M ball and check both ping-pong inclusions.
+    """Check both ping-pong inclusions on every level-M ball.
+
+    The domain pass runs over the prefix tree (``_domain_tree``) and the
+    window pass decides each element on the window's depth-2 node
+    (``_window_root``).  A node is decided on its representative when
+    every value the sweep reads lies below its horizon: d plus the least
+    tap position of the form's coefficients on the free coordinates.  A
+    violation or an undecidable value falls back to the exhaustive
+    passes, ball by ball, whose examples a failing report carries.
 
     ``g`` generates the cyclic factor (the pipeline passes the already
     powered element); ``pair`` the rank-two diagonal factor.  Returns a
@@ -568,182 +877,9 @@ def verify_pingpong(pair, g, level, gamma_bound, eigen=None, epsilon_exponent=No
         epsilon_exponent = theta_prime_exponent(eigen)
     report.epsilon_exponent = int(epsilon_exponent)
 
-    w1, w2, w3 = eigen.valuations
-    basis = eigen.basis
-    adj = basis.adjugate()
-    vm_adj = adj.min_val()
-    r_plus = vec_min_val(adj.rows[0])
-    r_minus = vec_min_val(adj.rows[2])
-    floor_cap = level + vm_adj  # dot digits from here on are ball-dependent
-    if floor_cap <= 2 + max(r_plus, r_minus):
-        raise InsufficientLevel(
-            f"level {level} cannot pin dominant eigencoordinates "
-            f"(cap {floor_cap} vs margin bound {2 + max(r_plus, r_minus)})"
-        )
-
-    g_inv = g.inverse()
-    if not g_inv.exact:
-        raise ValueError("the cyclic generator must have an exact inverse")
-    sides = []
-    for label, mat in (("g", g), ("g^-1", g_inv)):
-        lo, hi = support(x for row in mat.rows for x in row)
-        sides.append(
-            dict(
-                label=label,
-                lead=lo,
-                width=hi - lo + level - 1,
-                taps=[
-                    [_taps(mat.rows[i][j], lo, hi) for j in range(3)] for i in range(3)
-                ],
-                lognorm=mat.lognorm(),
-                lognorm_compound=mat.second_compound().lognorm(),
-            )
-        )
-
-    depth = level + 8
-    dot_stop = floor_cap + 2
-    horizon = dot_stop - vm_adj
-    adj_taps = [
-        [_taps(adj.rows[i][j], vm_adj, dot_stop) for j in range(3)] for i in range(3)
-    ]
-    table = _digit_table(q, level)
-    rows = _row_format(q, max(depth, horizon, *(side["width"] for side in sides)))
-    values = rows.encode(table)
-    cones = [_ConeTest(rows, values, apex, depth) for apex in (apex_plus, apex_minus)]
-    adj_forms = rows.forms(values, adj_taps, vm_adj, horizon)
-    for side in sides:
-        side["forms"] = rows.forms(values, side["taps"], side["lead"], side["width"])
-    # x and y of a window ball read 1, 0 at u^0, u^1: the two leading
-    # base-q digits of their values make q
-    digit_1 = q ** (level - 2)
-
-    for stratum, balls in _ball_chunks(q, level, CHUNK):
-        n = balls[0].size
-        chunk = rows.chunk(values, balls, stratum)
-        texts = lambda r: _text(table, balls, r)  # noqa: E731
-
-        in_u = np.zeros(n, dtype=bool)
-        if stratum == 2:
-            in_u = (balls[0] // digit_1 == q) & (balls[1] // digit_1 == q)
-            report.window_balls += int(in_u.sum())
-
-        in_cone = np.zeros(n, dtype=bool)
-        for cone, side_name in zip(cones, ("+", "-")):
-            verdict, v1, vc = cone.verdicts(
-                rows.evaluate(cone.forms, chunk), ignore=in_u
-            )
-            in_cone |= verdict
-            # verdicts must be constant on each non-window ball (window
-            # balls leave the domain regardless): perturbations enter the
-            # cross product at column >= level
-            _flag(
-                report,
-                "cone-transfer",
-                f"cone{side_name}",
-                ~in_u
-                & (
-                    (verdict & ((v1 + 2 > level) | (v1 >= depth)))
-                    | (~verdict & (vc + 1 > level))
-                ),
-                texts,
-                lambda r, v1=v1, vc=vc: f"v1 {int(v1[r])}, vcomb {int(vc[r])}",
-            )
-
-        domain = ~in_u & ~in_cone
-        report.domain_balls += int(domain.sum())
-        dom_rows = np.nonzero(domain)[0]
-        m = dom_rows.size
-        if m == 0:
-            continue
-        dom = rows.chunk(values, [v[dom_rows] for v in balls], stratum)
-        dom_texts = lambda r: texts(dom_rows[r])  # noqa: E731
-
-        # eigencoordinate valuations VAL_i = val(adj_i . y), trusted up to
-        # dot_stop; beyond floor_cap they are ball-dependent, so floor them
-        coords = rows.evaluate(adj_forms, dom)
-        val1, val2, val3 = rows.first_nonzero(coords, horizon) + vm_adj
-        del coords  # not held through the image pass below
-        f1 = np.minimum(val1, floor_cap)
-        f2 = np.minimum(val2, floor_cap)
-        f3 = np.minimum(val3, floor_cap)
-
-        # outside the cones the outer eigencoordinates must stay large;
-        # these margins carry the uniform norm-loss budget to all powers
-        _flag(
-            report,
-            "margin",
-            "adj row +",
-            val1 > 2 + r_plus,
-            dom_texts,
-            lambda r: f"val {int(val1[r])} > {2 + r_plus}",
-        )
-        _flag(
-            report,
-            "margin",
-            "adj row -",
-            val3 > 2 + r_minus,
-            dom_texts,
-            lambda r: f"val {int(val3[r])} > {2 + r_minus}",
-        )
-        margin = np.minimum((2 + r_plus) - val1, (2 + r_minus) - val3)
-        report.merge_min("min_growth_margin", margin.min())
-
-        # power certificates: the dominant coordinate is pinned exactly,
-        # the gaps to the others only widen as the power grows
-        cert_plus = np.minimum(f2 + (w2 - w1), f3 + (w3 - w1)) - val1
-        cert_minus = np.minimum(f2 + (w3 - w2), f1 + (w3 - w1)) - val3
-        _flag(
-            report,
-            "cert",
-            "g^N, N >= 1",
-            (cert_plus < 2) | (val1 >= floor_cap),
-            dom_texts,
-            lambda r: f"slack {int(cert_plus[r]) - 2}",
-        )
-        _flag(
-            report,
-            "cert",
-            "g^N, N <= -1",
-            (cert_minus < 2) | (val3 >= floor_cap),
-            dom_texts,
-            lambda r: f"slack {int(cert_minus[r]) - 2}",
-        )
-        report.merge_min("min_cert_slack", min(cert_plus.min(), cert_minus.min()) - 2)
-
-        # concrete images under g and g^-1
-        for side in sides:
-            width = side["width"]
-            img = rows.evaluate(side["forms"], dom)
-            vm_col = rows.lead_column(img, width)
-            if (vm_col >= width - 1).any():
-                raise InsufficientPrecision("image lost inside its digit window")
-            vm = vm_col + side["lead"]
-            report.checked_images += m
-
-            in_window = rows.window_mask(img, vm_col)
-            level_img = refined_image_level(
-                level, vm, side["lognorm"], side["lognorm_compound"]
-            )
-            report.merge_min("min_image_level", level_img.min())
-            loss = vm + side["lognorm"]
-
-            _flag(report, "image-window", side["label"], ~in_window, dom_texts)
-            _flag(
-                report,
-                "image-level",
-                side["label"],
-                level_img < 2,
-                dom_texts,
-                lambda r: f"level {int(level_img[r])}",
-            )
-            _flag(
-                report,
-                "epsilon",
-                side["label"],
-                loss > epsilon_exponent,
-                dom_texts,
-                lambda r: f"loss {int(loss[r])} > {epsilon_exponent}",
-            )
+    sweep = _Sweep(q, level, g, eigen, epsilon_exponent)
+    if not _domain_tree(sweep, report):
+        _domain_pass(sweep, report)
 
     # -- C2: window balls under the rank-two factor --------------------------
     # the window pass enumerates its own balls; the domain pass met them
@@ -773,28 +909,35 @@ def verify_pingpong(pair, g, level, gamma_bound, eigen=None, epsilon_exponent=No
         elements.append((label, offsets, level + min(offsets[0], offsets[1])))
     if not elements:
         return report
+    pending = [e for e, done in zip(elements, _window_root(sweep, elements)) if not done]
+    report.checked_images += (len(elements) - len(pending)) * expected
+    if not pending:
+        return report
 
+    rows = sweep.rows
     for balls in _window_balls(q, level, CHUNK):
         n = balls[0].size
-        w_texts = lambda r: _text(table, balls, r)  # noqa: E731
-        chunk = rows.chunk(values, balls, 2)  # z is the pivot 1
-        cone_forms = [rows.at(cone.forms, chunk) for cone in cones]
-        for label, offsets, pert in elements:
+        w_texts = lambda r: _text(sweep.table, balls, r)  # noqa: E731
+        chunk = rows.chunk(sweep.values, balls, 2)  # z is the pivot 1
+        moved = [rows.at(cone.forms, chunk) for cone in sweep.cones]
+        for label, offsets, pert in pending:
             report.checked_images += n
             if not any(offsets):
                 _flag(report, "gamma-window", label, np.ones(n, dtype=bool), w_texts)
                 continue
-            for cone, forms, side_name in zip(cones, cone_forms, ("+", "-")):
-                verdict, _, vc = cone.verdicts(forms(offsets))
-                _flag(report, f"gamma-cone{side_name}", label, verdict, w_texts)
+            reads = _image_cones(sweep, moved, offsets, pert)
+            for (verdict, transfer, undecided, _, vc), name in zip(reads, "+-"):
+                if undecided.any():
+                    raise InsufficientPrecision(_CONE_HORIZON)
+                _flag(report, f"gamma-cone{name}", label, verdict, w_texts)
                 _flag(
                     report,
                     "ball-transfer",
                     label,
-                    ~verdict & (vc + 1 > pert),
+                    transfer,
                     w_texts,
                     lambda r, vc=vc: f"vcomb {int(vc[r])} vs stable columns {pert}",
                 )
-        del cone_forms  # not held while the next chunk gathers its parts
+        del moved  # not held while the next chunk gathers its parts
 
     return report

@@ -21,11 +21,13 @@ from pingpong3.linalg import Mat
 
 # small but real parameters: the whole pipeline runs in well under a second
 SMALL = dict(level=5, gamma_bound=2, word_bound=3)
+# built at import: the leaf walk below is parametrized over its JSON
+RESULT = construct_pipeline(2, **SMALL)
 
 
 @pytest.fixture(scope="module")
 def result():
-    return construct_pipeline(2, **SMALL)
+    return RESULT
 
 
 @pytest.fixture(scope="module")
@@ -162,12 +164,62 @@ def test_tampered_field_is_detected(result, path, tamper, stage):
 
 
 def test_inflated_epsilon_budget_is_refused_at_raised_bounds(result):
-    # at the stored bounds the sweep report differs too; at a raised level
-    # only the comparison with the recomputed epsilon sees it
+    # the back half runs with the recomputed epsilon, so the sweep report
+    # comes out as stored: at the stored bounds and at a raised level alike
+    # only the comparison with the recomputed epsilon sees the change
     bad = copy.deepcopy(result.certificate)
     bad["verification"]["epsilon_exponent"] += 1000
+    assert _stages(verify_certificate(bad)) == {"qi_constants"}
     outcome = verify_certificate(bad, level=6)
     assert _stages(outcome) == {"qi_constants"}
+
+
+def _leaf_paths(node, path=()):
+    """Every leaf of a JSON tree, and every list as a leaf of its own."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, list):
+            yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _leaf_paths(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+def _leaf_tampers(value):
+    """±1, a flipped bool, an appended space, a changed last digit, a
+    reversed or shortened list: each a real change of ``value``."""
+    if isinstance(value, bool):
+        return [not value]
+    if isinstance(value, int):
+        return [value + 1, value - 1]
+    if isinstance(value, str):
+        digits = [i for i, c in enumerate(value) if c.isdigit()]
+        changed = [value[:i] + str((int(value[i]) + 1) % 10) + value[i + 1 :] for i in digits[-1:]]
+        return [value + " ", *changed]
+    if isinstance(value, list):
+        return [v for v in (value[::-1], value[:-1]) if v != value]
+    return []  # null
+
+
+STORED = json.loads(certificate_text(RESULT.certificate))
+LEAVES = list(_leaf_paths(STORED))
+
+
+@pytest.mark.parametrize("path", LEAVES, ids=[".".join(map(str, p)) for p in LEAVES])
+def test_every_tampered_stored_leaf_is_refused(path):
+    """Each change of a stored leaf fails a verify stage or is refused by
+    the loader; no other exception escapes.  ``TAMPERS`` pins the stage."""
+    *parents, key = path
+    holder = STORED
+    for name in parents:
+        holder = holder[name]
+    for tampered in _leaf_tampers(holder[key]):
+        try:
+            outcome = verify_certificate(_replaced(STORED, path, lambda _: tampered))
+        except CertificateError:
+            continue
+        assert not outcome.passed, tampered
 
 
 # (override, stored report field, the stage that must fail): a stored report

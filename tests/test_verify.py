@@ -1,4 +1,5 @@
-"""Exhaustive sweep verifier: bulk digit engine vs scalar predicates."""
+"""Sweep verifier: the prefix tree against the exhaustive passes, and the
+bulk digit engine against the scalar predicates."""
 
 import hashlib
 import json
@@ -11,6 +12,7 @@ from pingpong3.digits import int_dtype, support
 from pingpong3.errors import InsufficientLevel
 from pingpong3.field import Field, Laurent
 from pingpong3.linalg import Mat, parse_matrix, vec_min_val
+from pingpong3.pingpong.constants import theta_prime_exponent
 from pingpong3.pingpong.generators import DiagPair, make_generators
 from pingpong3.pingpong.regular import (
     contraction_power,
@@ -196,7 +198,8 @@ def test_cone_test_agrees_with_scalar_predicate(q):
         chunk = rows.chunk(values, balls)
         for apex in (eig.vectors[0], eig.vectors[2]):
             cone = _ConeTest(rows, values, apex, depth=level + 8)
-            verdict, _, _ = cone.verdicts(rows.evaluate(cone.forms, chunk), ignore=in_u)
+            verdict, _, _, undecided = cone.verdicts(rows.evaluate(cone.forms, chunk))
+            assert not (undecided & ~in_u).any()
             for y, u, got in zip(ys, in_u, verdict):
                 if not u:  # window balls may be undecidable in bulk; they
                     # are excluded from the domain on other grounds
@@ -308,7 +311,8 @@ def test_cone_forms_moved_by_offsets_are_the_forms_of_the_diagonal_image(q):
     read from the chunk with each coordinate moved by its offset, against
     the forms evaluated on the image's digits from scalar products.  An
     offset at or past the depth moves its coordinate out of every column
-    kept."""
+    kept.  All offsets at once, as a (3, E) array, read the E images of
+    each ball element-major."""
     level = 4
     depth = level + 8
     eig = eigen_flags(make_proximal(q), precision=40)
@@ -332,6 +336,9 @@ def test_cone_forms_moved_by_offsets_are_the_forms_of_the_diagonal_image(q):
                     image_forms = rows.shift_add(cone.taps, img, 0, depth)
                     got = _digits(rows, moved(offsets), depth)
                     assert np.array_equal(got, _digits(rows, image_forms, depth))
+                each = [moved(offsets) for offsets in cases]
+                every = moved(np.array(cases).T)
+                assert np.array_equal(every, np.concatenate(each, axis=-1))
 
 
 @pytest.mark.parametrize("q", (2, 3, 5))
@@ -437,33 +444,37 @@ def _report_digest(report):
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+# pinned q = 2 sweeps, all but wide-window failing: (pair, level,
+# gamma_bound, epsilon, digest)
+Q2_PINS = [
+    # 3,072 epsilon violations: examples read the domain balls' texts
+    (PAIR2, 6, 2, 0, "4c58a427c697bf333a9ff6e6e6706625fd449f78da390ea8114302ff733cce91"),
+    # 6,144 gamma-window violations: examples read the window balls' texts
+    (IDENTITY_PAIR, 6, 2, None, "9643da35c54479d7a794baea6c9ce045f2e9594c51239749ab29d16ee5345e77"),
+    # window images up to 12 * 6 + 4 = 76 columns: wider than one word
+    (PAIR2, 4, 6, None, "219390f6cbbfc4d43db09d546d4e71833b25b922ec5b1e1dc9fab4b7b880bb67"),
+    # 256 gamma-window and 320 gamma-cone violations of each sign
+    (
+        _monic_pair(*MONIC),
+        5,
+        2,
+        None,
+        "e8cd56ae5b2a599f0faff47c1e866ca4e30000539057faf6dc36bd91d6c372c1",
+    ),
+    # 128 gamma-cone violations of each sign, no gamma-window one
+    (
+        _monic_pair((1, -1, 0), (0, 1, -1)),
+        5,
+        1,
+        None,
+        "a9d6cdf8f95610830df88b25958cef652aa856cf8a479de4177cf55553cb08ef",
+    ),
+]
+Q2_PIN_IDS = ["epsilon-0", "identity-pair", "wide-window", "monic-window-cones", "monic-cones"]
+
+
 @pytest.mark.parametrize(
-    "pair, level, gamma_bound, epsilon, expected",
-    [
-        # 3,072 epsilon violations: examples read the domain balls' texts
-        (PAIR2, 6, 2, 0, "4c58a427c697bf333a9ff6e6e6706625fd449f78da390ea8114302ff733cce91"),
-        # 6,144 gamma-window violations: examples read the window balls' texts
-        (IDENTITY_PAIR, 6, 2, None, "9643da35c54479d7a794baea6c9ce045f2e9594c51239749ab29d16ee5345e77"),
-        # window images up to 12 * 6 + 4 = 76 columns: wider than one word
-        (PAIR2, 4, 6, None, "219390f6cbbfc4d43db09d546d4e71833b25b922ec5b1e1dc9fab4b7b880bb67"),
-        # 256 gamma-window and 320 gamma-cone violations of each sign
-        (
-            _monic_pair(*MONIC),
-            5,
-            2,
-            None,
-            "e8cd56ae5b2a599f0faff47c1e866ca4e30000539057faf6dc36bd91d6c372c1",
-        ),
-        # 128 gamma-cone violations of each sign, no gamma-window one
-        (
-            _monic_pair((1, -1, 0), (0, 1, -1)),
-            5,
-            1,
-            None,
-            "a9d6cdf8f95610830df88b25958cef652aa856cf8a479de4177cf55553cb08ef",
-        ),
-    ],
-    ids=["epsilon-0", "identity-pair", "wide-window", "monic-window-cones", "monic-cones"],
+    "pair, level, gamma_bound, epsilon, expected", Q2_PINS, ids=Q2_PIN_IDS
 )
 def test_q2_sweep_reports_and_examples_are_pinned(
     pair, level, gamma_bound, epsilon, expected
@@ -475,36 +486,40 @@ def test_q2_sweep_reports_and_examples_are_pinned(
     assert _report_digest(report) == expected
 
 
+# failing q = 3 and 5 sweeps: (q, level, gamma_bound, CHUNK, exponents of a
+# monic pair or None for epsilon 0 under the standard pair, digest)
+ODD_PINS = [
+    # epsilon 0: examples read the domain balls' texts
+    (3, 5, 2, CHUNK, None, "751792be9dd0123d55b1a9da2b03480520b98caca5c9727ecc7d3e827c6b846a"),
+    # identity pair: examples read the window balls' texts
+    (3, 5, 2, CHUNK, IDENTITY, "4feed41ab12d78fba5d6d4080f8c157a6a9a52c0929ce77721f91db172276078"),
+    # 467,125 domain balls over eight chunks
+    (5, 4, 2, CHUNK, None, "a7bd50b0c5c270a045e2197caf5789e4f69fee54c6b221af06844ff0b9febe6f"),
+    (5, 4, 2, CHUNK, IDENTITY, "f14afab1edfdb88319459237b515d0f13ef3c04027030ec6242f047bd30e03d8"),
+    # small chunks: the examples depend on the chunk boundaries
+    (3, 3, 1, 7, None, "5bb47bc9f3ef37ec6064a5f48f743a1780f2c24c3f0f140bfdca9b58712b545c"),
+    (3, 3, 1, 7, IDENTITY, "a1c4f0be44f47010de6f8bab8c84c5c7735c7d8f0a58b030d22f27c33b3414e6"),
+    (5, 3, 1, 64, None, "e3c9a44816db28aae585424769a090df2d29665b59c3fd8bd5281757dfd484d5"),
+    # 324 gamma-window and 405 gamma-cone violations of each sign at
+    # level 4, 36 and 45 at level 3
+    (3, 4, 2, CHUNK, MONIC, "35c6cf0204c2946e0891f9a1b8191692f2d918a2e1254bf52e2e35aca420e4ff"),
+    (3, 3, 2, 7, MONIC, "98d83517b6ef2ae65c205a27a6da9b2b08c1c2fb456756687ea8e4281631d547"),
+]
+ODD_PIN_IDS = [
+    "q3-epsilon-0",
+    "q3-identity-pair",
+    "q5-epsilon-0",
+    "q5-identity-pair",
+    "q3-chunk-7-epsilon-0",
+    "q3-chunk-7-identity-pair",
+    "q5-chunk-64-epsilon-0",
+    "q3-monic-window-cones",
+    "q3-chunk-7-monic-window-cones",
+]
+
+
 @pytest.mark.parametrize(
-    "q, level, gamma_bound, chunk, exponents, expected",
-    [
-        # epsilon 0: examples read the domain balls' texts
-        (3, 5, 2, CHUNK, None, "751792be9dd0123d55b1a9da2b03480520b98caca5c9727ecc7d3e827c6b846a"),
-        # identity pair: examples read the window balls' texts
-        (3, 5, 2, CHUNK, IDENTITY, "4feed41ab12d78fba5d6d4080f8c157a6a9a52c0929ce77721f91db172276078"),
-        # 467,125 domain balls over eight chunks
-        (5, 4, 2, CHUNK, None, "a7bd50b0c5c270a045e2197caf5789e4f69fee54c6b221af06844ff0b9febe6f"),
-        (5, 4, 2, CHUNK, IDENTITY, "f14afab1edfdb88319459237b515d0f13ef3c04027030ec6242f047bd30e03d8"),
-        # small chunks: the examples depend on the chunk boundaries
-        (3, 3, 1, 7, None, "5bb47bc9f3ef37ec6064a5f48f743a1780f2c24c3f0f140bfdca9b58712b545c"),
-        (3, 3, 1, 7, IDENTITY, "a1c4f0be44f47010de6f8bab8c84c5c7735c7d8f0a58b030d22f27c33b3414e6"),
-        (5, 3, 1, 64, None, "e3c9a44816db28aae585424769a090df2d29665b59c3fd8bd5281757dfd484d5"),
-        # 324 gamma-window and 405 gamma-cone violations of each sign at
-        # level 4, 36 and 45 at level 3
-        (3, 4, 2, CHUNK, MONIC, "35c6cf0204c2946e0891f9a1b8191692f2d918a2e1254bf52e2e35aca420e4ff"),
-        (3, 3, 2, 7, MONIC, "98d83517b6ef2ae65c205a27a6da9b2b08c1c2fb456756687ea8e4281631d547"),
-    ],
-    ids=[
-        "q3-epsilon-0",
-        "q3-identity-pair",
-        "q5-epsilon-0",
-        "q5-identity-pair",
-        "q3-chunk-7-epsilon-0",
-        "q3-chunk-7-identity-pair",
-        "q5-chunk-64-epsilon-0",
-        "q3-monic-window-cones",
-        "q3-chunk-7-monic-window-cones",
-    ],
+    "q, level, gamma_bound, chunk, exponents, expected", ODD_PINS, ids=ODD_PIN_IDS
 )
 def test_odd_q_sweep_reports_and_examples_are_pinned(
     monkeypatch, q, level, gamma_bound, chunk, exponents, expected
@@ -525,6 +540,148 @@ def test_odd_q_sweep_reports_and_examples_are_pinned(
     g = make_proximal(q) ** 2
     report = verify_pingpong(pair, g, level, gamma_bound, epsilon_exponent=epsilon)
     assert _report_digest(report) == expected
+
+
+# -- the prefix tree against the exhaustive passes ---------------------------
+
+
+def _exhaustive(monkeypatch):
+    """Route verify_pingpong around the tree: the domain pass and every
+    window element read ball by ball."""
+    monkeypatch.setattr(verify, "_domain_tree", lambda sweep, report: False)
+    monkeypatch.setattr(
+        verify, "_window_root", lambda sweep, elements: np.zeros(len(elements), bool)
+    )
+
+
+def _tree_and_exhaustive(monkeypatch, *args, **kwargs):
+    """as_dict() and examples of one sweep through the tree, then through
+    the exhaustive passes."""
+    outcomes = []
+    for route in (lambda m: None, _exhaustive):
+        with monkeypatch.context() as m:
+            route(m)
+            report = verify_pingpong(*args, **kwargs)
+        outcomes.append((report.as_dict(), [str(v) for v in report.examples]))
+    return outcomes
+
+
+@pytest.mark.parametrize(
+    "q, level",
+    [(2, level) for level in range(3, 10)]
+    + [(3, level) for level in range(3, 7)]
+    + [(5, 3), (5, 4)],
+)
+def test_tree_sweep_matches_the_exhaustive_sweep(monkeypatch, q, level):
+    """Passing sweeps, the domain pass alone and with the window pass."""
+    pair, g = make_generators(q), make_proximal(q) ** 2
+    for gamma_bound in (0, 2):
+        tree, exhaustive = _tree_and_exhaustive(monkeypatch, pair, g, level, gamma_bound)
+        assert tree == exhaustive
+        assert tree[0]["passed"]
+
+
+@pytest.mark.parametrize(
+    "pair, level, gamma_bound, epsilon, expected", Q2_PINS, ids=Q2_PIN_IDS
+)
+def test_tree_sweep_matches_the_exhaustive_sweep_on_q2_pins(
+    monkeypatch, pair, level, gamma_bound, epsilon, expected
+):
+    """The pinned q = 2 sweeps: where one fails, the tree falls back, or
+    leaves the elements its window root does not decide to the
+    ball-by-ball loop."""
+    tree, exhaustive = _tree_and_exhaustive(
+        monkeypatch, pair, G2, level, gamma_bound, epsilon_exponent=epsilon
+    )
+    assert tree == exhaustive
+
+
+@pytest.mark.parametrize(
+    "q, level, gamma_bound, chunk, exponents, expected", ODD_PINS, ids=ODD_PIN_IDS
+)
+def test_tree_sweep_matches_the_exhaustive_sweep_on_odd_q_pins(
+    monkeypatch, q, level, gamma_bound, chunk, exponents, expected
+):
+    """The failing q = 3 and 5 sweeps, at the pins' chunk sizes."""
+    monkeypatch.setattr(verify, "CHUNK", chunk)
+    if exponents is None:
+        pair, epsilon = make_generators(q), 0
+    else:
+        pair, epsilon = _monic_pair(*exponents, q), None
+    g = make_proximal(q) ** 2
+    tree, exhaustive = _tree_and_exhaustive(
+        monkeypatch, pair, g, level, gamma_bound, epsilon_exponent=epsilon
+    )
+    assert tree == exhaustive
+    assert not tree[0]["passed"]
+
+
+def test_tree_reads_a_few_hundred_rows(monkeypatch):
+    """The rows the tree reads per depth at q = 2 level 8 and q = 3 level 5
+    (the benchmark's sweeps), against 114,688 and 85,293 domain balls: a
+    fall back to per-ball work shows here."""
+    seen = []
+    read = verify._Sweep.read
+
+    def counted(self, balls, *args):
+        seen.append(balls[0].size)
+        return read(self, balls, *args)
+
+    monkeypatch.setattr(verify._Sweep, "read", counted)
+    for q, level, rows in ((2, 8, [7, 28, 44, 40, 80, 160]), (3, 5, [13, 117, 315, 54])):
+        seen.clear()
+        report = verify_pingpong(make_generators(q), make_proximal(q) ** 2, level, 3)
+        assert report.passed
+        assert seen == rows
+
+
+def _node_point(q, digits, d, s, a, b, rng):
+    """A random point of the node: its free coordinates lead with the d
+    base-q digits of a and b and carry random ones up to u^(digits - 1);
+    the pivot coordinate s is 1."""
+    lead = [[v // q ** (d - 1 - c) % q for c in range(d)] for v in (a, b)]
+    tail = [[rng.randrange(q) for _ in range(digits - d)] for _ in lead]
+    free = [Laurent(q, 0, x + t) for x, t in zip(lead, tail)]
+    free.insert(s, Laurent(q, 0, [1]))
+    return free
+
+
+@pytest.mark.parametrize("q", (13, 31))
+def test_decided_nodes_agree_with_scalar_predicates(q):
+    """Where no exhaustive sweep can serve as the reference (q = 31 level 3
+    has 8.9e8 balls): on random points of sampled decided depth-2 nodes,
+    digits past the level included, the scalar predicates give the node's
+    verdicts -- in U, in each cone, and for domain nodes the images' least
+    valuations and the eigencoordinate valuations up to floor_cap."""
+    level, d, rng = 3, 2, random.Random(q)
+    g = make_proximal(q) ** 2
+    eig = eigen_flags(g, precision=2 * level + 24)
+    sweep = verify._Sweep(q, level, g, eig, theta_prime_exponent(eig))
+    # stratum s: the free coordinates in uO lead with the digit 0
+    s = np.array([rng.randrange(3) for _ in range(600)])
+    a = np.array([rng.randrange(q if k == 0 else q * q) for k in s])
+    b = np.array([rng.randrange(q if k < 2 else q * q) for k in s])
+    r, decided = verify._nodes(sweep, d, s, a, b)
+    assert not any(mask.any() for mask, _ in r.raises)
+    assert not any(mask.any() for _, _, mask, _, _ in r.flags)
+    adj = eig.basis.adjugate()
+    dom = {int(i): k for k, i in enumerate(r.dom)}
+    picked = rng.sample(list(np.nonzero(decided)[0]), 40)
+    assert any(i in dom for i in picked) and any(i not in dom for i in picked)
+    for i in picked:
+        for _ in range(3):
+            y = _node_point(q, level + 3, d, s[i], a[i], b[i], rng)
+            assert in_unit_window(y) is bool(r.in_u[i])
+            for apex, (verdict, *_) in zip((eig.vectors[0], eig.vectors[2]), r.cones):
+                assert r.in_u[i] or in_slope_u_cone(apex, y) is bool(verdict[i])
+            if i not in dom:
+                continue
+            for side, mat, vm_col in zip(sweep.sides, (g, g.inverse()), r.vm_cols):
+                assert vec_min_val(mat.matvec(y)) == vm_col[dom[i]] + side["lead"]
+            for row, val in zip(adj.rows, r.val[:, dom[i]]):
+                scalar = sum((x * c for x, c in zip(row, y)), Laurent(q, 0, []))
+                floor = sweep.floor_cap
+                assert min(scalar.val_lower_bound(), floor) == min(val, floor)
 
 
 @pytest.mark.parametrize(
