@@ -427,6 +427,15 @@ _CONE_HORIZON = "cone verdict ran past the apex digit horizon; raise the depth"
 _FAR = 1 << 30  # the least tap position of a coefficient with no taps
 
 
+def _horizon(low, d, pivot, offsets=None):
+    """(k, n): below it each form reads the same digits on all balls of n
+    depth-d nodes, d + its least tap position (``low``, (k, 3)) on a free
+    coordinate (not ``pivot``, (n, 3)), moved by ``offsets`` (n, 3)."""
+    if offsets is not None:
+        low = low + offsets[:, None]
+    return d + np.where(pivot[:, None], _FAR, low).min(axis=-1).T
+
+
 def _low(taps, lead):
     """(k, 3) least tap position of each form's coefficient on each
     coordinate, counted from the column of u^lead."""
@@ -535,7 +544,7 @@ def _flag(report, kind, element, mask, text_fn, detail_fn=None):
         report.violation_counts[kind] += extra
 
 
-# -- the domain pass: one evaluator, two drivers ---------------------------
+# -- the domain pass: one evaluator, two ways to walk the balls ------------
 
 
 class _Sweep:
@@ -554,11 +563,10 @@ class _Sweep:
         self.r_minus = vec_min_val(adj.rows[2])
         # dot digits from floor_cap on are ball-dependent
         self.floor_cap = level + vm_adj
-        if self.floor_cap <= 2 + max(self.r_plus, self.r_minus):
-            raise InsufficientLevel(
-                f"level {level} cannot pin dominant eigencoordinates (cap "
-                f"{self.floor_cap} vs margin bound {2 + max(self.r_plus, self.r_minus)})"
-            )
+        bound = 2 + max(self.r_plus, self.r_minus)
+        if self.floor_cap <= bound:
+            raise InsufficientLevel(f"level {level} cannot pin dominant "
+                f"eigencoordinates (cap {self.floor_cap} vs margin bound {bound})")  # fmt: skip
         g_inv = g.inverse()
         if not g_inv.exact:
             raise ValueError("the cyclic generator must have an exact inverse")
@@ -594,13 +602,11 @@ class _Sweep:
 
     def read(self, balls, stratum, pivot=None):
         """Every value the domain pass reads on a batch of (x, y, z) value
-        indices of one stratum or one ``stratum`` per ball (``pivot``: the
-        pivot coordinate of a one-stratum chunk): in_u, both cones'
-        verdicts, the rows ``dom`` outside U and both cones, their
-        eigencoordinate valuations ``val``, image lead columns and the
-        values whose minima the report keeps; then ``raises`` (mask,
-        message) and ``flags`` (kind, element, mask, detail, read on
-        ``dom``), in the order the report takes them."""
+        indices, of one ``stratum`` or one per ball: in_u, both cone
+        verdicts, the rows ``dom`` outside U and both cones with their
+        ``val``, image lead columns and the values the report takes minima
+        of; then ``raises`` (mask, message) and ``flags`` (kind, element,
+        mask, detail, read on ``dom``), in report order."""
         rows, q, level = self.rows, self.q, self.level
         chunk = rows.chunk(self.values, balls, pivot)
         in_u = stratum == 2
@@ -716,7 +722,7 @@ def _nodes(sweep, d, s, a, b):
     pivot = np.arange(3) == s[:, None]
 
     def horizon(low, rows=slice(None)):  # at d = M a node is one ball
-        h = d + np.where(pivot[rows, None], _FAR, low).min(axis=-1).T
+        h = _horizon(low, d, pivot[rows])
         return h if d < level else np.full_like(h, _FAR)
 
     decided = ~r.in_u
@@ -743,8 +749,7 @@ def _domain_tree(sweep, report):
     s = np.repeat([2, 1, 0], [q * q, q, 1])
     a = np.concatenate([np.arange(q * q) // q, np.arange(q), [0]])
     b = np.concatenate([np.arange(q * q) % q, np.zeros(q + 1, dtype=int)])
-    window = domain = 0
-    least = []
+    window, domain, least = 0, 0, []
     for d in range(1, level + 1):
         if not s.size:
             break
@@ -795,10 +800,10 @@ def _gamma_table(pair, gamma_bound):
 
 def _image_cones(sweep, moved, offsets, pert):
     """Per cone (in_cone, transfer, undecided, v1, vc) of window images
-    under diagonals of the given offsets, ``moved`` reading each cone's
-    forms at them.  A verdict outside the cone holds on the whole image
-    ball only if its comb column lies below pert, where ball points start
-    to move the image digits: ``transfer`` flags the others."""
+    under the diagonals of ``offsets``.  A verdict outside the cone holds
+    on the whole image ball only if its comb column lies below pert, where
+    ball points start to move the image digits: ``transfer`` flags the
+    others."""
     out = []
     for cone, forms in zip(sweep.cones, moved):
         verdict, v1, vc, undecided = cone.verdicts(forms(offsets))
@@ -820,7 +825,7 @@ def _window_root(sweep, elements):
     clean = offsets.any(axis=0)
     reads = _image_cones(sweep, moved, offsets, pert)
     for cone, (verdict, transfer, undecided, v1, vc) in zip(sweep.cones, reads):
-        h1, hc = 2 + (cone.low[:, :2, None] + offsets[:2]).min(axis=1)
+        h1, hc = _horizon(cone.low, 2, np.arange(3)[None] == 2, offsets.T)
         clean &= cone.decided(v1, vc, h1, hc) & ~verdict & ~transfer & ~undecided
     return clean
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from pingpong3.digits import int_dtype, support
-from pingpong3.errors import InsufficientLevel
+from pingpong3.errors import InsufficientLevel, InsufficientPrecision
 from pingpong3.field import Field, Laurent
 from pingpong3.linalg import Mat, parse_matrix, vec_min_val
 from pingpong3.pingpong.constants import theta_prime_exponent
@@ -635,6 +635,151 @@ def test_tree_reads_a_few_hundred_rows(monkeypatch):
         assert seen == rows
 
 
+def test_cone_verdict_is_decided_only_when_every_ball_shares_it():
+    """Brute force over the columns a node's balls can read: below its
+    horizon a first-nonzero column is the representative's, at or past it
+    any column up to the depth.  Where ``decided`` holds, every ball has
+    the representative's verdict, and the column that verdict rests on (v1
+    inside the cone, vc outside) is the representative's too."""
+    depth = 6
+    apex = eigen_flags(make_proximal(2), precision=40).vectors[0]
+    cone = _ConeTest(_IntRows(2), _digit_table(2, 3), apex, depth)
+    grid = np.array(np.meshgrid(*[range(depth + 1)] * 2, *[range(depth + 3)] * 2))
+    v1, vc, h1, hc = grid.reshape(4, -1)
+    decided = cone.decided(v1, vc, h1, hc)
+    assert decided.any() and not decided.all()
+
+    def reach(v, h):
+        return {v} if v < h or h >= depth else set(range(h, depth + 1))
+
+    for a, c, ha, hc_ in zip(v1[decided], vc[decided], h1[decided], hc[decided]):
+        ones, combs = reach(a, ha), reach(c, hc_)
+        verdicts = {cc >= aa + 2 for aa in ones for cc in combs}
+        assert verdicts == {c >= a + 2}
+        assert len(ones if c >= a + 2 else combs) == 1
+
+
+def test_undecidable_representative_raises_through_the_exhaustive_pass(monkeypatch):
+    """A representative is itself a ball: when its cone verdict needs
+    digits past the apex horizon, the tree hands the sweep to the
+    exhaustive pass, which raises for that ball."""
+    verdicts = _ConeTest.verdicts
+
+    def first_undecided(self, forms):
+        verdict, v1, vc, undecided = verdicts(self, forms)
+        undecided[:1] = True
+        return verdict, v1, vc, undecided
+
+    monkeypatch.setattr(_ConeTest, "verdicts", first_undecided)
+    with pytest.raises(InsufficientPrecision, match="apex digit horizon"):
+        verify_pingpong(PAIR2, G2, 4, gamma_bound=0)  # the domain pass alone
+
+
+def test_window_root_leaves_a_flagged_element_to_the_ball_loop(monkeypatch):
+    """A flag on the window's representative keeps its element out of the
+    root's decisions; the ball-by-ball loop then reports it."""
+    image_cones = verify._image_cones
+
+    def transfer_on_first(sweep, moved, offsets, pert):
+        reads = image_cones(sweep, moved, offsets, pert)
+        reads[0][1][:1] = True  # cone +, the first image of the batch
+        return reads
+
+    monkeypatch.setattr(verify, "_image_cones", transfer_on_first)
+    report = verify_pingpong(PAIR2, G2, 4, gamma_bound=1)
+    assert report.violation_counts == {"ball-transfer": 1}
+    assert report.examples[0].element == "a^-1 b^-1"
+
+
+@pytest.mark.parametrize("q", (2, 3))
+def test_window_root_decisions_hold_on_every_window_ball(q):
+    """For each element the window root decides, every window ball's
+    image reads the representative's verdict (outside both cones) and the
+    comb column it rests on."""
+    level = 4
+    g = make_proximal(q) ** 2
+    eig = eigen_flags(g, precision=2 * level + 24)
+    sweep = verify._Sweep(q, level, g, eig, theta_prime_exponent(eig))
+    one = np.full(1, q ** (level - 1))
+    root = sweep.rows.chunk(sweep.values, (one, one, one), 2)
+    balls = next(_window_balls(q, level, q ** (2 * (level - 2))))
+    chunk = sweep.rows.chunk(sweep.values, balls, 2)
+    decided = 0
+    for pair in (make_generators(q), _monic_pair(*MONIC, q), _monic_pair((1, -1, 0), (0, 1, -1), q)):
+        elements = []
+        for m, n in [(m, n) for m in range(-2, 3) for n in range(-2, 3) if m or n]:
+            exps, _ = pair.monomial(m, n)
+            offsets = [e - min(exps) for e in exps]
+            elements.append((f"a^{m} b^{n}", offsets, level + min(offsets[:2])))
+        for (_, offsets, pert), clean in zip(elements, verify._window_root(sweep, elements)):
+            if not clean:
+                continue
+            decided += 1
+            at_root = verify._image_cones(
+                sweep, [sweep.rows.at(c.forms, root) for c in sweep.cones], offsets, pert
+            )
+            per_ball = verify._image_cones(
+                sweep, [sweep.rows.at(c.forms, chunk) for c in sweep.cones], offsets, pert
+            )
+            for (_, _, _, _, vc_root), (verdict, transfer, undecided, _, vc) in zip(at_root, per_ball):
+                assert not (verdict | transfer | undecided).any()
+                assert (vc == vc_root[0]).all()
+    assert decided > 0
+
+
+def _node_balls(q, level, d, s, a, b):
+    """Every level-M ball of the depth-d node of stratum s whose free
+    coordinates lead with the digits a and b, as (x, y, z) value indices."""
+    tail = np.arange(q ** (level - d))
+    x, y = np.meshgrid(a * q ** (level - d) + tail, b * q ** (level - d) + tail)
+    free = [x.ravel(), y.ravel()]
+    free.insert(s, np.full(x.size, q ** (level - 1)))
+    return tuple(free)
+
+
+def _agree_below(digits, h, width):
+    """Whether all rows of (n, width) digits agree on the columns below h
+    and, when h < width, disagree at column h."""
+    same = (digits == digits[:1]).all(axis=0)
+    return same[: min(h, width)].all() and (h >= width or not same[h])
+
+
+@pytest.mark.parametrize("q", (2, 3))
+def test_horizons_are_sound_and_tight(q):
+    """Each form of each family reads the same digits on every ball of a
+    node below ``_horizon`` and, short of the width, not at it: domain
+    nodes of every stratum at depths 1 to M - 1, and the window's depth-2
+    node under the diagonals of a few offsets."""
+    level, rng = 4, random.Random(q)
+    g = make_proximal(q) ** 2
+    eig = eigen_flags(g, precision=2 * level + 24)
+    sweep = verify._Sweep(q, level, g, eig, theta_prime_exponent(eig))
+    rows, values = sweep.rows, sweep.values
+    families = [(c.forms, c.low, c.depth) for c in sweep.cones]
+    families.append((sweep.adj_forms, sweep.adj_low, sweep.horizon))
+    families += [(side["forms"], side["low"], side["width"]) for side in sweep.sides]
+    for d in range(1, level):
+        for s in range(3):
+            a = rng.randrange(q ** (d - (s == 0)))  # coordinates in uO lead with 0
+            b = rng.randrange(q ** (d - (s < 2)))
+            balls = _node_balls(q, level, d, s, a, b)
+            pivot = np.arange(3)[None] == s
+            for forms, low, width in families:
+                digits = _digits(rows, rows.evaluate(forms, rows.chunk(values, balls)), width)
+                for k, h in enumerate(verify._horizon(low, d, pivot)[:, 0]):
+                    assert _agree_below(digits[:, k], h, width)
+    balls = _node_balls(q, level, 2, 2, q, q)  # the window: x and y lead with 1, 0
+    chunk = rows.chunk(values, balls, 2)
+    offsets = np.array([(0, 1, 0), (2, 0, 1), (1, 3, 0), (0, 0, 5)])
+    for cone in sweep.cones:
+        moved = rows.at(cone.forms, chunk)
+        horizons = verify._horizon(cone.low, 2, np.arange(3)[None] == 2, offsets)
+        for o, h in zip(offsets, horizons.T):
+            digits = _digits(rows, moved(o), cone.depth)
+            for k in range(2):
+                assert _agree_below(digits[:, k], h[k], cone.depth)
+
+
 def _node_point(q, digits, d, s, a, b, rng):
     """A random point of the node: its free coordinates lead with the d
     base-q digits of a and b and carry random ones up to u^(digits - 1);
@@ -651,8 +796,9 @@ def test_decided_nodes_agree_with_scalar_predicates(q):
     """Where no exhaustive sweep can serve as the reference (q = 31 level 3
     has 8.9e8 balls): on random points of sampled decided depth-2 nodes,
     digits past the level included, the scalar predicates give the node's
-    verdicts -- in U, in each cone, and for domain nodes the images' least
-    valuations and the eigencoordinate valuations up to floor_cap."""
+    verdicts -- in U, in each cone, and for domain nodes the images in U
+    with their least valuations and the eigencoordinate valuations up to
+    floor_cap."""
     level, d, rng = 3, 2, random.Random(q)
     g = make_proximal(q) ** 2
     eig = eigen_flags(g, precision=2 * level + 24)
@@ -677,7 +823,9 @@ def test_decided_nodes_agree_with_scalar_predicates(q):
             if i not in dom:
                 continue
             for side, mat, vm_col in zip(sweep.sides, (g, g.inverse()), r.vm_cols):
-                assert vec_min_val(mat.matvec(y)) == vm_col[dom[i]] + side["lead"]
+                image = mat.matvec(y)
+                assert in_unit_window(image) is True
+                assert vec_min_val(image) == vm_col[dom[i]] + side["lead"]
             for row, val in zip(adj.rows, r.val[:, dom[i]]):
                 scalar = sum((x * c for x, c in zip(row, y)), Laurent(q, 0, []))
                 floor = sweep.floor_cap
