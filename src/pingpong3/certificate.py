@@ -149,7 +149,7 @@ def front_half(stages, q, profile, strategy, seed, budget):
     exclusion = stages.run("sigma_exclusion", sigma_exclusion, pair)
     candidate = stages.run("find_regular", find_regular, q, strategy, seed=seed, budget=budget)
     constants = stages.run("qi_constants", qi_constants, pair, candidate)
-    return pair, exclusion, candidate, constants, candidate.h ** candidate.contraction.n0
+    return pair, exclusion, candidate, constants, candidate.g
 
 
 def back_half(stages, pair, g, constants, level, gamma_bound, word_bound):
@@ -464,11 +464,11 @@ def verify_certificate(source, level=None, gamma_bound=None, word_bound=None):
                 if constants.epsilon_exponent != stored["epsilon_exponent"]:
                     outcome.fail("qi_constants", "stored epsilon exponent differs")
 
-    # no work is sized by a stored claim: h is raised to the recomputed n0,
-    # and the back half runs with the recomputed constants, or not at all
+    # no work is sized by a stored claim: g must be the rebuilt candidate's
+    # h^n0, and the back half runs with the recomputed constants, or not at all
     if not (h.exact and g.exact):
         outcome.fail("consistency", "h and g must be exact matrices")
-    elif rebuilt is not None and h ** rebuilt.contraction.n0 != g:
+    elif rebuilt is not None and rebuilt.g != g:
         outcome.fail("consistency", f"g is not h^{rebuilt.contraction.n0}")
     if constants is not None:
         sweep, survey = back_half(outcome, pair, g, constants, **params)

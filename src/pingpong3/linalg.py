@@ -169,14 +169,14 @@ class Mat:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        result = Mat.identity(self.q)
-        base = self
+        result, base = None, self  # no identity factor, no square past the top bit
         while k:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if k:
+                base = base * base
+        return Mat.identity(self.q) if result is None else result
 
     def det(self):
         (a, b, c), (d, e, f), (g, h, i) = self.rows

@@ -39,8 +39,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
-from ..linalg import vec_min_val
-
 
 @dataclass(frozen=True)
 class Constants:
@@ -97,12 +95,11 @@ def theta_prime_exponent(eigen):
     worst norm-loss exponent of powers of h on cone complements, with r the
     larger row floor of adj P at the attracting and repelling rows."""
     basis = eigen.basis
-    adj = basis.adjugate()
     val_det = basis.det().val()
     if val_det is None:
         raise ValueError("eigenbasis determinant valuation undecided")
-    r = max(vec_min_val(adj.rows[0]), vec_min_val(adj.rows[2]))
-    return (2 + r - val_det) + basis.lognorm() + 2 * (val_det - adj.min_val())
+    r = max(eigen.row_floors)
+    return (2 + r - val_det) + basis.lognorm() + 2 * (val_det - eigen.adjugate.min_val())
 
 
 def qi_constants(pair, candidate):
@@ -116,8 +113,8 @@ def qi_constants(pair, candidate):
     contraction = candidate.contraction
 
     theta_prime = theta_prime_exponent(eigen)
-    basis = eigen.basis
-    distortion = basis.lognorm() + basis.det().val() - basis.adjugate().min_val()
+    basis = eigen.basis  # K_P = lognorm(P) + lognorm(adj P / det P)
+    distortion = basis.lognorm() + basis.det().val() - eigen.adjugate.min_val()
 
     theta = 0
     epsilon = max(theta, theta_prime)

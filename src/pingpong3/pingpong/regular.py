@@ -37,6 +37,8 @@ bookkeeping: a point y outside the cones has its attracting coordinate
 <c_1, y> bounded below by the margin (valuation <= margin_exponent +
 row floor), each application of h shifts the coordinate gaps by the
 eigenvalue-valuation gaps, and the basis distortion eats a constant.
+``proximal_candidate`` raises h to N0 once, and every later stage reads
+g = h^N0 from the candidate.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from ..errors import (
     SingularOrUndecidable,
 )
 from ..field import Field, Laurent
-from ..linalg import Mat, random_lattice_element, vec_min_val
+from ..linalg import Mat, random_lattice_element
 from ..projgeom import ProjLine, in_unit_window, line_has_slope_u
 from ..spectral import eigen_flags, is_regular
 
@@ -70,26 +72,24 @@ EIGEN_PRECISION = 2 * LATTICE_MAX_LEVEL + 16
 
 @dataclass(frozen=True)
 class ContractionData:
-    """The power N0 and the quantities that produced it."""
+    """The power N0, the powers each flag needs and the margin they are
+    taken at; the eigen data they come from stay on the EigenSystem."""
 
     n0: int
     n_plus: int
     n_minus: int
     margin_exponent: int
-    gap_plus: int
-    gap_minus: int
-    row_floor_plus: int
-    row_floor_minus: int
-    adj_floor: int
 
 
 @dataclass(frozen=True)
 class ProximalCandidate:
-    """A positioned regular element, its eigensystem and contraction data."""
+    """A positioned regular element, its eigensystem, contraction data and
+    the cyclic generator g = h^n0."""
 
     h: Mat
     eigen: object
     contraction: ContractionData
+    g: Mat
     strategy: str
     trials: int
     feasible_level: int
@@ -131,26 +131,17 @@ def contraction_power(eigen, margin_exponent=2):
     where the excluded sets are coordinate-plane neighborhoods.
     """
     w1, w2, w3 = eigen.valuations
-    adj = eigen.basis.adjugate()
-    r_plus = vec_min_val(adj.rows[0])
-    r_minus = vec_min_val(adj.rows[2])
-    adj_floor = adj.min_val()
-    gap_plus = w2 - w1
-    gap_minus = w3 - w2
-    n_plus = ceil((2 + margin_exponent + r_plus - adj_floor) / gap_plus)
-    n_minus = ceil((2 + margin_exponent + r_minus - adj_floor) / gap_minus)
-    n0 = max(1, n_plus, n_minus)
-    return ContractionData(
-        n0,
-        n_plus,
-        n_minus,
-        margin_exponent,
-        gap_plus,
-        gap_minus,
-        r_plus,
-        r_minus,
-        adj_floor,
-    )
+    r_plus, r_minus = eigen.row_floors
+    adj_floor = eigen.adjugate.min_val()
+    n_plus = ceil((2 + margin_exponent + r_plus - adj_floor) / (w2 - w1))
+    n_minus = ceil((2 + margin_exponent + r_minus - adj_floor) / (w3 - w2))
+    return ContractionData(max(1, n_plus, n_minus), n_plus, n_minus, margin_exponent)
+
+
+def image_norms(g):
+    """(mat, lognorm, lognorm of the second compound) of g and of g^-1:
+    the norms that bound the image balls of both ping-pong moves."""
+    return [(mat, mat.lognorm(), mat.second_compound().lognorm()) for mat in (g, g.inverse())]
 
 
 def refined_image_level(level, vm_image, lognorm_g, lognorm_compound):
@@ -164,35 +155,28 @@ def refined_image_level(level, vm_image, lognorm_g, lognorm_compound):
     return level - lognorm_compound - vm_image - np.minimum(vm_image, level - lognorm_g)
 
 
-def minimum_feasible_level(eigen, contraction):
+def minimum_feasible_level(eigen, contraction, g):
     """Smallest sweep level the analytic bounds allow, or None above LEVEL_CAP.
 
     Uses the margin-based upper bound on vm(g^{+-1} y) over the cone
-    complement to ask when every image ball can still be certified inside
-    the level-2 window, and when the margin itself transfers from a ball
-    representative to the whole ball.
+    complement, g = h^n0, to ask when every image ball can still be
+    certified inside the level-2 window, and when the margin itself
+    transfers from a ball representative to the whole ball.
     """
     w = eigen.valuations
-    basis = eigen.basis
-    lognorm_p = basis.lognorm()
-    c = contraction
-    n0 = c.n0
-    g = eigen.matrix ** n0
-    vm_hi = {
-        1: lognorm_p + 2 + c.row_floor_plus - c.adj_floor + n0 * w[0],
-        -1: lognorm_p + 2 + c.row_floor_minus - c.adj_floor - n0 * w[2],
-    }
-    guard = 3 + max(c.row_floor_plus, c.row_floor_minus) - c.adj_floor
+    lognorm_p = eigen.basis.lognorm()
+    r_plus, r_minus = eigen.row_floors
+    adj_floor = eigen.adjugate.min_val()
+    n0 = contraction.n0
+    vm_hi = (
+        lognorm_p + 2 + r_plus - adj_floor + n0 * w[0],
+        lognorm_p + 2 + r_minus - adj_floor - n0 * w[2],
+    )
+    guard = 3 + max(r_plus, r_minus) - adj_floor
     worst = 3
-    for sign in (1, -1):
-        mat = g if sign == 1 else g ** -1
-        lognorm_g = mat.lognorm()
-        lognorm_compound = mat.second_compound().lognorm()
-        level = None
-        for m in range(max(3, guard), LEVEL_CAP + 1):
-            if refined_image_level(m, vm_hi[sign], lognorm_g, lognorm_compound) >= 2:
-                level = m
-                break
+    for vm, (_, norm, compound) in zip(vm_hi, image_norms(g)):
+        levels = range(max(3, guard), LEVEL_CAP + 1)
+        level = next((m for m in levels if refined_image_level(m, vm, norm, compound) >= 2), None)
         if level is None:
             return None
         worst = max(worst, level)
@@ -200,12 +184,14 @@ def minimum_feasible_level(eigen, contraction):
 
 
 def proximal_candidate(h, eigen, strategy, trials=0):
-    """h as a candidate: its contraction data at the pipeline's margin and
-    its feasible sweep level, from ``eigen`` = eigen_flags(h, precision=
-    EIGEN_PRECISION); ``trials`` counts the search's draws (0: no search)."""
+    """h as a candidate: its contraction data at the pipeline's margin,
+    g = h^n0 and its feasible sweep level, from ``eigen`` = eigen_flags(h,
+    precision=EIGEN_PRECISION); ``trials`` counts the search's draws (0: no
+    search)."""
     contraction = contraction_power(eigen)
-    level = minimum_feasible_level(eigen, contraction)
-    return ProximalCandidate(h, eigen, contraction, strategy, trials, level)
+    g = h ** contraction.n0
+    level = minimum_feasible_level(eigen, contraction, g)
+    return ProximalCandidate(h, eigen, contraction, g, strategy, trials, level)
 
 
 def _flags_in_position(eigen):

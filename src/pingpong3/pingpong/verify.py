@@ -69,11 +69,10 @@ from ..errors import (
     NotSimpleSegment,
     SingularOrUndecidable,
 )
-from ..linalg import vec_min_val
 from ..projgeom import in_unit_window, window_ball_count
 from ..spectral import eigen_flags
 from .constants import theta_prime_exponent
-from .regular import refined_image_level
+from .regular import image_norms, refined_image_level
 
 CHUNK = 1 << 16
 _EXAMPLE_CAP = 8
@@ -118,7 +117,8 @@ class _IntRows:
     a tap shift-add.  A tap adds one contiguous (<= M, n) block of a
     coordinate's digits into a contiguous block of its form.  The
     accumulator is the narrowest dtype that holds a form's largest column
-    sum, q - 1 times the sum of its tap digits."""
+    sum, q - 1 times the sum of its tap digits, fixed once per family by
+    ``forms``."""
 
     def __init__(self, q):
         self.q = q
@@ -127,9 +127,9 @@ class _IntRows:
     def encode(table):
         return table
 
-    @staticmethod
-    def forms(values, taps, lead, width):
-        return taps, lead, width
+    def forms(self, values, taps, lead, width):
+        top = (self.q - 1) * max(sum(dig for t in row for _, dig in t) for row in taps)
+        return taps, lead, width, int_dtype(top)
 
     @staticmethod
     def chunk(values, balls, pivot=None):
@@ -147,11 +147,11 @@ class _IntRows:
         return chunk
 
     def evaluate(self, forms, chunk):
-        taps, lead, width = forms
-        return self.shift_add(taps, chunk, lead, width)
+        taps, lead, width, dtype = forms
+        return self.shift_add(taps, chunk, lead, width, dtype)
 
     def at(self, forms, chunk):
-        taps, lead, width = forms
+        taps, lead, width, dtype = forms
         _, level, n = chunk.shape
         low = min((p for row in taps for t in row for p, _ in t), default=lead)
         span = width + lead - low  # image columns a kept form column reads
@@ -164,16 +164,13 @@ class _IntRows:
             cols[(cols < 0) | (cols >= level)] = level
             img = np.stack([y[c] for y, c in zip(padded, cols)])
             img = img.transpose(0, 2, 1, 3).reshape(3, span, -1)
-            return self.shift_add(taps, img, lead, width)
+            return self.shift_add(taps, img, lead, width, dtype)
 
         return moved
 
-    def shift_add(self, taps, chunk, lead, width):
+    def shift_add(self, taps, chunk, lead, width, dtype):
         _, level, n = chunk.shape
-        top = (self.q - 1) * max(
-            sum(dig for coord_taps in row for _, dig in coord_taps) for row in taps
-        )
-        out = np.zeros((len(taps), width, n), dtype=int_dtype(top))
+        out = np.zeros((len(taps), width, n), dtype=dtype)
         for acc, row in zip(out, taps):
             for y, coord_taps in zip(chunk, row):
                 for pos, dig in coord_taps:
@@ -557,27 +554,24 @@ class _Sweep:
     def __init__(self, q, level, g, eigen, epsilon_exponent):
         self.q, self.level, self.epsilon_exponent = q, level, epsilon_exponent
         self.w = eigen.valuations
-        adj = eigen.basis.adjugate()
+        adj = eigen.adjugate
         self.vm_adj = vm_adj = adj.min_val()
-        self.r_plus = vec_min_val(adj.rows[0])
-        self.r_minus = vec_min_val(adj.rows[2])
+        self.r_plus, self.r_minus = eigen.row_floors
         # dot digits from floor_cap on are ball-dependent
         self.floor_cap = level + vm_adj
         bound = 2 + max(self.r_plus, self.r_minus)
         if self.floor_cap <= bound:
             raise InsufficientLevel(f"level {level} cannot pin dominant "
                 f"eigencoordinates (cap {self.floor_cap} vs margin bound {bound})")  # fmt: skip
-        g_inv = g.inverse()
-        if not g_inv.exact:
-            raise ValueError("the cyclic generator must have an exact inverse")
         self.sides = []
-        for label, mat in (("g", g), ("g^-1", g_inv)):
+        for label, (mat, lognorm, compound) in zip(("g", "g^-1"), image_norms(g)):
+            if not mat.exact:
+                raise ValueError("the cyclic generator and its inverse must be exact")
             lo, hi = support(x for row in mat.rows for x in row)
             taps = [[_taps(mat.rows[i][j], lo, hi) for j in range(3)] for i in range(3)]
             self.sides.append(dict(
                 label=label, lead=lo, width=hi - lo + level - 1, taps=taps,
-                low=_low(taps, lo), lognorm=mat.lognorm(),
-                lognorm_compound=mat.second_compound().lognorm(),
+                low=_low(taps, lo), lognorm=lognorm, lognorm_compound=compound,
             ))  # fmt: skip
 
         self.depth = level + 8

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     InsufficientPrecision,
@@ -168,6 +169,9 @@ class EigenSystem:
     ``valuations`` is strictly increasing, so ``vectors[0]`` spans the
     attracting fixed direction (largest eigenvalue norm) and ``vectors[2]``
     the repelling one.  Vectors are scaled to minimum coordinate valuation 0.
+    The eigenbasis P, its adjugate and the adjugate's row floors are built
+    once, on first use: the contraction power, the feasible level, the
+    constants and the sweep all read them from here.
     """
 
     matrix: Mat
@@ -178,10 +182,20 @@ class EigenSystem:
     def valuations(self):
         return tuple(x.val() for x in self.eigenvalues)
 
-    @property
+    @cached_property
     def basis(self):
         """Change-of-basis matrix P with the eigenvectors as columns."""
         return Mat.from_columns(self.vectors)
+
+    @cached_property
+    def adjugate(self):
+        """adj P, whose rows read the eigencoordinates (P^-1 = adj P / det P)."""
+        return self.basis.adjugate()
+
+    @cached_property
+    def row_floors(self):
+        """(r+, r-): least valuations of the outer rows of adj P, or None."""
+        return vec_min_val(self.adjugate.rows[0]), vec_min_val(self.adjugate.rows[2])
 
     def attracting_line_dual(self):
         """Covector cutting out the span of the two dominant directions."""

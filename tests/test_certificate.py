@@ -2,11 +2,14 @@
 
 import collections
 import copy
+import hashlib
 import json
 
 import pytest
 
 import pingpong3.certificate as certificate_module
+import pingpong3.pingpong.regular as regular_module
+import pingpong3.pingpong.verify as verify_module
 from pingpong3.certificate import (
     CERT_VERSION,
     certificate_text,
@@ -62,6 +65,55 @@ def test_construction_passes_and_records_everything(result):
 def test_serialization_is_byte_deterministic(result):
     again = construct_pipeline(2, **SMALL)
     assert certificate_text(again.certificate) == certificate_text(result.certificate)
+
+
+# sha256 of certificate_text: refactors of the pipeline move no byte
+PINNED_CERTIFICATES = [
+    (2, dict(level=5, gamma_bound=3, word_bound=4),
+     "e36c2754e42b592410458389195208d8c84f9ab37e5936cae93e67403fc221cc"),
+    (3, dict(level=5, gamma_bound=2, word_bound=3),
+     "3e8228a17f6f38935982c84209a81db0fd574ea9f807e18ef07eeb3377fa5d57"),
+    (2, dict(strategy="lattice", seed=11, **SMALL),
+     "76df5b9190433c07cad538a72837a0a8b7cddee879b68a1102fb16e86aa52678"),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize(
+    "q, args, digest", PINNED_CERTIFICATES, ids=["q2-synthetic", "q3-synthetic", "q2-lattice"]
+)
+def test_certificate_bytes_are_pinned(q, args, digest):
+    text = certificate_text(construct_pipeline(q, **args).certificate)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_each_quantity_is_derived_once(monkeypatch):
+    """construct_pipeline and verify_certificate each raise h to n0 once,
+    and each eigensystem builds the adjugate of its basis at most once."""
+    powers, adjugated, systems = [], [], []
+    power, adjugate, eigen_flags = Mat.__pow__, Mat.adjugate, certificate_module.eigen_flags
+
+    def recorded(*args, **kwargs):
+        systems.append(eigen_flags(*args, **kwargs))
+        return systems[-1]
+
+    monkeypatch.setattr(Mat, "__pow__", lambda m, k: powers.append((m, k)) or power(m, k))
+    monkeypatch.setattr(Mat, "adjugate", lambda m: adjugated.append(m) or adjugate(m))
+    for module in (certificate_module, regular_module, verify_module):
+        monkeypatch.setattr(module, "eigen_flags", recorded)
+
+    def derived_once(h, n0):
+        bases = collections.Counter(e.basis.to_text() for e in systems)
+        built = collections.Counter(m.to_text() for m in adjugated)
+        once = sum(k == n0 and m == h for m, k in powers) == 1
+        for spy in (powers, adjugated, systems):
+            spy.clear()
+        return once and all(built[text] <= count for text, count in bases.items())
+
+    result = construct_pipeline(2, **SMALL)
+    h, n0 = result.candidate.h, result.candidate.contraction.n0
+    assert derived_once(h, n0)
+    assert verify_certificate(result.certificate).passed
+    assert derived_once(h, n0)
 
 
 def test_write_load_round_trip(result, cert_path):

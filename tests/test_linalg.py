@@ -123,6 +123,20 @@ def test_matrix_power():
     assert a ** -2 == diag(F2, -8, 4, 4)
 
 
+def test_matrix_power_multiplies_no_identity_and_squares_no_further(monkeypatch):
+    """Square-and-multiply from the matrix itself: h^2 is one product, h^5
+    three, h and h^-1 (the inverse alone) none."""
+    h = random_lattice_element(3, random.Random(7), n_factors=3)
+    cases = [(1, h, 0), (2, h * h, 1), (5, h * h * h * h * h, 3), (-1, h.inverse(), 0)]
+    products = []
+    mul = Mat.__mul__
+    monkeypatch.setattr(Mat, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    for k, want, count in cases:
+        products.clear()
+        assert h**k == want
+        assert len(products) == count
+
+
 def test_elementary_matrix_inverse():
     f = F2.parse("u^-1 + 1")
     e = Mat.elementary(2, 0, 2, f)

@@ -246,9 +246,11 @@ def test_contraction_power_synthetic():
         cand = find_regular(q)
         c = cand.contraction
         assert (c.n_plus, c.n_minus, c.n0) == (2, 2, 2)
-        assert (c.gap_plus, c.gap_minus) == (2, 2)
-        assert (c.row_floor_plus, c.row_floor_minus, c.adj_floor) == (0, 0, 0)
+        w1, w2, w3 = cand.eigen.valuations
+        assert (w2 - w1, w3 - w2) == (2, 2)
+        assert (*cand.eigen.row_floors, cand.eigen.adjugate.min_val()) == (0, 0, 0)
         assert c.margin_exponent == 2
+        assert cand.g == cand.h * cand.h
 
 
 def test_contraction_power_diagonal_model():

@@ -333,7 +333,9 @@ def test_cone_forms_moved_by_offsets_are_the_forms_of_the_diagonal_image(q):
                 moved = rows.at(cone.forms, chunk)
                 for offsets, digits in images.items():
                     img = np.stack([rows.encode(coord) for coord in digits])
-                    image_forms = rows.shift_add(cone.taps, img, 0, depth)
+                    # integer rows add into the family's accumulator dtype
+                    dtype = [cone.forms[3]] if isinstance(rows, _IntRows) else []
+                    image_forms = rows.shift_add(cone.taps, img, 0, depth, *dtype)
                     got = _digits(rows, moved(offsets), depth)
                     assert np.array_equal(got, _digits(rows, image_forms, depth))
                 each = [moved(offsets) for offsets in cases]
