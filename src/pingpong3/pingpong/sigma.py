@@ -22,7 +22,9 @@ The analysis runs on an actual DiagPair: the absorption steps are
 a pair that breaks them raises ExclusionFailed at the first case that
 needed the broken fact.  ``monte_carlo_check`` replays the claim on random
 concrete (m, n, mu, l) samples through the projective-geometry predicates,
-sharing no code with the symbolic route.
+sharing no code with the symbolic route.  A sample is m and n from
+``randint``, then 48 window digits taken straight from ``getrandbits``
+with the values and stream position of 48 ``randrange(q)`` calls.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 from ..errors import ExclusionFailed
-from ..field import Field, INF, classify
+from ..field import INF, _integer, _make, classify
 from ..projgeom import in_slope_u_cone, in_unit_window
 
 # Case order: pure powers first, then mixed signs.
@@ -247,10 +249,21 @@ def sigma_exclusion(pair):
 _TAIL_DEPTH = 14
 
 
-def _random_window_tail(field, rng):
-    """A concrete element of u^2 O with random digits at u^2 .. u^(_TAIL_DEPTH - 1)."""
-    digits = [rng.randrange(field.q) for _ in range(_TAIL_DEPTH - 2)]
-    return field.from_int_poly(digits, lead=2)
+def _window_points(q, rng):
+    """Two points [1 + u^2 s : 1 + u^2 t : 1] of the unit window, s and t of
+    _TAIL_DEPTH - 2 random digits each, drawn as ``rng.randrange(q)`` draws
+    them: q.bit_length() random bits, drawn again while >= q."""
+    getrandbits, bits, one = rng.getrandbits, q.bit_length(), _make(q, 0, (1,))
+    coords = []
+    for _ in range(4):
+        digits = [1, 0]
+        for _ in range(_TAIL_DEPTH - 2):
+            d = getrandbits(bits)
+            while d >= q:
+                d = getrandbits(bits)
+            digits.append(d)
+        coords.append(_make(q, 0, tuple(digits)))
+    return (coords[0], coords[1], one), (coords[2], coords[3], one)
 
 
 def monte_carlo_check(pair, rng, trials_per_case=200, exponent_bound=5):
@@ -259,13 +272,17 @@ def monte_carlo_check(pair, rng, trials_per_case=200, exponent_bound=5):
     For each sign case, picks random exponents and random window points,
     builds the concrete image gamma y, and asks the projective predicates
     directly: the image must be outside the unit window and the line from
-    the base point must not have slope in u + u^2 O.  The image is formed
-    coordinatewise from the exponent triple of a^m b^n (``DiagPair.act``),
-    with no matrix built.  Returns a dict of per-case trial counts; raises
-    AssertionError on any hit.
+    the base point must not have slope in u + u^2 O.  A sample draws m and
+    n by ``rng.randint(1, exponent_bound)``, then the base point and y by
+    ``_window_points``.  The image is formed coordinatewise from the
+    exponent triple of a^m b^n (``DiagPair.act``), with no matrix built.
+    Returns a dict of per-case (trials, hits); raises AssertionError on any
+    hit, and ValueError before any draw unless both counts are >= 1.
     """
-    field = Field(pair.q)
-    one = field.one()
+    for name, value in (("trials_per_case", trials_per_case), ("exponent_bound", exponent_bound)):
+        if _integer(value, f"{name} must be an integer") < 1:
+            raise ValueError(f"{name} must be at least 1, not {value!r}")
+    q = pair.q
     counts = {}
     for signs in SIGN_CASES:
         name = _case_name(signs)
@@ -273,16 +290,7 @@ def monte_carlo_check(pair, rng, trials_per_case=200, exponent_bound=5):
         for _ in range(trials_per_case):
             m = signs[0] * rng.randint(1, exponent_bound)
             n = signs[1] * rng.randint(1, exponent_bound)
-            base = (
-                one + _random_window_tail(field, rng),
-                one + _random_window_tail(field, rng),
-                one,
-            )
-            y = (
-                one + _random_window_tail(field, rng),
-                one + _random_window_tail(field, rng),
-                one,
-            )
+            base, y = _window_points(q, rng)
             image = pair.act(m, n, y)
             if in_unit_window(image) is not False:
                 hits += 1

@@ -16,7 +16,8 @@ the carried precision) and are raw-coordinate tests, never divisions:
   coordinate differences have valuation >= 2 + min-valuation;
 * ``in_slope_u_cone(x, y)``: the line jointing x to y has slope congruent
   to u modulo u^2 (plus y = x itself).  With n = x cross y this reads
-  val(n_0 + u n_1) >= val(n_1) + 2.
+  val(n_0 + u n_1) >= val(n_1) + 2; n_2 is formed only when neither n_0
+  nor n_1 is known nonzero, to tell y = x (True) from undecided (None).
 
 Slope-cone membership with apex x is constant on a level-M ball B whenever
 d(x, B) = q^(-e) with e <= M - 2: perturbing y within B moves the slope by
@@ -162,6 +163,9 @@ def in_unit_window(coords):
     verdict = True
     for i in range(3):
         for j in range(i + 1, 3):
+            vals = coords[i].val(), coords[j].val()
+            if None not in vals and vals[0] != vals[1] and min(vals) < threshold:
+                return False  # the lower leading digit survives the difference
             d = coords[i] - coords[j]
             if d.val_lower_bound() >= threshold:
                 continue
@@ -172,12 +176,12 @@ def in_unit_window(coords):
     return verdict
 
 
-def _slope_congruent_to_u(num, den):
-    """Tri-state for num/den in u(1 + um), i.e. val(num - u den) >= val(den) + 2."""
-    vden = den.val()
+def _slope_congruent_to_u(n0, n1):
+    """Tri-state for the slope -n0/n1 in u(1 + um), i.e. val(n0 + u n1) >= val(n1) + 2."""
+    vden = n1.val()
     if vden is None:
         return None
-    comb = num - den.shift(1)
+    comb = n0 + n1.shift(1)
     threshold = INF if vden is INF else vden + 2
     if comb.val_lower_bound() >= threshold:
         return True
@@ -189,19 +193,20 @@ def _slope_congruent_to_u(num, den):
 
 def in_slope_u_cone(x_coords, y_coords):
     """Is y on a line through x of slope congruent to u (or y = x itself)?"""
-    n = vec_cross(x_coords, y_coords)
-    if all(c.is_exact_zero for c in n):
-        return True
-    if not any(c.known_nonzero() for c in n):
-        return None
+    (x0, x1, x2), (y0, y1, y2) = x_coords, y_coords
+    n0 = x1 * y2 - x2 * y1
+    n1 = x2 * y0 - x0 * y2
+    if not (n0.known_nonzero() or n1.known_nonzero()):
+        n2 = x0 * y1 - x1 * y0
+        if not n2.known_nonzero():
+            return True if n0.is_exact_zero and n1.is_exact_zero and n2.is_exact_zero else None
     # slope of the joining line is -n_0 / n_1
-    return _slope_congruent_to_u(-n[0], n[1])
+    return _slope_congruent_to_u(n0, n1)
 
 
 def line_has_slope_u(line):
     """Does the line (dual coords) have affine slope congruent to u?"""
-    a, b = line.dual[0], line.dual[1]
-    return _slope_congruent_to_u(-a, b)
+    return _slope_congruent_to_u(line.dual[0], line.dual[1])
 
 
 # -- residue balls -------------------------------------------------------------

@@ -62,6 +62,60 @@ def series_inverse_digits(x, n_terms):
     return y
 
 
+# -- eager unit-window membership -----------------------------------------
+
+def unit_window_eager(y):
+    """Tri-state membership of [y] in the level-2 ball around [1:1:1],
+    forming every pairwise difference: each must have valuation >= vm + 2,
+    vm the minimum coordinate valuation (None when that is undecided)."""
+    inf = float("inf")
+    decided = [c.val() for c in y if c.val() is not None]
+    floors = [c.known_to for c in y if c.val() is None]
+    vm = min(decided, default=inf)
+    if floors and min(floors) < vm:
+        return None
+    assert vm != inf, "zero vector"
+    verdict = True
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        d = y[i] - y[j]
+        if d.val_lower_bound() >= vm + 2:
+            continue
+        if d.val() is not None and d.val() < vm + 2:
+            return False
+        verdict = None
+    return verdict
+
+
+# -- eager slope-cone membership ------------------------------------------
+
+def slope_u_cone_eager(x, y):
+    """Tri-state slope-cone test reading the whole cross product n = x ^ y
+    before any verdict: True when n is exactly zero, None when no
+    coordinate is known nonzero, else whether -n_0 / n_1 lies in
+    u(1 + um), i.e. val(-n_0 - u n_1) >= val(n_1) + 2."""
+    n = (
+        x[1] * y[2] - x[2] * y[1],
+        x[2] * y[0] - x[0] * y[2],
+        x[0] * y[1] - x[1] * y[0],
+    )
+    if all(c.is_exact_zero for c in n):
+        return True
+    if not any(c.known_nonzero() for c in n):
+        return None
+    num, den = -n[0], n[1]
+    vden = den.val()
+    if vden is None:
+        return None
+    comb = num - den.shift(1)
+    threshold = float("inf") if vden == float("inf") else vden + 2
+    if comb.val_lower_bound() >= threshold:
+        return True
+    cv = comb.val()
+    if cv is not None and cv < threshold:
+        return False
+    return None
+
+
 # -- lower convex hull (for Newton polygons) ------------------------------
 
 def lower_hull(points):

@@ -1,5 +1,7 @@
 """Generator pairs, the sigma sign-case exclusion, proximal elements."""
 
+import hashlib
+import json
 import random
 from math import gcd
 
@@ -17,6 +19,7 @@ from pingpong3.pingpong.regular import (
     proximal_from_basis,
     synthetic_basis,
 )
+from pingpong3.pingpong import sigma
 from pingpong3.pingpong.sigma import SIGN_CASES, monte_carlo_check, sigma_exclusion
 from pingpong3.projgeom import in_slope_u_cone, in_unit_window
 from pingpong3.spectral import eigen_flags
@@ -193,6 +196,65 @@ def test_monte_carlo_sample_stream_is_pinned(q):
     rng = random.Random(1)
     monte_carlo_check(make_generators(q), rng, trials_per_case=20)
     assert rng.random() == NEXT_DRAW_AFTER_MONTE_CARLO[q]
+
+
+# sha256 of the JSON list of (str(base), str(image)) pairs that the slope-cone
+# predicate sees in the first 1,000 samples (125 per sign case) from
+# random.Random(1), recorded while every window digit was one rng.randrange(q)
+CONE_SAMPLE_DIGESTS = {
+    2: "9a986ee29a86894a9787a535141e921d6e746ed4a140c0bcf0d8ded781024134",
+    3: "49615f647942b93f116707ddfaeeb879077430b8d1511b64859ef588346d2824",
+    5: "f76cafba03ec8573248067fab13f198ee18e410795a171844d4ea6bde9648898",
+    7: "640e5d701114b408675a1c31a507740e75fb3fe9a82823b6db04937b54b408df",
+}
+
+
+@pytest.mark.parametrize("q", sorted(CONE_SAMPLE_DIGESTS))
+def test_monte_carlo_sample_values_are_pinned(q, monkeypatch):
+    seen = []
+
+    def recording(base, image):
+        seen.append((str(base), str(image)))
+        return in_slope_u_cone(base, image)
+
+    monkeypatch.setattr(sigma, "in_slope_u_cone", recording)
+    monte_carlo_check(make_generators(q), random.Random(1), trials_per_case=125)
+    assert len(seen) == 1000
+    assert hashlib.sha256(json.dumps(seen).encode()).hexdigest() == CONE_SAMPLE_DIGESTS[q]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 13, 31])
+def test_window_points_draw_what_randrange_draws(q):
+    f = Field(q)
+    for seed in (0, 1, 2):
+        rng, twin = random.Random(seed), random.Random(seed)
+        for _ in range(5):
+            base, y = sigma._window_points(q, rng)
+            want = [
+                f.one() + f.from_int_poly([twin.randrange(q) for _ in range(12)], lead=2)
+                for _ in range(4)
+            ]
+            assert [base[0], base[1], y[0], y[1]] == want
+            assert base[2] == y[2] == f.one()
+        assert rng.random() == twin.random()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(trials_per_case=-3),
+        dict(trials_per_case=0),
+        dict(trials_per_case=2.0),
+        dict(trials_per_case=True),
+        dict(exponent_bound=0),
+        dict(exponent_bound="5"),
+    ],
+)
+def test_monte_carlo_refuses_counts_below_one_before_drawing(bad):
+    rng, twin = random.Random(3), random.Random(3)
+    with pytest.raises(ValueError):
+        monte_carlo_check(make_generators(2), rng, **bad)
+    assert rng.random() == twin.random()
 
 
 # -- proximal element ----------------------------------------------------------

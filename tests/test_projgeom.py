@@ -23,6 +23,8 @@ from pingpong3.projgeom import (
     line_has_slope_u,
 )
 
+from oracles import slope_u_cone_eager, unit_window_eager
+
 F2 = Field(2)
 F3 = Field(3)
 
@@ -120,6 +122,81 @@ def test_slope_cone_membership():
     # undecidable when the slope is only known to O(u)
     fuzzy = (F2.parse("1 + u"), F2.one() + F2.unknown(1).shift(1), F2.one())
     assert in_slope_u_cone(x, fuzzy) is None
+
+
+def _cone_pairs(field, rng):
+    """Point pairs that reach every branch of the slope-cone test."""
+    q = field.q
+
+    def elem(lo=-2, hi=2):
+        digits = [rng.randrange(q) for _ in range(rng.randint(1, 6))]
+        return field.from_int_poly(digits, lead=rng.randint(lo, hi))
+
+    def point():
+        return (elem(), elem(), elem())
+
+    def truncated(p):
+        return tuple(c.truncate(rng.randint(-1, 6)) if rng.random() < 0.5 else c for c in p)
+
+    pairs = []
+    for _ in range(60):
+        x, y = point(), point()
+        # y on the line through [x0 : x1 : 1] of slope u + u^2 r
+        a, b, t, r = elem(), elem(), elem(), elem(0, 3)
+        ax = (a, b, field.one())
+        cone = (a + t, b + t * (field.u() + field.u(2) * r), field.one())
+        pairs += [(x, y), (x, x), (ax, cone), (truncated(x), y), (x, truncated(y))]
+        pairs += [(truncated(ax), cone), (ax, truncated(cone))]
+        # both points at infinity: n_0 = n_1 = 0 exactly, n_2 decided or not
+        ix, iy = (x[0], x[1], field.zero()), (y[0], y[1], field.zero())
+        pairs += [(ix, iy), (truncated(ix), iy), (ix, truncated(iy))]
+    return pairs
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_slope_cone_reads_n2_lazily_like_the_eager_oracle(q):
+    field = Field(q)
+    seen = {True: 0, False: 0, None: 0, "n2 read": 0, "n2 undecided": 0}
+    for x, y in _cone_pairs(field, random.Random(40 + q)):
+        verdict = in_slope_u_cone(x, y)
+        assert verdict is slope_u_cone_eager(x, y), (x, y)
+        seen[verdict] += 1
+        n = vec_cross(x, y)
+        if not (n[0].known_nonzero() or n[1].known_nonzero()):
+            seen["n2 read"] += 1
+            if n[0].is_exact_zero and n[1].is_exact_zero and n[2].val() is None:
+                seen["n2 undecided"] += 1
+    assert min(seen.values()) > 0, seen
+    one = field.one()
+    x = (one, one, one)
+    assert in_slope_u_cone(x, x) is True
+    infinity = (field.u(-1), one, field.zero()), (one, field.u(3), field.zero())
+    n = vec_cross(*infinity)
+    assert n[0].is_exact_zero and n[1].is_exact_zero and n[2].known_nonzero()
+    assert in_slope_u_cone(*infinity) is slope_u_cone_eager(*infinity) is True
+    fuzzy = (field.parse("1 + u"), one + field.unknown(1).shift(1), one)
+    assert in_slope_u_cone(x, fuzzy) is slope_u_cone_eager(x, fuzzy) is None
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_unit_window_agrees_with_the_eager_oracle(q):
+    field = Field(q)
+    seen = {True: 0, False: 0, None: 0}
+    rng = random.Random(60 + q)
+    points = [p for pair in _cone_pairs(field, rng) for p in pair]
+    # points of the window itself, some of them truncated
+    for _ in range(60):
+        tails = [field.from_int_poly([rng.randrange(q) for _ in range(3)], lead=2) for _ in range(3)]
+        scale = rng.randint(-3, 3)
+        p = tuple((field.one() + t).shift(scale) for t in tails)
+        points += [p, tuple(c.truncate(rng.randint(-3, 6)) for c in p)]
+    for p in points:
+        if all(c.is_exact_zero for c in p):
+            continue
+        verdict = in_unit_window(p)
+        assert verdict is unit_window_eager(p), p
+        seen[verdict] += 1
+    assert min(seen.values()) > 0, seen
 
 
 def test_cone_membership_not_constant_on_level2_balls():
