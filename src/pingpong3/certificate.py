@@ -470,6 +470,8 @@ def verify_certificate(source, level=None, gamma_bound=None, word_bound=None):
         outcome.fail("consistency", "h and g must be exact matrices")
     elif rebuilt is not None and rebuilt.g != g:
         outcome.fail("consistency", f"g is not h^{rebuilt.contraction.n0}")
+    elif rebuilt is not None:
+        g = rebuilt.g  # the same matrix, its inverse and compounds already derived
     if constants is not None:
         sweep, survey = back_half(outcome, pair, g, constants, **params)
         # each stored report must come out again at its stored bounds: the

@@ -1,9 +1,9 @@
 """The exact-digit layout shared by the field, the ball sweep and the word
-survey: Laurent elements read into base-q digit rows over an exponent
-window (``support``, ``window``), and digit rows packed into Python ints
-with one little-endian byte slot per digit, so that the native product of
-two packed rows is their packed convolution and their native sum their
-digitwise sum (Kronecker substitution, Harvey, J. Symbolic Comput. 2009):
+survey: the exponent span of Laurent elements (``support``), and digit
+rows packed into Python ints with one little-endian byte slot per digit,
+so that the native product of two packed rows is their packed
+convolution and their native sum their digitwise sum (Kronecker
+substitution, Harvey, J. Symbolic Comput. 2009):
 ``pack_row``/``unpack_row`` for the digit tuples of single elements, and
 ``mod_rows`` to reduce packed sums and products mod q.
 
@@ -19,30 +19,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InsufficientPrecision
-
 
 def support(elems):
     """Smallest [lo, hi) holding every known digit of ``elems``, or None
     when no element has one."""
     spans = [(x.lead, x.lead + len(x.digits)) for x in elems if x.digits]
     return (min(s[0] for s in spans), max(s[1] for s in spans)) if spans else None
-
-
-def window(elems, start, stop):
-    """Digits of each element at u^start .. u^(stop - 1), as a
-    (len(elems), stop - start) int64 array; InsufficientPrecision when an
-    inexact element is not known to u^stop."""
-    out = np.zeros((len(elems), stop - start), dtype=np.int64)
-    for row, x in zip(out, elems):
-        if not x.exact and x.known_to < stop:
-            raise InsufficientPrecision(
-                f"need digits up to u^{stop}, element known to u^{x.known_to}"
-            )
-        lo, hi = max(start, x.lead), min(stop, x.lead + len(x.digits))
-        if lo < hi:
-            row[lo - start : hi - start] = x.digits[lo - x.lead : hi - x.lead]
-    return out
 
 
 def int_dtype(top):

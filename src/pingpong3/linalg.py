@@ -22,6 +22,8 @@ an inexact result is known to.
 
 from __future__ import annotations
 
+from functools import wraps
+
 from .errors import InsufficientPrecision, LaurentSyntaxError, SingularOrUndecidable
 from .field import INF, Laurent, laurent_to_str, parse_laurent
 
@@ -60,10 +62,24 @@ def vec_min_val(a):
     return None if floors < best else best
 
 
+def _derived(method):
+    """Keep what ``method`` derives from a matrix in the slot ``_<name>``;
+    a Mat is immutable, so it never goes stale.  A raise is not kept."""
+    slot = "_" + method.__name__
+
+    @wraps(method)
+    def once(self):
+        if not hasattr(self, slot):
+            object.__setattr__(self, slot, method(self))
+        return getattr(self, slot)
+
+    return once
+
+
 class Mat:
     """A 3x3 matrix over F_q((u)).  Immutable, structural equality."""
 
-    __slots__ = ("q", "rows")
+    __slots__ = ("q", "rows", "_det", "_second_compound", "_adjugate", "_inverse")
 
     def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -178,15 +194,18 @@ class Mat:
                 base = base * base
         return Mat.identity(self.q) if result is None else result
 
+    @_derived
     def det(self):
         (a, b, c), (d, e, f), (g, h, i) = self.rows
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
+    @_derived
     def adjugate(self):
         """adj(A) with A*adj(A) = det(A)*I; exact when A is exact."""
         m = self.second_compound().rows
         return Mat([[m[2 - j][2 - i].scale((-1) ** (i + j)) for j in range(3)] for i in range(3)])
 
+    @_derived
     def inverse(self):
         """A^-1, exact: the adjugate when det = 1, else the adjugate over a
         monomial det; any other det is refused."""
@@ -198,6 +217,7 @@ class Mat:
             return adj
         return adj.scale_elem(d.inv(0))
 
+    @_derived
     def second_compound(self):
         """Matrix of 2x2 minors, rows/cols indexed by pairs (lex order).
 

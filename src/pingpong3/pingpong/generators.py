@@ -78,9 +78,11 @@ class DiagPair:
 
     def monomial(self, m, n):
         """a^m b^n as (exponent triple, unit-coefficient triple mod q)."""
-        q = self.q
         (ka, ca), (kb, cb) = self._factors
         exps = tuple(m * k + n * l for k, l in zip(ka, kb))
+        if ca == cb == (1, 1, 1):  # no modular power, nor inverse, to take
+            return exps, ca
+        q = self.q
         coeffs = tuple(pow(c, m, q) * pow(d, n, q) % q for c, d in zip(ca, cb))
         return exps, coeffs
 

@@ -51,8 +51,8 @@ perturbation bound says they must -- those bounds are themselves checked
 per ball and reported as violations when they fail, never assumed.  The
 scalar predicates in projgeom stay the reference semantics; the tests
 cross-check the tree, the exhaustive pass and both formats against them.
-The tap digits of g, g^-1, the eigenbasis adjugate and the cone apexes,
-and the accumulator widths, come from ``pingpong3.digits``.
+Tap digits are read off each coefficient's digits (``_taps``), and the
+accumulator widths come from ``pingpong3.digits``.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ..digits import int_dtype, support, window
+from ..digits import int_dtype, support
 from ..errors import (
     InsufficientLevel,
     InsufficientPrecision,
@@ -82,9 +82,11 @@ _EXAMPLE_CAP = 8
 
 
 def _taps(x, start, stop):
-    """(position, digit) pairs of ``x`` inside the window, for shift-adds."""
-    row = window([x], start, stop)[0]
-    return [(start + int(p), int(row[p])) for p in np.nonzero(row)[0]]
+    """(position, digit) pairs of ``x`` in [start, stop), for shift-adds;
+    InsufficientPrecision when an inexact ``x`` is not known to u^stop."""
+    if not x.exact and x.known_to < stop:
+        raise InsufficientPrecision(f"need digits up to u^{stop}, known to u^{x.known_to}")
+    return [(p, d) for p, d in enumerate(x.digits, x.lead) if d and start <= p < stop]
 
 
 def _digit_dtype(q):

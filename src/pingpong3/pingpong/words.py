@@ -58,6 +58,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from ..digits import mod_rows, pack_row, slot_bytes, support, unpack_row
 from ..field import Laurent
@@ -108,6 +109,8 @@ class _Layout:
         lead, rows, _ = m
         width, nbytes = self.width, exact.nbytes
         mask = (1 << 8 * nbytes * width) - 1
+        if nbytes == self.nbytes:
+            return lead, [[x & mask for x in r] for r in rows], lead + width
         rows = [
             [pack_row(unpack_row(x & mask, nbytes, width, self.q), self.nbytes) for x in r]
             for r in rows
@@ -187,15 +190,16 @@ class _Layout:
         return w[2] is None and w[0] == 0 and w[1] == self.eye
 
 
-def _rebuild(parts, syllables, exact):
+def _rebuild(parts, exact):
     """The exact windows of a word (column lines) and of its inverse (row
-    lines), from its syllable labels and the exact ``syllables`` by label:
-    (step, right, left)."""
-    w = w_inv = (0, exact.eye, None)
+    lines) from its syllable labels, and the mode of its subtree, by the
+    tables exact() gives: layout, cyclic syllables, (step, right, left)s."""
+    full, cyclic, syllables = exact()
+    w = w_inv = (0, full.eye, None)
     for label in parts:
         step, right, left = syllables[label]
         w, w_inv = step(w, right), step(w_inv, left)
-    return w, w_inv
+    return w, w_inv, (full, cyclic)
 
 
 # -- syllable tables ---------------------------------------------------------
@@ -234,37 +238,41 @@ def _diagonal_syllables(pair, bound):
     return out
 
 
-def _cyclic_syllables(pair, g, r_prime, bound):
-    """(the exact layout, [(label, weight, c^r, c^-r)]) for c = g^r_prime:
-    scalar matrices of c^r for the word's columns and of c^-r for its
-    inverse's rows."""
-    q = pair.q
-    if not (g.exact and g.det() == Laurent(q, 0, (1,))):
-        raise ValueError("the cyclic generator must be exact with determinant 1")
-    gens = (g, g.adjugate())
-    # a product is at most one plane shallower than its factors together,
-    # and a^m b^n spreads a line by at most |m| + |n| times the wider
-    # generator's spread: no c^r, and no word, is deeper than this
-    step = r_prime * max(hi - lo - 1 for lo, hi in (support(sum(m.rows, ())) for m in gens))
-    spread = max(max(e) - min(e) for e in (pair.monomial(1, 0)[0], pair.monomial(0, 1)[0]))
-    nbytes = slot_bytes(3 * (bound * step + 1) * (q - 1) ** 2)
-    exact = _Layout(q, nbytes, bound * max(step, spread) + 1, None)
+def _cyclic_syllables(layout, gens, r_prime, bound, hop):
+    """[(label, weight, c^r, c^-r)] for c = g^r_prime, gens = (g, g^-1),
+    in an exact ``layout``, by steps of g^hop (hop 1 or r_prime): scalar
+    matrices of c^r for the word's columns, of c^-r for its inverse's rows."""
     plus, minus = [], []
     for m, powers in zip(gens, (plus, minus)):
-        w = base = exact.exact(m)
-        for _ in range(r_prime - 1):
-            w = exact.mul(w, exact.scalars(base, False))
+        w = base = layout.exact(m)
+        for _ in range(hop - 1):
+            w = layout.mul(w, layout.scalars(base, False))
+        right = layout.scalars(w, False)
+        for k in range(hop, r_prime * bound, hop):
+            if k % r_prime == 0:
+                powers.append(w)
+            w = layout.mul(w, right)
         powers.append(w)
-        c = exact.scalars(w, False)
-        for _ in range(bound - 1):
-            powers.append(exact.mul(powers[-1], c))
     out = []
     for weight in range(1, bound + 1):
         for r in (-weight, weight):
             mat, inv = (minus, plus) if r < 0 else (plus, minus)
-            right, left = exact.scalars(mat[weight - 1], False), inv[weight - 1]
-            out.append((_exponent_label("c", r), weight, right, exact.scalars(left, True)))
-    return exact, out
+            right, left = layout.scalars(mat[weight - 1], False), inv[weight - 1]
+            out.append((_exponent_label("c", r), weight, right, layout.scalars(left, True)))
+    return out
+
+
+def _exact_tables(q, gens, r_prime, bound, step, diagonal):
+    """The exact tables of ``_rebuild``, built at the first rebuild."""
+    # a^m b^n spreads a line by at most |m| + |n| times the wider
+    # generator's spread: no word is deeper than this
+    spread = max(max(e) - min(e) for _, weight, (_, e, _), _ in diagonal if weight == 1)
+    nbytes = slot_bytes(3 * (bound * step + 1) * (q - 1) ** 2)
+    full = _Layout(q, nbytes, bound * max(step, spread) + 1, None)
+    cyclic = _cyclic_syllables(full, gens, r_prime, bound, r_prime)
+    by_label = {label: (full.diag, right, left) for label, _, right, left in diagonal}
+    by_label.update((label, (full.mul, c, inv)) for label, _, c, inv in cyclic)
+    return full, cyclic, by_label
 
 
 def reduced_word_count(bound):
@@ -439,29 +447,37 @@ def word_survey(pair, g, bound, constants, sink=None):
         alpha=Fraction(constants.alpha),
         c_total=constants.c_total,
     )
-    diagonal = _diagonal_syllables(pair, bound)
-    full, cyclic = _cyclic_syllables(pair, g, constants.r_prime, bound)
+    if not (g.exact and g.det() == Laurent(q, 0, (1,))):
+        raise ValueError("the cyclic generator must be exact with determinant 1")
+    gens = (g, g.adjugate())
+    # a product is at most one plane shallower than its factors together;
+    # c^r is formed by steps of c, or of g when c needs wider slots than g
+    depth = max(hi - lo for lo, hi in (support(sum(m.rows, ())) for m in gens))
+    step = constants.r_prime * (depth - 1)
+    nbytes = slot_bytes(3 * depth * (q - 1) ** 2)
+    hop = constants.r_prime if slot_bytes(3 * (step + 1) * (q - 1) ** 2) == nbytes else 1
+    table = _Layout(q, nbytes, bound * step + 1, None)
     # a window product's shorter factor has at most _WINDOW planes
     window = _Layout(q, slot_bytes(3 * _WINDOW * (q - 1) ** 2), 2 * _WINDOW, _WINDOW)
-    cut = [(label, w, window.cut(c, full), window.cut(inv, full)) for label, w, c, inv in cyclic]
-    by_label = {label: (full.diag, right, left) for label, _, right, left in diagonal}
-    by_label.update((label, (full.mul, c, inv)) for label, _, c, inv in cyclic)
+    cyclic = _cyclic_syllables(table, gens, constants.r_prime, bound, hop)
+    cut = [(label, w, window.cut(c, table), window.cut(inv, table)) for label, w, c, inv in cyclic]
+    diagonal = _diagonal_syllables(pair, bound)
+    exact = cache(lambda: _exact_tables(q, gens, constants.r_prime, bound, step, diagonal))
     record = survey.record
 
     def extend(w, w_inv, parts, length, last, mode):
         """Record an internal word and walk its subtree, exactly from a
         rebuild when its lead is not known or it can be the identity."""
         if w is None or w_inv is None or (w[0] == w_inv[0] == 0 and w[2] is not None):
-            w, w_inv = _rebuild(parts, by_label, full)
-            mode = (full, cyclic)
-        record(parts, length, len(parts), -w[0], -w_inv[0], full.is_identity(w), sink)
+            w, w_inv, mode = _rebuild(parts, exact)
+        record(parts, length, len(parts), -w[0], -w_inv[0], mode[0].is_identity(w), sink)
         walk(w, w_inv, parts, length, last, mode)
 
     def leaf(parts, lead, lead_inv):
         """Record a leaf from its two leads, None where not known."""
         identity = False
         if lead is None or lead_inv is None or lead == lead_inv == 0:
-            w, w_inv = _rebuild(parts, by_label, full)
+            w, w_inv, (full, _) = _rebuild(parts, exact)
             lead, lead_inv, identity = w[0], w_inv[0], full.is_identity(w)
         record(parts, bound, len(parts), -lead, -lead_inv, identity, sink)
 

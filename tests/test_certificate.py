@@ -116,6 +116,27 @@ def test_each_quantity_is_derived_once(monkeypatch):
     assert derived_once(h, n0)
 
 
+def test_g_inverse_and_compounds_are_formed_once(monkeypatch):
+    """A construction, and a verification of its certificate, each form
+    g^-1 and the second compounds of g and g^-1 once: the feasible level,
+    the sweep and the survey share them."""
+    returned = collections.defaultdict(list)
+    for name in ("second_compound", "inverse"):
+
+        def spy(m, name=name, derive=getattr(Mat, name)):
+            returned[name, m].append(derive(m))
+            return returned[name, m][-1]
+
+        monkeypatch.setattr(Mat, name, spy)
+    result = construct_pipeline(2, **SMALL)
+    g = result.candidate.g
+    keys = [("inverse", g), ("second_compound", g), ("second_compound", g.inverse())]
+    assert all(len({id(m) for m in returned[key]}) == 1 for key in keys)
+    returned.clear()
+    assert verify_certificate(result.certificate).passed
+    assert all(len({id(m) for m in returned[key]}) == 1 for key in keys)
+
+
 def test_write_load_round_trip(result, cert_path):
     loaded = load_certificate(cert_path)
     assert loaded == json.loads(certificate_text(result.certificate))

@@ -1,23 +1,13 @@
-"""The shared digit layout: windows, slot widths, packing, reduction."""
+"""The shared digit layout: supports, slot widths, packing, reduction."""
 
 import random
 
 import pytest
 
-from pingpong3.digits import mod_rows, pack_row, row_bytes, slot_bytes, support, unpack_row, window
-from pingpong3.errors import InsufficientPrecision
+from pingpong3.digits import mod_rows, pack_row, row_bytes, slot_bytes, support, unpack_row
 from pingpong3.field import Laurent, is_prime
 
 from oracles import dict_mul, from_dict, to_dict
-
-
-def test_window_reads_digits_and_refuses_an_element_not_known_far_enough():
-    x = Laurent(3, -1, [2, 0, 1], known_to=4)  # 2u^-1 + u + O(u^4)
-    y = Laurent(3, 2, [1, 1])
-    assert window([x, y], -2, 4).tolist() == [[0, 2, 0, 1, 0, 0], [0, 0, 0, 0, 1, 1]]
-    assert window([y], 3, 5).tolist() == [[1, 0]]
-    with pytest.raises(InsufficientPrecision):
-        window([y, x], 0, 5)
 
 
 def test_support_spans_every_known_digit_and_is_none_without_one():

@@ -29,6 +29,10 @@ F2 = Field(2)
 F3 = Field(3)
 
 
+# what a matrix derives once and keeps
+DERIVED = ("det", "second_compound", "adjugate", "inverse")
+
+
 def diag(field, *exps):
     return Mat.diagonal([field.u(e) for e in exps])
 
@@ -59,13 +63,33 @@ def test_diagonal_product():
 
 
 def test_matrices_copy_and_pickle():
+    # values a matrix keeps once derived change neither its copies and
+    # pickles nor its equality and hash
     rng = random.Random(7)
     for q in (2, 3, 13):
         m = rand_mat(rng, q)
         inexact = Mat([[x.truncate(2) for x in r] for r in m.rows])
-        for x in (m, inexact):
+        kept = Mat(m.rows)
+        kept.det(), kept.adjugate()
+        for x in (m, inexact, kept):
             for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
                 assert type(y) is Mat and y == x and y.exact == x.exact
+        assert kept == m and hash(kept) == hash(m)
+        assert pickle.dumps(kept) == pickle.dumps(m)
+
+
+def test_derived_matrices_are_kept_and_equal_fresh_ones():
+    rng = random.Random(29)
+    for q in (2, 3, 5):
+        for _ in range(8):
+            m = random_lattice_element(q, rng, n_factors=5)
+            inexact = Mat([[x.truncate(x.lead + 2) for x in r] for r in m.rows])
+            for x, names in ((m, DERIVED), (inexact, DERIVED[:3])):
+                for name in names:
+                    first = getattr(x, name)()
+                    assert getattr(x, name)() is first
+                    assert first == getattr(Mat(x.rows), name)()
+            assert not inexact.det().exact
 
 
 def test_cartan_projection_of_diagonal():
@@ -180,8 +204,9 @@ def test_inverse_of_singular_matrix_raises():
     with pytest.raises(SingularOrUndecidable):
         a.inverse()
     b = Mat.diagonal([F2.unknown(2), one, one])
-    with pytest.raises(SingularOrUndecidable):
-        b.inverse()
+    for m in (a, a, b, b):  # a refusal is not kept: every call raises
+        with pytest.raises(SingularOrUndecidable):
+            m.inverse()
 
 
 def test_lognorm_of_zero_matrix_raises():
@@ -215,8 +240,9 @@ def test_cartan_of_singular_matrix_raises():
 def test_inverse_with_non_monomial_det_is_refused():
     z = F2.zero()
     a = Mat([[F2.one() + F2.u(1), F2.u(2), z], [z, F2.one(), z], [z, z, F2.one()]])
-    with pytest.raises(SingularOrUndecidable, match="not an exact monomial"):
-        a.inverse()
+    for _ in range(2):  # on every call
+        with pytest.raises(SingularOrUndecidable, match="not an exact monomial"):
+            a.inverse()
 
 
 # -- oracle-backed randomized checks ----------------------------------------

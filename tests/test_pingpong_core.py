@@ -26,6 +26,7 @@ from pingpong3.spectral import eigen_flags
 
 F2 = Field(2)
 F3 = Field(3)
+F5 = Field(5)
 
 
 # -- generators ----------------------------------------------------------------
@@ -85,10 +86,19 @@ NON_MONIC_Q3 = make_pair(
 )
 
 
+# diag(2u^2, 3u^-1, u^-1) and a cyclic shuffle of it: 2 and 3 are each
+# other's inverses mod 5
+NON_MONIC_Q5 = make_pair(
+    Mat.diagonal([F5.monomial(2, 2), F5.monomial(3, -1), F5.u(-1)]),
+    Mat.diagonal([F5.u(-1), F5.monomial(2, 2), F5.monomial(3, -1)]),
+)
+
+
 @pytest.mark.parametrize(
     "pair",
-    [make_generators(2), make_generators(3), make_generators(5), NON_MONIC_Q3],
-    ids=["q2", "q3", "q5", "q3-non-monic"],
+    [make_generators(q) for q in (2, 3, 5, 7)]
+    + [make_generators(2, (2, 3)), NON_MONIC_Q3, NON_MONIC_Q5],
+    ids=["q2", "q3", "q5", "q7", "q2-profile-2-3", "q3-non-monic", "q5-non-monic"],
 )
 def test_gamma_from_exponent_triples_matches_mat_powers(pair):
     for m in range(-5, 6):

@@ -206,6 +206,16 @@ def test_cone_test_agrees_with_scalar_predicate(q):
                     assert in_slope_u_cone(apex, y) is bool(got)
 
 
+def test_taps_read_digits_and_refuse_an_element_not_known_far_enough():
+    x = Laurent(3, -1, [2, 0, 1], known_to=4)  # 2u^-1 + u + O(u^4)
+    y = Laurent(3, 2, [1, 1])
+    assert _taps(x, -2, 4) == [(-1, 2), (1, 1)]
+    assert _taps(y, 3, 5) == [(3, 1)]
+    assert _taps(y, -2, 1) == [] and _taps(Laurent(3, 0, ()), 0, 9) == []
+    with pytest.raises(InsufficientPrecision):
+        _taps(x, 0, 5)
+
+
 def _bulk_rows(rows, mat, table, balls, start, stop, pivot=None):
     """The rows of ``mat``'s digits in [start, stop) as a family of forms,
     evaluated on ``balls`` as the sweep does: (n, 3, width) digits over

@@ -292,12 +292,14 @@ def test_record_stream_is_unchanged(pair_name, bound):
     assert _record_stream(pair, bound) == RECORD_STREAM_DIGESTS[pair_name, bound]
 
 
-@pytest.mark.parametrize("width", (1, 2))
+@pytest.mark.parametrize("width", (1, 2, words._WINDOW))
 def test_short_windows_rebuild_words_exactly(monkeypatch, width):
     # with windows of one or two planes, words whose leads run past them
-    # are rebuilt from their syllables, and no record changes
-    rebuilt = []
-    rebuild = words._rebuild
+    # are rebuilt from their syllables, and no record changes; the exact
+    # tables are built at the first rebuild, so never at the real width
+    real = width == words._WINDOW
+    rebuilt, built = [], []
+    rebuild, exact_tables = words._rebuild, words._exact_tables
 
     def counted(parts, *args):
         rebuilt.append(" ".join(parts))
@@ -305,10 +307,11 @@ def test_short_windows_rebuild_words_exactly(monkeypatch, width):
 
     monkeypatch.setattr(words, "_WINDOW", width)
     monkeypatch.setattr(words, "_rebuild", counted)
+    monkeypatch.setattr(words, "_exact_tables", lambda *a: built.append(a) or exact_tables(*a))
     for (pair_name, bound), digest in sorted(RECORD_STREAM_DIGESTS.items()):
-        before = len(rebuilt)
+        before, tables = len(rebuilt), len(built)
         assert _record_stream(STREAM_PAIRS[pair_name](), bound) == digest
-        assert len(rebuilt) > before
+        assert (len(rebuilt) > before, len(built) - tables) == ((False, 0) if real else (True, 1))
 
 
 def _replay(pair, g, r_prime, label):
