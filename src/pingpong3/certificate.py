@@ -152,12 +152,13 @@ def front_half(stages, q, profile, strategy, seed, budget):
     return pair, exclusion, candidate, constants, candidate.g
 
 
-def back_half(stages, pair, g, constants, level, gamma_bound, word_bound):
+def back_half(stages, pair, g, constants, level, gamma_bound, word_bound, eigen=None):
     """ball sweep -> word survey -> fixed-flag witness; returns the sweep
-    and survey reports (None where a collected stage failed)."""
+    and survey reports (None where a collected stage failed).  ``eigen`` is
+    g's eigensystem, or None for the sweep to lift its own."""
     eps = constants.epsilon_exponent
     report = stages.run(
-        "verify_pingpong", verify_pingpong, pair, g, level, gamma_bound, epsilon_exponent=eps
+        "verify_pingpong", verify_pingpong, pair, g, level, gamma_bound, eigen, eps
     )
     stages.check_report("verify_pingpong", "pingpong", report)
     survey = stages.run("word_survey", word_survey, pair, g, word_bound, constants)
@@ -204,7 +205,9 @@ def construct_pipeline(
     pair, exclusion, candidate, constants, g = front_half(
         stages, q, profile, strategy, seed, budget
     )
-    report, survey = back_half(stages, pair, g, constants, level, gamma_bound, word_bound)
+    report, survey = back_half(
+        stages, pair, g, constants, level, gamma_bound, word_bound, candidate.g_eigen
+    )
 
     certificate = {
         "version": CERT_VERSION,
@@ -466,14 +469,15 @@ def verify_certificate(source, level=None, gamma_bound=None, word_bound=None):
 
     # no work is sized by a stored claim: g must be the rebuilt candidate's
     # h^n0, and the back half runs with the recomputed constants, or not at all
+    g_eigen = None  # a stored g that is not h^n0 gets no eigensystem of h's
     if not (h.exact and g.exact):
         outcome.fail("consistency", "h and g must be exact matrices")
     elif rebuilt is not None and rebuilt.g != g:
         outcome.fail("consistency", f"g is not h^{rebuilt.contraction.n0}")
     elif rebuilt is not None:
-        g = rebuilt.g  # the same matrix, its inverse and compounds already derived
+        g, g_eigen = rebuilt.g, rebuilt.g_eigen  # already derived, as are g^-1 and compounds
     if constants is not None:
-        sweep, survey = back_half(outcome, pair, g, constants, **params)
+        sweep, survey = back_half(outcome, pair, g, constants, **params, eigen=g_eigen)
         # each stored report must come out again at its stored bounds: the
         # back half's run when they are not raised, else a rerun there;
         # ``reports`` keeps the back half's
@@ -481,7 +485,7 @@ def verify_certificate(source, level=None, gamma_bound=None, word_bound=None):
         if raised & {"level", "gamma_bound"}:
             sweep = outcome.run(
                 "verify_pingpong", verify_pingpong, pair, g, stored["level"],
-                stored["gamma_bound"], epsilon_exponent=constants.epsilon_exponent,
+                stored["gamma_bound"], g_eigen, constants.epsilon_exponent,
             )
         if "word_bound" in raised:
             bound = stored["word_bound"]

@@ -94,6 +94,12 @@ class ProximalCandidate:
     trials: int
     feasible_level: int
 
+    @property
+    def g_eigen(self):
+        """g's eigensystem from h's, whose eigenvectors g = h^n0 shares, when
+        h's eigen data are exact; None otherwise: a sweep lifts g's own."""
+        return self.eigen.power(self.contraction.n0, self.g)
+
 
 def synthetic_basis(q):
     """Eigenvector basis with flags in position, determinant exactly u^2.

@@ -22,7 +22,7 @@ its horizon, d + the least tap position of its coefficients on the free
 coordinates, are the same on all of a node's balls, so a node whose read
 values all lie below their horizons is decided on its representative and
 stands for its q^(2(M - d)) balls; the others split into their q^2
-children, one batch per depth, down to single balls at d = M.  The window
+children, one batch per depth from d = 2, down to single balls at d = M.  The window
 pass decides each a^m b^n on the window's depth-2 node.  Any violation or
 undecidable value falls back to the exhaustive pass, ball by ball, which
 writes the failing report and its examples.
@@ -702,11 +702,11 @@ def _domain_pass(sweep, report):
 
 
 def _nodes(sweep, d, s, a, b):
-    """Read the depth-d nodes of strata ``s`` whose free coordinates lead
-    with the digits ``a`` and ``b`` on their representatives; returns the
-    read and which nodes it decides: in-U from depth 2, both cone
-    verdicts, val1 and val3, val2 up to floor_cap, and the image lead
-    column and the one after it, each below its horizon."""
+    """Read the depth-d nodes, d >= 2, of strata ``s`` whose free
+    coordinates lead with the digits ``a`` and ``b`` on their
+    representatives; returns the read and which nodes it decides: in-U,
+    both cone verdicts, val1 and val3, val2 up to floor_cap, and the image
+    lead column and the one after it, each below its horizon."""
     q, level = sweep.q, sweep.level
     one, a, b = q ** (level - 1), a * q ** (level - d), b * q ** (level - d)
     balls = (
@@ -724,7 +724,7 @@ def _nodes(sweep, d, s, a, b):
     decided = ~r.in_u
     for cone, (_, v1, vc, _) in zip(sweep.cones, r.cones):
         decided &= cone.decided(v1, vc, *horizon(cone.low))
-    decided |= r.in_u & (d >= 2)
+    decided |= r.in_u
     caps = np.array([[sweep.horizon], [level], [sweep.horizon]])
     h = horizon(sweep.adj_low, r.dom)
     done = ((r.val - sweep.vm_adj < h) | (h >= caps)).all(axis=0)
@@ -736,17 +736,21 @@ def _nodes(sweep, d, s, a, b):
 
 
 def _domain_tree(sweep, report):
-    """The domain pass over the prefix tree, from the depth-1 nodes (the
-    points of the plane over F_q; a coordinate in uO leads with 0).
+    """The domain pass over the prefix tree, from the children of the
+    depth-1 nodes (the points of the plane over F_q; a coordinate in uO
+    leads with 0), none of which is in U or was ever seen decided.
     Returns False, leaving ``report`` alone, once a representative shows a
-    violation or an undecidable value: the exhaustive pass then reports
-    the sweep."""
+    violation or an undecidable value: the exhaustive pass then reports the sweep."""
     q, level = sweep.q, sweep.level
     s = np.repeat([2, 1, 0], [q * q, q, 1])
     a = np.concatenate([np.arange(q * q) // q, np.arange(q), [0]])
     b = np.concatenate([np.arange(q * q) % q, np.zeros(q + 1, dtype=int)])
+    keep, digit = np.ones(s.size, dtype=bool), np.arange(q * q)
     window, domain, least = 0, 0, []
-    for d in range(1, level + 1):
+    for d in range(2, level + 1):
+        s = np.repeat(s[keep], q * q)
+        a = (a[keep, None] * q + digit // q).ravel()
+        b = (b[keep, None] * q + digit % q).ravel()
         if not s.size:
             break
         balls, split = q ** (2 * (level - d)), []
@@ -760,10 +764,7 @@ def _domain_tree(sweep, report):
             if done.any():
                 least += [(name, v[done].min()) for name, v in r.least.items()]
             split.append(~decided)
-        keep, digit = np.concatenate(split), np.arange(q * q)
-        s = np.repeat(s[keep], q * q)
-        a = (a[keep, None] * q + digit // q).ravel()
-        b = (b[keep, None] * q + digit % q).ravel()
+        keep = np.concatenate(split)
     report.window_balls += window
     report.domain_balls += domain
     report.checked_images += len(sweep.sides) * domain

@@ -40,9 +40,13 @@ The new lead is the first nonzero plane below known_to.  A word is rebuilt
 exactly from its syllables when no such plane is nonzero, or when both of
 its leads are 0 (only then can it be the identity); its subtree then
 continues exactly, with known_to None and the whole c^r, so no lead is ever
-guessed.  A leaf (length = bound) is never extended: the lead of a diagonal
-leaf is min_j(colval_j(w) + e_j), and of its inverse min_i(rowval_i(w^-1) +
-e'_i), from line leads read once per prefix.
+guessed.  A prefix's line leads are read once, for all its diagonal
+children.  A leaf (length = bound) is never extended, and only its leads
+are formed: of a diagonal leaf min_j(colval_j(w) + e_j), and of its inverse
+min_i(rowval_i(w^-1) + e'_i), from those line leads; of a cyclic leaf the
+first nonzero plane of its product, whose three lines are packed into one
+int and reduced at once (``_Layout.lead``).  Its label is joined only for a
+violation, a new tightest word or a ``sink``.
 
 Margins are kept as integers, scaled by twice the common denominator of
 alpha |w| - c_total; a Fraction is built only for the reported minima,
@@ -128,6 +132,21 @@ class _Layout:
         lines.append(x0 * c0 + x1 * c1 + x2 * c2)
         return self._settle(lw + lm, mod_rows(lines, self.nbytes, self.q), known)
 
+    def lead(self, w, m):
+        """mul(w, m)[0], or None where mul gives None, without the product's
+        lines: they are packed into one int of nine fields, reduced by one
+        mod_rows call and OR-folded to their first nonzero plane."""
+        lw, (x0, x1, x2), kw = w
+        lm, ((a0, a1, a2), (b0, b1, b2), (c0, c1, c2)), km = m
+        f = self.fbits
+        low = x0 * a0 + x1 * a1 + x2 * a2 | (x0 * b0 + x1 * b1 + x2 * b2) << 3 * f
+        (low,) = mod_rows([low | (x0 * c0 + x1 * c1 + x2 * c2) << 6 * f], self.nbytes, self.q)
+        for shift in (3 * f, f):
+            low |= low >> shift | low >> 2 * shift
+        low &= self.fmask
+        lead = lw + lm + ((low & -low).bit_length() - 1) // self.bits
+        return lead if low and (kw is None or lead < min(kw + lm, km + lw)) else None
+
     def _settle(self, lead, lines, known):
         """The window of lines whose slot 0 sits at u^lead, from its first
         nonzero plane and at most ``width`` planes; None when no plane
@@ -147,10 +166,11 @@ class _Layout:
         mask = self.masks[keep]
         return lead, [x0 >> shift & mask, x1 >> shift & mask, x2 >> shift & mask], lead + keep
 
-    def diag(self, w, d):
+    def diag(self, w, d, leads=None):
         """w times a monomial diagonal d = (min e, e, c or None when every
         c_k is 1) along its lines: line k moves up e_k planes and is scaled
-        by c_k mod q; None when no plane below known_to is nonzero."""
+        by c_k mod q; None when no plane below known_to is nonzero.
+        ``leads`` are w's line leads, when its caller has them."""
         lead, lines, known = w
         lo, exps, scale = d
         bits = self.bits
@@ -160,7 +180,8 @@ class _Layout:
             # each line is cut to what stays in the window before it moves,
             # so that no field runs into the next
             known += lo
-            new = min(x + e for x, e in zip(self.line_leads(w), exps))
+            leads = self.line_leads(w) if leads is None else leads
+            new = min(x + e for x, e in zip(leads, exps))
             if new >= known:
                 return None
             keep = min(self.width, known - new)
@@ -361,42 +382,35 @@ class WordSurvey:
         if len(self.examples) < self.MAX_EXAMPLES:
             self.examples.append(f"{kind}: {label}" + (f" ({detail})" if detail else ""))
 
-    def record(self, parts, length, syllables, lognorm, lognorm_inv, is_identity, sink):
-        """Count one word, given by its syllable labels, and check it;
-        ``sink``, when not None, receives its WordRecord."""
+    def record(self, parts, length, lognorm, lognorm_inv, is_identity, sink, last=None):
+        """Count one word, given by its syllable labels ``parts`` and then
+        ``last`` when not None, and check it; ``sink``, when not None,
+        receives its WordRecord.  The label is built only when it is read:
+        for a violation, a new tightest word or the sink."""
         self.words += 1
         self.by_length[length] = self.by_length.get(length, 0) + 1
         scale, required = self.scale, self._required[length]
         growth = scale * (lognorm + lognorm_inv) - required
         cartan = scale * max(lognorm, lognorm_inv) - required // 2
-        if is_identity:
-            self.add_violation("identity", " ".join(parts))
-        if growth < 0:
-            self.add_violation(
-                "growth", " ".join(parts), f"margin {Fraction(growth, scale)}"
-            )
-        if cartan < 0:
-            self.add_violation(
-                "cartan", " ".join(parts), f"margin {Fraction(cartan, scale)}"
-            )
-        if self.growth_floor is None or growth < self.growth_floor:
-            self.growth_floor = growth
-            self.tightest_word = " ".join(parts)
         if self.cartan_floor is None or cartan < self.cartan_floor:
             self.cartan_floor = cartan
+        tighter = self.growth_floor is None or growth < self.growth_floor
+        if not (tighter or is_identity or growth < 0 or cartan < 0 or sink is not None):
+            return
+        if last is not None:
+            parts = parts + [last]
+        label = " ".join(parts)
+        if is_identity:
+            self.add_violation("identity", label)
+        if growth < 0:
+            self.add_violation("growth", label, f"margin {Fraction(growth, scale)}")
+        if cartan < 0:
+            self.add_violation("cartan", label, f"margin {Fraction(cartan, scale)}")
+        if tighter:
+            self.growth_floor, self.tightest_word = growth, label
         if sink is not None:
-            sink(
-                WordRecord(
-                    label=" ".join(parts),
-                    length=length,
-                    syllables=syllables,
-                    lognorm=lognorm,
-                    lognorm_inv=lognorm_inv,
-                    growth_margin=Fraction(growth, scale),
-                    cartan_margin=Fraction(cartan, scale),
-                    is_identity=is_identity,
-                )
-            )
+            margins = Fraction(growth, scale), Fraction(cartan, scale)
+            sink(WordRecord(label, length, len(parts), lognorm, lognorm_inv, *margins, is_identity))
 
     def summary(self):
         verdict = (
@@ -470,33 +484,32 @@ def word_survey(pair, g, bound, constants, sink=None):
         rebuild when its lead is not known or it can be the identity."""
         if w is None or w_inv is None or (w[0] == w_inv[0] == 0 and w[2] is not None):
             w, w_inv, mode = _rebuild(parts, exact)
-        record(parts, length, len(parts), -w[0], -w_inv[0], mode[0].is_identity(w), sink)
+        record(parts, length, -w[0], -w_inv[0], mode[0].is_identity(w), sink)
         walk(w, w_inv, parts, length, last, mode)
 
-    def leaf(parts, lead, lead_inv):
-        """Record a leaf from its two leads, None where not known."""
+    def leaf(parts, label, lead, lead_inv):
+        """Record the leaf ``parts`` then ``label`` from its two leads, None
+        where not known."""
         identity = False
         if lead is None or lead_inv is None or lead == lead_inv == 0:
-            w, w_inv, (full, _) = _rebuild(parts, exact)
+            w, w_inv, (full, _) = _rebuild(parts + [label], exact)
             lead, lead_inv, identity = w[0], w_inv[0], full.is_identity(w)
-        record(parts, bound, len(parts), -lead, -lead_inv, identity, sink)
+        record(parts, bound, -lead, -lead_inv, identity, sink, label)
 
     def walk(w, w_inv, parts, length, last, mode):
         layout, cyclic = mode
         room = bound - length
         if last != 0:
-            diag, leads = layout.diag, None
+            # the prefix's column and row leads, read once for every child
+            diag, cols, rows = layout.diag, layout.line_leads(w), layout.line_leads(w_inv)
             for label, weight, right, left in diagonal:  # by increasing weight
                 if weight > room:
                     break
-                word = parts + [label]
                 if weight < room:
-                    extend(diag(w, right), diag(w_inv, left), word, length + weight, 0, mode)
+                    x, y = diag(w, right, cols), diag(w_inv, left, rows)
+                    extend(x, y, parts + [label], length + weight, 0, mode)
                     continue
                 # a leaf: its leads from the prefix's column and row leads
-                if leads is None:
-                    leads = layout.line_leads(w), layout.line_leads(w_inv)
-                cols, rows = leads
                 lo, (e0, e1, e2), _ = right
                 lo_inv, (f0, f1, f2), _ = left
                 lead = min(cols[0] + e0, cols[1] + e1, cols[2] + e2)
@@ -505,18 +518,17 @@ def word_survey(pair, g, bound, constants, sink=None):
                     # a line with no known nonzero digit gave its known_to
                     lead = lead if lead < w[2] + lo else None
                     lead_inv = lead_inv if lead_inv < w_inv[2] + lo_inv else None
-                leaf(word, lead, lead_inv)
+                leaf(parts, label, lead, lead_inv)
         if last != 1:
-            mul = layout.mul
+            mul, lead = layout.mul, layout.lead
             for label, weight, right, left in cyclic:
                 if weight > room:
                     break
-                word = parts + [label]
-                x, y = mul(w, right), mul(w_inv, left)
                 if weight < room:
-                    extend(x, y, word, length + weight, 1, mode)
+                    x, y = mul(w, right), mul(w_inv, left)
+                    extend(x, y, parts + [label], length + weight, 1, mode)
                 else:
-                    leaf(word, None if x is None else x[0], None if y is None else y[0])
+                    leaf(parts, label, lead(w, right), lead(w_inv, left))
 
     root = (0, window.eye, _WINDOW)  # the identity is exact: known to any exponent
     walk(root, root, [], 0, None, (window, cut))

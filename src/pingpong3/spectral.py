@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .errors import (
     InsufficientPrecision,
@@ -196,6 +196,17 @@ class EigenSystem:
     def row_floors(self):
         """(r+, r-): least valuations of the outer rows of adj P, or None."""
         return vec_min_val(self.adjugate.rows[0]), vec_min_val(self.adjugate.rows[2])
+
+    def power(self, n, matrix):
+        """The system of ``matrix`` = M^n, n >= 1, sharing this exact system's
+        vectors, basis, adjugate and row floors, with its eigenvalues to the
+        n; None when an eigenvalue or vector coordinate is inexact."""
+        if not all(x.exact for x in self.eigenvalues + sum(self.vectors, ())):
+            return None
+        powers = tuple(reduce(Laurent.__mul__, [x] * n) for x in self.eigenvalues)
+        raised = EigenSystem(matrix, powers, self.vectors)
+        raised.__dict__.update(basis=self.basis, adjugate=self.adjugate, row_floors=self.row_floors)
+        return raised
 
     def attracting_line_dual(self):
         """Covector cutting out the span of the two dominant directions."""

@@ -87,8 +87,10 @@ def test_certificate_bytes_are_pinned(q, args, digest):
 
 
 def test_each_quantity_is_derived_once(monkeypatch):
-    """construct_pipeline and verify_certificate each raise h to n0 once,
-    and each eigensystem builds the adjugate of its basis at most once."""
+    """construct_pipeline and verify_certificate, at the stored and at
+    raised bounds, each raise h to n0 once and lift one eigensystem, h's:
+    every sweep reads g's from it.  Each eigensystem builds the adjugate
+    of its basis at most once."""
     powers, adjugated, systems = [], [], []
     power, adjugate, eigen_flags = Mat.__pow__, Mat.adjugate, certificate_module.eigen_flags
 
@@ -105,14 +107,17 @@ def test_each_quantity_is_derived_once(monkeypatch):
         bases = collections.Counter(e.basis.to_text() for e in systems)
         built = collections.Counter(m.to_text() for m in adjugated)
         once = sum(k == n0 and m == h for m, k in powers) == 1
+        lifted = [e.matrix for e in systems] == [h]
         for spy in (powers, adjugated, systems):
             spy.clear()
-        return once and all(built[text] <= count for text, count in bases.items())
+        return once and lifted and all(built[text] <= count for text, count in bases.items())
 
     result = construct_pipeline(2, **SMALL)
     h, n0 = result.candidate.h, result.candidate.contraction.n0
     assert derived_once(h, n0)
     assert verify_certificate(result.certificate).passed
+    assert derived_once(h, n0)
+    assert verify_certificate(result.certificate, level=6, gamma_bound=3, word_bound=4).passed
     assert derived_once(h, n0)
 
 
@@ -177,7 +182,8 @@ def test_tampered_g_fails_every_dependent_stage(result):
     assert "verify_pingpong" in stages  # identity contracts nothing
     assert "word_survey" in stages  # c-syllables collapse to identity words
     assert "irreducibility_witness" in stages
-    assert outcome.reports["pingpong"].violation_counts  # real sweep violations
+    # the sweep lifts the stored g's own eigensystem, not the candidate's
+    assert "not-proximal" in outcome.reports["pingpong"].violation_counts
 
 
 def test_tampered_digest_is_detected(result):
@@ -421,6 +427,30 @@ def test_constructed_certificates_verify(strategy, seed):
     assert "seed" not in cert and "trials" not in cert
     outcome = verify_certificate(json.loads(certificate_text(cert)))
     assert outcome.passed, outcome.failures
+
+
+# sha256 of the JSON list [summary(), each report's as_dict()] of verify
+# runs of the lattice seed-11 certificate, at its stored level and above
+LATTICE_VERIFY_DIGESTS = {
+    5: "d923154ba04997b2be70c1b509d0985d985f8aafa767a545cb5f08396d132a1f",
+    6: "804a1cb9a3bd6276d8d4dd5ad85f2c9fbf7b37d1c4fe43b5b9491a5678cae237",
+}
+
+
+@pytest.mark.parametrize("level", sorted(LATTICE_VERIFY_DIGESTS))
+def test_lattice_verify_reports_are_pinned(monkeypatch, level):
+    # a lattice h's eigen data are not exact, so every sweep lifts g's
+    # own eigensystem: the back half's, and at a raised level the rerun's
+    cert = construct_pipeline(2, strategy="lattice", seed=11, **SMALL).certificate
+    lifted, original = [], verify_module.eigen_flags
+    monkeypatch.setattr(
+        verify_module, "eigen_flags", lambda m, **kw: lifted.append(m) or original(m, **kw)
+    )
+    outcome = verify_certificate(cert, level=level)
+    reports = {key: report.as_dict() for key, report in outcome.reports.items()}
+    text = json.dumps([outcome.summary(), reports], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == LATTICE_VERIFY_DIGESTS[level]
+    assert [m.to_text() for m in lifted] == [cert["g"]] * (1 if level == SMALL["level"] else 2)
 
 
 def test_stored_eigen_precision_sizes_no_work(monkeypatch):

@@ -640,7 +640,7 @@ def test_tree_reads_a_few_hundred_rows(monkeypatch):
         return read(self, balls, *args)
 
     monkeypatch.setattr(verify._Sweep, "read", counted)
-    for q, level, rows in ((2, 8, [7, 28, 44, 40, 80, 160]), (3, 5, [13, 117, 315, 54])):
+    for q, level, rows in ((2, 8, [28, 44, 40, 80, 160]), (3, 5, [117, 315, 54])):
         seen.clear()
         report = verify_pingpong(make_generators(q), make_proximal(q) ** 2, level, 3)
         assert report.passed

@@ -1,6 +1,7 @@
 """Reduced-word survey: enumeration shape, margins, engine exactness."""
 
 import hashlib
+import json
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -171,18 +172,27 @@ def test_diagonal_syllables_are_column_and_row_shifts(pair):
 LEAF_QS = (2, 3, 5, 13, 31)
 
 
+def _lead_of_mul(layout, w, m):
+    """layout.mul(w, m)'s lead, which the lead-only product must give."""
+    product = layout.mul(w, m)
+    assert layout.lead(w, m) == (None if product is None else product[0])
+    return product
+
+
 @pytest.mark.parametrize("q", LEAF_QS)
 def test_leaf_product_leads_match_full_products(q):
     # a window's lead is the exact product's, or None (a rebuild) when no
-    # plane below its known_to is nonzero
+    # plane below its known_to is nonzero; the lead-only product of a leaf
+    # gives mul's lead, exact and windowed
     rng = random.Random(100 + q)
     exact, window = _layouts(q, width=2)
     for _ in range(30):
         a = random_lattice_element(q, rng, n_factors=4, max_deg=2)
         b = random_lattice_element(q, rng, n_factors=4, max_deg=2)
-        full = exact.mul(_columns(exact, a), exact.scalars(_columns(exact, b), False))
+        full = _lead_of_mul(exact, _columns(exact, a), exact.scalars(_columns(exact, b), False))
+        _lead_of_mul(exact, _rows(exact, b), exact.scalars(_columns(exact, a), True))
         wa = _cut(window, _columns(exact, a))
-        got = window.mul(wa, window.cut(exact.scalars(_columns(exact, b), False), exact))
+        got = _lead_of_mul(window, wa, window.cut(exact.scalars(_columns(exact, b), False), exact))
         assert _agrees(window, got, full)
     # A_0 is singular and the columns of B_0 lie in its kernel, so the
     # lowest plane of A B cancels and its lead sits one plane up: a window
@@ -194,11 +204,11 @@ def test_leaf_product_leads_match_full_products(q):
         for x in (a0, b0)
     )
     b_cols = exact.scalars(_columns(exact, b), False)
-    assert exact.mul(_columns(exact, a), b_cols) == _columns(exact, a * b)
+    assert _lead_of_mul(exact, _columns(exact, a), b_cols) == _columns(exact, a * b)
     assert (a * b).lognorm() == -1
-    assert window.mul(_cut(window, _columns(exact, a)), window.cut(b_cols, exact))[0] == 1
+    assert _lead_of_mul(window, _cut(window, _columns(exact, a)), window.cut(b_cols, exact))[0] == 1
     narrow = _Layout(q, window.nbytes, 64, 1)
-    assert narrow.mul(_cut(narrow, _columns(exact, a)), narrow.cut(b_cols, exact)) is None
+    assert _lead_of_mul(narrow, _cut(narrow, _columns(exact, a)), narrow.cut(b_cols, exact)) is None
 
 
 @pytest.mark.parametrize("q", LEAF_QS)
@@ -444,11 +454,19 @@ def _greedy_constants(pipeline):
     return pair, g, 3, SimpleNamespace(alpha=Fraction(1000, 7), c_total=3, r_prime=1)
 
 
-@pytest.mark.parametrize(
-    "case",
-    [_passing, _identity_g, _greedy_constants],
-    ids=["passing", "identity-g", "greedy-constants"],
-)
+# sha256 of the JSON list [examples, summary(), tightest_word] of the
+# failing surveys: a reordered or relabelled example shows here, which
+# two runs of the same code would not
+FAILING_SURVEY_DIGESTS = {
+    (2, "identity-g"): "91af9b01aba20d370c9f803df9e109025447907d44fa8ab5261d852c673d14d9",
+    (2, "greedy-constants"): "a456129d50196e1ec9b7733862be7399f6d02063afc229fe3ae5c60a9f04394f",
+    (3, "identity-g"): "0c7894d1d9126f1cc0728f9b7feef526d3b6d3c72803a47b1688d5dde83400b7",
+    (3, "greedy-constants"): "9d57a036279ba9c5dd4093c9dda1936e5dbaf1f7aa045228d1d474d162395e54",
+}
+SURVEY_CASES = {"passing": _passing, "identity-g": _identity_g, "greedy-constants": _greedy_constants}
+
+
+@pytest.mark.parametrize("case", SURVEY_CASES.values(), ids=SURVEY_CASES.keys())
 @pytest.mark.parametrize("q", (2, 3))
 def test_survey_with_and_without_sink_agree(q, case):
     pair, g, bound, const = case(_pipeline(q))
@@ -458,6 +476,10 @@ def test_survey_with_and_without_sink_agree(q, case):
     assert with_sink.as_dict() == without.as_dict()
     assert with_sink.examples == without.examples
     assert with_sink.tightest_word == without.tightest_word
+    name = next(key for key, value in SURVEY_CASES.items() if value is case)
+    if (q, name) in FAILING_SURVEY_DIGESTS:
+        text = json.dumps([without.examples, without.summary(), without.tightest_word])
+        assert hashlib.sha256(text.encode()).hexdigest() == FAILING_SURVEY_DIGESTS[q, name]
     assert len(records) == without.words
     assert without.min_growth_margin == min(r.growth_margin for r in records)
     assert without.min_cartan_margin == min(r.cartan_margin for r in records)
