@@ -5,7 +5,8 @@ so that the native product of two packed rows is their packed
 convolution and their native sum their digitwise sum (Kronecker
 substitution, Harvey, J. Symbolic Comput. 2009):
 ``pack_row``/``unpack_row`` for the digit tuples of single elements, and
-``mod_rows`` to reduce packed sums and products mod q.
+``mod_rows`` to reduce packed sums and products mod q (at q = 2 with
+one-byte slots by a mask of each byte's low bit).
 
 The width rules sit side by side: ``int_dtype`` sizes numpy accumulators,
 ``slot_bytes`` Kronecker slots of at most 8 bytes and ``row_bytes``
@@ -71,8 +72,17 @@ def unpack_row(value, nbytes, width, q):
     return tuple(int.from_bytes(blob[i : i + nbytes], "little") % q for i in slots)
 
 
+@lru_cache(maxsize=None)
+def _low_bits(log2):
+    """0x0101...01 over 2^log2 bits (at least one byte): each byte's low bit."""
+    return int.from_bytes(b"\1" * (1 << max(log2 - 3, 0)), "little")
+
+
 def mod_rows(values, nbytes, q):
     """Packed values with every slot reduced mod q."""
+    if nbytes == 1 and q == 2:  # a byte's residue mod 2 is its low bit
+        ones = _low_bits(max(values).bit_length().bit_length())
+        return [v & ones for v in values]
     if nbytes == 1:
         table = _mod_table(q)
         return [

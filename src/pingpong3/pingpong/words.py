@@ -46,7 +46,22 @@ are formed: of a diagonal leaf min_j(colval_j(w) + e_j), and of its inverse
 min_i(rowval_i(w^-1) + e'_i), from those line leads; of a cyclic leaf the
 first nonzero plane of its product, whose three lines are packed into one
 int and reduced at once (``_Layout.lead``).  Its label is joined only for a
-violation, a new tightest word or a ``sink``.
+violation, a ``sink`` or a read of ``tightest_word``.
+
+The checks and the identity test are symmetric in (lognorm(w),
+lognorm(w^-1)), and inversion maps the reduced words of a length onto
+themselves with no fixed point: w = w^-1 would need a syllable that is its
+own inverse or two adjacent syllables from one factor.  So a passing
+survey without a ``sink`` reads one leaf of each pair {w, w^-1}, counted
+twice: the one that ends in a^m b^n when its first and last syllables come
+from different factors (its leads need no product), else the one first in
+walk order.  Syllables travel as ranks, their places in the walk: a^m b^n
+of weight w has rank k in [2w(w - 1), 2w(w + 1)) and inverse 4w^2 - 1 - k,
+and c^-r, c^r are neighbours, so the leaves kept of one prefix and weight
+are one run of ranks.  A kept leaf may follow its twin in the walk, so a
+margin equal to the floor compares walk-order keys, the lesser of the two
+members' ranks.  A violation, or a ``sink``, walks again in full, so
+examples, their order and the records are the full walk's.
 
 Margins are kept as integers, scaled by twice the common denominator of
 alpha |w| - c_total; a Fraction is built only for the reported minima,
@@ -312,6 +327,10 @@ def reduced_word_count(bound):
 # -- survey -------------------------------------------------------------------
 
 
+class _Violation(Exception):
+    """A violation in a walk over inverse pairs: the survey walks again in full."""
+
+
 @dataclass(frozen=True)
 class WordRecord:
     """One surveyed word: its size data and the two margin checks."""
@@ -334,6 +353,10 @@ class WordSurvey:
     denominator of alpha |w| - c_total over the surveyed lengths, so the
     growth margin and its Cartan half are both integral;
     ``min_growth_margin`` and ``min_cartan_margin`` give them as Fractions.
+    ``tightest_word`` is the first word in walk order of least growth
+    margin: the first such record in the ``sink`` stream, passing or not.
+    ``labels`` names syllable ranks; ``inverse`` inverts them in a walk
+    over inverse pairs and is None otherwise.
     """
 
     q: int
@@ -341,14 +364,16 @@ class WordSurvey:
     r_prime: int
     alpha: Fraction
     c_total: int
+    labels: tuple = field(repr=False)
+    inverse: list | None = field(default=None, repr=False)
     words: int = 0
-    tightest_word: str | None = None
     by_length: dict = field(default_factory=dict)
     violation_counts: dict = field(default_factory=dict)
     examples: list = field(default_factory=list)
     scale: int = field(init=False)
     growth_floor: int | None = field(init=False, default=None)
     cartan_floor: int | None = field(init=False, default=None)
+    _key: list | None = field(init=False, repr=False, default=None)
     _required: list = field(init=False, repr=False)
 
     MAX_EXAMPLES = 20
@@ -360,6 +385,10 @@ class WordSurvey:
         self.scale = 2 * math.lcm(*(r.denominator for r in required))
         # scale (alpha |w| - c_total), an even integer, by length
         self._required = [int(r * self.scale) for r in required]
+
+    @property
+    def tightest_word(self):
+        return None if self._key is None else " ".join(self.labels[r] for r in self._key)
 
     @property
     def min_growth_margin(self):
@@ -382,35 +411,45 @@ class WordSurvey:
         if len(self.examples) < self.MAX_EXAMPLES:
             self.examples.append(f"{kind}: {label}" + (f" ({detail})" if detail else ""))
 
-    def record(self, parts, length, lognorm, lognorm_inv, is_identity, sink, last=None):
-        """Count one word, given by its syllable labels ``parts`` and then
-        ``last`` when not None, and check it; ``sink``, when not None,
-        receives its WordRecord.  The label is built only when it is read:
-        for a violation, a new tightest word or the sink."""
-        self.words += 1
-        self.by_length[length] = self.by_length.get(length, 0) + 1
+    def record(self, ranks, length, lognorm, lognorm_inv, is_identity, sink, last=None, pair=False):
+        """Count one word, given by its syllable ranks ``ranks`` and then
+        ``last`` when not None, and with ``pair`` its inverse too, and check
+        it; ``sink``, when not None, receives its WordRecord.  The label is
+        built only when it is read: for a violation or the sink."""
+        count = 1 + pair
+        self.words += count
+        self.by_length[length] = self.by_length.get(length, 0) + count
         scale, required = self.scale, self._required[length]
         growth = scale * (lognorm + lognorm_inv) - required
         cartan = scale * max(lognorm, lognorm_inv) - required // 2
         if self.cartan_floor is None or cartan < self.cartan_floor:
             self.cartan_floor = cartan
-        tighter = self.growth_floor is None or growth < self.growth_floor
-        if not (tighter or is_identity or growth < 0 or cartan < 0 or sink is not None):
+        floor = self.growth_floor
+        tighter = floor is None or growth < floor
+        # a walk over inverse pairs may record a word after a later one
+        tie = growth == floor and self.inverse is not None
+        if not (tighter or tie or is_identity or growth < 0 or cartan < 0 or sink is not None):
             return
         if last is not None:
-            parts = parts + [last]
-        label = " ".join(parts)
+            ranks = ranks + [last]
+        if pair:  # the pair's key is the ranks of its member first in walk order
+            ranks = min(ranks, [self.inverse[r] for r in reversed(ranks)])
+        if tighter or tie and ranks < self._key:
+            self.growth_floor, self._key = growth, ranks
+        if not (is_identity or growth < 0 or cartan < 0 or sink is not None):
+            return
+        if self.inverse is not None:
+            raise _Violation
+        label = " ".join(self.labels[r] for r in ranks)
         if is_identity:
             self.add_violation("identity", label)
         if growth < 0:
             self.add_violation("growth", label, f"margin {Fraction(growth, scale)}")
         if cartan < 0:
             self.add_violation("cartan", label, f"margin {Fraction(cartan, scale)}")
-        if tighter:
-            self.growth_floor, self.tightest_word = growth, label
         if sink is not None:
             margins = Fraction(growth, scale), Fraction(cartan, scale)
-            sink(WordRecord(label, length, len(parts), lognorm, lognorm_inv, *margins, is_identity))
+            sink(WordRecord(label, length, len(ranks), lognorm, lognorm_inv, *margins, is_identity))
 
     def summary(self):
         verdict = (
@@ -454,13 +493,6 @@ def word_survey(pair, g, bound, constants, sink=None):
     if bound < 1:
         raise ValueError("the word length bound must be at least 1")
     q = pair.q
-    survey = WordSurvey(
-        q=q,
-        bound=bound,
-        r_prime=constants.r_prime,
-        alpha=Fraction(constants.alpha),
-        c_total=constants.c_total,
-    )
     if not (g.exact and g.det() == Laurent(q, 0, (1,))):
         raise ValueError("the cyclic generator must be exact with determinant 1")
     gens = (g, g.adjugate())
@@ -477,59 +509,77 @@ def word_survey(pair, g, bound, constants, sink=None):
     cut = [(label, w, window.cut(c, table), window.cut(inv, table)) for label, w, c, inv in cyclic]
     diagonal = _diagonal_syllables(pair, bound)
     exact = cache(lambda: _exact_tables(q, gens, constants.r_prime, bound, step, diagonal))
-    record = survey.record
+    # a syllable's rank is its place in the walk: a^m b^n by (weight, m, n),
+    # weight w at ranks [2w(w - 1), 2w(w + 1)), then c^-1, c, c^-2, ...
+    n = len(diagonal)
+    labels, weights = zip(*((s[0], s[1]) for s in diagonal + cyclic))
+    inverse = [4 * w * w - 1 - k for k, w in enumerate(weights[:n])]
+    inverse += [n + (j ^ 1) for j in range(len(cyclic))]
 
-    def extend(w, w_inv, parts, length, last, mode):
+    def extend(w, w_inv, ranks, length, last, mode):
         """Record an internal word and walk its subtree, exactly from a
         rebuild when its lead is not known or it can be the identity."""
         if w is None or w_inv is None or (w[0] == w_inv[0] == 0 and w[2] is not None):
-            w, w_inv, mode = _rebuild(parts, exact)
-        record(parts, length, -w[0], -w_inv[0], mode[0].is_identity(w), sink)
-        walk(w, w_inv, parts, length, last, mode)
+            w, w_inv, mode = _rebuild([labels[r] for r in ranks], exact)
+        record(ranks, length, -w[0], -w_inv[0], mode[0].is_identity(w), sink)
+        walk(w, w_inv, ranks, length, last, mode)
 
-    def leaf(parts, label, lead, lead_inv):
-        """Record the leaf ``parts`` then ``label`` from its two leads, None
-        where not known."""
+    def leaf(ranks, rank, lead, lead_inv, pair):
+        """Record the leaf ``ranks`` then ``rank`` (and with ``pair`` its
+        inverse) from its two leads, None where not known."""
         identity = False
         if lead is None or lead_inv is None or lead == lead_inv == 0:
-            w, w_inv, (full, _) = _rebuild(parts + [label], exact)
+            w, w_inv, (full, _) = _rebuild([labels[r] for r in ranks + [rank]], exact)
             lead, lead_inv, identity = w[0], w_inv[0], full.is_identity(w)
-        record(parts, bound, -lead, -lead_inv, identity, sink, label)
+        record(ranks, bound, -lead, -lead_inv, identity, sink, rank, pair)
 
-    def walk(w, w_inv, parts, length, last, mode):
+    def walk(w, w_inv, ranks, length, last, mode):
         layout, cyclic = mode
         room = bound - length
+        start = 2 * room * (room - 1)  # the diagonal leaves' first rank
+        # a leaf of rank r is read when inverse[r] > its factor's cut
+        pair = half and len(ranks) > 0
+        cut_diag = cut_cyclic = -1
+        if pair:
+            first, middle = ranks[0], ranks[1:]
+            # where inverse[r] = first, the middle syllables decide
+            bar = first - (weights[first] == room and middle < [inverse[r] for r in middle[::-1]])
+            cut_diag, cut_cyclic = (bar, len(inverse)) if first < n else (-1, bar)
         if last != 0:
             # the prefix's column and row leads, read once for every child
             diag, cols, rows = layout.diag, layout.line_leads(w), layout.line_leads(w_inv)
-            for label, weight, right, left in diagonal:  # by increasing weight
-                if weight > room:
-                    break
-                if weight < room:
-                    x, y = diag(w, right, cols), diag(w_inv, left, rows)
-                    extend(x, y, parts + [label], length + weight, 0, mode)
-                    continue
+            for rank, (_, weight, right, left) in enumerate(diagonal[:start]):
+                x, y = diag(w, right, cols), diag(w_inv, left, rows)
+                extend(x, y, ranks + [rank], length + weight, 0, mode)
+            for rank in range(start, min(start + 4 * room, 4 * room * room - 1 - cut_diag)):
                 # a leaf: its leads from the prefix's column and row leads
-                lo, (e0, e1, e2), _ = right
-                lo_inv, (f0, f1, f2), _ = left
+                _, _, (lo, (e0, e1, e2), _), (lo_inv, (f0, f1, f2), _) = diagonal[rank]
                 lead = min(cols[0] + e0, cols[1] + e1, cols[2] + e2)
                 lead_inv = min(rows[0] + f0, rows[1] + f1, rows[2] + f2)
                 if w[2] is not None:
                     # a line with no known nonzero digit gave its known_to
                     lead = lead if lead < w[2] + lo else None
                     lead_inv = lead_inv if lead_inv < w_inv[2] + lo_inv else None
-                leaf(parts, label, lead, lead_inv)
+                leaf(ranks, rank, lead, lead_inv, pair)
         if last != 1:
             mul, lead = layout.mul, layout.lead
-            for label, weight, right, left in cyclic:
-                if weight > room:
-                    break
+            for j, (_, weight, right, left) in enumerate(cyclic[: 2 * room]):
                 if weight < room:
                     x, y = mul(w, right), mul(w_inv, left)
-                    extend(x, y, parts + [label], length + weight, 1, mode)
-                else:
-                    leaf(parts, label, lead(w, right), lead(w_inv, left))
+                    extend(x, y, ranks + [n + j], length + weight, 1, mode)
+                elif inverse[n + j] > cut_cyclic:
+                    leaf(ranks, n + j, lead(w, right), lead(w_inv, left), pair)
 
     root = (0, window.eye, _WINDOW)  # the identity is exact: known to any exponent
-    walk(root, root, [], 0, None, (window, cut))
-    return survey
+    args = q, bound, constants.r_prime, Fraction(constants.alpha), constants.c_total, labels
+    # without a sink, one leaf of each inverse pair; a violation walks again
+    # in full, for its examples in walk order.  The closures above read
+    # ``half`` and ``record`` from this loop.
+    for half in (True, False) if sink is None else (False,):
+        survey = WordSurvey(*args, inverse if half else None)
+        record = survey.record
+        try:
+            walk(root, root, [], 0, None, (window, cut))
+        except _Violation:  # only a walk over inverse pairs raises it
+            continue
+        return survey

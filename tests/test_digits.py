@@ -65,3 +65,19 @@ def test_row_pack_unpack_round_trip(nbytes, q):
     assert unpack_row(pack_row(row, nbytes) * 2, nbytes, len(row), q) == tuple(
         2 * d % q for d in row
     )
+
+
+def test_q2_byte_slots_reduce_by_their_low_bits():
+    # the low-bit mask against the translate path, on packed sums of rows
+    # whose slots run up to 255, over lengths that cross the mask's sizes
+    rng = random.Random(2)
+    table = bytes(i % 2 for i in range(256))
+    for length in (1, 7, 8, 9, 63, 64, 65, 300):
+        values = [0, pack_row([255] * length, 1)]
+        for _ in range(20):
+            values.append(pack_row([rng.randrange(256) for _ in range(length)], 1))
+        translated = [
+            int.from_bytes(v.to_bytes(length, "little").translate(table), "little") for v in values
+        ]
+        assert mod_rows(values, 1, 2) == translated
+        assert [mod_rows([v], 1, 2)[0] for v in values] == translated

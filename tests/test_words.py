@@ -481,7 +481,12 @@ def test_survey_with_and_without_sink_agree(q, case):
         text = json.dumps([without.examples, without.summary(), without.tightest_word])
         assert hashlib.sha256(text.encode()).hexdigest() == FAILING_SURVEY_DIGESTS[q, name]
     assert len(records) == without.words
-    assert without.min_growth_margin == min(r.growth_margin for r in records)
+    # the tightest word is the first record of least growth margin, and a
+    # failing survey is walked in full, without inverse pairs
+    least = min(r.growth_margin for r in records)
+    assert without.tightest_word == next(r.label for r in records if r.growth_margin == least)
+    assert (without.inverse is not None) == without.passed
+    assert without.min_growth_margin == least
     assert without.min_cartan_margin == min(r.cartan_margin for r in records)
     if case is _greedy_constants:
         # the margins are not integers, and the texts give them as fractions
@@ -493,6 +498,106 @@ def test_survey_with_and_without_sink_agree(q, case):
         flagged = [r.label for r in records if r.is_identity]
         assert flagged == [r.label for r in records if _diagonal_sum(r.label) == (0, 0)]
         assert without.violation_counts["identity"] == len(flagged) > 0
+
+
+def _inverse_label(label):
+    """The label of a syllable's inverse: every exponent negated."""
+    parts = []
+    for part in label.split():
+        sym, _, exp = part.partition("^")
+        parts.append(words._exponent_label(sym, -int(exp or "1")))
+    return " ".join(parts)
+
+
+def _at(pair, bound, g=None, const=None):
+    cand = find_regular(pair.q)
+    g = cand.h ** cand.contraction.n0 if g is None else g
+    return pair, g, bound, qi_constants(pair, cand) if const is None else const
+
+
+def _lattice(q, seed, bound):
+    g = random_lattice_element(q, random.Random(seed), n_factors=4, max_deg=2)
+    const = SimpleNamespace(alpha=Fraction(1, 3), c_total=4, r_prime=2)
+    return _at(make_generators(q), bound, g, const)
+
+
+def _diagonal_g(bound):
+    """c = diag(u^-2, 1, u^2) commutes with a and b: many words share the
+    least margin, and no word up to length 3 is the identity."""
+    f = Field(2)
+    g = Mat.diagonal([f.u(-2), f.one(), f.u(2)])
+    return _at(make_generators(2), bound, g, SimpleNamespace(alpha=0, c_total=0, r_prime=1))
+
+
+# passing surveys; at the lattice seeds and the diagonal g the least margin
+# is first reached at a leaf (b c^-1 b^-1 c, a^-1 c^-1) that the walk over
+# inverse pairs skips for its twin, and with the diagonal g the word c^-1,
+# which comes between them in the walk, ties with it
+PAIR_WALK_CASES = {
+    "q2": lambda: _at(make_generators(2), 6),
+    "q3": lambda: _at(make_generators(3), 6),
+    "q5": lambda: _at(make_generators(5), 5),
+    "q7": lambda: _at(make_generators(7), 4),
+    "q13": lambda: _at(make_generators(13), 3),
+    "q3-non-monic": lambda: _at(NON_MONIC_Q3, 5),
+    "lattice-q2": lambda: _lattice(2, 8, 4),
+    "lattice-q5": lambda: _lattice(5, 8, 4),
+    "diagonal-g": lambda: _diagonal_g(2),
+}
+
+
+@pytest.mark.parametrize("width", (1, 2, words._WINDOW))
+def test_inverse_pair_walk_matches_the_full_walk(monkeypatch, width):
+    # without a sink a passing survey reads one leaf of each inverse pair;
+    # with short windows its rebuilt subtrees run exactly on the same ranks
+    # (at bounds up to 4, where the exact rebuilds are quick)
+    short = width < words._WINDOW
+    monkeypatch.setattr(words, "_WINDOW", width)
+    from_twin = []
+    for name, case in PAIR_WALK_CASES.items():
+        pair, g, bound, const = case()
+        bound = min(bound, 4) if short else bound
+        records = []
+        full = word_survey(pair, g, bound, const, sink=records.append)
+        half = word_survey(pair, g, bound, const)
+        assert full.passed and full.inverse is None and half.inverse is not None, name
+        assert half.as_dict() == full.as_dict(), name
+        assert (half.examples, half.summary()) == (full.examples, full.summary()), name
+        least = min(r.growth_margin for r in records)
+        first = next(r for r in records if r.growth_margin == least)
+        assert half.tightest_word == full.tightest_word == first.label, name
+        # a leaf of an even number of syllables starts with a^m b^n and
+        # ends with c^r: its twin, which ends with a^m b^n, is read instead
+        if first.length == bound and first.syllables % 2 == 0:
+            from_twin.append(name)
+        assert [_inverse_label(half.labels[r]) for r in half.inverse] == list(half.labels)
+    assert from_twin == ["lattice-q2", "lattice-q5", "diagonal-g"]
+
+
+def test_leaf_reads_are_pinned(monkeypatch):
+    # _Layout.lead forms a cyclic leaf's lead, one call per side: the walk
+    # over inverse pairs reads 292 of them at q = 3, L = 5, where the full
+    # walk of a sink, or of a failing survey, forms every leaf (1,508)
+    calls = []
+    lead = words._Layout.lead
+    monkeypatch.setattr(words._Layout, "lead", lambda *a: calls.append(1) or lead(*a))
+
+    def reads(pair, g, bound, const, sink=None):
+        del calls[:]
+        word_survey(pair, g, bound, const, sink=sink)
+        return len(calls)
+
+    for case, pinned in ((_passing, 292), (_identity_g, None), (_greedy_constants, None)):
+        pair, g, bound, const = case(_pipeline(3))
+        bound = 5 if case is _passing else bound
+        records = []
+        full = reads(pair, g, bound, const, records.append)
+        cyclic_leaves = sum(r.length == bound and r.label.split()[-1][0] == "c" for r in records)
+        assert full == 2 * cyclic_leaves
+        if pinned is None:
+            assert reads(pair, g, bound, const) >= full
+        else:
+            assert (full, reads(pair, g, bound, const)) == (1508, pinned)
 
 
 def test_survey_rejects_degenerate_inputs(pipeline_q2):
