@@ -68,14 +68,16 @@ def test_row_pack_unpack_round_trip(nbytes, q):
 
 
 def test_q2_byte_slots_reduce_by_their_low_bits():
-    # the low-bit mask against the translate path, on packed sums of rows
-    # whose slots run up to 255, over lengths that cross the mask's sizes
+    # the low-bit mask against the translate path, on packed sums of three
+    # rows whose slot sums run up to 255, over lengths that cross the
+    # mask's sizes
     rng = random.Random(2)
     table = bytes(i % 2 for i in range(256))
     for length in (1, 7, 8, 9, 63, 64, 65, 300):
-        values = [0, pack_row([255] * length, 1)]
+        values = [0, 3 * pack_row([85] * length, 1)]
         for _ in range(20):
-            values.append(pack_row([rng.randrange(256) for _ in range(length)], 1))
+            rows = [[rng.randrange(86) for _ in range(length)] for _ in range(3)]
+            values.append(sum(pack_row(row, 1) for row in rows))
         translated = [
             int.from_bytes(v.to_bytes(length, "little").translate(table), "little") for v in values
         ]
