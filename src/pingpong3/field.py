@@ -33,12 +33,13 @@ Equality (``==``) is *structural* -- same representation, including
 known_to.  Mathematical equality of inexact elements is undecidable; use
 ``equal_mod`` for "agree modulo u^N".
 
-Sums and products share one kernel: digit tuples packed one byte slot per
-digit into Python ints (``digits.pack_row``), whose native sum (an XOR at
-q = 2) or product is read back mod q; a product with an exact one-digit
-monomial is a ``scale`` (the kernel with a one-digit row) and a ``shift``.
-Results are built by the trusted constructor ``_make``, which only puts
-them in canonical form; the public constructor validates, then calls it.
+Sums, products and 2x2 minors (``det2``) share one kernel: digit tuples
+packed one byte slot per digit into Python ints (``digits.pack_row``), whose
+native sum (an XOR at q = 2) or product is read back mod q, straight from
+the bytes with zero slots stripped when slots are one byte.  A product with
+an exact monomial c u^e is one ``shift``.  Results are built by the trusted
+constructor ``_make``, which only puts them in canonical form; the public
+constructor validates, then calls it.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import math
 import operator
 import re
 
-from .digits import pack_row, row_bytes, unpack_row
+from .digits import _mod_table, pack_row, row_bytes, unpack_row
 from .errors import (
     DigitRangeError,
     InsufficientPrecision,
@@ -163,20 +164,29 @@ class Laurent:
         q = self.q
         if q != other.q:
             raise ValueError(f"mixed residue fields F_{q} and F_{other.q}")
-        known = min(self.known_to, other.known_to)
+        known = self.known_to if self.known_to <= other.known_to else other.known_to
         a, b = self.digits, other.digits
         if not b:
             return self.truncate(known)
         c %= q
         if not a:
             return other.scale(c).truncate(known)
-        lead = min(self.lead, other.lead)
-        width = max(self.lead + len(a), other.lead + len(b)) - lead
-        nbytes = row_bytes((q - 1) * (1 + c))
-        pa = pack_row(a, nbytes) << 8 * nbytes * (self.lead - lead)
-        pb = pack_row(b, nbytes) * c << 8 * nbytes * (other.lead - lead)
-        total = pa ^ pb if q == 2 else pa + pb
-        return _make(q, lead, unpack_row(total, nbytes, width, q), known)
+        la, lb = self.lead, other.lead
+        lead = la if la < lb else lb
+        width = max(la + len(a), lb + len(b)) - lead
+        nbytes = row_bytes((q - 1) * (1 + c)) if q > 16 else 1  # else (q - 1) q < 256
+        if nbytes > 1:
+            pa = pack_row(a, nbytes) << 8 * nbytes * (la - lead)
+            pb = pack_row(b, nbytes) * c << 8 * nbytes * (lb - lead)
+            return _make(q, lead, unpack_row(pa + pb, nbytes, width, q), known)
+        pa = int.from_bytes(bytes(a), "little") << 8 * (la - lead)
+        pb = int.from_bytes(bytes(b), "little") << 8 * (lb - lead)
+        if q == 2:  # the XOR of 0/1 slots is already reduced
+            blob = (pa ^ pb).to_bytes(width, "little")
+        else:
+            blob = (pa + c * pb).to_bytes(width, "little").translate(_mod_table(q))
+        body = blob.lstrip(b"\0")
+        return _make(q, lead + len(blob) - len(body), tuple(body.rstrip(b"\0")), known)
 
     def __mul__(self, other):
         if not isinstance(other, Laurent):
@@ -186,11 +196,11 @@ class Laurent:
             raise ValueError(f"mixed residue fields F_{q} and F_{other.q}")
         a, b = self.digits, other.digits
         kx, ky = self.known_to, other.known_to
-        # exact zero, or an exact monomial: a scale and a shift
+        # exact zero, or an exact monomial: one shift
         if kx is INF and len(a) < 2:
-            return other.scale(a[0]).shift(self.lead) if a else self
+            return other.shift(self.lead, a[0]) if a else self
         if ky is INF and len(b) < 2:
-            return self.scale(b[0]).shift(other.lead) if b else other
+            return self.shift(other.lead, b[0]) if b else other
         if kx is INF and ky is INF:
             known = INF
         else:
@@ -199,24 +209,17 @@ class Laurent:
 
     def scale(self, c):
         """Multiply by the residue digit c."""
-        q = self.q
-        c %= q
-        if c == 1:
-            return self
-        if c == 0:
-            return _make(q, 0, ())
-        return _make(q, self.lead, _digits_mul(self.digits, (c,), q), self.known_to)
+        c %= self.q
+        return self.shift(0, c) if c else _make(self.q, 0, ())
 
-    def shift(self, e):
-        """Multiply by the exact monomial u^e."""
-        if e == 0 or (not self.digits and self.exact):
+    def shift(self, e, c=1):
+        """Multiply by the exact monomial c u^e, c a residue digit in [1, q)."""
+        digits, known = self.digits, self.known_to
+        if (e == 0 and c == 1) or (not digits and known is INF):
             return self
-        return _make(
-            self.q,
-            self.lead + e,
-            self.digits,
-            self.known_to if self.exact else self.known_to + e,
-        )
+        if c != 1:
+            digits = _digits_mul(digits, (c,), self.q)
+        return _make(self.q, self.lead + e, digits, known if known is INF else known + e)
 
     def truncate(self, n):
         """Forget everything from u^n on (known_to becomes min(known_to, n))."""
@@ -341,6 +344,28 @@ def _make(q, lead, digits, known_to=INF):
     _set_digits(x, digits)
     _set_known_to(x, known_to)
     return x
+
+
+def det2(a, b, c, d):
+    """a*d - b*c: one Kronecker pass, the packed a*d + (q - 1)*b*c, when all
+    four are exact with two or more digits and the sum fits one-byte slots;
+    else the composed product and difference, whose precision rules hold."""
+    ra, rb = a.digits, b.digits
+    if (
+        len(ra) > 1 and len(rb) > 1 and len(rc := c.digits) > 1 and len(rd := d.digits) > 1
+        and a.known_to is b.known_to is c.known_to is d.known_to is INF
+        and (q := a.q) == b.q == c.q == d.q
+        and (q - 1) ** 2 * (min(len(ra), len(rd)) + (q - 1) * min(len(rb), len(rc))) < 256
+    ):
+        lead_ad, lead_bc = a.lead + d.lead, b.lead + c.lead
+        lead = min(lead_ad, lead_bc)
+        width = max(lead_ad + len(ra) + len(rd), lead_bc + len(rb) + len(rc)) - 1 - lead
+        ad = pack_row(ra, 1) * pack_row(rd, 1) << 8 * (lead_ad - lead)
+        bc = pack_row(rb, 1) * pack_row(rc, 1) * (q - 1) << 8 * (lead_bc - lead)
+        blob = (ad + bc).to_bytes(width, "little").translate(_mod_table(q))
+        body = blob.lstrip(b"\0")
+        return _make(q, lead + len(blob) - len(body), tuple(body.rstrip(b"\0")))
+    return a * d - b * c
 
 
 class Field:

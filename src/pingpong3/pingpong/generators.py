@@ -92,11 +92,11 @@ class DiagPair:
         return Mat.diagonal([Laurent(self.q, e, (c,)) for e, c in zip(exps, coeffs)])
 
     def act(self, m, n, vec):
-        """a^m b^n applied to a coordinate vector: coordinate i is scaled by
-        its unit coefficient and shifted by its exponent.  Equal, precision
-        included, to ``gamma(m, n).matvec(vec)``."""
+        """a^m b^n applied to a coordinate vector: coordinate i times its
+        monomial, one ``shift`` each.  Equal, precision included, to
+        ``gamma(m, n).matvec(vec)``."""
         exps, coeffs = self.monomial(m, n)
-        return tuple(x.scale(c).shift(e) for x, e, c in zip(vec, exps, coeffs))
+        return tuple(x.shift(e, c) for x, e, c in zip(vec, exps, coeffs))
 
 
 def make_pair(a, b):

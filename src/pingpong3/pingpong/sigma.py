@@ -22,9 +22,10 @@ The analysis runs on an actual DiagPair: the absorption steps are
 a pair that breaks them raises ExclusionFailed at the first case that
 needed the broken fact.  ``monte_carlo_check`` replays the claim on random
 concrete (m, n, mu, l) samples through the projective-geometry predicates,
-sharing no code with the symbolic route.  A sample is m and n from
-``randint``, then 48 window digits taken straight from ``getrandbits``
-with the values and stream position of 48 ``randrange(q)`` calls.
+sharing no code with the symbolic route.  A sample is m, n and 48 window
+digits taken straight from ``getrandbits``, with the values and stream
+position of two ``randint(1, exponent_bound)`` and 48 ``randrange(q)``
+calls.
 """
 
 from __future__ import annotations
@@ -273,23 +274,30 @@ def monte_carlo_check(pair, rng, trials_per_case=200, exponent_bound=5):
     builds the concrete image gamma y, and asks the projective predicates
     directly: the image must be outside the unit window and the line from
     the base point must not have slope in u + u^2 O.  A sample draws m and
-    n by ``rng.randint(1, exponent_bound)``, then the base point and y by
+    n from ``rng.getrandbits`` with the values and stream position of
+    ``rng.randint(1, exponent_bound)``, then the base point and y by
     ``_window_points``.  The image is formed coordinatewise from the
     exponent triple of a^m b^n (``DiagPair.act``), with no matrix built.
     Returns a dict of per-case (trials, hits); raises AssertionError on any
     hit, and ValueError before any draw unless both counts are >= 1.
     """
     for name, value in (("trials_per_case", trials_per_case), ("exponent_bound", exponent_bound)):
-        if _integer(value, f"{name} must be an integer") < 1:
+        bound = _integer(value, f"{name} must be an integer")  # ends as exponent_bound
+        if bound < 1:
             raise ValueError(f"{name} must be at least 1, not {value!r}")
-    q = pair.q
+    q, getrandbits, bits = pair.q, rng.getrandbits, bound.bit_length()
     counts = {}
     for signs in SIGN_CASES:
         name = _case_name(signs)
         hits = 0
         for _ in range(trials_per_case):
-            m = signs[0] * rng.randint(1, exponent_bound)
-            n = signs[1] * rng.randint(1, exponent_bound)
+            m = getrandbits(bits)  # 1 + m and 1 + n as randint(1, bound) draws them
+            while m >= bound:
+                m = getrandbits(bits)
+            n = getrandbits(bits)
+            while n >= bound:
+                n = getrandbits(bits)
+            m, n = signs[0] * (m + 1), signs[1] * (n + 1)
             base, y = _window_points(q, rng)
             image = pair.act(m, n, y)
             if in_unit_window(image) is not False:

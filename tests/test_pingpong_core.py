@@ -5,15 +5,17 @@ import json
 import random
 from math import gcd
 
+import numpy as np
 import pytest
 
 from pingpong3.errors import ExclusionFailed, SearchExhausted
 from pingpong3.field import Field, Laurent
-from pingpong3.linalg import Mat, vec_cross, vec_min_val
+from pingpong3.linalg import Mat, random_lattice_element, vec_cross, vec_min_val
 from pingpong3.pingpong.generators import DiagPair, make_generators, make_pair
 from pingpong3.pingpong.regular import (
     contraction_power,
     find_regular,
+    image_norms,
     make_proximal,
     minimum_feasible_level,
     proximal_from_basis,
@@ -233,6 +235,25 @@ def test_monte_carlo_sample_values_are_pinned(q, monkeypatch):
     assert hashlib.sha256(json.dumps(seen).encode()).hexdigest() == CONE_SAMPLE_DIGESTS[q]
 
 
+@pytest.mark.parametrize("bound", [1, 2, 3, 4, 5, 8, 9, np.int64(5)])
+def test_exponent_draws_replay_randint(bound, monkeypatch):
+    # m and n come from getrandbits with the values and stream position of
+    # rng.randint(1, bound), a numpy integer bound included
+    seen, act = [], DiagPair.act
+    monkeypatch.setattr(DiagPair, "act", lambda *args: seen.append(args[1:]) or act(*args))
+    rng, twin = random.Random(5), random.Random(5)
+    monte_carlo_check(make_generators(3), rng, trials_per_case=6, exponent_bound=bound)
+    want = []
+    for m_sign, n_sign in SIGN_CASES:
+        for _ in range(6):
+            m = m_sign * twin.randint(1, bound)
+            n = n_sign * twin.randint(1, bound)
+            want.append((m, n, sigma._window_points(3, twin)[1]))
+    assert seen == want
+    assert all(type(m) is int and type(n) is int for m, n, _ in seen)
+    assert rng.random() == twin.random()
+
+
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 13, 31])
 def test_window_points_draw_what_randrange_draws(q):
     f = Field(q)
@@ -348,6 +369,19 @@ def test_minimum_feasible_level_synthetic():
     cand = find_regular(2)
     assert cand.feasible_level is not None
     assert 3 <= cand.feasible_level <= 12
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_image_norms_equal_the_compound_lognorms(q):
+    # lognorm(L^2 g) = lognorm(adj g) and lognorm(L^2 g^-1) = lognorm(g) +
+    # val(det g), on the synthetic g, the synthetic basis (det u^2) and
+    # random lattice elements
+    rng = random.Random(q)
+    mats = [find_regular(q).g, synthetic_basis(q)]
+    mats += [random_lattice_element(q, rng) for _ in range(50)]
+    for g in mats:
+        want = [(m, m.lognorm(), m.second_compound().lognorm()) for m in (g, g.inverse())]
+        assert image_norms(g) == want
 
 
 def test_find_regular_rejects_unknown_strategy():
