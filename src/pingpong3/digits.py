@@ -4,7 +4,8 @@ rows packed into Python ints with one little-endian byte slot per digit,
 so that the native product of two packed rows is their packed
 convolution and their native sum their digitwise sum (Kronecker
 substitution, Harvey, J. Symbolic Comput. 2009):
-``pack_row``/``unpack_row`` for the digit tuples of single elements, and
+``pack_row``/``unpack_row`` for the digit tuples of single elements
+(``unpack_stripped`` for one-byte slots with zero slots stripped), and
 ``mod_rows`` to reduce packed sums and products mod q (at q = 2 with
 one-byte slots by a mask of each byte's low bit).
 
@@ -70,6 +71,15 @@ def unpack_row(value, nbytes, width, q):
         return tuple(blob.translate(_mod_table(q)))
     slots = range(0, len(blob), nbytes)
     return tuple(int.from_bytes(blob[i : i + nbytes], "little") % q for i in slots)
+
+
+def unpack_stripped(value, width, q):
+    """The ``width`` one-byte slots of a packed value, mod q (at q = 2 an
+    XOR sum, already 0 or 1), with zero slots stripped at both ends: the
+    index of the first slot kept, and the kept slots as a tuple of ints."""
+    blob = value.to_bytes(width, "little")
+    body = (blob if q == 2 else blob.translate(_mod_table(q))).lstrip(b"\0")
+    return width - len(body), tuple(body.rstrip(b"\0"))
 
 
 @lru_cache(maxsize=None)

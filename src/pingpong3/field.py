@@ -33,13 +33,13 @@ Equality (``==``) is *structural* -- same representation, including
 known_to.  Mathematical equality of inexact elements is undecidable; use
 ``equal_mod`` for "agree modulo u^N".
 
-Sums, products and 2x2 minors (``det2``) share one kernel: digit tuples
-packed one byte slot per digit into Python ints (``digits.pack_row``), whose
-native sum (an XOR at q = 2) or product is read back mod q, straight from
-the bytes with zero slots stripped when slots are one byte.  A product with
-an exact monomial c u^e is one ``shift``.  Results are built by the trusted
-constructor ``_make``, which only puts them in canonical form; the public
-constructor validates, then calls it.
+Sums and products share one kernel: digit tuples packed one byte slot per
+digit into Python ints (``digits.pack_row``), whose native sum (an XOR at
+q = 2) or product is read back mod q; a sum with one-byte slots is read
+straight from the bytes, zero slots stripped (``digits.unpack_stripped``).
+A product with an exact monomial c u^e is one ``shift``.  Results are
+built by the trusted constructor ``_make``, which only puts them in
+canonical form; the public constructor validates, then calls it.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import math
 import operator
 import re
 
-from .digits import _mod_table, pack_row, row_bytes, unpack_row
+from .digits import pack_row, row_bytes, unpack_row, unpack_stripped
 from .errors import (
     DigitRangeError,
     InsufficientPrecision,
@@ -181,12 +181,8 @@ class Laurent:
             return _make(q, lead, unpack_row(pa + pb, nbytes, width, q), known)
         pa = int.from_bytes(bytes(a), "little") << 8 * (la - lead)
         pb = int.from_bytes(bytes(b), "little") << 8 * (lb - lead)
-        if q == 2:  # the XOR of 0/1 slots is already reduced
-            blob = (pa ^ pb).to_bytes(width, "little")
-        else:
-            blob = (pa + c * pb).to_bytes(width, "little").translate(_mod_table(q))
-        body = blob.lstrip(b"\0")
-        return _make(q, lead + len(blob) - len(body), tuple(body.rstrip(b"\0")), known)
+        offset, digits = unpack_stripped(pa ^ pb if q == 2 else pa + c * pb, width, q)
+        return _make(q, lead + offset, digits, known)
 
     def __mul__(self, other):
         if not isinstance(other, Laurent):
@@ -344,28 +340,6 @@ def _make(q, lead, digits, known_to=INF):
     _set_digits(x, digits)
     _set_known_to(x, known_to)
     return x
-
-
-def det2(a, b, c, d):
-    """a*d - b*c: one Kronecker pass, the packed a*d + (q - 1)*b*c, when all
-    four are exact with two or more digits and the sum fits one-byte slots;
-    else the composed product and difference, whose precision rules hold."""
-    ra, rb = a.digits, b.digits
-    if (
-        len(ra) > 1 and len(rb) > 1 and len(rc := c.digits) > 1 and len(rd := d.digits) > 1
-        and a.known_to is b.known_to is c.known_to is d.known_to is INF
-        and (q := a.q) == b.q == c.q == d.q
-        and (q - 1) ** 2 * (min(len(ra), len(rd)) + (q - 1) * min(len(rb), len(rc))) < 256
-    ):
-        lead_ad, lead_bc = a.lead + d.lead, b.lead + c.lead
-        lead = min(lead_ad, lead_bc)
-        width = max(lead_ad + len(ra) + len(rd), lead_bc + len(rb) + len(rc)) - 1 - lead
-        ad = pack_row(ra, 1) * pack_row(rd, 1) << 8 * (lead_ad - lead)
-        bc = pack_row(rb, 1) * pack_row(rc, 1) * (q - 1) << 8 * (lead_bc - lead)
-        blob = (ad + bc).to_bytes(width, "little").translate(_mod_table(q))
-        body = blob.lstrip(b"\0")
-        return _make(q, lead + len(blob) - len(body), tuple(body.rstrip(b"\0")))
-    return a * d - b * c
 
 
 class Field:

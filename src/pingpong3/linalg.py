@@ -25,7 +25,7 @@ from __future__ import annotations
 from functools import wraps
 
 from .errors import InsufficientPrecision, LaurentSyntaxError, SingularOrUndecidable
-from .field import INF, Laurent, det2, laurent_to_str, parse_laurent
+from .field import INF, Laurent, laurent_to_str, parse_laurent
 
 # row/column pairs of the 2x2 minors, in lex order
 _PAIRS = ((0, 1), (0, 2), (1, 2))
@@ -43,9 +43,9 @@ def vec_dot(a, b):
 def vec_cross(a, b):
     """Cross product in k^3 (dual vector of the plane spanned by a, b)."""
     return (
-        det2(a[1], a[2], b[1], b[2]),
-        det2(a[2], a[0], b[2], b[0]),
-        det2(a[0], a[1], b[0], b[1]),
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
     )
 
 
@@ -226,7 +226,7 @@ class Mat:
         image-radius certificates consume.
         """
         r = self.rows
-        return Mat([[det2(r[i][j], r[i][l], r[k][j], r[k][l]) for j, l in _PAIRS] for i, k in _PAIRS])
+        return Mat([[r[i][j] * r[k][l] - r[i][l] * r[k][j] for j, l in _PAIRS] for i, k in _PAIRS])
 
     # -- norms and Cartan data -------------------------------------------------
 

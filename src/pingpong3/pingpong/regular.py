@@ -146,12 +146,14 @@ def contraction_power(eigen, margin_exponent=2):
 
 def image_norms(g):
     """(mat, lognorm, lognorm of the second compound) of g and of g^-1:
-    the norms that bound the image balls of both ping-pong moves.  The
-    compound norms are lognorm(adj g), as adj g holds the entries of L^2 g
-    up to sign, and lognorm(g) + val(det g), as the 2x2 minors of g^-1 are
-    entries of g over det g (Jacobi): no compound of g^-1 is formed."""
-    norm, compound, inverse = g.lognorm(), g.adjugate().lognorm(), g.inverse()
-    return [(g, norm, compound), (inverse, inverse.lognorm(), norm + g.det().val())]
+    the norms that bound the image balls of both ping-pong moves.  The 2x2
+    minors of g^-1 are entries of g over det g (Jacobi), so its compound
+    lognorm is lognorm(g) + val(det g) and no compound of g^-1 is formed."""
+    norm, inverse = g.lognorm(), g.inverse()
+    return [
+        (g, norm, g.second_compound().lognorm()),
+        (inverse, inverse.lognorm(), norm + g.det().val()),
+    ]
 
 
 def refined_image_level(level, vm_image, lognorm_g, lognorm_compound):

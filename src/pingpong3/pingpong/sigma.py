@@ -282,9 +282,9 @@ def monte_carlo_check(pair, rng, trials_per_case=200, exponent_bound=5):
     hit, and ValueError before any draw unless both counts are >= 1.
     """
     for name, value in (("trials_per_case", trials_per_case), ("exponent_bound", exponent_bound)):
-        bound = _integer(value, f"{name} must be an integer")  # ends as exponent_bound
-        if bound < 1:
+        if _integer(value, f"{name} must be an integer") < 1:
             raise ValueError(f"{name} must be at least 1, not {value!r}")
+    bound = _integer(exponent_bound, "exponent_bound must be an integer")
     q, getrandbits, bits = pair.q, rng.getrandbits, bound.bit_length()
     counts = {}
     for signs in SIGN_CASES:

@@ -37,7 +37,7 @@ from .errors import (
     InsufficientLevel,
     InsufficientPrecision,
 )
-from .field import INF, Laurent, det2
+from .field import INF, Laurent
 from .linalg import vec_cross, vec_min_val
 
 # pivot preference: z, then y, then x -- matches the chart enumeration order
@@ -194,10 +194,10 @@ def _slope_congruent_to_u(n0, n1):
 def in_slope_u_cone(x_coords, y_coords):
     """Is y on a line through x of slope congruent to u (or y = x itself)?"""
     (x0, x1, x2), (y0, y1, y2) = x_coords, y_coords
-    n0 = det2(x1, x2, y1, y2)
-    n1 = det2(x2, x0, y2, y0)
+    n0 = x1 * y2 - x2 * y1
+    n1 = x2 * y0 - x0 * y2
     if not (n0.known_nonzero() or n1.known_nonzero()):
-        n2 = det2(x0, x1, y0, y1)
+        n2 = x0 * y1 - x1 * y0
         if not n2.known_nonzero():
             return True if n0.is_exact_zero and n1.is_exact_zero and n2.is_exact_zero else None
     # slope of the joining line is -n_0 / n_1

@@ -4,7 +4,15 @@ import random
 
 import pytest
 
-from pingpong3.digits import mod_rows, pack_row, row_bytes, slot_bytes, support, unpack_row
+from pingpong3.digits import (
+    mod_rows,
+    pack_row,
+    row_bytes,
+    slot_bytes,
+    support,
+    unpack_row,
+    unpack_stripped,
+)
 from pingpong3.field import Laurent, is_prime
 
 from oracles import dict_mul, from_dict, to_dict
@@ -54,6 +62,24 @@ def test_long_laurent_products_match_the_dict_oracle(q):
         a = Laurent(q, rng.randrange(-4, 4), [rng.randrange(1, q) for _ in range(la)])
         b = Laurent(q, rng.randrange(-4, 4), [q - 1] * lb)
         assert a * b == from_dict(dict_mul(to_dict(a), to_dict(b), q), q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 13])
+def test_unpack_stripped_is_unpack_row_without_zero_ends(q):
+    # packed sums (an XOR at q = 2) whose slots are zero mod q at the low
+    # end, the high end, both or throughout
+    rng = random.Random(q)
+    for width in (1, 2, 5, 9):
+        for _ in range(40):
+            rows = [[rng.choice((0, 0, rng.randrange(q))) for _ in range(width)] for _ in range(2)]
+            if q == 2:
+                value = pack_row(rows[0], 1) ^ pack_row(rows[1], 1)
+            else:
+                value = pack_row(rows[0], 1) + (q - 1) * pack_row(rows[1], 1)
+            full = unpack_row(value, 1, width, q)
+            lo = next((i for i, d in enumerate(full) if d), width)
+            hi = max((i + 1 for i, d in enumerate(full) if d), default=lo)
+            assert unpack_stripped(value, width, q) == (lo, full[lo:hi])
 
 
 @pytest.mark.parametrize("nbytes, q", [(1, 13), (2, 251), (9, 4294967311)])

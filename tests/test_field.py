@@ -16,7 +16,7 @@ from pingpong3.errors import (
     LaurentSyntaxError,
     ZeroOrUnknownLeadingDigit,
 )
-from pingpong3.field import INF, Field, Laurent, classify, det2, laurent_to_str, parse_laurent
+from pingpong3.field import INF, Field, Laurent, classify, laurent_to_str, parse_laurent
 
 from oracles import dict_add, dict_mul, from_dict, series_inverse_digits, to_dict
 
@@ -28,11 +28,11 @@ F3 = Field(3)
 PROPERTY_QS = [2, 3, 5, 13, 17, 257]
 
 
-def exact_elements(q, max_len=40, max_abs_lead=25, min_len=0):
+def exact_elements(q, max_len=40, max_abs_lead=25):
     return st.builds(
         lambda lead, digits: Laurent(q, lead, digits),
         st.integers(-max_abs_lead, max_abs_lead),
-        st.lists(st.integers(0, q - 1), min_size=min_len, max_size=max_len),
+        st.lists(st.integers(0, q - 1), max_size=max_len),
     )
 
 
@@ -43,14 +43,6 @@ def elements(q, max_len=40, max_abs_lead=25):
         lambda x, known: x if known is None else Laurent(q, x.lead, x.digits, known),
         exact_elements(q, max_len, max_abs_lead),
         st.one_of(st.none(), st.integers(-max_abs_lead, max_abs_lead + max_len)),
-    )
-
-
-def monomials(q, max_abs_lead=25):
-    return st.builds(
-        lambda c, e: Laurent(q, e, (c,)),
-        st.integers(1, q - 1),
-        st.integers(-max_abs_lead, max_abs_lead),
     )
 
 
@@ -365,47 +357,6 @@ def test_kronecker_path_matches_schoolbook():
             a = f.from_int_poly([rng.randrange(q) for _ in range(200)], lead=-5)
             b = f.from_int_poly([rng.randrange(q) for _ in range(150)], lead=2)
             assert to_dict(a * b) == dict_mul(to_dict(a), to_dict(b), q)
-
-
-def det2_operands(q):
-    """Four operands of det2: elements of every shape (exact, inexact,
-    empty-digit unknowns) and monomials; exact rows, which the one-pass
-    kernel takes when they are short enough; or rows a, a + t, d, d for a
-    short t, whose products cancel at the low end, the high end or
-    entirely."""
-    x = st.one_of(elements(q), monomials(q))
-    row = exact_elements(q, max_len=14, min_len=2)
-    return st.one_of(
-        st.tuples(x, x, x, x),
-        st.tuples(row, row, row, row),
-        st.builds(lambda a, t, d: (a, a + t, d, d), row, exact_elements(q, max_len=3), row),
-    )
-
-
-@settings(max_examples=400)
-@given(st.sampled_from(PROPERTY_QS).flatmap(det2_operands))
-def test_det2_is_the_composed_minor(ops):
-    a, b, c, d = ops
-    got, want = det2(a, b, c, d), a * d - b * c
-    assert (got.lead, got.digits, got.known_to) == (want.lead, want.digits, want.known_to)
-    assert got.exact is want.exact
-    assert_canonical(got)
-
-
-@pytest.mark.parametrize("q", [2, 3])
-def test_det2_of_exact_rows_is_one_pass(q, monkeypatch):
-    # 13-digit exact rows fit one-byte slots at q = 2 and 3: no product is
-    # formed on the way, and the result is the dict oracle's
-    f, rng = Field(q), random.Random(q)
-    monkeypatch.setattr(Laurent, "__mul__", None)
-    for _ in range(20):
-        ops = [
-            f.from_int_poly([1] + [rng.randrange(q) for _ in range(12)], lead=rng.randrange(-3, 4))
-            for _ in range(4)
-        ]
-        a, b, c, d = map(to_dict, ops)
-        minus_bc = dict_mul(dict_mul(b, c, q), {0: q - 1}, q)
-        assert to_dict(det2(*ops)) == dict_add(dict_mul(a, d, q), minus_bc, q)
 
 
 @settings(max_examples=150)

@@ -373,9 +373,8 @@ def test_minimum_feasible_level_synthetic():
 
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_image_norms_equal_the_compound_lognorms(q):
-    # lognorm(L^2 g) = lognorm(adj g) and lognorm(L^2 g^-1) = lognorm(g) +
-    # val(det g), on the synthetic g, the synthetic basis (det u^2) and
-    # random lattice elements
+    # lognorm(L^2 g^-1) = lognorm(g) + val(det g), on the synthetic g, the
+    # synthetic basis (det u^2) and random lattice elements
     rng = random.Random(q)
     mats = [find_regular(q).g, synthetic_basis(q)]
     mats += [random_lattice_element(q, rng) for _ in range(50)]
