@@ -14,10 +14,14 @@ the carried precision) and are raw-coordinate tests, never divisions:
 
 * ``in_unit_window(y)``: the level-2 ball around [1:1:1], i.e. all pairwise
   coordinate differences have valuation >= 2 + min-valuation;
-* ``in_slope_u_cone(x, y)``: the line jointing x to y has slope congruent
+* ``in_slope_u_cone(x, y)``: the line joining x to y has slope congruent
   to u modulo u^2 (plus y = x itself).  With n = x cross y this reads
-  val(n_0 + u n_1) >= val(n_1) + 2; n_2 is formed only when neither n_0
-  nor n_1 is known nonzero, to tell y = x (True) from undecided (None).
+  val(n_0 + u n_1) >= val(n_1) + 2.  Both valuations are first read from
+  the terms x_i y_j, each of valuation val(x_i) + val(y_j) (a lower bound
+  when a factor has no known nonzero digit): a sum whose least term is
+  unique and known has that term's valuation.  A sum is formed only where
+  its least terms tie; n_2 only when neither n_0 nor n_1 is known nonzero,
+  to tell y = x (True) from undecided (None).
 
 Slope-cone membership with apex x is constant on a level-M ball B whenever
 d(x, B) = q^(-e) with e <= M - 2: perturbing y within B moves the slope by
@@ -191,8 +195,59 @@ def _slope_congruent_to_u(n0, n1):
     return None
 
 
+def _sum_val(*terms):
+    """Valuation of a sum from its terms' (bound, known) pairs: the least
+    bound when exactly one term reaches it and that term's valuation is
+    known, else None (a tie, or an undecided term at the least bound)."""
+    low = min(terms)[0]
+    at = [known for bound, known in terms if bound == low]
+    return low if at == [True] else None
+
+
 def in_slope_u_cone(x_coords, y_coords):
-    """Is y on a line through x of slope congruent to u (or y = x itself)?"""
+    """Is y on a line through x of slope congruent to u (or y = x itself)?
+
+    With n = x cross y the test is val(c) >= val(n_1) + 2 for
+    c = n_0 + u n_1.  The terms of n_1 are x_2 y_0 and x_0 y_2; those of c
+    are x_1 y_2, x_2 y_1 and u times n_1's.  A term has valuation
+    val(x_i) + val(y_j) when both factors have a known nonzero digit, else
+    only that lower bound.  When one term of a sum lies strictly below
+    every other term's bound and its valuation is known, the formed sum
+    has that valuation: at that exponent every other term is known and
+    zero, so the sum's first known digit is that term's.  Where the least
+    terms tie, only the tied sum is formed and read as one term: n_1 when
+    its two terms tie, and n_0 when its two terms tie and val(c) is still
+    unread.  A val(c) read this way is at most val(n_1) + 1, the valuation
+    of u n_1's least term, so the verdict is False.  When n_1 is undecided
+    or zero, or c's least term is still tied or undecided, all three sums
+    are formed as before.  So every verdict is the one the formed sums give.
+    """
+    (x0, x1, x2), (y0, y1, y2) = x_coords, y_coords
+    # each coordinate's valuation bound, and whether it is the valuation
+    (a0, h0), (a1, h1), (a2, h2), (b0, k0), (b1, k1), (b2, k2) = [
+        (z.lead, True) if z.digits else (z.known_to, False) for z in (*x_coords, *y_coords)
+    ]
+    s, t = (a2 + b0, h2 and k0), (a0 + b2, h0 and k2)
+    if s[0] == t[0]:
+        vden = (x2 * y0 - x0 * y2).val()
+        n1_terms = ((vden, True),)
+    else:
+        vden = _sum_val(s, t)
+        n1_terms = s, t
+    if vden not in (None, INF):
+        un1_terms = [(bound + 1, known) for bound, known in n1_terms]
+        c, d = (a1 + b2, h1 and k2), (a2 + b1, h2 and k1)
+        cv = _sum_val(c, d, *un1_terms)
+        if cv is None and c[0] == d[0]:
+            n0 = x1 * y2 - x2 * y1
+            cv = _sum_val((n0.val_lower_bound(), n0.known_nonzero()), *un1_terms)
+        if cv is not None:
+            return False
+    return _cone_from_sums(x_coords, y_coords)
+
+
+def _cone_from_sums(x_coords, y_coords):
+    """``in_slope_u_cone`` with n_0, n_1 and c formed."""
     (x0, x1, x2), (y0, y1, y2) = x_coords, y_coords
     n0 = x1 * y2 - x2 * y1
     n1 = x2 * y0 - x0 * y2

@@ -235,6 +235,42 @@ def test_monte_carlo_sample_values_are_pinned(q, monkeypatch):
     assert hashlib.sha256(json.dumps(seen).encode()).hexdigest() == CONE_SAMPLE_DIGESTS[q]
 
 
+# Laurent sums the slope-cone predicate forms per Monte-Carlo sample: none
+# where one term of n_1 and of c is strictly least, n_0 or n_1 alone where
+# its two terms tie (n = 0 ties n_0's terms, m = 0 ties n_1's; at m < 0,
+# n = 0 the tie lies above a term of u n_1)
+SUMS_PER_CONE_CALL = {
+    "(+,+)": 0, "(+,-)": 0, "(-,+)": 0, "(-,-)": 0, "(-,0)": 0,
+    "(+,0)": 1, "(0,+)": 1, "(0,-)": 1,
+}
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_slope_cone_forms_a_sum_only_where_its_least_terms_tie(q, monkeypatch):
+    sums, per_call = [0], []
+    combine, cone = Laurent._combine, sigma.in_slope_u_cone
+
+    def counted(self, other, c):
+        sums[0] += 1
+        return combine(self, other, c)
+
+    def recording(base, image):
+        before = sums[0]
+        verdict = cone(base, image)
+        per_call.append(sums[0] - before)
+        return verdict
+
+    monkeypatch.setattr(Laurent, "_combine", counted)
+    monkeypatch.setattr(sigma, "in_slope_u_cone", recording)
+    trials = 200
+    monte_carlo_check(make_generators(q), random.Random(1), trials_per_case=trials)
+    # no sample is a hit, so each one reaches the cone, case by case
+    assert len(per_call) == trials * len(SIGN_CASES)
+    for k, signs in enumerate(SIGN_CASES):
+        calls = per_call[k * trials : (k + 1) * trials]
+        assert set(calls) == {SUMS_PER_CONE_CALL[sigma._case_name(signs)]}, signs
+
+
 @pytest.mark.parametrize("bound", [1, 2, 3, 4, 5, 8, 9, np.int64(5)])
 def test_exponent_draws_replay_randint(bound, monkeypatch):
     # m and n come from getrandbits with the values and stream position of

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from pingpong3 import projgeom
 from pingpong3.errors import (
     AllCoordinatesVanish,
     InsufficientLevel,
@@ -176,6 +177,54 @@ def test_slope_cone_reads_n2_lazily_like_the_eager_oracle(q):
     assert in_slope_u_cone(*infinity) is slope_u_cone_eager(*infinity) is True
     fuzzy = (field.parse("1 + u"), one + field.unknown(1).shift(1), one)
     assert in_slope_u_cone(x, fuzzy) is slope_u_cone_eager(x, fuzzy) is None
+
+
+def _tie_pairs(field, rng):
+    """Point pairs of coordinate valuations in {-1, 0, 1}, so that terms of
+    n_0 and n_1 often tie; some coordinates truncated or wholly unknown."""
+    q = field.q
+
+    def coord():
+        lead = rng.randint(-1, 1)
+        if rng.random() < 0.1:
+            return field.unknown(lead)
+        digits = [rng.randrange(1, q)] + [rng.randrange(q) for _ in range(rng.randint(0, 4))]
+        x = field.from_int_poly(digits, lead=lead)
+        return x.truncate(lead + rng.randint(1, 3)) if rng.random() < 0.3 else x
+
+    return [(tuple(coord() for _ in range(3)), tuple(coord() for _ in range(3))) for _ in range(150)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_slope_cone_from_term_valuations_agrees_with_the_eager_oracle(q, monkeypatch):
+    # the branch a call took: which sums it formed (n_0 and n_1 each show
+    # as their first product), or that it fell through to all three sums
+    products, fell = [], []
+    mul, from_sums = Laurent.__mul__, projgeom._cone_from_sums
+    monkeypatch.setattr(Laurent, "__mul__", lambda a, b: products.append((a, b)) or mul(a, b))
+    monkeypatch.setattr(projgeom, "_cone_from_sums", lambda x, y: fell.append(1) or from_sums(x, y))
+    field = Field(q)
+    rng = random.Random(80 + q)
+    seen = set()
+    for x, y in _tie_pairs(field, rng) + _cone_pairs(field, rng):
+        products.clear()
+        fell.clear()
+        verdict = in_slope_u_cone(x, y)
+        formed = [
+            name for name, (a, b) in (("n0", (x[1], y[2])), ("n1", (x[2], y[0])))
+            if any(f is a and g is b for f, g in products)
+        ]
+        branch = "all three sums" if fell else "+".join(formed) or "no sum"
+        assert verdict is slope_u_cone_eager(x, y), (x, y, branch)
+        if branch != "all three sums":
+            assert verdict is False, (x, y, branch)
+        seen.add((branch, all(c.exact for c in x + y)))
+    for branch in ("no sum", "n0", "n1", "all three sums"):
+        assert (branch, False) in seen, (branch, seen)
+    # the least bound of c belongs to x_2 y_1, whose valuation is undecided
+    x = tuple(field.parse(t) for t in ("u + u^2", "u + u^2", "1"))
+    y = tuple(field.parse(t) for t in ("1 + u + u^2", "O(1)", "1"))
+    assert in_slope_u_cone(x, y) is slope_u_cone_eager(x, y) is None
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
