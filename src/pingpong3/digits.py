@@ -90,19 +90,14 @@ def _low_bits(log2):
 
 def mod_rows(values, nbytes, q):
     """Packed values with every slot reduced mod q."""
-    if nbytes == 1 and q == 2:  # a byte's residue mod 2 is its low bit
-        ones = _low_bits(max(values).bit_length().bit_length())
-        return [v & ones for v in values]
-    if nbytes == 1:
-        table = _mod_table(q)
-        return [
-            int.from_bytes(
-                v.to_bytes(-(-v.bit_length() // 8), "little").translate(table), "little"
-            )
-            for v in values
-        ]
-    out = []
-    for v in values:
+    out, table = [], _mod_table(q)
+    for v in values:  # a loop, not a comprehension: most calls reduce one value
+        if nbytes == 1 and q == 2:  # a byte's residue mod 2 is its low bit
+            out.append(v & _low_bits(v.bit_length().bit_length()))
+            continue
         blob = v.to_bytes(-(-v.bit_length() // (8 * nbytes)) * nbytes, "little")
-        out.append(int.from_bytes((np.frombuffer(blob, f"<u{nbytes}") % q).tobytes(), "little"))
+        if nbytes == 1:
+            out.append(int.from_bytes(blob.translate(table), "little"))
+        else:
+            out.append(int.from_bytes((np.frombuffer(blob, f"<u{nbytes}") % q).tobytes(), "little"))
     return out

@@ -31,8 +31,9 @@ no longer exact, tracked as ``Laurent.known_to`` is.  The depth-first walk
 extends each prefix w and its inverse chain w^-1 by one syllable s:
 
 * c^r, cut to the same window, by Kronecker substitution: line j of w c^r
-  is sum_k line_k(w) (c^r)_kj, nine native products reduced mod q, exact
-  below min(known_w + lead_c, known_c + lead_w);
+  is sum_k line_k(w) (c^r)_kj, nine native products, exact below
+  min(known_w + lead_c, known_c + lead_w).  The three lines are packed
+  into one int of nine fields and reduced mod q once (``_Layout._product``);
 * diag(c_j u^e_j) without a product: line j moves up e_j planes and is
   scaled by c_j mod q, and known_to moves up min_j(e_j).
 
@@ -43,10 +44,11 @@ continues exactly, with known_to None and the whole c^r, so no lead is ever
 guessed.  A prefix's line leads are read once, for all its diagonal
 children.  A leaf (length = bound) is never extended, and only its leads
 are formed: of a diagonal leaf min_j(colval_j(w) + e_j), and of its inverse
-min_i(rowval_i(w^-1) + e'_i), from those line leads; of a cyclic leaf the
-first nonzero plane of its product, whose three lines are packed into one
-int and reduced at once (``_Layout.lead``).  Its label is joined only for a
-violation, a ``sink`` or a read of ``tightest_word``.
+min_i(rowval_i(w^-1) + e'_i), from those line leads and one flat tuple of
+exponents per syllable; of a cyclic leaf the first nonzero plane of the
+packed product, which ``_Layout.lead`` folds where ``mul`` splits it back
+into lines.  Its label is joined only for a violation, a ``sink`` or a read
+of ``tightest_word``.
 
 The checks and the identity test are symmetric in (lognorm(w),
 lognorm(w^-1)), and inversion maps the reduced words of a length onto
@@ -100,7 +102,7 @@ class _Layout:
     def __init__(self, q, nbytes, stride, width):
         self.q, self.nbytes, self.width = q, nbytes, width
         self.bits, self.fbits = 8 * nbytes, 8 * nbytes * stride
-        self.fmask = (1 << self.fbits) - 1
+        self.fmask, self.lmask = (1 << self.fbits) - 1, (1 << 3 * self.fbits) - 1
         self.eye = [1 << self.fbits * k for k in range(3)]
         if width is not None:  # masks[k]: the lowest k slots of every field
             self.masks = [((1 << self.bits * k) - 1) * sum(self.eye) for k in range(width + 1)]
@@ -136,31 +138,32 @@ class _Layout:
         ]
         return lead, rows, lead + width
 
+    def _product(self, w, m):
+        """The lines of w times the scalar matrix m (line j is sum_k line_k
+        M[k][j]) packed into one int, line j from field 3 j (a line fits
+        three fields, so none carries into the next), reduced by one
+        mod_rows call.  The slots must hold 3 min(depth_W, depth_C) (q - 1)^2."""
+        (x0, x1, x2), ((a0, a1, a2), (b0, b1, b2), (c0, c1, c2)), f = w[1], m[1], self.fbits
+        v = x0 * a0 + x1 * a1 + x2 * a2 | (x0 * b0 + x1 * b1 + x2 * b2) << 3 * f
+        (v,) = mod_rows([v | (x0 * c0 + x1 * c1 + x2 * c2) << 6 * f], self.nbytes, self.q)
+        return v
+
     def mul(self, w, m):
-        """w times the scalar matrix m, given by its columns: line j of the
-        result is sum_k line_k M[k][j], the columns of W C or the rows of
-        C W.  The slots must hold 3 min(depth_W, depth_C) (q - 1)^2."""
-        lw, (x0, x1, x2), kw = w
-        lm, ((a0, a1, a2), (b0, b1, b2), (c0, c1, c2)), km = m
-        known = None if kw is None else min(kw + lm, km + lw)
-        lines = [x0 * a0 + x1 * a1 + x2 * a2, x0 * b0 + x1 * b1 + x2 * b2]
-        lines.append(x0 * c0 + x1 * c1 + x2 * c2)
-        return self._settle(lw + lm, mod_rows(lines, self.nbytes, self.q), known)
+        """w times the scalar matrix m: the columns of W C or the rows of
+        C W, their packed product split back into three lines."""
+        (lw, _, kw), (lm, _, km), f3, lmask = w, m, 3 * self.fbits, self.lmask
+        v, known = self._product(w, m), None if kw is None else min(kw + lm, km + lw)
+        return self._settle(lw + lm, (v & lmask, v >> f3 & lmask, v >> 2 * f3), known)
 
     def lead(self, w, m):
-        """mul(w, m)[0], or None where mul gives None, without the product's
-        lines: they are packed into one int of nine fields, reduced by one
-        mod_rows call and OR-folded to their first nonzero plane."""
-        lw, (x0, x1, x2), kw = w
-        lm, ((a0, a1, a2), (b0, b1, b2), (c0, c1, c2)), km = m
-        f = self.fbits
-        low = x0 * a0 + x1 * a1 + x2 * a2 | (x0 * b0 + x1 * b1 + x2 * b2) << 3 * f
-        (low,) = mod_rows([low | (x0 * c0 + x1 * c1 + x2 * c2) << 6 * f], self.nbytes, self.q)
-        for shift in (3 * f, f):
-            low |= low >> shift | low >> 2 * shift
-        low &= self.fmask
+        """mul(w, m)[0], or None where mul gives None: the packed product
+        OR-folded to its first nonzero plane, without its lines."""
+        (lw, _, kw), (lm, _, km), f = w, m, self.fbits
+        low = self._product(w, m)
+        low |= low >> 3 * f | low >> 6 * f
+        low = (low | low >> f | low >> 2 * f) & self.fmask
         lead = lw + lm + ((low & -low).bit_length() - 1) // self.bits
-        return lead if low and (kw is None or lead < min(kw + lm, km + lw)) else None
+        return lead if low and (kw is None or lead < kw + lm and lead < km + lw) else None
 
     def _settle(self, lead, lines, known):
         """The window of lines whose slot 0 sits at u^lead, from its first
@@ -177,7 +180,7 @@ class _Layout:
             return lead, [x0 >> shift, x1 >> shift, x2 >> shift], None
         if lead >= known:
             return None
-        keep = min(self.width, known - lead)
+        keep = known - lead if known - lead < self.width else self.width
         mask = self.masks[keep]
         return lead, [x0 >> shift & mask, x1 >> shift & mask, x2 >> shift & mask], lead + keep
 
@@ -186,41 +189,47 @@ class _Layout:
         c_k is 1) along its lines: line k moves up e_k planes and is scaled
         by c_k mod q; None when no plane below known_to is nonzero.
         ``leads`` are w's line leads, when its caller has them."""
-        lead, lines, known = w
-        lo, exps, scale = d
+        lead, (x0, x1, x2), known = w
+        lo, (e0, e1, e2), scale = d
         bits = self.bits
         if known is None:
-            out = [x << bits * (e - lo) for x, e in zip(lines, exps)]
+            new = lead + lo
+            x0, x1, x2 = x0 << bits * (e0 - lo), x1 << bits * (e1 - lo), x2 << bits * (e2 - lo)
         else:
-            # each line is cut to what stays in the window before it moves,
-            # so that no field runs into the next
-            known += lo
-            leads = self.line_leads(w) if leads is None else leads
-            new = min(x + e for x, e in zip(leads, exps))
+            l0, l1, l2 = self.line_leads(w) if leads is None else leads
+            a, b, c, known = l0 + e0, l1 + e1, l2 + e2, known + lo
+            new = a if a <= b and a <= c else b if b <= c else c
             if new >= known:
                 return None
-            keep = min(self.width, known - new)
-            masks, out = self.masks, []
-            for x, e in zip(lines, exps):
-                up = lead + e - new
-                if up < 0:  # the lowest -up planes of this line are zero
-                    out.append(x >> -bits * up & masks[keep])
-                else:
-                    out.append((x & masks[max(keep - up, 0)]) << bits * up)
-        if scale is not None:
-            out = mod_rows([x * c for x, c in zip(out, scale)], self.nbytes, self.q)
-        return self._settle(lead + lo, out, None) if known is None else (new, out, new + keep)
+            keep = known - new  # at most width, as new >= lead + lo
+            u0, u1, u2, m = lead + e0 - new, lead + e1 - new, lead + e2 - new, self.masks[keep]
+            # line k moves up u_k planes: by keep or more it leaves the window, by
+            # fewer it stays in its fields (a stride holds a product's 2 width - 1)
+            x0 = 0 if u0 >= keep else (x0 << bits * u0 if u0 >= 0 else x0 >> -bits * u0) & m
+            x1 = 0 if u1 >= keep else (x1 << bits * u1 if u1 >= 0 else x1 >> -bits * u1) & m
+            x2 = 0 if u2 >= keep else (x2 << bits * u2 if u2 >= 0 else x2 >> -bits * u2) & m
+        if scale is not None:  # the three lines scaled in one packed int
+            c0, c1, c2 = scale
+            f3, lmask = 3 * self.fbits, self.lmask
+            (v,) = mod_rows([x0 * c0 | x1 * c1 << f3 | x2 * c2 << 2 * f3], self.nbytes, self.q)
+            x0, x1, x2 = v & lmask, v >> f3 & lmask, v >> 2 * f3
+        if known is None:
+            return self._settle(new, (x0, x1, x2), None)
+        return new, [x0, x1, x2], new + keep
 
     def line_leads(self, w):
         """Lead exponent of each line of w, or known_to where no known digit
         is nonzero: w times a diagonal along its lines has lead
         min_k(lead_k + e_k)."""
-        lead, lines, known = w
-        f, out = self.fbits, []
-        for x in lines:
-            x = (x | x >> f | x >> 2 * f) & self.fmask
-            out.append(lead + ((x & -x).bit_length() - 1) // self.bits if x else known)
-        return out
+        lead, (x0, x1, x2), known = w
+        f, fmask, bits = self.fbits, self.fmask, self.bits
+        x0, x1 = (x0 | x0 >> f | x0 >> 2 * f) & fmask, (x1 | x1 >> f | x1 >> 2 * f) & fmask
+        x2 = (x2 | x2 >> f | x2 >> 2 * f) & fmask
+        return (
+            lead + ((x0 & -x0).bit_length() - 1) // bits if x0 else known,
+            lead + ((x1 & -x1).bit_length() - 1) // bits if x1 else known,
+            lead + ((x2 & -x2).bit_length() - 1) // bits if x2 else known,
+        )
 
     def is_identity(self, w):
         return w[2] is None and w[0] == 0 and w[1] == self.eye
@@ -257,20 +266,18 @@ def _diag_label(m, n):
 def _monomial(triples):
     """A diagonal diag(c_k u^e_k) for ``_Layout.diag``."""
     exps, coeffs = triples
-    return min(exps), exps, None if all(c == 1 for c in coeffs) else coeffs
+    return min(exps), exps, None if coeffs == (1, 1, 1) else coeffs
 
 
 def _diagonal_syllables(pair, bound):
     """(label, weight, diagonal, inverse diagonal), ordered by (weight, m, n)."""
     out = []
     for weight in range(1, bound + 1):
-        for m in range(-weight, weight + 1):
-            rest = weight - abs(m)
-            for n in sorted({-rest, rest}):
-                if (m, n) == (0, 0):
-                    continue
-                inverse = _monomial(pair.monomial(-m, -n))
-                out.append((_diag_label(m, n), weight, _monomial(pair.monomial(m, n)), inverse))
+        rests = [(m, weight - abs(m)) for m in range(-weight, weight + 1)]
+        block = [(m, n) for m, rest in rests for n in sorted({-rest, rest})]
+        # a^-m b^-n is as far from the block's end as a^m b^n from its start
+        diag = [_monomial(pair.monomial(m, n)) for m, n in block]
+        out += [(_diag_label(*mn), weight, d, inv) for mn, d, inv in zip(block, diag, diag[::-1])]
     return out
 
 
@@ -421,7 +428,7 @@ class WordSurvey:
         self.by_length[length] = self.by_length.get(length, 0) + count
         scale, required = self.scale, self._required[length]
         growth = scale * (lognorm + lognorm_inv) - required
-        cartan = scale * max(lognorm, lognorm_inv) - required // 2
+        cartan = scale * (lognorm if lognorm > lognorm_inv else lognorm_inv) - required // 2
         if self.cartan_floor is None or cartan < self.cartan_floor:
             self.cartan_floor = cartan
         floor = self.growth_floor
@@ -508,6 +515,8 @@ def word_survey(pair, g, bound, constants, sink=None):
     cyclic = _cyclic_syllables(table, gens, constants.r_prime, bound, hop)
     cut = [(label, w, window.cut(c, table), window.cut(inv, table)) for label, w, c, inv in cyclic]
     diagonal = _diagonal_syllables(pair, bound)
+    # a diagonal leaf's exponents and least exponent, then its inverse's
+    leaves = [(*e, lo, *f, lo_inv) for _, _, (lo, e, _), (lo_inv, f, _) in diagonal]
     exact = cache(lambda: _exact_tables(q, gens, constants.r_prime, bound, step, diagonal))
     # a syllable's rank is its place in the walk: a^m b^n by (weight, m, n),
     # weight w at ranks [2w(w - 1), 2w(w + 1)), then c^-1, c, c^-2, ...
@@ -516,24 +525,20 @@ def word_survey(pair, g, bound, constants, sink=None):
     inverse = [4 * w * w - 1 - k for k, w in enumerate(weights[:n])]
     inverse += [n + (j ^ 1) for j in range(len(cyclic))]
 
-    def extend(w, w_inv, ranks, length, last, mode):
-        """Record an internal word and walk its subtree, exactly from a
-        rebuild when its lead is not known or it can be the identity."""
-        if w is None or w_inv is None or (w[0] == w_inv[0] == 0 and w[2] is not None):
-            w, w_inv, mode = _rebuild([labels[r] for r in ranks], exact)
-        record(ranks, length, -w[0], -w_inv[0], mode[0].is_identity(w), sink)
-        walk(w, w_inv, ranks, length, last, mode)
-
-    def leaf(ranks, rank, lead, lead_inv, pair):
+    def leaf(ranks, rank, pair):
         """Record the leaf ``ranks`` then ``rank`` (and with ``pair`` its
-        inverse) from its two leads, None where not known."""
-        identity = False
-        if lead is None or lead_inv is None or lead == lead_inv == 0:
-            w, w_inv, (full, _) = _rebuild([labels[r] for r in ranks + [rank]], exact)
-            lead, lead_inv, identity = w[0], w_inv[0], full.is_identity(w)
-        record(ranks, bound, -lead, -lead_inv, identity, sink, rank, pair)
+        inverse) from a rebuild: a lead of it is not known, or both are 0."""
+        w, w_inv, (full, _) = _rebuild([labels[r] for r in ranks + [rank]], exact)
+        record(ranks, bound, -w[0], -w_inv[0], full.is_identity(w), sink, rank, pair)
 
     def walk(w, w_inv, ranks, length, last, mode):
+        """Record the word ``ranks`` unless it is the root, exactly from a
+        rebuild when its lead is not known or it can be the identity, and
+        walk its subtree."""
+        if ranks:
+            if w is None or w_inv is None or (w[0] == w_inv[0] == 0 and w[2] is not None):
+                w, w_inv, mode = _rebuild([labels[r] for r in ranks], exact)
+            record(ranks, length, -w[0], -w_inv[0], mode[0].is_identity(w), sink)
         layout, cyclic = mode
         room = bound - length
         start = 2 * room * (room - 1)  # the diagonal leaves' first rank
@@ -550,25 +555,33 @@ def word_survey(pair, g, bound, constants, sink=None):
             diag, cols, rows = layout.diag, layout.line_leads(w), layout.line_leads(w_inv)
             for rank, (_, weight, right, left) in enumerate(diagonal[:start]):
                 x, y = diag(w, right, cols), diag(w_inv, left, rows)
-                extend(x, y, ranks + [rank], length + weight, 0, mode)
+                walk(x, y, ranks + [rank], length + weight, 0, mode)
+            # a leaf's leads, from the prefix's column and row leads (a line
+            # with no known nonzero digit gave its known_to)
+            (c0, c1, c2), (r0, r1, r2) = cols, rows
+            top, top_inv = (math.inf, math.inf) if w[2] is None else (w[2], w_inv[2])
             for rank in range(start, min(start + 4 * room, 4 * room * room - 1 - cut_diag)):
-                # a leaf: its leads from the prefix's column and row leads
-                _, _, (lo, (e0, e1, e2), _), (lo_inv, (f0, f1, f2), _) = diagonal[rank]
-                lead = min(cols[0] + e0, cols[1] + e1, cols[2] + e2)
-                lead_inv = min(rows[0] + f0, rows[1] + f1, rows[2] + f2)
-                if w[2] is not None:
-                    # a line with no known nonzero digit gave its known_to
-                    lead = lead if lead < w[2] + lo else None
-                    lead_inv = lead_inv if lead_inv < w_inv[2] + lo_inv else None
-                leaf(ranks, rank, lead, lead_inv, pair)
+                e0, e1, e2, lo, f0, f1, f2, lo_inv = leaves[rank]
+                a, b, c = c0 + e0, c1 + e1, c2 + e2
+                lead = a if a <= b and a <= c else b if b <= c else c
+                a, b, c = r0 + f0, r1 + f1, r2 + f2
+                lead_inv = a if a <= b and a <= c else b if b <= c else c
+                if lead < top + lo and lead_inv < top_inv + lo_inv and (lead or lead_inv):
+                    record(ranks, bound, -lead, -lead_inv, False, sink, rank, pair)
+                else:
+                    leaf(ranks, rank, pair)
         if last != 1:
-            mul, lead = layout.mul, layout.lead
+            mul, lead_of = layout.mul, layout.lead
             for j, (_, weight, right, left) in enumerate(cyclic[: 2 * room]):
                 if weight < room:
                     x, y = mul(w, right), mul(w_inv, left)
-                    extend(x, y, ranks + [n + j], length + weight, 1, mode)
+                    walk(x, y, ranks + [n + j], length + weight, 1, mode)
                 elif inverse[n + j] > cut_cyclic:
-                    leaf(ranks, n + j, lead(w, right), lead(w_inv, left), pair)
+                    lead, lead_inv = lead_of(w, right), lead_of(w_inv, left)
+                    if lead is None or lead_inv is None or lead == lead_inv == 0:
+                        leaf(ranks, n + j, pair)
+                    else:
+                        record(ranks, bound, -lead, -lead_inv, False, sink, n + j, pair)
 
     root = (0, window.eye, _WINDOW)  # the identity is exact: known to any exponent
     args = q, bound, constants.r_prime, Fraction(constants.alpha), constants.c_total, labels

@@ -219,8 +219,9 @@ def in_slope_u_cone(x_coords, y_coords):
     its two terms tie, and n_0 when its two terms tie and val(c) is still
     unread.  A val(c) read this way is at most val(n_1) + 1, the valuation
     of u n_1's least term, so the verdict is False.  When n_1 is undecided
-    or zero, or c's least term is still tied or undecided, all three sums
-    are formed as before.  So every verdict is the one the formed sums give.
+    or zero, or c's least term is still tied or undecided, the sums not yet
+    formed are formed and all three read as before.  So every verdict is
+    the one the formed sums give.
     """
     (x0, x1, x2), (y0, y1, y2) = x_coords, y_coords
     # each coordinate's valuation bound, and whether it is the valuation
@@ -228,8 +229,10 @@ def in_slope_u_cone(x_coords, y_coords):
         (z.lead, True) if z.digits else (z.known_to, False) for z in (*x_coords, *y_coords)
     ]
     s, t = (a2 + b0, h2 and k0), (a0 + b2, h0 and k2)
+    n0 = n1 = None  # the sums formed here, handed on if the call falls through
     if s[0] == t[0]:
-        vden = (x2 * y0 - x0 * y2).val()
+        n1 = x2 * y0 - x0 * y2
+        vden = n1.val()
         n1_terms = ((vden, True),)
     else:
         vden = _sum_val(s, t)
@@ -243,14 +246,15 @@ def in_slope_u_cone(x_coords, y_coords):
             cv = _sum_val((n0.val_lower_bound(), n0.known_nonzero()), *un1_terms)
         if cv is not None:
             return False
-    return _cone_from_sums(x_coords, y_coords)
+    return _cone_from_sums(x_coords, y_coords, n0, n1)
 
 
-def _cone_from_sums(x_coords, y_coords):
-    """``in_slope_u_cone`` with n_0, n_1 and c formed."""
+def _cone_from_sums(x_coords, y_coords, n0=None, n1=None):
+    """``in_slope_u_cone`` with n_0, n_1 and c formed; n_0 and n_1 only
+    where they are not given."""
     (x0, x1, x2), (y0, y1, y2) = x_coords, y_coords
-    n0 = x1 * y2 - x2 * y1
-    n1 = x2 * y0 - x0 * y2
+    n0 = x1 * y2 - x2 * y1 if n0 is None else n0
+    n1 = x2 * y0 - x0 * y2 if n1 is None else n1
     if not (n0.known_nonzero() or n1.known_nonzero()):
         n2 = x0 * y1 - x1 * y0
         if not n2.known_nonzero():

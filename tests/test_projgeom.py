@@ -198,29 +198,42 @@ def _tie_pairs(field, rng):
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
 def test_slope_cone_from_term_valuations_agrees_with_the_eager_oracle(q, monkeypatch):
     # the branch a call took: which sums it formed (n_0 and n_1 each show
-    # as their first product), or that it fell through to all three sums
-    products, fell = [], []
-    mul, from_sums = Laurent.__mul__, projgeom._cone_from_sums
+    # as their first product), or that it fell through to all three sums,
+    # and the Laurent sums (``_combine`` calls) formed before and after
+    products, sums, fell = [], [], []
+    mul, combine, sums_cone = Laurent.__mul__, Laurent._combine, projgeom._cone_from_sums
     monkeypatch.setattr(Laurent, "__mul__", lambda a, b: products.append((a, b)) or mul(a, b))
-    monkeypatch.setattr(projgeom, "_cone_from_sums", lambda x, y: fell.append(1) or from_sums(x, y))
+    monkeypatch.setattr(Laurent, "_combine", lambda *a: sums.append(1) or combine(*a))
+    fall = lambda *a: fell.append(len(sums)) or sums_cone(*a)  # noqa: E731
+    monkeypatch.setattr(projgeom, "_cone_from_sums", fall)
     field = Field(q)
     rng = random.Random(80 + q)
-    seen = set()
+    seen, handed_on = set(), 0
     for x, y in _tie_pairs(field, rng) + _cone_pairs(field, rng):
         products.clear()
+        sums.clear()
         fell.clear()
-        verdict = in_slope_u_cone(x, y)
-        formed = [
-            name for name, (a, b) in (("n0", (x[1], y[2])), ("n1", (x[2], y[0])))
-            if any(f is a and g is b for f, g in products)
-        ]
+        verdict, n_sums = in_slope_u_cone(x, y), len(sums)
+        times = {
+            name: sum(f is a and g is b for f, g in products)
+            for name, (a, b) in (("n0", (x[1], y[2])), ("n1", (x[2], y[0])), ("n2", (x[0], y[1])))
+        }
+        formed = [name for name in ("n0", "n1") if times[name]]
         branch = "all three sums" if fell else "+".join(formed) or "no sum"
         assert verdict is slope_u_cone_eager(x, y), (x, y, branch)
-        if branch != "all three sums":
-            assert verdict is False, (x, y, branch)
+        # no sum is formed twice: a fall-through forms n_0, n_1, at most
+        # n_2 and c, and each once, whatever it formed before
+        assert max(times.values()) <= 1, (x, y, branch)
+        if branch == "all three sums":
+            assert n_sums <= 3 + times["n2"], (x, y)
+            handed_on += fell[0] > 0
+        else:
+            assert verdict is False and n_sums == len(formed), (x, y, branch)
         seen.add((branch, all(c.exact for c in x + y)))
     for branch in ("no sum", "n0", "n1", "all three sums"):
         assert (branch, False) in seen, (branch, seen)
+    # fall-throughs that had formed n_0 or n_1 before, and handed it on
+    assert handed_on > 0
     # the least bound of c belongs to x_2 y_1, whose valuation is undecided
     x = tuple(field.parse(t) for t in ("u + u^2", "u + u^2", "1"))
     y = tuple(field.parse(t) for t in ("1 + u + u^2", "O(1)", "1"))

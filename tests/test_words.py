@@ -272,16 +272,19 @@ def test_reduced_word_count_matches_the_recurrence():
 # sha256 over repr() of every sink record, one per line, in walk order;
 # the q = 2 and q = 3 streams were recorded with the earlier engine of 27
 # digit convolutions per product, the non-monic one before leaf words were
-# decided from valuations
+# decided from valuations, the q = 5 one (two-byte slots) before a window
+# product was reduced as one packed int
 RECORD_STREAM_DIGESTS = {
     ("2", 5): "581ea1a49b3cc09e1752b82dfc59817faee50ef082c93aae2e251d6ad4a9585a",
     ("3", 4): "e23f56444c6e8df9b84936dee6e13277015c2b424b189613e50491689381ea21",
     ("3-non-monic", 4): "691274e990c398111dfaabafd4348442994fddd9a6e04832f19b347221d1848a",
+    ("5", 4): "e90fa779a7254d060c72e3e43d5d241716e3601837db44114974ba58ebd94f85",
 }
 STREAM_PAIRS = {
     "2": lambda: make_generators(2),
     "3": lambda: make_generators(3),
     "3-non-monic": lambda: NON_MONIC_Q3,
+    "5": lambda: make_generators(5),
 }
 
 
@@ -598,6 +601,21 @@ def test_leaf_reads_are_pinned(monkeypatch):
             assert reads(pair, g, bound, const) >= full
         else:
             assert (full, reads(pair, g, bound, const)) == (1508, pinned)
+
+
+def test_reductions_are_pinned(monkeypatch):
+    # one mod_rows call, of one packed int, per product: the c^r tables,
+    # the window products and the cyclic leaf leads of the q = 3, L = 5
+    # survey make 804 of them in the walk over inverse pairs and 2,020 in
+    # the full walk of a sink
+    reduced = []
+    mod_rows = words.mod_rows
+    monkeypatch.setattr(words, "mod_rows", lambda v, *a: reduced.append(len(v)) or mod_rows(v, *a))
+    pair, g, _, const = _passing(_pipeline(3))
+    for sink, pinned in ((None, 804), (lambda record: None, 2020)):
+        del reduced[:]
+        word_survey(pair, g, 5, const, sink=sink)
+        assert (len(reduced), sum(reduced)) == (pinned, pinned)
 
 
 def test_survey_rejects_degenerate_inputs(pipeline_q2):
