@@ -203,8 +203,8 @@ class _Layout:
                 return None
             keep = known - new  # at most width, as new >= lead + lo
             u0, u1, u2, m = lead + e0 - new, lead + e1 - new, lead + e2 - new, self.masks[keep]
-            # line k moves up u_k planes: by keep or more it leaves the window, by
-            # fewer it stays in its fields (a stride holds a product's 2 width - 1)
+            # line k moves up u_k planes: by keep or more it leaves the window; by
+            # fewer its planes stay in their fields, as a stride spans 2 width - 1
             x0 = 0 if u0 >= keep else (x0 << bits * u0 if u0 >= 0 else x0 >> -bits * u0) & m
             x1 = 0 if u1 >= keep else (x1 << bits * u1 if u1 >= 0 else x1 >> -bits * u1) & m
             x2 = 0 if u2 >= keep else (x2 << bits * u2 if u2 >= 0 else x2 >> -bits * u2) & m
