@@ -44,11 +44,11 @@ stage runs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import CertificateError, LaurentSyntaxError, StageError
-from .field import INF, Laurent, is_prime, laurent_to_str
+from .field import INF, Laurent, check_q, laurent_to_str
 from .linalg import parse_matrix
 from .pingpong.constants import qi_constants
 from .pingpong.generators import make_generators, make_pair
@@ -169,8 +169,7 @@ def back_half(stages, pair, g, constants, level, gamma_bound, word_bound, eigen=
     return report, survey
 
 
-@dataclass(frozen=True)
-class ConstructResult:
+class ConstructResult(NamedTuple):
     """The certificate plus the live reports it summarizes."""
 
     certificate: dict
@@ -295,10 +294,13 @@ def _validate(cert):
             raise CertificateError(f"certificate is missing {key!r}")
         if not (_is_int(cert[key]) if kind is int else isinstance(cert[key], kind)):
             raise CertificateError(f"certificate field {key!r} must be {kind.__name__}")
-    if not is_prime(cert["q"]):
-        raise CertificateError(f"q = {cert['q']} is not prime")
-    if len(cert["profile"]) != 2 or not all(_is_int(k) for k in cert["profile"]):
-        raise CertificateError("certificate field 'profile' must be two integers")
+    try:
+        check_q(cert["q"])
+    except ValueError as exc:
+        raise CertificateError(str(exc)) from None
+    # as --profile: make_generators takes no exponent below 1
+    if len(cert["profile"]) != 2 or not all(_is_int(k) and k >= 1 for k in cert["profile"]):
+        raise CertificateError("certificate field 'profile' must be two positive integers")
     verification = cert["verification"]
     for key in _VERIFICATION_KEYS:
         if not _is_int(verification.get(key)):

@@ -35,7 +35,7 @@ from .certificate import (
     write_certificate,
 )
 from .errors import CertificateError, LaurentSyntaxError, StageError
-from .field import is_prime
+from .field import check_q
 from .pingpong.regular import LATTICE_BUDGET
 from .pingpong.words import reduced_word_count
 from .projgeom import (
@@ -55,9 +55,10 @@ def _prime_arg(text):
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"q must be an integer, got {text!r}")
-    if not is_prime(value):
-        raise argparse.ArgumentTypeError(f"q must be prime, got {value}")
-    return value
+    try:
+        return check_q(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _at_least(least, what):

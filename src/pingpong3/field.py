@@ -63,8 +63,23 @@ INF = float("inf")
 REGIONS = {"O": (None, 0), "m": (None, 1), "1+pim": (0, 2), "pi+pim": (1, 2)}
 
 
+# the largest q a command line or a certificate may name: is_prime's trial
+# division takes milliseconds up to it, and minutes at 2^61 - 1
+MAX_Q = 2**32
+
+
 def is_prime(n):
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def check_q(q):
+    """``q`` when it is a prime of at most MAX_Q, else a ValueError saying
+    which it is not; the size is checked first, so no large q is tested."""
+    if q > MAX_Q:
+        raise ValueError(f"q must be at most {MAX_Q}: {q} is too large")
+    if not is_prime(q):
+        raise ValueError(f"q must be prime: {q} is not prime")
+    return q
 
 
 def _digits_mul(a, b, q):

@@ -35,13 +35,12 @@ What gets computed:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Constants:
+class Constants(NamedTuple):
     """All exponents and rates; rationals stay exact Fractions."""
 
     q: int
@@ -60,24 +59,9 @@ class Constants:
     c_total: int
 
     def as_dict(self):
-        out = {}
-        for name in (
-            "q",
-            "a_unit",
-            "b_unit",
-            "theta_exponent",
-            "theta_prime_exponent",
-            "epsilon_exponent",
-            "basis_distortion",
-            "spread_quantum",
-            "r_prime",
-            "c_additive",
-            "c_total",
-        ):
-            out[name] = getattr(self, name)
-        for name in ("alpha1", "alpha2", "alpha"):
-            out[name] = str(getattr(self, name))
-        return out
+        out = self._asdict()
+        rates = {name: str(out.pop(name)) for name in ("alpha1", "alpha2", "alpha")}
+        return {**out, **rates}
 
 
 def _stretch_units(pair):

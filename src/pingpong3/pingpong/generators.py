@@ -22,8 +22,6 @@ verify rather than assume, so arbitrary diagonal pairs are accepted here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ..field import Laurent
 from ..linalg import Mat
 
@@ -42,25 +40,24 @@ def _monomial_diagonal(mat, name):
     return tuple(x.lead for x in diag), tuple(x.digits[0] for x in diag)
 
 
-@dataclass(frozen=True)
 class DiagPair:
     """Two diagonal determinant-one matrices plus their chart ratios.
 
     Every element a^m b^n of the rank-two factor is the monomial diagonal
     diag(c_i^m d_i^n u^(m k_i + n l_i)), fixed by the exponent triples
     k, l and the unit coefficients c, d of a and b.  Those are read off
-    once at construction; ``monomial`` gives them for any (m, n).
+    once at construction; ``monomial`` gives them for any (m, n).  Immutable.
     """
 
-    a: Mat
-    b: Mat
-    a_ratios: tuple
-    b_ratios: tuple
-    _factors: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("a", "b", "a_ratios", "b_ratios", "_factors")
 
-    def __post_init__(self):
-        factors = (_monomial_diagonal(self.a, "a"), _monomial_diagonal(self.b, "b"))
-        object.__setattr__(self, "_factors", factors)
+    def __init__(self, a, b, a_ratios, b_ratios):
+        factors = (_monomial_diagonal(a, "a"), _monomial_diagonal(b, "b"))
+        for name, value in zip(self.__slots__, (a, b, a_ratios, b_ratios, factors)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("diagonal pairs are immutable")
 
     @property
     def q(self):

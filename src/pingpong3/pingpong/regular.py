@@ -44,8 +44,8 @@ g = h^N0 from the candidate.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import ceil
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,8 +70,7 @@ LEVEL_CAP = 64
 EIGEN_PRECISION = 2 * LATTICE_MAX_LEVEL + 16
 
 
-@dataclass(frozen=True)
-class ContractionData:
+class ContractionData(NamedTuple):
     """The power N0, the powers each flag needs and the margin they are
     taken at; the eigen data they come from stay on the EigenSystem."""
 
@@ -81,8 +80,7 @@ class ContractionData:
     margin_exponent: int
 
 
-@dataclass(frozen=True)
-class ProximalCandidate:
+class ProximalCandidate(NamedTuple):
     """A positioned regular element, its eigensystem, contraction data and
     the cyclic generator g = h^n0."""
 

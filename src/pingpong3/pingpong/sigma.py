@@ -33,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import ExclusionFailed
 from ..field import INF, _integer, _make, classify
@@ -48,8 +48,7 @@ def _case_name(signs):
     return f"({sym[signs[0]]},{sym[signs[1]]})"
 
 
-@dataclass(frozen=True)
-class ValInterval:
+class ValInterval(NamedTuple):
     """The set of valuations a case-term can take.
 
     ``lo``/``hi`` bound the valuation (lo = -inf for unbounded negative
@@ -77,8 +76,7 @@ class ValInterval:
         return ", ".join(parts)
 
 
-@dataclass(frozen=True)
-class CaseReport:
+class CaseReport(NamedTuple):
     case: str
     num: ValInterval
     den: ValInterval
@@ -87,18 +85,10 @@ class CaseReport:
     window_witness: str
 
     def as_dict(self):
-        return {
-            "case": self.case,
-            "num": self.num.describe(),
-            "den": self.den.describe(),
-            "sigma": self.sigma,
-            "reason": self.reason,
-            "window_witness": self.window_witness,
-        }
+        return {**self._asdict(), "num": self.num.describe(), "den": self.den.describe()}
 
 
-@dataclass(frozen=True)
-class ExclusionReport:
+class ExclusionReport(NamedTuple):
     """Verdicts for all eight sign cases, plus a content digest."""
 
     q: int
@@ -108,12 +98,7 @@ class ExclusionReport:
 
     @property
     def digest(self):
-        payload = {
-            "q": self.q,
-            "a_stretch": self.a_stretch,
-            "b_stretch": self.b_stretch,
-            "cases": [c.as_dict() for c in self.cases],
-        }
+        payload = {**self._asdict(), "cases": [c.as_dict() for c in self.cases]}
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 

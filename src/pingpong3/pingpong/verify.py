@@ -57,8 +57,8 @@ accumulator widths come from ``pingpong3.digits``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -446,8 +446,7 @@ def _low(taps, lead):
 # -- report ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str
     element: str
     ball: str
@@ -458,25 +457,17 @@ class Violation:
         return f"{self.kind}: {self.element} on {self.ball}{tail}"
 
 
-@dataclass
 class PingPongReport:
     """Outcome of the exhaustive sweep; ``passed`` means zero violations."""
 
-    q: int
-    level: int
-    gamma_bound: int
-    epsilon_exponent: int = 0
-    domain_balls: int = 0
-    window_balls: int = 0
-    gamma_elements: int = 0
-    checked_images: int = 0
-    min_growth_margin: int | None = None
-    min_cert_slack: int | None = None
-    min_image_level: int | None = None
-    violation_counts: dict = field(default_factory=dict)
-    examples: list = field(default_factory=list)
-
     MAX_EXAMPLES = 20
+
+    def __init__(self, q, level, gamma_bound, epsilon_exponent=0):
+        self.q, self.level, self.gamma_bound = q, level, gamma_bound
+        self.epsilon_exponent = epsilon_exponent
+        self.domain_balls = self.window_balls = self.gamma_elements = self.checked_images = 0
+        self.min_growth_margin = self.min_cert_slack = self.min_image_level = None
+        self.violation_counts, self.examples = {}, []
 
     @property
     def total_violations(self):

@@ -77,9 +77,9 @@ reference semantics; tests replay sampled words through it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
 from ..digits import mod_rows, pack_row, slot_bytes, support, unpack_row
 from ..field import Laurent
@@ -338,8 +338,7 @@ class _Violation(Exception):
     """A violation in a walk over inverse pairs: the survey walks again in full."""
 
 
-@dataclass(frozen=True)
-class WordRecord:
+class WordRecord(NamedTuple):
     """One surveyed word: its size data and the two margin checks."""
 
     label: str
@@ -352,7 +351,6 @@ class WordRecord:
     is_identity: bool
 
 
-@dataclass
 class WordSurvey:
     """Aggregates over all surveyed words; ``passed`` means zero violations.
 
@@ -366,29 +364,14 @@ class WordSurvey:
     over inverse pairs and is None otherwise.
     """
 
-    q: int
-    bound: int
-    r_prime: int
-    alpha: Fraction
-    c_total: int
-    labels: tuple = field(repr=False)
-    inverse: list | None = field(default=None, repr=False)
-    words: int = 0
-    by_length: dict = field(default_factory=dict)
-    violation_counts: dict = field(default_factory=dict)
-    examples: list = field(default_factory=list)
-    scale: int = field(init=False)
-    growth_floor: int | None = field(init=False, default=None)
-    cartan_floor: int | None = field(init=False, default=None)
-    _key: list | None = field(init=False, repr=False, default=None)
-    _required: list = field(init=False, repr=False)
-
     MAX_EXAMPLES = 20
 
-    def __post_init__(self):
-        required = [
-            Fraction(self.alpha * length - self.c_total) for length in range(self.bound + 1)
-        ]
+    def __init__(self, q, bound, r_prime, alpha, c_total, labels, inverse=None):
+        self.q, self.bound, self.r_prime = q, bound, r_prime
+        self.alpha, self.c_total, self.labels, self.inverse = alpha, c_total, labels, inverse
+        self.words, self.by_length, self.violation_counts, self.examples = 0, {}, {}, []
+        self.growth_floor = self.cartan_floor = self._key = None
+        required = [Fraction(alpha * length - c_total) for length in range(bound + 1)]
         self.scale = 2 * math.lcm(*(r.denominator for r in required))
         # scale (alpha |w| - c_total), an even integer, by length
         self._required = [int(r * self.scale) for r in required]

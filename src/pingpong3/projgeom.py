@@ -34,7 +34,7 @@ downstream and why ball classifications must track distance to the apexes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     AllCoordinatesVanish,
@@ -271,8 +271,7 @@ def line_has_slope_u(line):
 # -- residue balls -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ResidueBall:
+class ResidueBall(NamedTuple("ResidueBall", [("q", int), ("level", int), ("rep", tuple)])):
     """A level-M ball, keyed by its canonical representative's digits.
 
     ``rep`` holds three digit tuples of length ``level`` (coefficients of
@@ -280,15 +279,14 @@ class ResidueBall:
     the ones after it in the order z, y, x vanish at u^0.
     """
 
-    q: int
-    level: int
-    rep: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.level < 1:
+    def __new__(cls, q, level, rep):
+        if level < 1:
             raise InsufficientLevel("balls need level >= 1")
-        if len(self.rep) != 3 or any(len(d) != self.level for d in self.rep):
+        if len(rep) != 3 or any(len(d) != level for d in rep):
             raise ValueError("rep must hold 3 digit tuples of length = level")
+        return super().__new__(cls, q, level, rep)
 
     @property
     def stratum(self):

@@ -17,9 +17,9 @@ a simple eigenvalue lam is computed as a cross product of two rows of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
+from typing import NamedTuple
 
 from .errors import (
     InsufficientPrecision,
@@ -27,11 +27,10 @@ from .errors import (
     SingularOrUndecidable,
 )
 from .field import INF, Laurent
-from .linalg import Mat, Poly, vec_cross, vec_min_val
+from .linalg import Mat, Poly, _derived, vec_cross, vec_min_val
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """One edge of the lower hull."""
 
     j_start: int
@@ -162,7 +161,6 @@ def hensel_lift_root(poly, root_val, precision):
     raise InsufficientPrecision("root lift did not converge")
 
 
-@dataclass(frozen=True)
 class EigenSystem:
     """Simple-spectrum data for a 3x3 matrix, ordered by eigenvalue valuation.
 
@@ -171,28 +169,36 @@ class EigenSystem:
     the repelling one.  Vectors are scaled to minimum coordinate valuation 0.
     The eigenbasis P, its adjugate and the adjugate's row floors are built
     once, on first use: the contraction power, the feasible level, the
-    constants and the sweep all read them from here.
+    constants and the sweep all read them from here.  Immutable.
     """
 
-    matrix: Mat
-    eigenvalues: tuple
-    vectors: tuple
+    __slots__ = ("matrix", "eigenvalues", "vectors", "_basis", "_adjugate", "_row_floors")
+
+    def __init__(self, matrix, eigenvalues, vectors):
+        for name, value in zip(self.__slots__, (matrix, eigenvalues, vectors)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("eigensystems are immutable")
 
     @property
     def valuations(self):
         return tuple(x.val() for x in self.eigenvalues)
 
-    @cached_property
+    @property
+    @_derived
     def basis(self):
         """Change-of-basis matrix P with the eigenvectors as columns."""
         return Mat.from_columns(self.vectors)
 
-    @cached_property
+    @property
+    @_derived
     def adjugate(self):
         """adj P, whose rows read the eigencoordinates (P^-1 = adj P / det P)."""
         return self.basis.adjugate()
 
-    @cached_property
+    @property
+    @_derived
     def row_floors(self):
         """(r+, r-): least valuations of the outer rows of adj P, or None."""
         return vec_min_val(self.adjugate.rows[0]), vec_min_val(self.adjugate.rows[2])
@@ -205,7 +211,8 @@ class EigenSystem:
             return None
         powers = tuple(reduce(Laurent.__mul__, [x] * n) for x in self.eigenvalues)
         raised = EigenSystem(matrix, powers, self.vectors)
-        raised.__dict__.update(basis=self.basis, adjugate=self.adjugate, row_floors=self.row_floors)
+        for name in ("basis", "adjugate", "row_floors"):
+            object.__setattr__(raised, "_" + name, getattr(self, name))
         return raised
 
     def attracting_line_dual(self):

@@ -8,6 +8,7 @@ import json
 import pytest
 
 import pingpong3.certificate as certificate_module
+import pingpong3.field as field_module
 import pingpong3.pingpong.regular as regular_module
 import pingpong3.pingpong.verify as verify_module
 from pingpong3.certificate import (
@@ -21,6 +22,11 @@ from pingpong3.certificate import (
 from pingpong3.cli import main
 from pingpong3.errors import CertificateError, StageError
 from pingpong3.linalg import Mat
+from pingpong3.pingpong.generators import make_generators
+from pingpong3.pingpong.verify import Violation
+from pingpong3.pingpong.words import word_survey
+from pingpong3.projgeom import enumerate_balls
+from pingpong3.spectral import NewtonPolygon
 
 # small but real parameters: the whole pipeline runs in well under a second
 SMALL = dict(level=5, gamma_bound=2, word_bound=3)
@@ -167,6 +173,22 @@ def test_raising_the_parameters_still_passes(cert_path):
     outcome = verify_certificate(cert_path, level=6, gamma_bound=3, word_bound=4)
     assert outcome.passed
     assert outcome.parameters == {"level": 6, "gamma_bound": 3, "word_bound": 4}
+
+
+def test_records_are_immutable(result):
+    """Assigning any field of a value record, or of a pair's or eigensystem's
+    derived state, raises AttributeError."""
+    cand, exclusion = result.candidate, result.exclusion
+    case = exclusion.cases[0]
+    records = [result, cand, cand.contraction, cand.eigen, result.constants, exclusion, case]
+    records += [case.num, NewtonPolygon(cand.h.char_poly()).segments[0], make_generators(2)]
+    records += [next(enumerate_balls(2, 3)), Violation("gamma-window", "a", "3:000/000/100")]
+    word_survey(make_generators(2), cand.g, 1, result.constants, sink=records.append)
+    assert len({type(record) for record in records}) == 13
+    for record in records:
+        for name in getattr(record, "_fields", None) or type(record).__slots__:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name, None))
 
 
 @pytest.mark.parametrize("override", [dict(level=4), dict(gamma_bound=1), dict(word_bound=2)])
@@ -489,7 +511,7 @@ def test_unreadable_files_are_certificate_errors(tmp_path):
         load_certificate(junk)
 
 
-def test_schema_violations_are_certificate_errors(result, tmp_path):
+def test_schema_violations_are_certificate_errors(result, tmp_path, monkeypatch):
     missing = copy.deepcopy(result.certificate)
     del missing["sigma_digest"]
     path = tmp_path / "missing.json"
@@ -506,6 +528,24 @@ def test_schema_violations_are_certificate_errors(result, tmp_path):
     composite["q"] = 4
     with pytest.raises(CertificateError, match="not prime"):
         verify_certificate(composite)
+
+    # refused before any primality test: trial division of 2^61 - 1 would
+    # run for minutes
+    is_prime, limit = field_module.is_prime, field_module.MAX_Q
+    monkeypatch.setattr(field_module, "is_prime", lambda n: n <= limit and is_prime(n))
+    huge = copy.deepcopy(result.certificate)
+    huge["q"] = 2**61 - 1
+    with pytest.raises(CertificateError, match="too large"):
+        verify_certificate(huge)
+
+
+@pytest.mark.parametrize("profile", [[0, 1], [1, 0], [-2, 3]])
+def test_profile_exponents_below_one_are_refused(result, profile):
+    # as --profile refuses them, before any stage runs
+    bad = copy.deepcopy(result.certificate)
+    bad["profile"] = profile
+    with pytest.raises(CertificateError, match="two positive integers"):
+        verify_certificate(bad)
 
 
 @pytest.mark.parametrize(

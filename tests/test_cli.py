@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+import pingpong3.field as field_module
 from pingpong3.certificate import certificate_text, construct_pipeline
 from pingpong3.cli import main
 
@@ -108,6 +109,16 @@ def test_non_prime_q_is_a_parse_error(capsys):
         main(["construct", "--q", "4"])
     assert info.value.code == 2
     assert "q must be prime" in capsys.readouterr().err
+
+
+def test_prime_q_above_the_limit_is_refused_before_any_primality_test(monkeypatch, capsys):
+    # trial division of 2^61 - 1 would run for minutes
+    is_prime, limit = field_module.is_prime, field_module.MAX_Q
+    monkeypatch.setattr(field_module, "is_prime", lambda n: n <= limit and is_prime(n))
+    with pytest.raises(SystemExit) as info:
+        main(["construct", "--q", str(2**61 - 1)])
+    assert info.value.code == 2
+    assert f"q must be at most {field_module.MAX_Q}" in capsys.readouterr().err
 
 
 def test_lattice_without_seed_is_a_parse_error(capsys):

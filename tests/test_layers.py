@@ -1,10 +1,15 @@
-"""The scalar reference layers import no numpy: the bulk numpy kernels
-are checked against them, so the reference must not rest on numpy."""
+"""What the package's modules may import.  The scalar reference layers
+import no numpy: the bulk numpy kernels are checked against them, so the
+reference must not rest on numpy.  No module imports dataclasses: each
+dataclass generates and compiles its methods when its module loads, which
+every run of the command line pays."""
 
 import ast
 from pathlib import Path
 
 import pingpong3
+
+PACKAGE = Path(pingpong3.__file__).parent
 
 SCALAR_MODULES = (
     "field", "linalg", "projgeom", "spectral", "pingpong/generators", "pingpong/sigma",
@@ -13,7 +18,7 @@ SCALAR_MODULES = (
 
 def _imports(module):
     """Every absolute module name ``module`` imports, anywhere in it."""
-    tree = ast.parse((Path(pingpong3.__file__).parent / f"{module}.py").read_text())
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -27,3 +32,9 @@ def test_scalar_reference_modules_import_no_numpy():
     assert "numpy" in _imports("pingpong/verify")  # a bulk module's import is seen
     for module in SCALAR_MODULES:
         assert not [name for name in _imports(module) if name.split(".")[0] == "numpy"], module
+
+
+def test_no_module_imports_dataclasses():
+    modules = [path.relative_to(PACKAGE).with_suffix("").as_posix() for path in PACKAGE.rglob("*.py")]
+    assert "pingpong/words" in modules
+    assert [module for module in modules if "dataclasses" in _imports(module)] == []

@@ -15,6 +15,7 @@ from pingpong3.linalg import Mat, vec_cross, vec_dot
 from pingpong3.projgeom import (
     ProjLine,
     ProjPoint,
+    ResidueBall,
     ball_count,
     ball_of_point,
     enumerate_balls,
@@ -365,6 +366,16 @@ def test_image_ball():
         assert ball_of_point(gy, 2) == img
     with pytest.raises(InsufficientLevel):
         image_ball(g ** 3, src)
+
+
+def test_residue_balls_refuse_a_level_below_one_and_a_malformed_rep():
+    with pytest.raises(InsufficientLevel):
+        ResidueBall(2, 0, ((), (), ()))
+    for rep in [((1, 0), (0, 0)), ((1, 0), (0, 0), (0,)), ((1,), (0,), (0,))]:
+        with pytest.raises(ValueError, match="rep must hold"):
+            ResidueBall(2, 2, rep)
+    ball = ResidueBall(2, 2, ((0, 1), (1, 0), (1, 0)))
+    assert ball == ResidueBall(2, 2, ((0, 1), (1, 0), (1, 0))) and len({ball, ball}) == 1
 
 
 def test_image_ball_isometry_for_integral_unimodular():

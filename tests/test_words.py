@@ -179,6 +179,17 @@ def _lead_of_mul(layout, w, m):
     return product
 
 
+def _cancelling_pair(q):
+    """A = A_0 + u I and B = B_0 + u I, where A_0 is singular and the
+    columns of B_0 lie in its kernel, so A_0 B_0 = 0."""
+    a0 = [[1, 0, 0], [q - 1, 0, 0], [0, 0, 0]]
+    b0 = [[0, 0, 0], [1, 2 % q, 0], [0, 1, 1]]
+    return tuple(
+        Mat([[Laurent(q, 0, (x[i][j], int(i == j))) for j in range(3)] for i in range(3)])
+        for x in (a0, b0)
+    )
+
+
 @pytest.mark.parametrize("q", LEAF_QS)
 def test_leaf_product_leads_match_full_products(q):
     # a window's lead is the exact product's, or None (a rebuild) when no
@@ -194,21 +205,39 @@ def test_leaf_product_leads_match_full_products(q):
         wa = _cut(window, _columns(exact, a))
         got = _lead_of_mul(window, wa, window.cut(exact.scalars(_columns(exact, b), False), exact))
         assert _agrees(window, got, full)
-    # A_0 is singular and the columns of B_0 lie in its kernel, so the
-    # lowest plane of A B cancels and its lead sits one plane up: a window
-    # of one plane cannot see it, one of two can
-    a0 = [[1, 0, 0], [q - 1, 0, 0], [0, 0, 0]]
-    b0 = [[0, 0, 0], [1, 2 % q, 0], [0, 1, 1]]
-    a, b = (
-        Mat([[Laurent(q, 0, (x[i][j], int(i == j))) for j in range(3)] for i in range(3)])
-        for x in (a0, b0)
-    )
+    # the lowest plane of A B cancels and its lead sits one plane up: a
+    # window of one plane cannot see it, one of two can
+    a, b = _cancelling_pair(q)
     b_cols = exact.scalars(_columns(exact, b), False)
     assert _lead_of_mul(exact, _columns(exact, a), b_cols) == _columns(exact, a * b)
     assert (a * b).lognorm() == -1
     assert _lead_of_mul(window, _cut(window, _columns(exact, a)), window.cut(b_cols, exact))[0] == 1
     narrow = _Layout(q, window.nbytes, 64, 1)
     assert _lead_of_mul(narrow, _cut(narrow, _columns(exact, a)), narrow.cut(b_cols, exact)) is None
+
+
+@pytest.mark.parametrize("q", LEAF_QS)
+def test_products_by_a_short_scalar_matrix_claim_only_its_known_planes(q):
+    # a scalar matrix cut to fewer planes than the window: the product is
+    # known only below known_c + lead_w, the bound the walk never reaches
+    rng = random.Random(300 + q)
+    exact, window = _layouts(q, width=4)
+    short = _Layout(q, window.nbytes, 64, 1)
+    bound = 0
+    for _ in range(30):
+        a = random_lattice_element(q, rng, n_factors=4, max_deg=2)
+        b = random_lattice_element(q, rng, n_factors=4, max_deg=2)
+        wa, b_cols = _cut(window, _columns(exact, a)), exact.scalars(_columns(exact, b), False)
+        cut_b = short.cut(b_cols, exact)
+        got = _lead_of_mul(window, wa, cut_b)
+        assert _agrees(window, got, exact.mul(_columns(exact, a), b_cols))
+        bound += got is not None and got[2] == cut_b[2] + wa[0] < wa[2] + cut_b[0]
+    assert bound > 10
+    # A B_0 = u B_0: with B cut to its u^0 plane, the product's lowest
+    # plane is its first unknown one, so there is no lead to claim
+    a, b = _cancelling_pair(q)
+    b_cols = exact.scalars(_columns(exact, b), False)
+    assert _lead_of_mul(window, _cut(window, _columns(exact, a)), short.cut(b_cols, exact)) is None
 
 
 @pytest.mark.parametrize("q", LEAF_QS)
