@@ -35,6 +35,6 @@ def test_scalar_reference_modules_import_no_numpy():
 
 
 def test_no_module_imports_dataclasses():
-    modules = [path.relative_to(PACKAGE).with_suffix("").as_posix() for path in PACKAGE.rglob("*.py")]
+    modules = [p.relative_to(PACKAGE).with_suffix("").as_posix() for p in PACKAGE.rglob("*.py")]
     assert "pingpong/words" in modules
     assert [module for module in modules if "dataclasses" in _imports(module)] == []
