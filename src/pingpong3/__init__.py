@@ -8,16 +8,4 @@ product Z^2 * Z and that the embedding is quasi-isometric.  All arithmetic
 is exact digit arithmetic over F_q((u)) with tracked precision.
 """
 
-from .field import INF, Field, Laurent, classify, laurent_to_str, parse_laurent
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "INF",
-    "Field",
-    "Laurent",
-    "classify",
-    "laurent_to_str",
-    "parse_laurent",
-    "__version__",
-]

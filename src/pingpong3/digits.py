@@ -9,17 +9,17 @@ substitution, Harvey, J. Symbolic Comput. 2009):
 ``mod_rows`` to reduce packed sums and products mod q (at q = 2 with
 one-byte slots by a mask of each byte's low bit).
 
-The width rules sit side by side: ``int_dtype`` sizes numpy accumulators,
-``slot_bytes`` Kronecker slots of at most 8 bytes and ``row_bytes``
-tuple-row slots of any width, each for the largest value it must hold; a
-slot too narrow would carry into the next.
+The width rules sit side by side: ``slot_bytes`` sizes Kronecker slots of
+at most 8 bytes and ``row_bytes`` tuple-row slots of any width, each for
+the largest value it must hold; a slot too narrow would carry into the
+next.  numpy is imported only where ``mod_rows`` reduces slots wider than
+one byte: every window product of the survey from q = 5 up, and c^r
+tables of a g too deep for one-byte slots.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-
-import numpy as np
 
 
 def support(elems):
@@ -27,16 +27,6 @@ def support(elems):
     when no element has one."""
     spans = [(x.lead, x.lead + len(x.digits)) for x in elems if x.digits]
     return (min(s[0] for s in spans), max(s[1] for s in spans)) if spans else None
-
-
-def int_dtype(top):
-    """Narrowest signed integer dtype that holds 0 .. top.  Under NumPy 2
-    promotion an array times a Python int keeps the array's dtype, so an
-    array is sized for the largest product or sum it accumulates."""
-    for dtype in (np.int8, np.int16, np.int32):
-        if top <= np.iinfo(dtype).max:
-            return dtype
-    return np.int64
 
 
 def slot_bytes(top):
@@ -99,5 +89,7 @@ def mod_rows(values, nbytes, q):
         if nbytes == 1:
             out.append(int.from_bytes(blob.translate(table), "little"))
         else:
+            import numpy as np  # here only: the synthetic q = 2 and 3 surveys never get here
+
             out.append(int.from_bytes((np.frombuffer(blob, f"<u{nbytes}") % q).tobytes(), "little"))
     return out

@@ -1,41 +1,1 @@
 """The construction itself: generators, exclusion, search, sweeps, words."""
-
-from .constants import Constants, qi_constants
-from .generators import DiagPair, make_generators, make_pair
-from .regular import (
-    ContractionData,
-    ProximalCandidate,
-    contraction_power,
-    find_regular,
-    make_proximal,
-    minimum_feasible_level,
-    synthetic_basis,
-)
-from .sigma import ExclusionReport, monte_carlo_check, sigma_exclusion
-from .verify import PingPongReport, verify_pingpong
-from .witness import irreducibility_witness
-from .words import WordRecord, WordSurvey, word_survey
-
-__all__ = [
-    "Constants",
-    "ContractionData",
-    "DiagPair",
-    "ExclusionReport",
-    "PingPongReport",
-    "ProximalCandidate",
-    "WordRecord",
-    "WordSurvey",
-    "contraction_power",
-    "find_regular",
-    "irreducibility_witness",
-    "make_generators",
-    "make_pair",
-    "make_proximal",
-    "minimum_feasible_level",
-    "monte_carlo_check",
-    "qi_constants",
-    "sigma_exclusion",
-    "synthetic_basis",
-    "verify_pingpong",
-    "word_survey",
-]

@@ -47,8 +47,6 @@ import random
 from math import ceil
 from typing import NamedTuple
 
-import numpy as np
-
 from ..errors import (
     InsufficientPrecision,
     NotSimpleSegment,
@@ -159,10 +157,13 @@ def refined_image_level(level, vm_image, lognorm_g, lognorm_compound):
 
     For y' = y + delta in a level-M ball, d(Gy, Gy') is at most
     q^-(M - lognorm(L^2 G) - vm(Gy) - vm(Gy')), and vm(Gy') is at least
-    min(vm(Gy), M - lognorm(G)).  ``vm_image`` may be an array, one value
-    per ball.
+    min(vm(Gy), M - lognorm(G)).  ``vm_image`` may be an int array, one
+    value per ball: the min is written as (a + b - |a - b|) // 2, which
+    ints and int arrays read alike.
     """
-    return level - lognorm_compound - vm_image - np.minimum(vm_image, level - lognorm_g)
+    cap = level - lognorm_g
+    least = (vm_image + cap - abs(vm_image - cap)) // 2
+    return level - lognorm_compound - vm_image - least
 
 
 def minimum_feasible_level(eigen, contraction, g):
@@ -204,15 +205,22 @@ def proximal_candidate(h, eigen, strategy, trials=0):
     return ProximalCandidate(h, eigen, contraction, g, strategy, trials, level)
 
 
+def _slope_u(dual):
+    """Whether the line with these dual coordinates has slope u; a line
+    whose coordinates cannot be decided counts as not."""
+    try:
+        line = ProjLine(dual)
+    except InsufficientPrecision:
+        return False
+    return line_has_slope_u(line) is True
+
+
 def _flags_in_position(eigen):
     if in_unit_window(eigen.vectors[0]) is not True:
         return False
     if in_unit_window(eigen.vectors[2]) is not True:
         return False
-    for dual in (eigen.attracting_line_dual(), eigen.repelling_line_dual()):
-        if line_has_slope_u(ProjLine(dual)) is not True:
-            return False
-    return True
+    return _slope_u(eigen.attracting_line_dual()) and _slope_u(eigen.repelling_line_dual())
 
 
 def find_regular(
@@ -256,7 +264,7 @@ def find_regular(
             continue
         if in_unit_window(eg.vectors[0]) is not True:
             continue
-        if line_has_slope_u(ProjLine(eg.attracting_line_dual())) is not True:
+        if not _slope_u(eg.attracting_line_dual()):
             continue
 
         # stage 2: transport the flags of fresh draws with powers of g

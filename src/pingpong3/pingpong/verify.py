@@ -51,8 +51,9 @@ perturbation bound says they must -- those bounds are themselves checked
 per ball and reported as violations when they fail, never assumed.  The
 scalar predicates in projgeom stay the reference semantics; the tests
 cross-check the tree, the exhaustive pass and both formats against them.
-Tap digits are read off each coefficient's digits (``_taps``), and the
-accumulator widths come from ``pingpong3.digits``.
+Tap digits are read off each coefficient's digits (``_taps``), and
+``int_dtype`` sizes the accumulators.  This is the one module of the
+package that imports numpy when it loads.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..digits import int_dtype, support
+from ..digits import support
 from ..errors import (
     InsufficientLevel,
     InsufficientPrecision,
@@ -87,6 +88,16 @@ def _taps(x, start, stop):
     if not x.exact and x.known_to < stop:
         raise InsufficientPrecision(f"need digits up to u^{stop}, known to u^{x.known_to}")
     return [(p, d) for p, d in enumerate(x.digits, x.lead) if d and start <= p < stop]
+
+
+def int_dtype(top):
+    """Narrowest signed integer dtype that holds 0 .. top.  Under NumPy 2
+    promotion an array times a Python int keeps the array's dtype, so an
+    array is sized for the largest product or sum it accumulates."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if top <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
 
 
 def _digit_dtype(q):

@@ -92,6 +92,21 @@ def test_certificate_bytes_are_pinned(q, args, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_q3_lattice_search_skips_undecidable_candidates():
+    """Seed 4 at q = 3 draws candidates whose invariant lines cannot be
+    decided at the search's precision: each counts as not positioned, and
+    the search goes on to an h whose certificate verifies."""
+    result = construct_pipeline(
+        3, strategy="lattice", seed=4, budget=4000, level=6, gamma_bound=3, word_bound=6
+    )
+    assert result.candidate.trials == 1889
+    assert verify_certificate(result.certificate).passed
+    text = certificate_text(result.certificate)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "1fd7b8f7e49ae6b2fc596715ea7d6589a90ca93fb061984a00423483f219c60c"
+    )
+
+
 def test_each_quantity_is_derived_once(monkeypatch):
     """construct_pipeline and verify_certificate, at the stored and at
     raised bounds, each raise h to n0 once and lift one eigensystem, h's:

@@ -19,6 +19,7 @@ from pingpong3.pingpong.regular import (
     make_proximal,
     minimum_feasible_level,
     proximal_from_basis,
+    refined_image_level,
     synthetic_basis,
 )
 from pingpong3.pingpong import sigma
@@ -417,6 +418,19 @@ def test_image_norms_equal_the_compound_lognorms(q):
     for g in mats:
         want = [(m, m.lognorm(), m.second_compound().lognorm()) for m in (g, g.inverse())]
         assert image_norms(g) == want
+
+
+@pytest.mark.parametrize("level, lognorm_g, compound", [(10, 3, 5), (4, -2, 0), (2, 7, -3)])
+def test_refined_image_level_reads_ints_and_int_arrays_alike(level, lognorm_g, compound):
+    # vm_image above, at and below level - lognorm_g, negatives included:
+    # the feasible level passes ints, the sweep int64 arrays
+    cap = level - lognorm_g
+    vms = [*range(cap - 6, cap + 7), -20, -1, 0]
+    want = [level - compound - vm - min(vm, cap) for vm in vms]
+    got = [refined_image_level(level, vm, lognorm_g, compound) for vm in vms]
+    assert got == want and all(type(v) is int for v in got)
+    got = refined_image_level(level, np.array(vms, dtype=np.int64), lognorm_g, compound)
+    assert got.dtype == np.int64 and got.tolist() == want
 
 
 def test_find_regular_rejects_unknown_strategy():

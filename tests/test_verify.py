@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from pingpong3.digits import int_dtype, support
+from pingpong3.digits import support
 from pingpong3.errors import InsufficientLevel, InsufficientPrecision
 from pingpong3.field import Field, Laurent
 from pingpong3.linalg import Mat, parse_matrix, vec_min_val
@@ -33,6 +33,7 @@ from pingpong3.pingpong.verify import (
     _taps,
     _text,
     _window_balls,
+    int_dtype,
     verify_pingpong,
 )
 from pingpong3.projgeom import (
