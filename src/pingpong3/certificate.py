@@ -5,36 +5,35 @@ nothing it must trust: the field size, the diagonal generators, the regular
 element h with its power n0 and g = h^n0, the eigensystem data, the
 embedding constants, the verification parameters, and digests/summaries of
 the runs that produced it.  All matrix entries are exact element strings;
-json.dumps with sorted keys makes equal inputs byte-identical.
+json.dumps with sorted keys makes equal inputs byte-identical.  ``_record``
+is the one writer of its fields.
 
 The pipeline is written once, in two halves -- ``front_half``: generators
--> exclusion -> search -> constants -> g = h^n0; ``back_half``: ball sweep
--> word survey -> fixed-flag witness -- whose stages run through one
-runner, ``Stages``.  Under its raise policy (construct, words, inspect) the
-first failure raises StageError; under its collect policy (verify's
-VerifyOutcome) every failure is recorded, so a tampered certificate
-reports every broken claim, not just the first.  Stages look their layers
-up as globals of this module at call time, where perfbench patches them.
+-> exclusion -> search -> constants; ``back_half``: ball sweep -> word
+survey -> fixed-flag witness -- whose stages run through one runner,
+``Stages``.  Under its raise policy (construct, words, inspect) the first
+failure raises StageError; under its collect policy (verify's
+VerifyOutcome) every failure is recorded and a stage whose input failed is
+skipped, so a tampered certificate reports every broken claim that a
+stage reaches, not just the first.  Stages look their layers up as globals
+of this module at call time, where perfbench patches them.
 
-verify_certificate re-runs every stage from the stored objects alone:
+verify_certificate rebuilds the certificate construct would write from the
+stored inputs (version, q, profile, strategy, the three bounds) and h:
 
-* the generators must match the declared profile and pass the sign-case
-  exclusion, whose recomputed digest must equal the stored one;
-* a synthetic h must be the synthetic proximal element; a lattice h must
-  lie in SL3(F_q[t]) (the lattice search itself is not replayed, so its
-  seed and trial count are not stored);
-* h's eigen data are rebuilt at the pipeline's own precision and turned
-  into contraction data and a feasible level by the builder the search
-  uses; these, the constants and the stored margin and epsilon exponents
-  must reproduce the stored values -- as the same JSON, so a stored 4.0 or
-  true is not a 4 or a 1 -- and g must equal h^n0 exactly for the
-  recomputed n0;
-* the back half must pass with the recomputed constants, at the stored or
-  a raised level / gamma bound / word bound (never a lowered one);
-* each stored report is compared once, field for field, with a run at its
-  stored bounds: the back half's own run when that stage's bounds are not
-  raised, else a rerun at the stored ones.  The stored irreducibility
-  claim must be true.
+* the search is not replayed, so its seed and trial count are not stored:
+  h's eigen data are rebuilt at the pipeline's own precision and turned
+  into contraction data, a feasible level and g = h^n0 by the builder the
+  search uses (stage ``contraction_power``).  When that fails, no stage
+  after it runs, and there is no certificate to compare;
+* the back half runs with the recomputed constants at the stored or a
+  raised level / gamma bound / word bound (never a lowered one); each
+  report is rebuilt at its stored bounds, by a rerun where they are raised;
+* each leaf where the two certificates differ as JSON (a stored 4.0 or
+  true is not a 4 or a 1) fails the stage that derives it, ``_OWNERS``;
+* checked by hand: a synthetic h must be the synthetic proximal element, a
+  lattice h must lie in SL3(F_q[t]), h and g must be exact, and a stored g
+  that is not h^n0 is the g the back half sweeps.
 
 Fields outside the schema are refused when the certificate is loaded, and
 matrix texts that are not the canonical text of their matrix before any
@@ -51,7 +50,7 @@ from .errors import CertificateError, LaurentSyntaxError, StageError
 from .field import INF, Laurent, check_q, laurent_to_str
 from .linalg import parse_matrix
 from .pingpong.constants import qi_constants
-from .pingpong.generators import make_generators, make_pair
+from .pingpong.generators import make_generators
 from .pingpong.regular import (
     EIGEN_PRECISION,
     LATTICE_BUDGET,
@@ -103,6 +102,22 @@ def _same(fresh, stored):
     return json.dumps(fresh, sort_keys=True) == json.dumps(stored, sort_keys=True)
 
 
+def _differences(fresh, stored, path=()):
+    """The path of every leaf where two JSON trees differ under ``_same``:
+    differing dicts are walked over the union of their keys; lists and
+    scalars are leaves."""
+    if _same(fresh, stored):
+        return
+    if isinstance(fresh, dict) and isinstance(stored, dict):
+        for key in sorted(fresh.keys() | stored.keys()):
+            if key in fresh and key in stored:
+                yield from _differences(fresh[key], stored[key], path + (key,))
+            else:
+                yield path + (key,)
+    else:
+        yield path
+
+
 class Stages:
     """Runs named stages: a failure raises StageError(name, detail), or,
     with ``collect``, is recorded in ``failures`` as (name, message) and
@@ -123,6 +138,10 @@ class Stages:
         self.failures.append((name, str(message)))
 
     def run(self, name, fn, *args, **kwargs):
+        """Under ``collect`` a positional input of None comes from a failed
+        stage: this one is skipped, returns None and records nothing."""
+        if self.collect and any(arg is None for arg in args):
+            return None
         try:
             return fn(*args, **kwargs)
         except Exception as exc:
@@ -142,23 +161,32 @@ class Stages:
             self.fail(name, brief if self.collect else report.summary())
 
 
-def front_half(stages, q, profile, strategy, seed, budget):
-    """generators -> exclusion -> search -> constants -> g = h^n0; returns
-    (pair, exclusion, candidate, constants, g)."""
+def front_half(stages, q, profile, strategy, seed=None, budget=LATTICE_BUDGET, h=None):
+    """generators -> exclusion -> search -> constants; returns (pair,
+    exclusion, candidate, constants), with g = h^n0 as ``candidate.g``.  An
+    ``h`` replaces the search: ``contraction_power`` rebuilds its candidate."""
     pair = stages.run("make_generators", make_generators, q, tuple(profile))
     exclusion = stages.run("sigma_exclusion", sigma_exclusion, pair)
-    candidate = stages.run("find_regular", find_regular, q, strategy, seed=seed, budget=budget)
+    if h is None:
+        candidate = stages.run("find_regular", find_regular, q, strategy, seed=seed, budget=budget)
+    else:
+        candidate = stages.run(
+            "contraction_power",
+            lambda: proximal_candidate(h, eigen_flags(h, precision=EIGEN_PRECISION), strategy),
+        )
     constants = stages.run("qi_constants", qi_constants, pair, candidate)
-    return pair, exclusion, candidate, constants, candidate.g
+    return pair, exclusion, candidate, constants
 
 
 def back_half(stages, pair, g, constants, level, gamma_bound, word_bound, eigen=None):
     """ball sweep -> word survey -> fixed-flag witness; returns the sweep
-    and survey reports (None where a collected stage failed).  ``eigen`` is
-    g's eigensystem, or None for the sweep to lift its own."""
-    eps = constants.epsilon_exponent
+    and survey reports (None where a collected stage failed or was skipped).
+    ``eigen`` is g's eigensystem, or None for the sweep to lift its own."""
+    if constants is None:
+        return None, None
     report = stages.run(
-        "verify_pingpong", verify_pingpong, pair, g, level, gamma_bound, eigen, eps
+        "verify_pingpong", verify_pingpong, pair, g, level, gamma_bound,
+        eigen=eigen, epsilon_exponent=constants.epsilon_exponent,
     )
     stages.check_report("verify_pingpong", "pingpong", report)
     survey = stages.run("word_survey", word_survey, pair, g, word_bound, constants)
@@ -195,20 +223,27 @@ def construct_pipeline(
 
     Any stage exception or failed report raises StageError with the stage
     name; a certificate is produced only for a fully verified construction.
-    Bounds the verifier refuses (gamma or word bound below 1) are a
-    ValueError.
+    Inputs the verifier refuses (a q that is not a prime of at most MAX_Q, a
+    gamma or word bound below 1) are a ValueError before any stage runs.
     """
+    check_q(q)
     if gamma_bound < 1 or word_bound < 1:
         raise ValueError("the gamma bound and the word bound must be at least 1")
     stages = Stages()
-    pair, exclusion, candidate, constants, g = front_half(
-        stages, q, profile, strategy, seed, budget
-    )
-    report, survey = back_half(
-        stages, pair, g, constants, level, gamma_bound, word_bound, candidate.g_eigen
-    )
+    pair, exclusion, candidate, constants = front_half(stages, q, profile, strategy, seed, budget)
+    bounds = {"level": level, "gamma_bound": gamma_bound, "word_bound": word_bound}
+    g, eigen = candidate.g, candidate.g_eigen
+    report, survey = back_half(stages, pair, g, constants, **bounds, eigen=eigen)
+    certificate = _record(q, profile, pair, exclusion, candidate, constants, bounds, report, survey)
+    return ConstructResult(certificate, exclusion, candidate, constants, report, survey)
 
-    certificate = {
+
+def _record(q, profile, pair, exclusion, candidate, constants, bounds, report, survey):
+    """The certificate of these stage outputs: the one place its fields are
+    written.  ``bounds`` are the level, gamma and word bounds of the runs
+    that gave ``report`` and ``survey``; a failed run's report is null."""
+    contraction = candidate.contraction
+    return {
         "version": CERT_VERSION,
         "q": q,
         "profile": list(profile),
@@ -216,27 +251,48 @@ def construct_pipeline(
         "generators": {"a": pair.a.to_text(), "b": pair.b.to_text()},
         "strategy": candidate.strategy,
         "h": candidate.h.to_text(),
-        "n0": candidate.contraction.n0,
+        "n0": contraction.n0,
         "n0_source": _N0_SOURCE,
-        "g": g.to_text(),
+        "g": candidate.g.to_text(),
         "eigen": _eigen_payload(candidate.eigen),
         "constants": constants.as_dict(),
         "verification": {
-            "level": level,
-            "gamma_bound": gamma_bound,
-            "word_bound": word_bound,
-            "margin_exponent": candidate.contraction.margin_exponent,
+            **bounds,
+            "margin_exponent": contraction.margin_exponent,
             "epsilon_exponent": constants.epsilon_exponent,
             "feasible_level": candidate.feasible_level,
         },
         "sigma_digest": exclusion.digest,
         "reports": {
-            "pingpong": report.as_dict(),
-            "words": survey.as_dict(),
+            "pingpong": None if report is None else report.as_dict(),
+            "words": None if survey is None else survey.as_dict(),
             "irreducible": True,
         },
     }
-    return ConstructResult(certificate, exclusion, candidate, constants, report, survey)
+
+
+# the stage that derives each stored field: by its key, or under
+# "verification" and "reports" by the key below.  The rebuild's inputs
+# (version, q, profile, strategy and the three bounds) never differ.
+_OWNERS = {
+    key: stage
+    for stage, keys in (
+        ("make_generators", "power_applied generators"),
+        ("sigma_exclusion", "sigma_digest"),
+        ("find_regular", "h"),
+        ("contraction_power", "n0 n0_source eigen margin_exponent feasible_level"),
+        ("qi_constants", "constants epsilon_exponent"),
+        ("consistency", "g"),
+        ("verify_pingpong", "pingpong"),
+        ("word_survey", "words"),
+        ("irreducibility_witness", "irreducible"),
+    )
+    for key in keys.split()
+}
+
+
+def _owner(path):
+    return _OWNERS.get(path[1] if path[0] in ("verification", "reports") else path[0])
 
 
 # -- serialization -----------------------------------------------------------
@@ -337,8 +393,8 @@ def load_certificate(path):
 
 
 class VerifyOutcome(Stages):
-    """The collecting runner of one re-verification: every stage check,
-    ``passed`` iff none failed."""
+    """The collecting runner of one re-verification: every stage check that
+    its inputs reach, ``passed`` iff none failed."""
 
     def __init__(self, parameters):
         super().__init__(collect=True)
@@ -382,7 +438,7 @@ def verification_parameters(cert, level=None, gamma_bound=None, word_bound=None)
 
 
 def verify_certificate(source, level=None, gamma_bound=None, word_bound=None):
-    """Re-run every verification stage of a certificate.
+    """Rebuild a certificate from its inputs and its h, and compare.
 
     ``source`` is a path or an already-loaded certificate dict.  Overrides
     may only raise the stored level / gamma bound / word bound.  Stage
@@ -390,7 +446,6 @@ def verify_certificate(source, level=None, gamma_bound=None, word_bound=None):
     short-circuited.
     """
     cert = _validate(source) if isinstance(source, dict) else load_certificate(source)
-    stored = cert["verification"]
     params = verification_parameters(cert, level, gamma_bound, word_bound)
     outcome = VerifyOutcome(params)
     q = cert["q"]
@@ -398,29 +453,19 @@ def verify_certificate(source, level=None, gamma_bound=None, word_bound=None):
     names = ("generators.a", "generators.b", "h", "g")
     texts = (cert["generators"]["a"], cert["generators"]["b"], cert["h"], cert["g"])
     try:
-        a, b, h, g = mats = [parse_matrix(text, q) for text in texts]
+        _, _, h, g = mats = [parse_matrix(text, q) for text in texts]
     except LaurentSyntaxError as exc:
         raise CertificateError(f"certificate matrices do not parse: {exc}") from exc
     for name, text, mat in zip(names, texts, mats):
         if mat.to_text() != text:
             raise CertificateError(f"{name} is not the canonical text of its matrix")
 
-    pair = outcome.run("generators", make_pair, a, b)
-    if pair is not None:
-        declared = outcome.run("generators", make_generators, q, tuple(cert["profile"]))
-        if declared is not None and (declared.a != a or declared.b != b):
-            outcome.fail("generators", "stored generators do not match the profile")
-    if cert["power_applied"] != q * (q - 1):
-        outcome.fail("generators", "power_applied is not q(q-1)")
-
-    if pair is not None:
-        exclusion = outcome.run("sigma_exclusion", sigma_exclusion, pair)
-        if exclusion is not None and exclusion.digest != cert["sigma_digest"]:
-            outcome.fail("sigma_exclusion", "recomputed trace digest differs")
-
-    # the search itself is replayed only for the synthetic strategy; a
-    # lattice h must at least lie in SL3(F_q[t]), t = 1/u: exact entries
-    # with no positive power of u, and determinant 1
+    pair, exclusion, candidate, constants = front_half(
+        outcome, q, cert["profile"], cert["strategy"], h=h
+    )
+    # the search is not replayed; a lattice h must at least lie in
+    # SL3(F_q[t]), t = 1/u: exact entries with no positive power of u, and
+    # determinant 1
     if cert["strategy"] == "synthetic":
         if h != make_proximal(q):
             outcome.fail("find_regular", "h is not the synthetic proximal element")
@@ -433,71 +478,30 @@ def verify_certificate(source, level=None, gamma_bound=None, word_bound=None):
     else:
         outcome.fail("find_regular", f"unknown strategy {cert['strategy']!r}")
 
-    if cert["n0_source"] != _N0_SOURCE:
-        outcome.fail("contraction_power", f"n0_source is not {_N0_SOURCE!r}")
-    # the eigen data are rebuilt at the pipeline's precision, never at a
-    # stored one, and only then compared with the stored payload
-    rebuilt = outcome.run(
-        "contraction_power",
-        lambda: proximal_candidate(h, eigen_flags(h, precision=EIGEN_PRECISION), cert["strategy"]),
-    )
-    constants = None
-    if rebuilt is not None:
-        payload = _eigen_payload(rebuilt.eigen)
-        if not _same(payload["valuations"], cert["eigen"]["valuations"]):
-            outcome.fail("contraction_power", "eigenvalue valuations differ")
-        elif not _same(payload, cert["eigen"]):
-            outcome.fail("contraction_power", "stored eigen data differ")
-        if rebuilt.contraction.margin_exponent != stored["margin_exponent"]:
-            outcome.fail("contraction_power", "stored margin exponent is not the pipeline's")
-        if rebuilt.contraction.n0 != cert["n0"]:
-            outcome.fail(
-                "contraction_power",
-                f"recomputed n0 {rebuilt.contraction.n0} != stored {cert['n0']}",
-            )
-        if not _same(rebuilt.feasible_level, stored.get("feasible_level")):
-            outcome.fail(
-                "contraction_power",
-                f"recomputed feasible level {rebuilt.feasible_level} != stored "
-                f"{stored.get('feasible_level')}",
-            )
-        if pair is not None:
-            constants = outcome.run("qi_constants", qi_constants, pair, rebuilt)
-            if constants is not None:
-                if not _same(constants.as_dict(), cert["constants"]):
-                    outcome.fail("qi_constants", "recomputed constants differ")
-                if constants.epsilon_exponent != stored["epsilon_exponent"]:
-                    outcome.fail("qi_constants", "stored epsilon exponent differs")
-
-    # no work is sized by a stored claim: g must be the rebuilt candidate's
-    # h^n0, and the back half runs with the recomputed constants, or not at all
+    # no work is sized by a stored claim: the back half runs with the
+    # recomputed constants, on the rebuilt g when the stored one is h^n0
     g_eigen = None  # a stored g that is not h^n0 gets no eigensystem of h's
     if not (h.exact and g.exact):
         outcome.fail("consistency", "h and g must be exact matrices")
-    elif rebuilt is not None and rebuilt.g != g:
-        outcome.fail("consistency", f"g is not h^{rebuilt.contraction.n0}")
-    elif rebuilt is not None:
-        g, g_eigen = rebuilt.g, rebuilt.g_eigen  # already derived, as are g^-1 and compounds
-    if constants is not None:
-        sweep, survey = back_half(outcome, pair, g, constants, **params, eigen=g_eigen)
-        # each stored report must come out again at its stored bounds: the
-        # back half's run when they are not raised, else a rerun there;
-        # ``reports`` keeps the back half's
-        raised = {key for key, value in params.items() if value != stored[key]}
-        if raised & {"level", "gamma_bound"}:
-            sweep = outcome.run(
-                "verify_pingpong", verify_pingpong, pair, g, stored["level"],
-                stored["gamma_bound"], g_eigen, constants.epsilon_exponent,
-            )
-        if "word_bound" in raised:
-            bound = stored["word_bound"]
-            survey = outcome.run("word_survey", word_survey, pair, g, bound, constants)
-        runs = (("verify_pingpong", "pingpong", sweep), ("word_survey", "words", survey))
-        for name, key, report in runs:
-            if report is not None and not _same(report.as_dict(), cert["reports"].get(key)):
-                outcome.fail(name, f"stored reports.{key} differs from the run at its bounds")
-    if cert["reports"].get("irreducible") is not True:
-        outcome.fail("irreducibility_witness", "stored irreducibility claim is not true")
-
+    elif candidate is not None and candidate.g == g:
+        g, g_eigen = candidate.g, candidate.g_eigen  # already derived, as are g^-1 and compounds
+    sweep, survey = back_half(outcome, pair, g, constants, **params, eigen=g_eigen)
+    if constants is None or exclusion is None:
+        return outcome  # a stage the rebuilt certificate needs has failed
+    # each report is rebuilt at its stored bounds, by a rerun where they are
+    # raised; ``reports`` keeps the back half's
+    stored = {key: cert["verification"][key] for key in params}
+    if stored["level"] != params["level"] or stored["gamma_bound"] != params["gamma_bound"]:
+        sweep = outcome.run(
+            "verify_pingpong", verify_pingpong, pair, g, stored["level"], stored["gamma_bound"],
+            eigen=g_eigen, epsilon_exponent=constants.epsilon_exponent,
+        )
+    if stored["word_bound"] != params["word_bound"]:
+        survey = outcome.run("word_survey", word_survey, pair, g, stored["word_bound"], constants)
+    fresh = _record(
+        q, cert["profile"], pair, exclusion, candidate, constants, stored, sweep, survey
+    )
+    for path in _differences(fresh, cert):
+        stage = _owner(path) or "consistency"  # a field no stage writes
+        outcome.fail(stage, f"stored {'.'.join(path)} differs from the rerun")
     return outcome
-

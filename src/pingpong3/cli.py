@@ -165,9 +165,10 @@ def _cmd_verify(args):
 def _cmd_words(args):
     _preflight(args.q, args.word_bound)
     stages = Stages()
-    pair, _, _, constants, g = front_half(
+    pair, _, candidate, constants = front_half(
         stages, args.q, args.profile, args.strategy, args.seed, args.budget
     )
+    g = candidate.g
     print(
         f"# reduced words to length {args.word_bound}; c = g^{constants.r_prime}, "
         f"alpha = {constants.alpha}, c_total = {constants.c_total}"
@@ -189,7 +190,7 @@ def _cmd_words(args):
 
 
 def _cmd_inspect(args):
-    pair, exclusion, candidate, constants, _ = front_half(
+    pair, exclusion, candidate, constants = front_half(
         Stages(), args.q, args.profile, args.strategy, args.seed, args.budget
     )
     print(f"field F_{args.q}((u)), profile {args.profile[0]},{args.profile[1]}")

@@ -63,7 +63,7 @@ INF = float("inf")
 REGIONS = {"O": (None, 0), "m": (None, 1), "1+pim": (0, 2), "pi+pim": (1, 2)}
 
 
-# the largest q a command line or a certificate may name: is_prime's trial
+# the largest q that check_q, and so every Field, admits: is_prime's trial
 # division takes milliseconds up to it, and minutes at 2^61 - 1
 MAX_Q = 2**32
 
@@ -358,14 +358,13 @@ def _make(q, lead, digits, known_to=INF):
 
 
 class Field:
-    """Element factory for F_q((u)); holds q."""
+    """Element factory for F_q((u)); holds q, refused by check_q unless it
+    is a prime of at most MAX_Q."""
 
     __slots__ = ("q",)
 
     def __init__(self, q):
-        if not is_prime(q):
-            raise ValueError(f"q must be prime, got {q}")
-        self.q = q
+        self.q = check_q(q)
 
     def zero(self):
         return Laurent(self.q, 0, ())
@@ -390,12 +389,6 @@ class Field:
 
     def parse(self, text):
         return parse_laurent(text, self.q)
-
-    def __eq__(self, other):
-        return isinstance(other, Field) and self.q == other.q
-
-    def __hash__(self):
-        return hash(self.q)
 
     def __repr__(self):
         return f"Field(q={self.q})"

@@ -143,18 +143,6 @@ class Mat:
     def __hash__(self):
         return hash(self.rows)
 
-    def equal_mod(self, other, n):
-        """Tri-state entrywise agreement modulo u^n."""
-        verdict = True
-        for r1, r2 in zip(self.rows, other.rows):
-            for x, y in zip(r1, r2):
-                t = x.equal_mod(y, n)
-                if t is False:
-                    return False
-                if t is None:
-                    verdict = None
-        return verdict
-
     # -- arithmetic ----------------------------------------------------------
 
     def __mul__(self, other):
@@ -338,14 +326,6 @@ class Poly:
         for i, c in enumerate(self.coeffs[1:], start=1):
             out.append(c.scale(i % q))
         return Poly(out or (Laurent(q, 0, ()),))
-
-    def __eq__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __repr__(self):
         return "Poly(" + ", ".join(laurent_to_str(c) for c in self.coeffs) + ")"

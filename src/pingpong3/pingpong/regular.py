@@ -53,7 +53,7 @@ from ..errors import (
     SearchExhausted,
     SingularOrUndecidable,
 )
-from ..field import Field, Laurent
+from ..field import Field
 from ..linalg import Mat, random_lattice_element
 from ..projgeom import ProjLine, in_unit_window, line_has_slope_u
 from ..spectral import eigen_flags, is_regular
@@ -223,12 +223,40 @@ def _flags_in_position(eigen):
     return _slope_u(eigen.attracting_line_dual()) and _slope_u(eigen.repelling_line_dual())
 
 
-def find_regular(
-    q,
-    strategy="synthetic",
-    seed=None,
-    budget=LATTICE_BUDGET,
-):
+def _lattice_draws(q, rng):
+    """The lattice search's draws, one per trial: None for each stage-1
+    draw, then each stage-2 proposal g^n m g^-n."""
+    while True:
+        # stage 1: a contractor g with its attracting flag already in
+        # position; the screen is a cheap heuristic (low precision, never
+        # revalidated) -- soundness rests entirely on find_regular's filter
+        g = random_lattice_element(q, rng, n_factors=rng.randint(5, 8), max_deg=2)
+        yield None
+        if not is_regular(g):
+            continue
+        try:
+            eg = eigen_flags(g, precision=12)
+        except (NotSimpleSegment, InsufficientPrecision, SingularOrUndecidable):
+            continue
+        if in_unit_window(eg.vectors[0]) is not True:
+            continue
+        if not _slope_u(eg.attracting_line_dual()):
+            continue
+
+        # stage 2: transport the flags of fresh draws with powers of g
+        g_inv = g.inverse()
+        for _ in range(4):
+            m = random_lattice_element(q, rng, n_factors=rng.randint(3, 5), max_deg=2)
+            if not is_regular(m):
+                continue
+            gn, gn_inv = g, g_inv
+            for n in range(1, 7):
+                if n > 1:
+                    gn, gn_inv = gn * g, gn_inv * g_inv
+                yield gn * m * gn_inv
+
+
+def find_regular(q, strategy="synthetic", seed=None, budget=LATTICE_BUDGET):
     """Produce a positioned proximal candidate.
 
     ``synthetic`` ignores seed/budget and always succeeds; ``lattice``
@@ -248,51 +276,18 @@ def find_regular(
     if seed is None:
         raise ValueError("lattice search needs an explicit seed")
 
-    rng = random.Random(seed)
-    trials = 0
-    while trials < budget:
-        # stage 1: a contractor g with its attracting flag already in
-        # position; the screen is a cheap heuristic (low precision, never
-        # revalidated) -- soundness rests entirely on the filter below
-        trials += 1
-        g = random_lattice_element(q, rng, n_factors=rng.randint(5, 8), max_deg=2)
-        if not is_regular(g):
+    draws = _lattice_draws(q, random.Random(seed))
+    for trials, h in zip(range(1, budget + 1), draws):
+        if h is None or not is_regular(h):
             continue
         try:
-            eg = eigen_flags(g, precision=12)
+            eigen = eigen_flags(h, precision=EIGEN_PRECISION)
         except (NotSimpleSegment, InsufficientPrecision, SingularOrUndecidable):
             continue
-        if in_unit_window(eg.vectors[0]) is not True:
+        if not _flags_in_position(eigen):
             continue
-        if not _slope_u(eg.attracting_line_dual()):
-            continue
-
-        # stage 2: transport the flags of fresh draws with powers of g
-        g_inv = g.inverse()
-        for _ in range(4):
-            if trials >= budget:
-                break
-            m = random_lattice_element(q, rng, n_factors=rng.randint(3, 5), max_deg=2)
-            if not is_regular(m):
-                continue
-            gn, gn_inv = g, g_inv
-            for n in range(1, 7):
-                if n > 1:
-                    gn, gn_inv = gn * g, gn_inv * g_inv
-                if trials >= budget:
-                    break
-                trials += 1
-                h = gn * m * gn_inv
-                if not is_regular(h):
-                    continue
-                try:
-                    eigen = eigen_flags(h, precision=EIGEN_PRECISION)
-                except (NotSimpleSegment, InsufficientPrecision, SingularOrUndecidable):
-                    continue
-                if not _flags_in_position(eigen):
-                    continue
-                candidate = proximal_candidate(h, eigen, "lattice", trials)
-                level = candidate.feasible_level
-                if level is not None and level <= LATTICE_MAX_LEVEL:
-                    return candidate
+        candidate = proximal_candidate(h, eigen, "lattice", trials)
+        level = candidate.feasible_level
+        if level is not None and level <= LATTICE_MAX_LEVEL:
+            return candidate
     raise SearchExhausted(budget, f"no positioned regular element in {budget} draws")

@@ -21,6 +21,7 @@ from pingpong3.certificate import (
 )
 from pingpong3.cli import main
 from pingpong3.errors import CertificateError, StageError
+from pingpong3.field import Field
 from pingpong3.linalg import Mat
 from pingpong3.pingpong.generators import make_generators
 from pingpong3.pingpong.verify import Violation
@@ -327,18 +328,42 @@ LEAVES = list(_leaf_paths(STORED))
 
 @pytest.mark.parametrize("path", LEAVES, ids=[".".join(map(str, p)) for p in LEAVES])
 def test_every_tampered_stored_leaf_is_refused(path):
-    """Each change of a stored leaf fails a verify stage or is refused by
-    the loader; no other exception escapes.  ``TAMPERS`` pins the stage."""
+    """Each change of a stored leaf fails the stage that derives it (its
+    owner; any stage for an input of the rebuild) or is refused by the
+    loader; no other exception escapes.  ``TAMPERS`` pins the stage set."""
     *parents, key = path
     holder = STORED
     for name in parents:
         holder = holder[name]
+    owner = certificate_module._owner(path)
     for tampered in _leaf_tampers(holder[key]):
         try:
             outcome = verify_certificate(_replaced(STORED, path, lambda _: tampered))
         except CertificateError:
             continue
         assert not outcome.passed, tampered
+        assert owner is None or owner in _stages(outcome), (tampered, outcome.failures)
+
+
+# the rebuild's inputs: verify reruns the pipeline from them, so they have
+# no owner and never differ from the rebuilt certificate
+INPUTS = {("version",), ("q",), ("profile",), ("strategy",)} | {
+    ("verification", key) for key in ("level", "gamma_bound", "word_bound")
+}
+
+
+def test_every_stored_leaf_is_an_input_or_has_an_owner():
+    """So no field can be stored that verify does not compare."""
+    lattice = construct_pipeline(2, strategy="lattice", seed=11, **SMALL).certificate
+    for cert in (STORED, json.loads(certificate_text(lattice))):
+        unowned = [
+            path
+            for path in _leaf_paths(cert)
+            if path[:1] not in INPUTS and path[:2] not in INPUTS
+            and certificate_module._owner(path) is None
+        ]
+        assert unowned == []
+    assert all(certificate_module._owner(path) is None for path in INPUTS)
 
 
 # (override, stored report field, the stage that must fail): a stored report
@@ -517,6 +542,19 @@ def test_unknown_field_is_a_certificate_error(result):
         verify_certificate(extra)
 
 
+@pytest.mark.parametrize(
+    "key, stage",
+    [("generators", "make_generators"), ("verification", "consistency"), ("reports", "consistency")],
+)
+def test_a_stray_nested_field_fails_verification(result, key, stage):
+    # the loader refuses unknown top-level fields only; below them the leaf
+    # diff sees a field that the rebuilt certificate does not have
+    bad = copy.deepcopy(result.certificate)
+    bad[key]["comment"] = "trust me"
+    outcome = verify_certificate(bad)
+    assert outcome.failures == [(stage, f"stored {key}.comment differs from the rerun")]
+
+
 def test_unreadable_files_are_certificate_errors(tmp_path):
     with pytest.raises(CertificateError, match="cannot read"):
         load_certificate(tmp_path / "missing.json")
@@ -526,7 +564,15 @@ def test_unreadable_files_are_certificate_errors(tmp_path):
         load_certificate(junk)
 
 
-def test_schema_violations_are_certificate_errors(result, tmp_path, monkeypatch):
+@pytest.fixture
+def bounded_is_prime(monkeypatch):
+    """is_prime answering False above MAX_Q: a check order that tests a
+    large q first fails at once, not after minutes of trial division."""
+    is_prime, limit = field_module.is_prime, field_module.MAX_Q
+    monkeypatch.setattr(field_module, "is_prime", lambda n: n <= limit and is_prime(n))
+
+
+def test_schema_violations_are_certificate_errors(result, tmp_path, bounded_is_prime):
     missing = copy.deepcopy(result.certificate)
     del missing["sigma_digest"]
     path = tmp_path / "missing.json"
@@ -544,10 +590,7 @@ def test_schema_violations_are_certificate_errors(result, tmp_path, monkeypatch)
     with pytest.raises(CertificateError, match="not prime"):
         verify_certificate(composite)
 
-    # refused before any primality test: trial division of 2^61 - 1 would
-    # run for minutes
-    is_prime, limit = field_module.is_prime, field_module.MAX_Q
-    monkeypatch.setattr(field_module, "is_prime", lambda n: n <= limit and is_prime(n))
+    # refused before any primality test
     huge = copy.deepcopy(result.certificate)
     huge["q"] = 2**61 - 1
     with pytest.raises(CertificateError, match="too large"):
@@ -595,6 +638,21 @@ def test_booleans_are_not_integer_fields(result, key):
 def test_construction_refuses_bounds_below_one(bounds):
     with pytest.raises(ValueError, match="at least 1"):
         construct_pipeline(2, **{**SMALL, **bounds})
+
+
+def test_construction_refuses_a_composite_q_before_any_stage(monkeypatch):
+    calls = []
+    monkeypatch.setattr(certificate_module, "make_generators", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="not prime"):
+        construct_pipeline(4, **SMALL)
+    assert calls == []
+
+
+def test_construction_and_fields_refuse_a_large_q_before_any_primality_test(bounded_is_prime):
+    with pytest.raises(ValueError, match="too large"):
+        construct_pipeline(2**61 - 1, level=3, gamma_bound=1, word_bound=1)
+    with pytest.raises(ValueError, match="too large"):
+        Field(2**61 - 1)
 
 
 def test_failed_stages_raise_stage_errors():

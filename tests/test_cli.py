@@ -81,7 +81,19 @@ def test_verify_fails_an_unparsable_alpha_at_its_stage_with_exit_1(
     assert main(["verify", str(path)]) == 1
     printed = capsys.readouterr()
     assert "FAIL (1 stage checks)" in printed.out
-    assert "  qi_constants: recomputed constants differ" in printed.out
+    assert "  qi_constants: stored constants.alpha differs from the rerun" in printed.out
+    assert "Traceback" not in printed.out + printed.err
+
+
+def test_verify_fails_an_inexact_stored_g_at_its_stage_with_exit_1(
+    cert_path, tmp_path, capsys
+):
+    # the canonical text of a matrix with an O(u^40) entry: it loads, and no
+    # stage that needs an exact g raises past the collecting runner
+    g = json.loads(cert_path.read_text())["g"].replace(",", " + O(u^40),", 1)
+    assert main(["verify", str(_edited(cert_path, tmp_path, g=g))]) == 1
+    printed = capsys.readouterr()
+    assert "  consistency: h and g must be exact matrices" in printed.out
     assert "Traceback" not in printed.out + printed.err
 
 

@@ -43,6 +43,7 @@ from pingpong3.projgeom import (
     in_unit_window,
 )
 from pingpong3.spectral import eigen_flags
+from test_pingpong_core import NON_MONIC_Q3
 
 PAIR2 = make_generators(2)
 
@@ -464,7 +465,8 @@ Q2_PINS = [
     (PAIR2, 6, 2, 0, "4c58a427c697bf333a9ff6e6e6706625fd449f78da390ea8114302ff733cce91"),
     # 6,144 gamma-window violations: examples read the window balls' texts
     (IDENTITY_PAIR, 6, 2, None, "9643da35c54479d7a794baea6c9ce045f2e9594c51239749ab29d16ee5345e77"),
-    # window images up to 12 * 6 + 4 = 76 columns: wider than one word
+    # window images span up to 12 * 6 + 4 = 76 columns, but are read
+    # through cone forms cut at level + 8: 15-column rows, one word each
     (PAIR2, 4, 6, None, "219390f6cbbfc4d43db09d546d4e71833b25b922ec5b1e1dc9fab4b7b880bb67"),
     # 256 gamma-window and 320 gamma-cone violations of each sign
     (
@@ -960,6 +962,18 @@ def test_negative_gamma_bound_is_rejected():
     report = verify_pingpong(PAIR2, g, level=4, gamma_bound=0)
     assert report.passed and report.gamma_elements == 0
     assert report.domain_balls > 0
+
+
+def test_non_monic_pairs_and_inexact_generators_are_refused():
+    # window images are the window digits moved, not scaled, and the sweep
+    # reads g's digits exactly
+    g = find_regular(3).g
+    with pytest.raises(ValueError, match="gamma sweep needs monic monomial diagonals"):
+        verify_pingpong(NON_MONIC_Q3, g, level=4, gamma_bound=1)
+    inexact = parse_matrix(g.to_text().replace(",", " + O(u^40),", 1), 3)
+    assert not inexact.exact
+    with pytest.raises(ValueError, match="the cyclic generator must be exact"):
+        verify_pingpong(make_generators(3), inexact, level=4, gamma_bound=1)
 
 
 def test_trivial_pair_fails_the_gamma_sweep():
