@@ -24,8 +24,8 @@ stored inputs (version, q, profile, strategy, the three bounds) and h:
 * the search is not replayed, so its seed and trial count are not stored:
   h's eigen data are rebuilt at the pipeline's own precision and turned
   into contraction data, a feasible level and g = h^n0 by the builder the
-  search uses (stage ``contraction_power``).  When that fails, no stage
-  after it runs, and there is no certificate to compare;
+  search uses (stage ``contraction_power``).  When that fails, qi_constants
+  and the back half are skipped, and there is no certificate to compare;
 * the back half runs with the recomputed constants at the stored or a
   raised level / gamma bound / word bound (never a lowered one); each
   report is rebuilt at its stored bounds, by a rerun where they are raised;

@@ -703,3 +703,15 @@ def test_stages_reach_their_callables_through_the_certificate_module(stage_calls
     stage_calls.clear()
     assert main(["words", "--q", "2", "--word-bound", "2"]) == 0
     assert set(stage_calls) == {"sigma_exclusion", "find_regular", "qi_constants", "word_survey"}
+
+
+def test_an_h_that_cannot_be_rebuilt_skips_the_stages_after_it(stage_calls):
+    # the identity lies in SL3(F_q[t]) but is not regular: contraction_power
+    # fails, and the stages that need its candidate are skipped, not failed
+    cert = construct_pipeline(2, strategy="lattice", seed=11, **SMALL).certificate
+    cert["h"] = Mat.identity(2).to_text()
+    stage_calls.clear()
+    outcome = verify_certificate(cert)
+    assert _stages(outcome) == {"contraction_power"}
+    assert outcome.reports == {}
+    assert set(stage_calls) == {"sigma_exclusion", "eigen_flags"}
