@@ -35,9 +35,9 @@ stored inputs (version, q, profile, strategy, the three bounds) and h:
   lattice h must lie in SL3(F_q[t]), h and g must be exact, and a stored g
   that is not h^n0 is the g the back half sweeps.
 
-Fields outside the schema are refused when the certificate is loaded, and
-matrix texts that are not the canonical text of their matrix before any
-stage runs.
+Top-level fields outside the schema are refused when the certificate is
+loaded (one further down is a differing leaf), and matrix texts that are
+not the canonical text of their matrix before any stage runs.
 """
 
 from __future__ import annotations
