@@ -91,7 +91,12 @@ class DiagPair:
     def act(self, m, n, vec):
         """a^m b^n applied to a coordinate vector: coordinate i times its
         monomial, one ``shift`` each.  Equal, precision included, to
-        ``gamma(m, n).matvec(vec)``."""
+        ``gamma(m, n).matvec(vec)``.  A monic pair (unit coefficients all 1,
+        as in the standard pairs) shifts by the exponents m k_i + n l_i alone."""
+        (ka, ca), (kb, cb) = self._factors
+        if ca == cb == (1, 1, 1):
+            (x, y, z), (k0, k1, k2), (l0, l1, l2) = vec, ka, kb
+            return x.shift(m * k0 + n * l0), y.shift(m * k1 + n * l1), z.shift(m * k2 + n * l2)
         exps, coeffs = self.monomial(m, n)
         return tuple(x.shift(e, c) for x, e, c in zip(vec, exps, coeffs))
 

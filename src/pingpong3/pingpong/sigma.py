@@ -33,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from functools import lru_cache
 from typing import NamedTuple
 
 from ..errors import ExclusionFailed
@@ -233,23 +234,39 @@ def sigma_exclusion(pair):
 # -- Monte-Carlo cross-check ----------------------------------------------
 
 _TAIL_DEPTH = 14
+_DRAWS = 4 * (_TAIL_DEPTH - 2)  # window digits per call
+
+
+@lru_cache(maxsize=None)
+def _draw_tables(q):
+    """The exact 1 and, for q < 2^8, ``bytes.translate`` tables of a 32-bit
+    word's top byte: its draw of q.bit_length() bits, and the draws >= q."""
+    drop = 8 - q.bit_length()
+    keep = bytes(b >> drop for b in range(256)) if drop >= 0 else None
+    return _make(q, 0, (1,)), keep, keep and bytes(b for b in range(256) if keep[b] >= q)
 
 
 def _window_points(q, rng):
     """Two points [1 + u^2 s : 1 + u^2 t : 1] of the unit window, s and t of
     _TAIL_DEPTH - 2 random digits each, drawn as ``rng.randrange(q)`` draws
-    them: q.bit_length() random bits, drawn again while >= q."""
-    getrandbits, bits, one = rng.getrandbits, q.bit_length(), _make(q, 0, (1,))
-    coords = []
-    for _ in range(4):
-        digits = [1, 0]
-        for _ in range(_TAIL_DEPTH - 2):
+    them: q.bit_length() random bits, drawn again while >= q.  Each draw
+    reads one 32-bit word and at least _DRAWS are made, so for q < 2^8 the
+    first _DRAWS are one ``getrandbits(32 * _DRAWS)``, first word lowest,
+    read by ``_draw_tables``."""
+    one, keep, reject = _draw_tables(q)
+    getrandbits, bits, k = rng.getrandbits, q.bit_length(), _TAIL_DEPTH - 2
+    block = keep and getrandbits(32 * _DRAWS).to_bytes(4 * _DRAWS, "little")
+    digits = list(block[3::4].translate(keep, reject)) if keep else []
+    for _ in range(_DRAWS - len(digits)):  # the rest as single draws
+        d = getrandbits(bits)
+        while d >= q:
             d = getrandbits(bits)
-            while d >= q:
-                d = getrandbits(bits)
-            digits.append(d)
-        coords.append(_make(q, 0, tuple(digits)))
-    return (coords[0], coords[1], one), (coords[2], coords[3], one)
+        digits.append(d)
+    x0 = _make(q, 0, (1, 0, *digits[:k]))
+    x1 = _make(q, 0, (1, 0, *digits[k : 2 * k]))
+    y0 = _make(q, 0, (1, 0, *digits[2 * k : 3 * k]))
+    y1 = _make(q, 0, (1, 0, *digits[3 * k :]))
+    return (x0, x1, one), (y0, y1, one)
 
 
 def monte_carlo_check(pair, rng, trials_per_case=200, exponent_bound=5):
@@ -261,8 +278,8 @@ def monte_carlo_check(pair, rng, trials_per_case=200, exponent_bound=5):
     the base point must not have slope in u + u^2 O.  A sample draws m and
     n from ``rng.getrandbits`` with the values and stream position of
     ``rng.randint(1, exponent_bound)``, then the base point and y by
-    ``_window_points``.  The image is formed coordinatewise from the
-    exponent triple of a^m b^n (``DiagPair.act``), with no matrix built.
+    ``_window_points``, in ``rng.randrange(q)``'s stream.  The image is y
+    shifted coordinatewise by a^m b^n (``DiagPair.act``), no matrix built.
     Returns a dict of per-case (trials, hits); raises AssertionError on any
     hit, and ValueError before any draw unless both counts are >= 1.
     """

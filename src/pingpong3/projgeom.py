@@ -157,8 +157,10 @@ class ProjLine:
 
 
 def in_unit_window(coords):
-    """Level-2 ball around [1:1:1]: pairwise diffs of valuation >= vm + 2."""
-    vm = vec_min_val(coords)
+    """Level-2 ball around [1:1:1]: pairwise diffs of valuation >= vm + 2.
+    vm is the least valuation, ``vec_min_val``'s when one is undecided."""
+    vals = coords[0].val(), coords[1].val(), coords[2].val()
+    vm = min(vals) if None not in vals else vec_min_val(coords)
     if vm is None:
         return None
     if vm is INF:
@@ -167,8 +169,8 @@ def in_unit_window(coords):
     verdict = True
     for i in range(3):
         for j in range(i + 1, 3):
-            vals = coords[i].val(), coords[j].val()
-            if None not in vals and vals[0] != vals[1] and min(vals) < threshold:
+            vi, vj = vals[i], vals[j]
+            if vi is not None and vj is not None and vi != vj and min(vi, vj) < threshold:
                 return False  # the lower leading digit survives the difference
             d = coords[i] - coords[j]
             if d.val_lower_bound() >= threshold:
@@ -225,9 +227,12 @@ def in_slope_u_cone(x_coords, y_coords):
     """
     (x0, x1, x2), (y0, y1, y2) = x_coords, y_coords
     # each coordinate's valuation bound, and whether it is the valuation
-    (a0, h0), (a1, h1), (a2, h2), (b0, k0), (b1, k1), (b2, k2) = [
-        (z.lead, True) if z.digits else (z.known_to, False) for z in (*x_coords, *y_coords)
-    ]
+    a0, h0 = (x0.lead, True) if x0.digits else (x0.known_to, False)
+    a1, h1 = (x1.lead, True) if x1.digits else (x1.known_to, False)
+    a2, h2 = (x2.lead, True) if x2.digits else (x2.known_to, False)
+    b0, k0 = (y0.lead, True) if y0.digits else (y0.known_to, False)
+    b1, k1 = (y1.lead, True) if y1.digits else (y1.known_to, False)
+    b2, k2 = (y2.lead, True) if y2.digits else (y2.known_to, False)
     s, t = (a2 + b0, h2 and k0), (a0 + b2, h0 and k2)
     n0 = n1 = None  # the sums formed here, handed on if the call falls through
     if s[0] == t[0]:

@@ -97,6 +97,24 @@ def test_verify_fails_an_inexact_stored_g_at_its_stage_with_exit_1(
     assert "Traceback" not in printed.out + printed.err
 
 
+def test_a_stage_that_raises_is_not_also_reported_as_a_differing_report(
+    cert_path, tmp_path, capsys
+):
+    # the sweep and the survey raise on an inexact g and leave null reports:
+    # each fails once, by its error, not again by the stored report's diff
+    g = json.loads(cert_path.read_text())["g"].replace(",", " + O(u^40),", 1)
+    assert main(["verify", str(_edited(cert_path, tmp_path, g=g))]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith(": FAIL (5 stage checks)")
+    assert lines[1:] == [
+        "  consistency: h and g must be exact matrices",
+        "  verify_pingpong: ValueError: the cyclic generator must be exact",
+        "  word_survey: ValueError: the cyclic generator must be exact with determinant 1",
+        "  irreducibility_witness: ValueError: the irreducibility witness needs an exact matrix",
+        "  consistency: stored g differs from the rerun",
+    ]
+
+
 def test_verify_refuses_a_version_1_certificate_with_exit_2(cert_path, tmp_path, capsys):
     path = _edited(cert_path, tmp_path, version=1, seed=None, trials=1)
     assert main(["verify", str(path)]) == 2

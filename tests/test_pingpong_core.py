@@ -110,11 +110,14 @@ def test_gamma_from_exponent_triples_matches_mat_powers(pair):
 
 
 def test_act_is_the_matrix_action_precision_included():
-    vectors = [
-        (F3.one(), F3.parse("1 + u^2 + 2*u^3"), F3.one()),
-        (Laurent(3, 2, [1, 2], 6), F3.unknown(3), F3.zero()),
-    ]
-    for pair in (make_generators(3), NON_MONIC_Q3):
+    # monic pairs take act's exponent path, the non-monic ones ``monomial``'s
+    pairs = [make_generators(q) for q in (2, 3, 5)] + [NON_MONIC_Q3, NON_MONIC_Q5]
+    for pair in pairs:
+        q, f = pair.q, Field(pair.q)
+        vectors = [
+            (f.one(), f.from_int_poly([1, 0, 1, q - 1]), f.one()),
+            (Laurent(q, 2, [1, q - 1], 6), f.unknown(3), f.zero()),
+        ]
         for vec in vectors:
             for m, n in ((1, 0), (-2, 3), (0, -1), (4, 4)):
                 assert pair.act(m, n, vec) == pair.gamma(m, n).matvec(vec)
@@ -291,7 +294,8 @@ def test_exponent_draws_replay_randint(bound, monkeypatch):
     assert rng.random() == twin.random()
 
 
-@pytest.mark.parametrize("q", [2, 3, 5, 7, 13, 31])
+# q = 257 draws 9 bits, wider than a byte: single draws only
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 13, 31, 257])
 def test_window_points_draw_what_randrange_draws(q):
     f = Field(q)
     for seed in (0, 1, 2):
@@ -305,6 +309,20 @@ def test_window_points_draw_what_randrange_draws(q):
             assert [base[0], base[1], y[0], y[1]] == want
             assert base[2] == y[2] == f.one()
         assert rng.random() == twin.random()
+
+
+def test_a_getrandbits_block_is_the_next_words_first_lowest():
+    # the premise of _window_points' block: getrandbits(32 * k) is the next
+    # k 32-bit words, the first in the low word, and a draw of b <= 32 bits
+    # is the top b bits of its word
+    for k in (1, 2, 48):
+        rng, word_twin, bits_twin = random.Random(k), random.Random(k), random.Random(k)
+        block = rng.getrandbits(32 * k)
+        words = [block >> 32 * i & 0xFFFFFFFF for i in range(k)]
+        assert words == [word_twin.getrandbits(32) for _ in range(k)]
+        bits = [1 + i % 8 for i in range(k)]
+        assert [w >> 32 - b for w, b in zip(words, bits)] == [bits_twin.getrandbits(b) for b in bits]
+        assert rng.random() == word_twin.random() == bits_twin.random()
 
 
 @pytest.mark.parametrize(
