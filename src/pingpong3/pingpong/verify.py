@@ -19,30 +19,32 @@ Both are decided on a prefix tree of the balls.  A node is a stratum and
 the first d digits of each free coordinate; its representative, with the
 trailing M - d digits 0, is itself a ball.  A linear form's digits below
 its horizon, d + the least tap position of its coefficients on the free
-coordinates, are the same on all of a node's balls, so a node whose read
-values all lie below their horizons is decided on its representative and
-stands for its q^(2(M - d)) balls; the others split into their q^2
-children, one batch per depth from d = 2, down to single balls at d = M.  The window
-pass decides each a^m b^n on the window's depth-2 node.  Any violation or
-undecidable value falls back to the exhaustive pass, ball by ball, which
-writes the failing report and its examples.
+coordinates (tabled per stratum once per sweep), are the same on all of a
+node's balls, so a node whose read values all lie below their horizons is
+decided on its representative and stands for its q^(2(M - d)) balls; the
+others split into their q^2 children, one batch per depth from d = 2,
+down to single balls at d = M.  The window pass decides each a^m b^n on
+the window's depth-2 node.  Any violation or undecidable value falls back
+to the exhaustive pass, ball by ball, which writes the failing report and
+its examples.
 
 A ball is three value indices into one digit table of every coordinate
 value below q^M.  The sweep reads balls through a few families of linear
 forms -- the two cone forms per apex, the rows of the eigenbasis adjugate
-and of g and g^-1 -- in one of two row formats, picked once per sweep
-from q and the widest row the domain pass reads:
+and of g and g^-1.  A form is linear in each coordinate, so once per sweep
+a product table per coordinate holds its part of every form at each of
+the q^M values; on a batch the forms are the sum of one gather per
+coordinate, and the window pass shifts the cone forms' parts by the
+diagonal's exponents.  Rows take one of two formats, picked once per
+sweep from q and the widest row the domain pass reads:
 
 * at q = 2, when every row fits 64 columns, a digit row is one uint64
-  word (bit c = digit at u^c).  A form is XOR-linear in each coordinate,
-  so once per sweep a product table holds each coordinate's part of every
-  form at each of the q^M values; on a batch the forms are the XOR of one
-  gather per coordinate, and the window pass shifts the cone forms' parts
-  by the diagonal's exponents.  A first-nonzero position is a
+  word (bit c = digit at u^c): parts add by XOR, a table is built by XOR
+  doubling over the value bits, and a first-nonzero position is a
   trailing-zero count.
-* otherwise a batch is a (3, M, n) integer array of base-q digits,
-  coordinate-major with the ball axis last; a form is a shift-and-add mod
-  q of its coefficient taps, one add of a contiguous block per tap.
+* otherwise a row is base-q digits, one column each, the ball axis last:
+  a table is one shift-and-add mod q of the taps over every value, and a
+  batch's parts are added and reduced mod q once.
 
 In both, the window test reads two digit columns and the cone test
 compares first-nonzero positions of cross-product digit rows.  Verdicts
@@ -107,83 +109,94 @@ def _digit_dtype(q):
 
 # -- digit rows: integer arrays, or uint64 words at q = 2 -------------------
 #
-# Both formats share one interface and keep the ball axis last.  ``encode``
-# turns the digit table into the format's rows of every coordinate value,
-# once per sweep.  A family of k linear forms sum_j x_ij y_j, each form
-# given as three tap lists (position, digit) of its coefficients x_ij, into
-# the digits at u^lead .. u^(lead + width - 1), is prepared once per sweep
-# by ``forms``.  ``chunk`` reads one chunk of balls: their value indices (from
-# ``_ball_chunks``) and the index of their pivot coordinate, None for balls
-# of mixed strata.  ``evaluate`` gives a family's rows on a chunk; ``at``
+# Both formats share one interface and keep the ball axis last.  A family
+# of k linear forms sum_j x_ij y_j, each form given as three tap lists
+# (position, digit) of its coefficients x_ij, into the digits at u^lead ..
+# u^(lead + width - 1), is prepared once per sweep by ``forms`` from the
+# (M, V) digit table: a form is linear in each coordinate, so one product
+# table per coordinate j holds its part x_ij v of every form at each value v.
+# A ``_Chunk`` of balls reads the tables at its value indices: ``evaluate``
+# gives a family's rows on it, the sum of one take per coordinate; ``at``
 # gives them as a function of per-coordinate offsets o, coordinate j
 # entering as u^o_j y_j (the balls' images under a monic diagonal), with
-# the per-chunk work done once; (3, E) offsets give E images of each ball,
+# the takes done once; (3, E) offsets give E images of each ball,
 # element-major along the ball axis.  ``first_nonzero`` reads rows back as
 # (k, n) positions.  Columns at or past ``width`` are never kept: column c
 # of a product only depends on the columns <= c of its factors, so every
 # column kept is exact.
 
 
+class _Chunk:
+    """A chunk of balls: their (x, y, z) value indices and pivot coordinate,
+    None for balls of mixed strata."""
+
+    def __init__(self, balls, pivot=None):
+        self.balls, self.pivot = balls, pivot
+
+    def take(self, table, j):
+        """The (..., V) ``table`` at coordinate j's value indices: (..., n),
+        or (..., 1) for the pivot, whose value is the same on every ball."""
+        idx = self.balls[j]
+        return table[..., idx[:1]] if j == self.pivot else np.take(table, idx, axis=-1)
+
+    def add_parts(self, tables, add):
+        """``add`` of each coordinate's table at its value indices, in place
+        as they come (pivot last), so at most two are alive at once."""
+        order = sorted(range(3), key=lambda j: j == self.pivot)
+        out = self.take(tables[order[0]], order[0])
+        for j in order[1:]:
+            add(out, self.take(tables[j], j), out=out)
+        return out
+
+
 class _IntRows:
-    """Digit rows as integer arrays, for any q: a chunk is (3, M, n)
-    digits, k forms are (k, width, n) digits mod q, evaluated per chunk by
-    a tap shift-add.  A tap adds one contiguous (<= M, n) block of a
-    coordinate's digits into a contiguous block of its form.  The
-    accumulator is the narrowest dtype that holds a form's largest column
-    sum, q - 1 times the sum of its tap digits, fixed once per family by
-    ``forms``."""
+    """Digit rows as integer arrays, for any q: k forms on n balls are
+    (k, width, n) digits mod q, and coordinate j's product table is
+    (k, width, V).  On a chunk the forms are three takes, two adds and one
+    reduction mod q; the tables hold digits below q in the narrowest dtype
+    that holds three of them added."""
 
     def __init__(self, q):
         self.q = q
+        self.dtype = int_dtype(3 * (q - 1))
 
-    @staticmethod
-    def encode(table):
-        return table
-
-    def forms(self, values, taps, lead, width):
-        top = (self.q - 1) * max(sum(dig for t in row for _, dig in t) for row in taps)
-        return taps, lead, width, int_dtype(top)
-
-    @staticmethod
-    def chunk(values, balls, pivot=None):
-        """Rows (..., V) of every value, taken at the (x, y, z) index arrays
-        ``balls``: (3, ..., n), one contiguous take per coordinate
-        (values[..., idx] would not keep the ball axis contiguous) but the
-        pivot's, whose one value is filled in.  The chunk is gathered once
-        and shared by every family evaluated on it."""
-        chunk = np.empty((3, *values.shape[:-1], balls[0].size), dtype=values.dtype)
-        for j, (out, idx) in enumerate(zip(chunk, balls)):
-            if j == pivot:
-                out[...] = values[..., idx[:1]]
-            else:
-                np.take(values, idx, axis=-1, out=out)
-        return chunk
+    def forms(self, table, taps, lead, width):
+        """The tables of all three coordinates in one shift-add over the
+        (M, V) digit table, as 3k forms with taps on one coordinate each."""
+        single = [
+            [t if i == j else [] for i, t in enumerate(row)] for j in range(3) for row in taps
+        ]
+        tables = self.shift_add(single, np.broadcast_to(table, (3, *table.shape)), lead, width)
+        return tables.reshape(3, len(taps), width, -1).astype(self.dtype, copy=False), width
 
     def evaluate(self, forms, chunk):
-        taps, lead, width, dtype = forms
-        return self.shift_add(taps, chunk, lead, width, dtype)
+        return self.reduce(chunk.add_parts(forms[0], np.add))
 
     def at(self, forms, chunk):
-        taps, lead, width, dtype = forms
-        _, level, n = chunk.shape
-        low = min((p for row in taps for t in row for p, _ in t), default=lead)
-        span = width + lead - low  # image columns a kept form column reads
-        padded = np.concatenate([chunk, np.zeros((3, 1, n), chunk.dtype)], axis=1)
+        tables, width = forms
+        parts = [chunk.take(table, j) for j, table in enumerate(tables)]
+        # a zero column after the last, read where c - o < 0
+        parts = [np.concatenate([p, np.zeros_like(p[:, :1])], axis=1) for p in parts]
 
         def moved(offsets):
-            # column c of u^o y_j is column c - o of y_j, or the zero row
-            offsets = np.asarray(offsets).reshape(3, -1, 1)
-            cols = np.arange(span) - offsets
-            cols[(cols < 0) | (cols >= level)] = level
-            img = np.stack([y[c] for y, c in zip(padded, cols)])
-            img = img.transpose(0, 2, 1, 3).reshape(3, span, -1)
-            return self.shift_add(taps, img, lead, width, dtype)
+            # column c of coordinate j's part of u^o y is column c - o of
+            # y's part
+            cols = np.arange(width)[:, None] - np.asarray(offsets).reshape(3, 1, -1)
+            cols[cols < 0] = width
+            out = parts[0][:, cols[0]] + parts[1][:, cols[1]]
+            out += parts[2][:, cols[2]]
+            return self.reduce(out).reshape(*out.shape[:2], -1)
 
         return moved
 
-    def shift_add(self, taps, chunk, lead, width, dtype):
+    def shift_add(self, taps, chunk, lead, width):
+        """k forms on (3, M, n) digits: a tap adds one contiguous (<= M, n)
+        block of a coordinate's digits into a contiguous block of its form,
+        in the narrowest dtype that holds a form's largest column sum, q - 1
+        times the sum of its tap digits."""
+        top = (self.q - 1) * max(sum(dig for t in row for _, dig in t) for row in taps)
         _, level, n = chunk.shape
-        out = np.zeros((len(taps), width, n), dtype=dtype)
+        out = np.zeros((len(taps), width, n), dtype=int_dtype(top))
         for acc, row in zip(out, taps):
             for y, coord_taps in zip(chunk, row):
                 for pos, dig in coord_taps:
@@ -192,8 +205,12 @@ class _IntRows:
                     if col < stop:
                         block = y[: stop - col]
                         acc[col:stop] += block if dig == 1 else dig * block
-        # out % q: NumPy divides an integer array by a scalar through a
-        # precomputed multiply, several times faster than its remainder
+        return self.reduce(out)
+
+    def reduce(self, out):
+        """out % q in place: NumPy divides an integer array by a scalar
+        through a precomputed multiply, several times faster than its
+        remainder."""
         out -= self.q * (out // self.q)
         return out
 
@@ -228,69 +245,42 @@ class _IntRows:
         return mask
 
 
-class _BitChunk:
-    """A chunk at q = 2: its balls' value indices and pivot coordinate, at
-    which forms read their tables."""
-
-    def __init__(self, balls, pivot):
-        self.balls, self.pivot = balls, pivot
-
-    def take(self, table, j):
-        """The (k, V) ``table`` at coordinate j's value indices: (k, n), or
-        (k, 1) for the pivot, whose value is the same on every ball."""
-        idx = self.balls[j]
-        return table[:, idx[:1]] if j == self.pivot else np.take(table, idx, axis=1)
-
-
 class _BitRows:
     """q = 2 digit rows as uint64 words, bit c holding the digit at
-    u^(lead + c): k forms, images and chunks are (k, n) words.  Every
-    nonzero digit is 1 and -1 = 1, so a tap XORs in the shifted word and
-    nothing is reduced.  A form is linear over XOR in each coordinate, so
-    ``forms`` evaluates each coordinate's part x_ij v of every form at
-    every value v once per sweep, into one (k, V) product table per
-    coordinate; on a chunk the forms are the XOR of one take per coordinate
-    at its value indices, the pivot's table column a constant.  Rows must
-    fit 64 columns (``_row_format``)."""
+    u^(lead + c): k forms on n balls are (k, n) words, and coordinate j's
+    product table is (k, V).  Every nonzero digit is 1 and -1 = 1, so a
+    part is a tap word shifted by the value's digit positions, parts add
+    by XOR and nothing is reduced.  Rows must fit 64 columns
+    (``_row_format``)."""
 
     @staticmethod
-    def encode(table):
-        """One word per value: digit c of the (M, V) table is bit c."""
-        words = np.zeros(table.shape[1], dtype=np.uint64)
-        for c, digits in enumerate(table):
-            words |= digits.astype(np.uint64) << np.uint64(c)
-        return words
-
-    def forms(self, values, taps, lead, width):
-        """One (k, V) product table per coordinate j: the taps on y_j alone,
-        shift-added over every value."""
-        every = np.broadcast_to(values, (3, values.size))
-        tables = []
-        for j in range(3):
-            only_j = [[t if i == j else [] for i, t in enumerate(row)] for row in taps]
-            tables.append(self.shift_add(only_j, every, lead, width))
-        return tables, width
-
-    @staticmethod
-    def chunk(values, balls, pivot=None):
-        return _BitChunk(balls, pivot)
+    def forms(table, taps, lead, width):
+        """The (3, k, V) tables by XOR doubling over the value bits, all
+        three coordinates at once: bit b of a value is its digit at
+        u^(M - 1 - b), so out[v + 2^b] = out[v] ^ the tap word shifted by
+        M - 1 - b."""
+        mask = (1 << width) - 1
+        words = [
+            [sum(1 << (p - lead) for p, _ in row[j] if p - lead < width) for row in taps]
+            for j in range(3)
+        ]
+        words = np.array(words, dtype=np.uint64)[..., None]
+        level, size = table.shape
+        out = np.zeros((3, len(taps), size), dtype=np.uint64)
+        for b in range(level):
+            basis = (words << np.uint64(level - 1 - b)) & mask
+            np.bitwise_xor(out[..., : 1 << b], basis, out=out[..., 1 << b : 2 << b])
+        return out, width
 
     @staticmethod
     def evaluate(forms, chunk):
-        """One take per coordinate, XORed in as it comes (pivot last), so
-        at most two (k, n) arrays are alive at once."""
-        tables, _ = forms
-        order = sorted(range(3), key=lambda j: j == chunk.pivot)
-        out = chunk.take(tables[order[0]], order[0])
-        for j in order[1:]:
-            out ^= chunk.take(tables[j], j)
-        return out
+        return chunk.add_parts(forms[0], np.bitwise_xor)
 
     @staticmethod
     def at(forms, chunk):
         tables, width = forms
         parts = [chunk.take(table, j)[:, None] for j, table in enumerate(tables)]
-        k, n = len(tables[0]), chunk.balls[0].size
+        k, n = tables.shape[1], chunk.balls[0].size
 
         def moved(offsets):
             offsets = np.asarray(offsets, dtype=np.uint64).reshape(3, -1, 1)
@@ -301,17 +291,6 @@ class _BitRows:
             return out.reshape(k, -1)
 
         return moved
-
-    @staticmethod
-    def shift_add(taps, chunk, lead, width):
-        out = np.zeros((len(taps), chunk.shape[1]), dtype=np.uint64)
-        for acc, row in zip(out, taps):
-            for y, coord_taps in zip(chunk, row):
-                for pos, _ in coord_taps:
-                    if pos - lead < width:
-                        acc ^= y << np.uint64(pos - lead)
-        out &= (1 << width) - 1
-        return out
 
     @staticmethod
     def first_nonzero(rows, none_value):
@@ -406,14 +385,14 @@ class _ConeTest:
     from.
     """
 
-    def __init__(self, rows, values, apex, depth):
+    def __init__(self, rows, table, apex, depth):
         a0, a1, a2 = apex
         self.rows, self.depth = rows, depth
         forms = ((a2, None, -a0), (a2.shift(1), -a2, a1 - a0.shift(1)))
         self.taps = [
             [[] if x is None else _taps(x, 0, depth) for x in form] for form in forms
         ]
-        self.forms = rows.forms(values, self.taps, 0, depth)
+        self.forms = rows.forms(table, self.taps, 0, depth)
         self.low = _low(self.taps, 0)
 
     def verdicts(self, forms):
@@ -549,9 +528,10 @@ def _flag(report, kind, element, mask, text_fn, detail_fn=None):
 
 
 class _Sweep:
-    """One sweep's fixed data, built once: the digit table in its row
-    format, the form families the domain pass reads (both cones, the
-    eigenbasis adjugate, g and g^-1) and the bounds its checks use.
+    """One sweep's fixed data, built once: the digit table, the product
+    tables of the form families the domain pass reads (both cones, the
+    eigenbasis adjugate, g and g^-1), their least free tap positions per
+    stratum and the bounds its checks use.
     ``read`` is the one evaluator of the domain pass's predicates; the
     exhaustive pass and the prefix tree both call it."""
 
@@ -588,12 +568,18 @@ class _Sweep:
         self.table = _digit_table(q, level)
         widest = max(self.depth, self.horizon, *(side["width"] for side in self.sides))
         self.rows = rows = _row_format(q, widest)
-        self.values = rows.encode(self.table)
         apexes = (eigen.vectors[0], eigen.vectors[2])
-        self.cones = [_ConeTest(rows, self.values, a, self.depth) for a in apexes]
-        self.adj_forms = rows.forms(self.values, adj_taps, vm_adj, self.horizon)
+        self.cones = [_ConeTest(rows, self.table, a, self.depth) for a in apexes]
+        self.adj_forms = rows.forms(self.table, adj_taps, vm_adj, self.horizon)
         for side in self.sides:
-            side["forms"] = rows.forms(self.values, side["taps"], side["lead"], side["width"])
+            side["forms"] = rows.forms(self.table, side["taps"], side["lead"], side["width"])
+        # (k, 3) least tap position of each form on a free coordinate of
+        # stratum s (column s): a depth-d node's horizons are d + these
+        strata = np.eye(3, dtype=bool)
+        self.cone_free = [_horizon(cone.low, 0, strata) for cone in self.cones]
+        self.adj_free = _horizon(self.adj_low, 0, strata)
+        for side in self.sides:  # one horizon for all three image coordinates
+            side["free"] = _horizon(side["low"].min(axis=0, keepdims=True), 0, strata)
         # x and y of a window ball read 1, 0 at u^0, u^1: the two leading
         # base-q digits of their values make q
         self.digit_1 = q ** (level - 2)
@@ -606,7 +592,7 @@ class _Sweep:
         of; then ``raises`` (mask, message) and ``flags`` (kind, element,
         mask, detail, read on ``dom``), in report order."""
         rows, q, level = self.rows, self.q, self.level
-        chunk = rows.chunk(self.values, balls, pivot)
+        chunk = _Chunk(balls, pivot)
         in_u = stratum == 2
         for coord in balls[:2]:
             in_u = in_u & (coord // self.digit_1 == q)
@@ -622,7 +608,7 @@ class _Sweep:
             detail = lambda r, v1=v1, vc=vc: f"v1 {int(v1[r])}, vcomb {int(vc[r])}"  # noqa: E731
             flags.append(("cone-transfer", f"cone{name}", ~in_u & moves, detail, False))
         dom = np.nonzero(~in_u & ~cones[0][0] & ~cones[1][0])[0]
-        chunk = rows.chunk(self.values, [v[dom] for v in balls], pivot)
+        chunk = _Chunk([v[dom] for v in balls], pivot)
 
         # eigencoordinate valuations VAL_i = val(adj_i . y), trusted up to
         # dot_stop; beyond floor_cap they are ball-dependent, so floor them
@@ -717,21 +703,20 @@ def _nodes(sweep, d, s, a, b):
         np.where(s == 2, one, b),
     )
     r = sweep.read(balls, s)
-    pivot = np.arange(3) == s[:, None]
 
-    def horizon(low, rows=slice(None)):  # at d = M a node is one ball
-        h = _horizon(low, d, pivot[rows])
+    def horizon(free, rows=slice(None)):  # at d = M a node is one ball
+        h = d + free[:, s[rows]]
         return h if d < level else np.full_like(h, _FAR)
 
     decided = ~r.in_u
-    for cone, (_, v1, vc, _) in zip(sweep.cones, r.cones):
-        decided &= cone.decided(v1, vc, *horizon(cone.low))
+    for cone, free, (_, v1, vc, _) in zip(sweep.cones, sweep.cone_free, r.cones):
+        decided &= cone.decided(v1, vc, *horizon(free))
     decided |= r.in_u
     caps = np.array([[sweep.horizon], [level], [sweep.horizon]])
-    h = horizon(sweep.adj_low, r.dom)
+    h = horizon(sweep.adj_free, r.dom)
     done = ((r.val - sweep.vm_adj < h) | (h >= caps)).all(axis=0)
     for side, vm_col in zip(sweep.sides, r.vm_cols):
-        h = horizon(side["low"].min(axis=0, keepdims=True), r.dom)[0]
+        h = horizon(side["free"], r.dom)[0]
         done &= (vm_col + 1 < h) | (h >= side["width"])
     decided[r.dom] &= done
     return r, decided
@@ -758,7 +743,7 @@ def _domain_tree(sweep, report):
         balls, split = q ** (2 * (level - d)), []
         for part in (slice(lo, lo + CHUNK) for lo in range(0, s.size, CHUNK)):
             r, decided = _nodes(sweep, d, s[part], a[part], b[part])
-            if any(m.any() for m, _ in r.raises) or any(f[2].any() for f in r.flags):
+            if np.concatenate([m for m, _ in r.raises] + [f[2] for f in r.flags]).any():
                 return False
             window += balls * int(np.count_nonzero(decided & r.in_u))
             done = decided[r.dom]
@@ -817,7 +802,7 @@ def _window_root(sweep, elements):
     at column 2 + o, so a form's columns below 2 + min over x, y of (its
     least tap position + o) are every ball's own."""
     one = np.full(1, sweep.q ** (sweep.level - 1))
-    chunk = sweep.rows.chunk(sweep.values, (one, one, one), 2)
+    chunk = _Chunk((one, one, one), 2)
     moved = [sweep.rows.at(cone.forms, chunk) for cone in sweep.cones]
     offsets = np.array([o for _, o, _ in elements]).T
     pert = np.array([p for _, _, p in elements])
@@ -922,7 +907,7 @@ def verify_pingpong(pair, g, level, gamma_bound, eigen=None, epsilon_exponent=No
     for balls in _window_balls(q, level, CHUNK):
         n = balls[0].size
         w_texts = lambda r: _text(sweep.table, balls, r)  # noqa: E731
-        chunk = rows.chunk(sweep.values, balls, 2)  # z is the pivot 1
+        chunk = _Chunk(balls, 2)  # z is the pivot 1
         moved = [rows.at(cone.forms, chunk) for cone in sweep.cones]
         for label, offsets, pert in pending:
             report.checked_images += n

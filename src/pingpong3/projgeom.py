@@ -158,7 +158,8 @@ class ProjLine:
 
 def in_unit_window(coords):
     """Level-2 ball around [1:1:1]: pairwise diffs of valuation >= vm + 2.
-    vm is the least valuation, ``vec_min_val``'s when one is undecided."""
+    vm is the least valuation, ``vec_min_val``'s when one is undecided.
+    Every pair's valuations are read before any difference: a False is final."""
     vals = coords[0].val(), coords[1].val(), coords[2].val()
     vm = min(vals) if None not in vals else vec_min_val(coords)
     if vm is None:
@@ -166,19 +167,20 @@ def in_unit_window(coords):
     if vm is INF:
         raise AllCoordinatesVanish("zero vector has no projective class")
     threshold = vm + 2
+    pairs = ((0, 1), (0, 2), (1, 2))
+    for i, j in pairs:
+        vi, vj = vals[i], vals[j]
+        if vi is not None and vj is not None and vi != vj and min(vi, vj) < threshold:
+            return False  # the lower leading digit survives the difference
     verdict = True
-    for i in range(3):
-        for j in range(i + 1, 3):
-            vi, vj = vals[i], vals[j]
-            if vi is not None and vj is not None and vi != vj and min(vi, vj) < threshold:
-                return False  # the lower leading digit survives the difference
-            d = coords[i] - coords[j]
-            if d.val_lower_bound() >= threshold:
-                continue
-            v = d.val()
-            if v is not None and v < threshold:
-                return False
-            verdict = None
+    for i, j in pairs:
+        d = coords[i] - coords[j]
+        if d.val_lower_bound() >= threshold:
+            continue
+        v = d.val()
+        if v is not None and v < threshold:
+            return False
+        verdict = None
     return verdict
 
 

@@ -275,6 +275,38 @@ def test_slope_cone_forms_a_sum_only_where_its_least_terms_tie(q, monkeypatch):
         assert set(calls) == {SUMS_PER_CONE_CALL[sigma._case_name(signs)]}, signs
 
 
+# Laurent sums the window predicate forms per Monte-Carlo sample: none, in
+# every sign case.  A nontrivial a^m b^n gives its image unequal coordinate
+# valuations, and the least of them lies below vm + 2, so the valuations
+# alone say False; a window point, whose valuations tie, forms all three.
+SUMS_PER_WINDOW_CALL = 0
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_unit_window_forms_no_sum_when_valuations_decide(q, monkeypatch):
+    sums, per_call = [0], []
+    combine, window = Laurent._combine, sigma.in_unit_window
+
+    def counted(self, other, c):
+        sums[0] += 1
+        return combine(self, other, c)
+
+    def recording(coords):
+        before = sums[0]
+        verdict = window(coords)
+        per_call.append(sums[0] - before)
+        return verdict
+
+    monkeypatch.setattr(Laurent, "_combine", counted)
+    monkeypatch.setattr(sigma, "in_unit_window", recording)
+    trials = 200
+    monte_carlo_check(make_generators(q), random.Random(1), trials_per_case=trials)
+    assert len(per_call) == trials * len(SIGN_CASES)
+    assert set(per_call) == {SUMS_PER_WINDOW_CALL}
+    assert recording(sigma._window_points(q, random.Random(2))[1]) is True
+    assert per_call[-1] == 3
+
+
 @pytest.mark.parametrize("bound", [1, 2, 3, 4, 5, 8, 9, np.int64(5)])
 def test_exponent_draws_replay_randint(bound, monkeypatch):
     # m and n come from getrandbits with the values and stream position of

@@ -25,6 +25,7 @@ from pingpong3.pingpong.verify import (
     PingPongReport,
     _ball_chunks,
     _BitRows,
+    _Chunk,
     _ConeTest,
     _digit_dtype,
     _digit_table,
@@ -196,10 +197,9 @@ def test_cone_test_agrees_with_scalar_predicate(q):
     ys = [_vector(q, table, balls, r) for r in range(balls[0].size)]
     in_u = np.array([in_unit_window(y) is True for y in ys])
     for rows in _formats(q):
-        values = rows.encode(table)
-        chunk = rows.chunk(values, balls)
+        chunk = _Chunk(balls)
         for apex in (eig.vectors[0], eig.vectors[2]):
-            cone = _ConeTest(rows, values, apex, depth=level + 8)
+            cone = _ConeTest(rows, table, apex, depth=level + 8)
             verdict, _, _, undecided = cone.verdicts(rows.evaluate(cone.forms, chunk))
             assert not (undecided & ~in_u).any()
             for y, u, got in zip(ys, in_u, verdict):
@@ -224,9 +224,8 @@ def _bulk_rows(rows, mat, table, balls, start, stop, pivot=None):
     every column the products reach."""
     width = stop - start + table.shape[0] - 1
     taps = [[_taps(mat.rows[i][j], start, stop) for j in range(3)] for i in range(3)]
-    values = rows.encode(table)
-    forms = rows.forms(values, taps, start, width)
-    return _digits(rows, rows.evaluate(forms, rows.chunk(values, balls, pivot)), width)
+    forms = rows.forms(table, taps, start, width)
+    return _digits(rows, rows.evaluate(forms, _Chunk(balls, pivot)), width)
 
 
 @pytest.mark.parametrize("q", BULK_QS)
@@ -294,8 +293,7 @@ def test_diagonal_images_agree_with_scalar_products(q):
     balls = _sample_balls(q, level, 300, seed=q + 3)
     cases = [(3, 0, 5), (0, depth, 2), (depth + 3, 1, 0)]
     for rows in _formats(q):
-        values = rows.encode(table)
-        image = rows.at(rows.forms(values, UNIT, 0, depth), rows.chunk(values, balls))
+        image = rows.at(rows.forms(table, UNIT, 0, depth), _Chunk(balls))
         for offsets in cases:
             scalar = _diagonal_digits(q, table, balls, offsets, depth)
             got = _digits(rows, image(offsets), depth)
@@ -338,18 +336,15 @@ def test_cone_forms_moved_by_offsets_are_the_forms_of_the_diagonal_image(q):
             for offsets in cases
         }
         for rows in _formats(q):
-            values = rows.encode(table)
-            chunk = rows.chunk(values, balls, pivot)
+            chunk = _Chunk(balls, pivot)
             for apex in (eig.vectors[0], eig.vectors[2]):
-                cone = _ConeTest(rows, values, apex, depth)
+                cone = _ConeTest(rows, table, apex, depth)
                 moved = rows.at(cone.forms, chunk)
                 for offsets, digits in images.items():
-                    img = np.stack([rows.encode(coord) for coord in digits])
-                    # integer rows add into the family's accumulator dtype
-                    dtype = [cone.forms[3]] if isinstance(rows, _IntRows) else []
-                    image_forms = rows.shift_add(cone.taps, img, 0, depth, *dtype)
+                    # both formats against an integer shift-add of the taps
+                    image_forms = _IntRows(q).shift_add(cone.taps, digits, 0, depth)
                     got = _digits(rows, moved(offsets), depth)
-                    assert np.array_equal(got, _digits(rows, image_forms, depth))
+                    assert np.array_equal(got, _digits(_IntRows(q), image_forms, depth))
                 each = [moved(offsets) for offsets in cases]
                 every = moved(np.array(cases).T)
                 assert np.array_equal(every, np.concatenate(each, axis=-1))
@@ -394,20 +389,21 @@ def test_window_images_follow_the_closed_form(q):
 
 
 def test_q2_sweep_runs_no_shift_add_on_a_chunk(monkeypatch):
-    """At q = 2 the only shift-adds build the product tables, one run over
-    the V = 2^M values per coordinate and family, never one on balls."""
+    """At q = 2 no shift-add runs: the product tables are built once per
+    family, over the V = 2^M values per coordinate, never on balls."""
     level = 5
     seen = []
-    bit_shift_add = _BitRows.shift_add
+    bit_forms = _BitRows.forms
 
-    def counted(taps, chunk, lead, width):
-        seen.append(chunk.shape[-1])
-        return bit_shift_add(taps, chunk, lead, width)
+    def counted(table, taps, lead, width):
+        tables, width = bit_forms(table, taps, lead, width)
+        seen.extend(table.shape[-1] for table in tables)
+        return tables, width
 
     def refused(*args):
         raise AssertionError("integer rows at q = 2")
 
-    monkeypatch.setattr(_BitRows, "shift_add", staticmethod(counted))
+    monkeypatch.setattr(_BitRows, "forms", staticmethod(counted))
     monkeypatch.setattr(_IntRows, "shift_add", refused)
     report = verify_pingpong(PAIR2, G2, level, gamma_bound=2)
     assert report.passed
@@ -416,9 +412,10 @@ def test_q2_sweep_runs_no_shift_add_on_a_chunk(monkeypatch):
 
 
 def test_shift_add_accumulator_holds_the_largest_column_sum():
-    """q = 31, every entry and every ball digit q - 1 over 14 columns:
-    column 13 of each form sums 42 products of 30^2, 37,800 > int16."""
-    q, depth = 31, 14
+    """q = 31, every entry and every ball digit q - 1 over 38 columns:
+    column 37 of each coordinate's part of a form, as its product table is
+    built, sums 38 products of 30^2, 34,200 > int16."""
+    q, depth = 31, 38
     x = Laurent(q, 0, [q - 1] * depth)
     mat = Mat([[x] * 3] * 3)
     # a two-value table: column 0 all q - 1, column 1 with 1 at even places
@@ -585,10 +582,12 @@ def _tree_and_exhaustive(monkeypatch, *args, **kwargs):
     "q, level",
     [(2, level) for level in range(3, 10)]
     + [(3, level) for level in range(3, 7)]
-    + [(5, 3), (5, 4)],
+    + [(5, 3), (5, 4), (7, 3)],
 )
 def test_tree_sweep_matches_the_exhaustive_sweep(monkeypatch, q, level):
-    """Passing sweeps, the domain pass alone and with the window pass."""
+    """Passing sweeps, the domain pass alone and with the window pass; at
+    q = 7 level 3 the exhaustive pass reads 136,857 balls, the pivot-z
+    stratum's 117,649 in two chunks."""
     pair, g = make_generators(q), make_proximal(q) ** 2
     for gamma_bound in (0, 2):
         tree, exhaustive = _tree_and_exhaustive(monkeypatch, pair, g, level, gamma_bound)
@@ -716,9 +715,9 @@ def test_window_root_decisions_hold_on_every_window_ball(q):
     eig = eigen_flags(g, precision=2 * level + 24)
     sweep = verify._Sweep(q, level, g, eig, theta_prime_exponent(eig))
     one = np.full(1, q ** (level - 1))
-    root = sweep.rows.chunk(sweep.values, (one, one, one), 2)
+    root = _Chunk((one, one, one), 2)
     balls = next(_window_balls(q, level, q ** (2 * (level - 2))))
-    chunk = sweep.rows.chunk(sweep.values, balls, 2)
+    chunk = _Chunk(balls, 2)
     decided = 0
     for pair in (make_generators(q), _monic_pair(*MONIC, q), _monic_pair((1, -1, 0), (0, 1, -1), q)):
         elements = []
@@ -764,12 +763,13 @@ def test_horizons_are_sound_and_tight(q):
     """Each form of each family reads the same digits on every ball of a
     node below ``_horizon`` and, short of the width, not at it: domain
     nodes of every stratum at depths 1 to M - 1, and the window's depth-2
-    node under the diagonals of a few offsets."""
+    node under the diagonals of a few offsets.  The sweep's per-stratum
+    horizon tables agree with ``_horizon``."""
     level, rng = 4, random.Random(q)
     g = make_proximal(q) ** 2
     eig = eigen_flags(g, precision=2 * level + 24)
     sweep = verify._Sweep(q, level, g, eig, theta_prime_exponent(eig))
-    rows, values = sweep.rows, sweep.values
+    rows = sweep.rows
     families = [(c.forms, c.low, c.depth) for c in sweep.cones]
     families.append((sweep.adj_forms, sweep.adj_low, sweep.horizon))
     families += [(side["forms"], side["low"], side["width"]) for side in sweep.sides]
@@ -779,12 +779,18 @@ def test_horizons_are_sound_and_tight(q):
             b = rng.randrange(q ** (d - (s < 2)))
             balls = _node_balls(q, level, d, s, a, b)
             pivot = np.arange(3)[None] == s
+            # the sweep's per-stratum tables: each form's _horizon, and for
+            # g and g^-1 the least over the three image coordinates
+            for free, (_, low, _) in zip([*sweep.cone_free, sweep.adj_free], families):
+                assert np.array_equal(d + free[:, s], verify._horizon(low, d, pivot)[:, 0])
+            for side in sweep.sides:
+                assert d + side["free"][0, s] == verify._horizon(side["low"], d, pivot).min()
             for forms, low, width in families:
-                digits = _digits(rows, rows.evaluate(forms, rows.chunk(values, balls)), width)
+                digits = _digits(rows, rows.evaluate(forms, _Chunk(balls)), width)
                 for k, h in enumerate(verify._horizon(low, d, pivot)[:, 0]):
                     assert _agree_below(digits[:, k], h, width)
     balls = _node_balls(q, level, 2, 2, q, q)  # the window: x and y lead with 1, 0
-    chunk = rows.chunk(values, balls, 2)
+    chunk = _Chunk(balls, 2)
     offsets = np.array([(0, 1, 0), (2, 0, 1), (1, 3, 0), (0, 0, 5)])
     for cone in sweep.cones:
         moved = rows.at(cone.forms, chunk)
