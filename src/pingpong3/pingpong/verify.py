@@ -21,9 +21,15 @@ trailing M - d digits 0, is itself a ball.  A linear form's digits below
 its horizon, d + the least tap position of its coefficients on the free
 coordinates (tabled per stratum once per sweep), are the same on all of a
 node's balls, so a node whose read values all lie below their horizons is
-decided on its representative and stands for its q^(2(M - d)) balls; the
-others split into their q^2 children, one batch per depth from d = 2,
-down to single balls at d = M.  The window pass decides each a^m b^n on
+decided on its representative and stands for its q^(2(M - d)) balls.  One
+value may lie past its horizon: the middle eigencoordinate valuation VAL_2
+enters only the two power certificates, each a minimum of f2 = min(VAL_2,
+floor_cap) plus a gap and one other term.  Past its horizon h2, every
+ball's VAL_2 is at least h2 + vm_adj; when that reaches both other terms,
+each certificate is its other term on every ball, so VAL_2 is moot.  The
+undecided nodes split into their q^2 children, built for a slice of
+parents at a time, one batch per depth from d = 2, down to single balls
+at d = M.  The window pass decides each a^m b^n on
 the window's depth-2 node.  Any violation or undecidable value falls back
 to the exhaustive pass, ball by ball, which writes the failing report and
 its examples.
@@ -565,6 +571,10 @@ class _Sweep:
             [_taps(adj.rows[i][j], vm_adj, dot_stop) for j in range(3)] for i in range(3)
         ]
         self.adj_low = _low(adj_taps, vm_adj)
+        # a node's VAL_i is the same on all its balls once its horizon
+        # reaches these: VAL_1 and VAL_3 are read to dot_stop, VAL_2 only
+        # up to floor_cap
+        self.caps = np.array([[self.horizon], [level], [self.horizon]])
         self.table = _digit_table(q, level)
         widest = max(self.depth, self.horizon, *(side["width"] for side in self.sides))
         self.rows = rows = _row_format(q, widest)
@@ -583,6 +593,18 @@ class _Sweep:
         # x and y of a window ball read 1, 0 at u^0, u^1: the two leading
         # base-q digits of their values make q
         self.digit_1 = q ** (level - 2)
+
+    def adj_decided(self, val, h):
+        """Whether nodes whose balls share their representatives' adjugate
+        columns below ``h`` (3, n) all read the representatives' VAL_1 and
+        VAL_3, ``val`` (3, n), and power certificates: VAL_2 must be exact
+        up to floor_cap, or moot (see the module docstring), past a horizon
+        where h2 + vm_adj reaches both f1 + (w2 - w1) and f3 + (w3 - w2)."""
+        exact = (val - self.vm_adj < h) | (h >= self.caps)
+        f1, _, f3 = np.minimum(val, self.floor_cap)
+        w1, w2, w3 = self.w
+        moot = h[1] + self.vm_adj >= np.maximum(f1 + (w2 - w1), f3 + (w3 - w2))
+        return exact[0] & exact[2] & (exact[1] | moot)
 
     def read(self, balls, stratum, pivot=None):
         """Every value the domain pass reads on a batch of (x, y, z) value
@@ -693,8 +715,10 @@ def _nodes(sweep, d, s, a, b):
     """Read the depth-d nodes, d >= 2, of strata ``s`` whose free
     coordinates lead with the digits ``a`` and ``b`` on their
     representatives; returns the read and which nodes it decides: in-U,
-    both cone verdicts, val1 and val3, val2 up to floor_cap, and the image
-    lead column and the one after it, each below its horizon."""
+    both cone verdicts, VAL_1 and VAL_3, and the image lead column and the
+    one after it, each below its horizon, and VAL_2 below its horizon (up to
+    floor_cap) or moot, where both power certificates take their other
+    terms on every ball (``_Sweep.adj_decided``)."""
     q, level = sweep.q, sweep.level
     one, a, b = q ** (level - 1), a * q ** (level - d), b * q ** (level - d)
     balls = (
@@ -712,9 +736,7 @@ def _nodes(sweep, d, s, a, b):
     for cone, free, (_, v1, vc, _) in zip(sweep.cones, sweep.cone_free, r.cones):
         decided &= cone.decided(v1, vc, *horizon(free))
     decided |= r.in_u
-    caps = np.array([[sweep.horizon], [level], [sweep.horizon]])
-    h = horizon(sweep.adj_free, r.dom)
-    done = ((r.val - sweep.vm_adj < h) | (h >= caps)).all(axis=0)
+    done = sweep.adj_decided(r.val, horizon(sweep.adj_free, r.dom))
     for side, vm_col in zip(sweep.sides, r.vm_cols):
         h = horizon(side["free"], r.dom)[0]
         done &= (vm_col + 1 < h) | (h >= side["width"])
@@ -729,20 +751,24 @@ def _domain_tree(sweep, report):
     Returns False, leaving ``report`` alone, once a representative shows a
     violation or an undecidable value: the exhaustive pass then reports the sweep."""
     q, level = sweep.q, sweep.level
-    s = np.repeat([2, 1, 0], [q * q, q, 1])
-    a = np.concatenate([np.arange(q * q) // q, np.arange(q), [0]])
-    b = np.concatenate([np.arange(q * q) % q, np.zeros(q + 1, dtype=int)])
-    keep, digit = np.ones(s.size, dtype=bool), np.arange(q * q)
+    nodes = (
+        np.repeat([2, 1, 0], [q * q, q, 1]),
+        np.concatenate([np.arange(q * q) // q, np.arange(q), [0]]),
+        np.concatenate([np.arange(q * q) % q, np.zeros(q + 1, dtype=int)]),
+    )
+    # children are built per slice of parents, at most CHUNK of them at once
+    digit, step = np.arange(q * q), max(1, CHUNK // (q * q))
     window, domain, least = 0, 0, []
     for d in range(2, level + 1):
-        s = np.repeat(s[keep], q * q)
-        a = (a[keep, None] * q + digit // q).ravel()
-        b = (b[keep, None] * q + digit % q).ravel()
-        if not s.size:
+        if not nodes[0].size:
             break
         balls, split = q ** (2 * (level - d)), []
-        for part in (slice(lo, lo + CHUNK) for lo in range(0, s.size, CHUNK)):
-            r, decided = _nodes(sweep, d, s[part], a[part], b[part])
+        for lo in range(0, nodes[0].size, step):
+            s, a, b = (v[lo : lo + step] for v in nodes)
+            s = np.repeat(s, q * q)
+            a = (a[:, None] * q + digit // q).ravel()
+            b = (b[:, None] * q + digit % q).ravel()
+            r, decided = _nodes(sweep, d, s, a, b)
             if np.concatenate([m for m, _ in r.raises] + [f[2] for f in r.flags]).any():
                 return False
             window += balls * int(np.count_nonzero(decided & r.in_u))
@@ -750,8 +776,8 @@ def _domain_tree(sweep, report):
             domain += balls * int(np.count_nonzero(done))
             if done.any():
                 least += [(name, v[done].min()) for name, v in r.least.items()]
-            split.append(~decided)
-        keep = np.concatenate(split)
+            split.append([v[~decided] for v in (s, a, b)])
+        nodes = [np.concatenate(v) for v in zip(*split)]
     report.window_balls += window
     report.domain_balls += domain
     report.checked_images += len(sweep.sides) * domain

@@ -18,6 +18,7 @@ from pingpong3.pingpong.regular import (
     contraction_power,
     find_regular,
     make_proximal,
+    synthetic_basis,
 )
 from pingpong3.pingpong import verify
 from pingpong3.pingpong.verify import (
@@ -632,8 +633,8 @@ def test_tree_sweep_matches_the_exhaustive_sweep_on_odd_q_pins(
 
 def test_tree_reads_a_few_hundred_rows(monkeypatch):
     """The rows the tree reads per depth at q = 2 level 8 and q = 3 level 5
-    (the benchmark's sweeps), against 114,688 and 85,293 domain balls: a
-    fall back to per-ball work shows here."""
+    (the benchmark's sweeps), against 114,688 and 85,293 domain balls, and
+    at the q = 2 gate, level 10: a fall back to per-ball work shows here."""
     seen = []
     read = verify._Sweep.read
 
@@ -642,7 +643,7 @@ def test_tree_reads_a_few_hundred_rows(monkeypatch):
         return read(self, balls, *args)
 
     monkeypatch.setattr(verify._Sweep, "read", counted)
-    for q, level, rows in ((2, 8, [28, 44, 40, 80, 160]), (3, 5, [117, 315, 54])):
+    for q, level, rows in ((2, 8, [28, 28]), (3, 5, [117, 234, 54]), (2, 10, [28, 28])):
         seen.clear()
         report = verify_pingpong(make_generators(q), make_proximal(q) ** 2, level, 3)
         assert report.passed
@@ -812,14 +813,130 @@ def _node_point(q, digits, d, s, a, b, rng):
     return free
 
 
+def _val2_moot(sweep, d, s, r, decided):
+    """Positions in ``r.dom`` of the depth-d domain nodes decided although
+    an eigencoordinate valuation lies at or past its horizon, short of its
+    cap: nodes that the rule requiring all three to be the same on all
+    their balls leaves undecided, where VAL_2 is moot."""
+    h = d + sweep.adj_free[:, s[r.dom]]
+    exact = ((r.val - sweep.vm_adj < h) | (h >= sweep.caps)).all(axis=0)
+    return np.nonzero(decided[r.dom] & ~exact & (d < sweep.level))[0]
+
+
+def _certificates(sweep, val):
+    """Both power certificates from VAL_1, VAL_2, VAL_3, each (n,) or scalar:
+    the dominant coordinate's exact valuation against the floored others."""
+    (v1, _, v3), (f1, f2, f3) = val, np.minimum(val, sweep.floor_cap)
+    w1, w2, w3 = sweep.w
+    plus = np.minimum(f2 + (w2 - w1), f3 + (w3 - w1)) - v1
+    minus = np.minimum(f2 + (w3 - w2), f1 + (w3 - w1)) - v3
+    return plus.tolist(), minus.tolist()
+
+
+LATTICE_G2 = find_regular(2, "lattice", seed=11).g
+
+
+@pytest.mark.parametrize(
+    "q, level, g, moot",
+    [
+        (2, 5, G2, 4),
+        (2, 6, G2, 6),
+        (3, 4, make_proximal(3) ** 2, 0),
+        (3, 5, make_proximal(3) ** 2, 9),
+        (2, 5, LATTICE_G2, 0),
+        (2, 6, LATTICE_G2, 0),
+    ],
+    ids=["q2-5", "q2-6", "q3-4", "q3-5", "lattice-5", "lattice-6"],
+)
+def test_nodes_decided_past_the_val2_horizon_hold_on_every_ball(monkeypatch, q, level, g, moot):
+    """Every node the tree decides while its VAL_2 lies past its horizon
+    (``moot`` of them), read ball by ball: every ball is a domain ball
+    and every flag mask, both power certificates and every value the
+    report takes minima of are the representative's."""
+    seen = []
+    nodes = verify._nodes
+
+    def recorded(sweep, d, s, a, b):
+        r, decided = nodes(sweep, d, s, a, b)
+        seen.append((sweep, d, s, a, b, r, decided))
+        return r, decided
+
+    monkeypatch.setattr(verify, "_nodes", recorded)
+    assert verify_pingpong(make_generators(q), g, level, 0).passed
+    checked = 0
+    for sweep, d, s, a, b, r, decided in seen:
+        for k in _val2_moot(sweep, d, s, r, decided):
+            i = r.dom[k]
+            balls = _node_balls(q, level, d, s[i], a[i], b[i])
+            read = sweep.read(balls, s[i], s[i])
+            assert read.dom.size == balls[0].size
+            for (*_, mask, _, on_dom), (*_, rep, _, _) in zip(read.flags, r.flags):
+                assert (mask == rep[k if on_dom else i]).all()
+            at_rep = _certificates(sweep, r.val[:, k])
+            for cert, rep in zip(_certificates(sweep, read.val), at_rep):
+                assert set(cert) == {rep}
+            for name, values in read.least.items():
+                assert (values == r.least[name][k]).all()
+            checked += 1
+    assert checked == moot
+
+
+def _spread(q, a, b):
+    """A proximal element with eigenvalue valuations (-a, 0, b)."""
+    f, basis = Field(q), synthetic_basis(q)
+    return basis * Mat.diagonal([f.u(-a), f.one(), f.u(b)]) * basis.inverse()
+
+
+@pytest.mark.parametrize("g", [G2, _spread(2, 2, 4), _spread(2, 4, 2)], ids=["G2", "2-4", "4-2"])
+def test_adjugate_values_are_decided_only_when_every_ball_shares_them(g):
+    """Brute force over the adjugate columns a node's balls can read, as
+    for the cones: where ``adj_decided`` holds, every ball has the
+    representative's VAL_1, VAL_3 and both power certificates, and where
+    it does not, two balls can differ in one of them.  VAL_1 and VAL_3 are
+    read below their horizons or at them; unequal eigenvalue gaps tell the
+    certificates' two gaps apart."""
+    level = 5
+    eig = eigen_flags(g, precision=2 * level + 24)
+    sweep = verify._Sweep(2, level, g, eig, theta_prime_exponent(eig))
+    top = sweep.horizon  # first-nonzero columns are read up to it
+    points = [
+        (c1, c2, c3, h1, h2, h3)
+        for c1 in range(top + 1)
+        for c2 in range(top + 1)
+        for c3 in range(top + 1)
+        for h1 in (c1, c1 + 1)
+        for h3 in (c3, c3 + 1)
+        for h2 in range(top + 2)
+    ]
+    cols, horizons = np.array(points).T.reshape(2, 3, -1)
+    decided = sweep.adj_decided(cols + sweep.vm_adj, horizons)
+    assert decided.any() and not decided.all()
+
+    def reach(c, h):
+        return [c] if c < h else range(h, top + 1)
+
+    for (c1, c2, c3, h1, h2, h3), dec in zip(points, decided):
+        ones, threes = reach(c1, h1), reach(c3, h3)
+        shared = len(ones) == len(threes) == 1
+        if shared:
+            val = np.array([c1, 0, c3]) + sweep.vm_adj
+            certs = set()
+            for c in reach(c2, h2):
+                val[1] = c + sweep.vm_adj
+                certs.add(_certificates(sweep, val))
+            shared = len(certs) == 1
+        assert shared == dec
+
+
 @pytest.mark.parametrize("q", (13, 31))
 def test_decided_nodes_agree_with_scalar_predicates(q):
     """Where no exhaustive sweep can serve as the reference (q = 31 level 3
     has 8.9e8 balls): on random points of sampled decided depth-2 nodes,
     digits past the level included, the scalar predicates give the node's
     verdicts -- in U, in each cone, and for domain nodes the images in U
-    with their least valuations and the eigencoordinate valuations up to
-    floor_cap."""
+    with their least valuations, VAL_1 and VAL_3 up to floor_cap, and VAL_2
+    up to floor_cap where it lies below its horizon, else both power
+    certificates."""
     level, d, rng = 3, 2, random.Random(q)
     g = make_proximal(q) ** 2
     eig = eigen_flags(g, precision=2 * level + 24)
@@ -835,6 +952,9 @@ def test_decided_nodes_agree_with_scalar_predicates(q):
     dom = {int(i): k for k, i in enumerate(r.dom)}
     picked = rng.sample(list(np.nonzero(decided)[0]), 40)
     assert any(i in dom for i in picked) and any(i not in dom for i in picked)
+    # no sampled node at q = 13 or 31 has a moot VAL_2, but were one
+    # to, its VAL_2 could differ from the scalar one
+    moot = set(r.dom[_val2_moot(sweep, d, s, r, decided)].tolist())
     for i in picked:
         for _ in range(3):
             y = _node_point(q, level + 3, d, s[i], a[i], b[i], rng)
@@ -847,10 +967,16 @@ def test_decided_nodes_agree_with_scalar_predicates(q):
                 image = mat.matvec(y)
                 assert in_unit_window(image) is True
                 assert vec_min_val(image) == vm_col[dom[i]] + side["lead"]
-            for row, val in zip(adj.rows, r.val[:, dom[i]]):
-                scalar = sum((x * c for x, c in zip(row, y)), Laurent(q, 0, []))
-                floor = sweep.floor_cap
-                assert min(scalar.val_lower_bound(), floor) == min(val, floor)
+            scalar = [
+                sum((x * c for x, c in zip(row, y)), Laurent(q, 0, [])).val_lower_bound()
+                for row in adj.rows
+            ]
+            val = r.val[:, dom[i]]
+            floor = sweep.floor_cap
+            for k in (0, 2) if i in moot else range(3):
+                assert min(scalar[k], floor) == min(val[k], floor)
+            if i in moot:
+                assert _certificates(sweep, np.array(scalar)) == _certificates(sweep, val)
 
 
 @pytest.mark.parametrize(
